@@ -148,13 +148,7 @@ class TileScheduler:
     ) -> None:
         tracer = self._tracer
         if tracer is not None:
-            # Raw span-tuple append (the Tracer materializes records
-            # lazily): the scheduler records several spans per task, and
-            # the monotone simulation clock guarantees start <= end so
-            # Tracer.record's validation is vacuous here.
-            tracer._spans.append(
-                (start, self.system.sim.now, actor, kind, label, ref, args)
-            )
+            tracer.span(start, self.system.sim.now, actor, kind, label, ref, args)
 
     def _tag(self, task_id: str) -> str:
         """Correlation id of one task of this tile (``tenant1.t3.conv0``)."""
@@ -171,20 +165,17 @@ class TileScheduler:
         """Record the task's aggregate span carrying the DAG edges."""
         tracer = self._tracer
         if tracer is not None:
-            # Raw span-tuple append; see _trace for the rationale.
-            tracer._spans.append(
-                (
-                    start,
-                    self.system.sim.now,
-                    actor,
-                    "task",
-                    task_id,
-                    self._tag(task_id),
-                    {
-                        "deps": [self._tag(p) for p in producers],
-                        "tenant": self.tenant,
-                    },
-                )
+            tracer.span(
+                start,
+                self.system.sim.now,
+                actor,
+                "task",
+                task_id,
+                self._tag(task_id),
+                {
+                    "deps": [self._tag(p) for p in producers],
+                    "tenant": self.tenant,
+                },
             )
 
     # --------------------------------------------------------- task process

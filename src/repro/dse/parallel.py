@@ -17,6 +17,7 @@ them.  Only genuinely new points reach the pool.
 
 from __future__ import annotations
 
+import os
 import typing
 from concurrent.futures import ProcessPoolExecutor
 
@@ -51,8 +52,9 @@ def run_points(
     Returns ``(results, simulated)`` where ``results[i]`` corresponds to
     ``points[i]`` and ``simulated`` counts the simulations actually
     executed (cache and memo hits, and intra-sweep duplicates, are not
-    simulated).  With ``jobs > 1`` the uncached points run on a process
-    pool; with ``jobs == 1`` they run inline in this process.  Either
+    simulated).  The uncached points run on a process pool of up to
+    ``jobs`` workers, clamped to the pending points and the CPU count;
+    with one worker they run inline in this process.  Either
     way the returned list is identical, because each simulation is a
     pure deterministic function of its (config, workload, tile window)
     inputs.
@@ -96,8 +98,10 @@ def run_points(
         (index, points[index][0], points[index][1], tile_window)
         for _fp, index in pending
     ]
-    if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    # More workers than CPUs only adds process overhead.
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_simulate, tasks))
     else:
         outcomes = [_simulate(task) for task in tasks]

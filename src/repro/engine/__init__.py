@@ -9,8 +9,8 @@ This is the substrate every timing model in the library is built on.
 """
 
 from repro.engine.event import Event, PooledTimeout, Timeout
-from repro.engine.fastpath import FastChain
 from repro.engine.process import Process
+from repro.engine.route import Route
 from repro.engine.simulator import Simulator
 from repro.engine.resources import (
     AllOf,
@@ -25,11 +25,11 @@ __all__ = [
     "BandwidthServer",
     "Counter",
     "Event",
-    "FastChain",
     "Histogram",
     "PooledTimeout",
     "Process",
     "Resource",
+    "Route",
     "Simulator",
     "Store",
     "Timeout",

@@ -133,49 +133,20 @@ class BandwidthServer:
         self.busy_cycles = 0.0
         self.total_bytes = 0.0
         self.total_transfers = 0
-        # Completion time of the most recent transfer().  Lets callers
-        # that cannot wrap the transfer in a process (wrapping would
-        # reorder same-time events and perturb the simulation) still
-        # know the span the transfer occupies, e.g. for tracing.
-        self.last_done = 0.0
 
     def occupancy_for(self, nbytes: float) -> float:
         """Channel occupancy (cycles) of a transfer of ``nbytes``."""
         return nbytes / self.bytes_per_cycle
 
     def reserve(self, nbytes: float) -> float:
-        """Account one transfer analytically; returns its completion time.
+        """Account one transfer; returns its completion time.
 
-        Performs exactly the accounting :meth:`transfer` performs —
-        FIFO queueing behind ``_free_at`` included, so the returned
-        completion time is identical under contention — but schedules
-        nothing.  Callers that need a wake-up at the returned time (the
-        fast-path transfer chains) schedule their own single entry.
+        FIFO queueing behind earlier transfers included, so the time is
+        exact under contention; nothing is scheduled.
         """
         if nbytes < 0:
             raise ConfigError(f"transfer size must be non-negative, got {nbytes}")
         now = self.sim.now
-        start = max(now, self._free_at)
-        occupancy = nbytes / self.bytes_per_cycle
-        self._free_at = start + occupancy
-        self.busy_cycles += occupancy
-        self.total_bytes += nbytes
-        self.total_transfers += 1
-        done = start + occupancy + self.latency
-        self.last_done = done
-        return done
-
-    def transfer(self, nbytes: float) -> Event:
-        """Enqueue a transfer; the returned event fires at completion.
-
-        The accounting is :meth:`reserve`'s, inlined statement for
-        statement (same float-operation order, so both paths produce
-        bit-identical completion times); keep the two in lockstep.
-        """
-        if nbytes < 0:
-            raise ConfigError(f"transfer size must be non-negative, got {nbytes}")
-        sim = self.sim
-        now = sim.now
         free_at = self._free_at
         start = now if now > free_at else free_at
         occupancy = nbytes / self.bytes_per_cycle
@@ -183,28 +154,15 @@ class BandwidthServer:
         self.busy_cycles += occupancy
         self.total_bytes += nbytes
         self.total_transfers += 1
-        done = start + occupancy + self.latency
-        self.last_done = done
-        event = Event(sim)
-        event.value = nbytes
-        event._scheduled = True
-        sim._schedule(done, event._fire)
-        return event
+        return start + occupancy + self.latency
 
-    def transfer_analytic(self, nbytes: float) -> typing.Union[float, Event]:
-        """Fast-path transfer: a float when uncontended, an event when not.
+    def transfer(self, nbytes: float) -> Event:
+        """Enqueue a transfer; the returned event fires at completion.
 
-        When the channel is idle at issue time the completion time is
-        known in closed form and returned directly — no event object,
-        no heap entry.  The moment a second requester overlaps
-        (``_free_at`` is still in the future) this defers to
-        :meth:`transfer`, the exact queued model; both paths run the
-        same :meth:`reserve` accounting, so completion times are
-        identical by construction.
+        This is :meth:`reserve` plus one scheduled event; routes reserve
+        directly and schedule their own wake-up instead.
         """
-        if self._free_at <= self.sim.now:
-            return self.reserve(nbytes)
-        return self.transfer(nbytes)
+        return self.sim.at(self.reserve(nbytes), nbytes)
 
     def utilization(self, elapsed: float) -> float:
         """Fraction of ``elapsed`` cycles the channel was busy."""

@@ -45,6 +45,14 @@ class Simulator:
         """Create a new pending event bound to this simulator."""
         return Event(self)
 
+    def at(self, time: float, value: object = None) -> Event:
+        """An event that fires at absolute time ``time`` with ``value``."""
+        event = Event(self)
+        event.value = value
+        event._scheduled = True
+        self._schedule(time, event._fire)
+        return event
+
     def timeout(self, delay: float, value: object = None) -> Timeout:
         """Create an event that fires ``delay`` cycles from now."""
         return Timeout(self, delay, value)

@@ -104,9 +104,9 @@ class Tracer:
     actor, kind, label, ref, args)``; :class:`TraceRecord` objects are
     materialized lazily the first time :attr:`records` is read (queries,
     exports, tests), so a traced simulation never pays per-span object
-    construction inside the event loop.  Recording sites inside the
-    engine append tuples to ``_spans`` directly; everything else goes
-    through :meth:`record`.
+    construction inside the event loop.  Hot recording sites (routes,
+    the tile scheduler, memory controllers) call :meth:`span`, which
+    skips validation; everything else goes through :meth:`record`.
     """
 
     __slots__ = ("_spans", "_records", "_materialized")
@@ -172,6 +172,24 @@ class Tracer:
         # validation error; valid spans stay tuples until materialized.
         if not (-_inf < start <= end < _inf):
             TraceRecord(start, end, actor, kind, label, ref, args)
+        self._spans.append((start, end, actor, kind, label, ref, args))
+
+    def span(
+        self,
+        start: float,
+        end: float,
+        actor: str,
+        kind: str,
+        label: str = "",
+        ref: str = "",
+        args: typing.Optional[typing.Mapping[str, typing.Any]] = None,
+    ) -> None:
+        """Append one span without validation.
+
+        For simulation-side callers whose spans are valid by
+        construction: ``start`` is an earlier reading of the monotone
+        clock (or the issue time of a reservation ending at ``end``).
+        """
         self._spans.append((start, end, actor, kind, label, ref, args))
 
     # ---------------------------------------------------------------- query

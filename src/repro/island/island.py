@@ -21,10 +21,11 @@ from repro.abb.library import ABBLibrary
 from repro.engine import (
     BandwidthServer,
     Event,
-    FastChain,
+    Route,
     Simulator,
     UtilizationTracker,
 )
+from repro.engine.route import CALL, DONE, END, SERVE, leg
 from repro.engine.trace import Tracer
 from repro.errors import AllocationError, ConfigError
 from repro.island.config import IslandConfig
@@ -41,180 +42,6 @@ NOC_INTERFACE_AREA_MM2 = 0.20
 
 #: Latency of the island's NoC interface (buffering/serialization), cycles.
 NOC_INTERFACE_LATENCY = 4.0
-
-
-class _IngressChain(FastChain):
-    """NoC in -> DMA -> internal net -> SPM, without a generator.
-
-    Entry-for-entry mirror of the ingress process on the fault-free DMA
-    path: kick, one entry per pipeline-leg completion, final fire.
-    """
-
-    __slots__ = ("_island", "_slot", "_nbytes", "_ref", "_t0")
-
-    def __init__(self, island: "Island", slot: int, nbytes: float, ref: str) -> None:
-        self._island = island
-        self._slot = slot
-        self._nbytes = nbytes
-        self._ref = ref
-        self._t0 = 0.0
-        FastChain.__init__(self, island.sim)
-
-    def _step(self, stage: int):
-        island = self._island
-        nbytes = self._nbytes
-        if stage == 0:
-            return island.noc_in.transfer_analytic(nbytes)
-        if stage == 1:
-            return island.dma.transfer_analytic(nbytes)
-        if stage == 2:
-            return island.network.dma_to_spm_fast(self._slot, nbytes)
-        island.energy.charge(
-            "spm", island.spm_groups[self._slot].record_write(nbytes)
-        )
-        self.event.succeed(nbytes)
-        return None
-
-
-class _TracedIngressChain(_IngressChain):
-    """Ingress chain with per-leg span recording (tracer attached)."""
-
-    __slots__ = ()
-
-    def _step(self, stage: int):
-        island = self._island
-        nbytes = self._nbytes
-        if stage == 0:
-            self._t0 = self.sim.now
-            return island.noc_in.transfer_analytic(nbytes)
-        if stage == 1:
-            island._span(self._t0, "noc_in", "noc_if", self._ref, nbytes)
-            self._t0 = self.sim.now
-            return island.dma.transfer_analytic(nbytes)
-        if stage == 2:
-            island._span(self._t0, "dma", "dma", self._ref, nbytes)
-            self._t0 = self.sim.now
-            return island.network.dma_to_spm_fast(self._slot, nbytes)
-        island._span(self._t0, "net", "spm_net", self._ref, nbytes)
-        island.energy.charge(
-            "spm", island.spm_groups[self._slot].record_write(nbytes)
-        )
-        self.event.succeed(nbytes)
-        return None
-
-
-class _EgressChain(FastChain):
-    """SPM -> internal net -> DMA -> NoC out, without a generator."""
-
-    __slots__ = ("_island", "_slot", "_nbytes", "_ref", "_t0")
-
-    def __init__(self, island: "Island", slot: int, nbytes: float, ref: str) -> None:
-        self._island = island
-        self._slot = slot
-        self._nbytes = nbytes
-        self._ref = ref
-        self._t0 = 0.0
-        FastChain.__init__(self, island.sim)
-
-    def _step(self, stage: int):
-        island = self._island
-        nbytes = self._nbytes
-        if stage == 0:
-            island.energy.charge(
-                "spm", island.spm_groups[self._slot].record_read(nbytes)
-            )
-            return island.network.spm_to_dma_fast(self._slot, nbytes)
-        if stage == 1:
-            return island.dma.transfer_analytic(nbytes)
-        if stage == 2:
-            return island.noc_out.transfer_analytic(nbytes)
-        self.event.succeed(nbytes)
-        return None
-
-
-class _TracedEgressChain(_EgressChain):
-    """Egress chain with per-leg span recording (tracer attached)."""
-
-    __slots__ = ()
-
-    def _step(self, stage: int):
-        island = self._island
-        nbytes = self._nbytes
-        if stage == 0:
-            island.energy.charge(
-                "spm", island.spm_groups[self._slot].record_read(nbytes)
-            )
-            self._t0 = self.sim.now
-            return island.network.spm_to_dma_fast(self._slot, nbytes)
-        if stage == 1:
-            island._span(self._t0, "net", "spm_net", self._ref, nbytes)
-            self._t0 = self.sim.now
-            return island.dma.transfer_analytic(nbytes)
-        if stage == 2:
-            island._span(self._t0, "dma", "dma", self._ref, nbytes)
-            self._t0 = self.sim.now
-            return island.noc_out.transfer_analytic(nbytes)
-        island._span(self._t0, "noc_out", "noc_if", self._ref, nbytes)
-        self.event.succeed(nbytes)
-        return None
-
-
-class _ChainLocalChain(FastChain):
-    """SPM -> internal net -> SPM on one island, without a generator."""
-
-    __slots__ = ("_island", "_src_slot", "_dst_slot", "_nbytes", "_ref", "_t0")
-
-    def __init__(
-        self,
-        island: "Island",
-        src_slot: int,
-        dst_slot: int,
-        nbytes: float,
-        ref: str,
-    ) -> None:
-        self._island = island
-        self._src_slot = src_slot
-        self._dst_slot = dst_slot
-        self._nbytes = nbytes
-        self._ref = ref
-        self._t0 = 0.0
-        FastChain.__init__(self, island.sim)
-
-    def _step(self, stage: int):
-        island = self._island
-        nbytes = self._nbytes
-        if stage == 0:
-            island.energy.charge(
-                "spm", island.spm_groups[self._src_slot].record_read(nbytes)
-            )
-            return island.network.chain_fast(self._src_slot, self._dst_slot, nbytes)
-        island.energy.charge(
-            "spm", island.spm_groups[self._dst_slot].record_write(nbytes)
-        )
-        self.event.succeed(nbytes)
-        return None
-
-
-class _TracedChainLocalChain(_ChainLocalChain):
-    """Local-chaining chain with span recording (tracer attached)."""
-
-    __slots__ = ()
-
-    def _step(self, stage: int):
-        island = self._island
-        nbytes = self._nbytes
-        if stage == 0:
-            island.energy.charge(
-                "spm", island.spm_groups[self._src_slot].record_read(nbytes)
-            )
-            self._t0 = self.sim.now
-            return island.network.chain_fast(self._src_slot, self._dst_slot, nbytes)
-        island._span(self._t0, "net", "spm_net", self._ref, nbytes)
-        island.energy.charge(
-            "spm", island.spm_groups[self._dst_slot].record_write(nbytes)
-        )
-        self.event.succeed(nbytes)
-        return None
 
 
 class Island:
@@ -298,34 +125,39 @@ class Island:
             self._slots_by_type.setdefault(abb.abb_type.name, []).append(index)
         self._slot_count = len(self.abbs)
         self._busy_slots = 0
-        # Data-path dispatch: transfer chains replace the per-transfer
-        # generator processes.  The DMA fault models reroute ingress and
-        # egress through the exact retry/stall generator instead; the
-        # traced variants record the same per-leg spans the processes
-        # did.  All four combinations are bit-identical in timing.
-        self._fast_dma = (
-            fault_injector is None or not fault_injector.spec.dma_faults_enabled
-        )
-        if tracer is not None:
-            self._ingress_chain: type = _TracedIngressChain
-            self._egress_chain: type = _TracedEgressChain
-            self._chain_local_chain: type = _TracedChainLocalChain
-        else:
-            self._ingress_chain = _IngressChain
-            self._egress_chain = _EgressChain
-            self._chain_local_chain = _ChainLocalChain
         self.abb_tracker = UtilizationTracker(
             capacity=len(self.abbs), name=f"island{island_id}.abbs"
         )
-        # Actor names for traced data-path sub-spans, built once, and a
-        # byte-count label cache (transfer sizes repeat per tile shape):
-        # per-span f-string formatting was a measurable share of tracing
-        # overhead.
-        self._span_actors = {
-            suffix: f"island{island_id}.{suffix}"
-            for suffix in ("noc_in", "noc_out", "dma", "net")
-        }
+        # Data-path routes, built once.  Traced islands record one span
+        # per leg; the DMA fault model is the DMA leg's fault hook.
         self._span_labels: dict[float, str] = {}
+
+        def span(suffix: str, kind: str):
+            if tracer is None:
+                return None
+            return (tracer, f"island{island_id}.{suffix}", kind)
+
+        dma_fault = None
+        if fault_injector is not None and fault_injector.spec.dma_faults_enabled:
+            dma_fault = self._dma_fault
+        dma = leg(SERVE, self.dma, span("dma", "dma"), fault=dma_fault)
+        net = span("net", "spm_net")
+        self._ingress_legs = (
+            leg(SERVE, self.noc_in, span("noc_in", "noc_if")),
+            dma,
+            leg(CALL, self._net_in, net),
+            leg(END, charge=self._write_dst),
+        )
+        self._egress_legs = (
+            leg(CALL, self._net_out, net, charge=self._read_src),
+            dma,
+            leg(SERVE, self.noc_out, span("noc_out", "noc_if")),
+            DONE,
+        )
+        self._chain_legs = (
+            leg(CALL, self._net_chain, net, charge=self._read_src),
+            leg(END, charge=self._write_dst),
+        )
 
     # -------------------------------------------------------------- queries
     @property
@@ -434,95 +266,66 @@ class Island:
             raise ConfigError(f"slot {slot} out of range")
 
     # ------------------------------------------------------------ data path
-    def _dma_transfer(self, nbytes: float):
-        """Move ``nbytes`` through the DMA engine, faults permitting.
+    def _dma_fault(self, route: Route) -> typing.Optional[float]:
+        """Fault hook of the DMA leg: cycles to wait before (re)trying.
 
-        Without an active DMA fault model this is exactly one transfer.
-        Under injection, each attempt draws an outcome: a *stall* delays
-        the transfer once; a *drop* costs a timeout plus exponential
-        backoff and is retried up to ``dma_max_retries`` times, after
-        which the transfer is forced through (DMA engine reset) so the
-        simulation always makes forward progress.
+        Each attempt draws an outcome: a *stall* delays the transfer
+        once; a *drop* costs a timeout plus exponential backoff and is
+        retried up to ``dma_max_retries`` times, after which the
+        transfer is forced through (DMA engine reset) so the simulation
+        always makes forward progress.  ``route.attempt`` counts the
+        retries; -1 marks a served stall.
         """
+        attempt = route.attempt
+        if attempt < 0:
+            return None
         injector = self.fault_injector
-        if injector is None or not injector.spec.dma_faults_enabled:
-            yield self.dma.transfer(nbytes)
-            return
-        attempt = 0
-        while True:
-            outcome = injector.dma_outcome(self.island_id)
-            if outcome == faults.DMA_STALL:
-                injector.stats.dma_stalls += 1
-                yield self.sim.delay(injector.spec.dma_stall_cycles)
-            elif outcome == faults.DMA_DROP:
-                if attempt < injector.spec.dma_max_retries:
-                    injector.stats.dma_retries += 1
-                    yield self.sim.delay(injector.dma_retry_delay(attempt))
-                    attempt += 1
-                    continue
-                injector.stats.dma_forced_recoveries += 1
-            yield self.dma.transfer(nbytes)
-            return
+        outcome = injector.dma_outcome(self.island_id)
+        if outcome == faults.DMA_STALL:
+            injector.stats.dma_stalls += 1
+            route.attempt = -1
+            return injector.spec.dma_stall_cycles
+        if outcome == faults.DMA_DROP:
+            if attempt < injector.spec.dma_max_retries:
+                injector.stats.dma_retries += 1
+                route.attempt = attempt + 1
+                return injector.dma_retry_delay(attempt)
+            injector.stats.dma_forced_recoveries += 1
+        return None
 
-    def _span(
-        self, start: float, suffix: str, kind: str, ref: str, nbytes: float
-    ) -> None:
-        """Record one data-path sub-span ending now (no-op untraced)."""
-        tracer = self.tracer
-        if tracer is not None:
-            label = self._span_labels.get(nbytes)
-            if label is None:
-                label = f"{nbytes:g}B"
-                self._span_labels[nbytes] = label
-            # Raw span-tuple append (the Tracer materializes records
-            # lazily): islands emit a span per DMA leg, the hottest
-            # record site, and the monotone simulation clock guarantees
-            # start <= end so Tracer.record's validation is vacuous.
-            tracer._spans.append(
-                (start, self.sim.now, self._span_actors[suffix], kind, label, ref, None)
-            )
+    def _net_in(self, route: Route):
+        return self.network.dma_to_spm(route.dst, route.nbytes)
+
+    def _net_out(self, route: Route):
+        return self.network.spm_to_dma(route.src, route.nbytes)
+
+    def _net_chain(self, route: Route):
+        return self.network.chain(route.src, route.dst, route.nbytes)
+
+    def _read_src(self, route: Route) -> None:
+        self.energy.charge("spm", self.spm_groups[route.src].record_read(route.nbytes))
+
+    def _write_dst(self, route: Route) -> None:
+        self.energy.charge("spm", self.spm_groups[route.dst].record_write(route.nbytes))
+
+    def _label(self, nbytes: float) -> str:
+        """Span label of a traced transfer (formatted once per size)."""
+        label = self._span_labels.get(nbytes)
+        if label is None:
+            label = self._span_labels[nbytes] = f"{nbytes:g}B"
+        return label
 
     def ingress(self, slot: int, nbytes: float, ref: str = "") -> Event:
         """Bring ``nbytes`` from the NoC into a slot's SPM."""
         self._check_slot(slot)
-        if self._fast_dma:
-            return self._ingress_chain(self, slot, nbytes, ref).event
-
-        def proc():
-            t0 = self.sim.now
-            yield self.noc_in.transfer(nbytes)
-            self._span(t0, "noc_in", "noc_if", ref, nbytes)
-            t0 = self.sim.now
-            yield from self._dma_transfer(nbytes)
-            self._span(t0, "dma", "dma", ref, nbytes)
-            t0 = self.sim.now
-            yield self.network.dma_to_spm(slot, nbytes)
-            self._span(t0, "net", "spm_net", ref, nbytes)
-            self.energy.charge("spm", self.spm_groups[slot].record_write(nbytes))
-            return nbytes
-
-        return self.sim.process(proc())
+        label = self._label(nbytes) if self.tracer is not None else ""
+        return Route(self.sim, self._ingress_legs, nbytes, None, slot, ref, label).event
 
     def egress(self, slot: int, nbytes: float, ref: str = "") -> Event:
         """Send ``nbytes`` from a slot's SPM out to the NoC."""
         self._check_slot(slot)
-        if self._fast_dma:
-            return self._egress_chain(self, slot, nbytes, ref).event
-
-        def proc():
-            self.energy.charge("spm", self.spm_groups[slot].record_read(nbytes))
-            t0 = self.sim.now
-            yield self.network.spm_to_dma(slot, nbytes)
-            self._span(t0, "net", "spm_net", ref, nbytes)
-            t0 = self.sim.now
-            yield from self._dma_transfer(nbytes)
-            self._span(t0, "dma", "dma", ref, nbytes)
-            t0 = self.sim.now
-            yield self.noc_out.transfer(nbytes)
-            self._span(t0, "noc_out", "noc_if", ref, nbytes)
-            return nbytes
-
-        return self.sim.process(proc())
+        label = self._label(nbytes) if self.tracer is not None else ""
+        return Route(self.sim, self._egress_legs, nbytes, slot, None, ref, label).event
 
     def chain_local(
         self, src_slot: int, dst_slot: int, nbytes: float, ref: str = ""
@@ -530,7 +333,10 @@ class Island:
         """Move chained data between two slots on this island."""
         self._check_slot(src_slot)
         self._check_slot(dst_slot)
-        return self._chain_local_chain(self, src_slot, dst_slot, nbytes, ref).event
+        label = self._label(nbytes) if self.tracer is not None else ""
+        return Route(
+            self.sim, self._chain_legs, nbytes, src_slot, dst_slot, ref, label
+        ).event
 
     def compute(self, slot: int, invocations: int) -> Event:
         """Run ``invocations`` through a reserved slot's ABB pipeline."""

@@ -14,9 +14,10 @@
   consumes ``h/L`` of the aggregate ring capacity, which captures the
   spatial reuse that makes rings scale where the proxy crossbar does not.
 
-All transfers are returned as engine events; dynamic energy is charged to
-the island's :class:`~repro.power.aggregate.EnergyAccount` under
-``"island_net"``.
+Each movement returns its completion time when it is known at issue (one
+reserved channel), or the event of a nested :class:`~repro.engine.Route`;
+dynamic energy is charged to the island's
+:class:`~repro.power.aggregate.EnergyAccount` under ``"island_net"``.
 """
 
 from __future__ import annotations
@@ -25,7 +26,8 @@ import abc
 import math
 import typing
 
-from repro.engine import BandwidthServer, Event, FastChain, Simulator
+from repro.engine import BandwidthServer, Event, Route, Simulator
+from repro.engine.route import CALL, DONE, SERVE, WAIT, leg
 from repro.errors import ConfigError
 from repro.island.config import NetworkKind, SpmDmaNetworkConfig
 from repro.power.aggregate import EnergyAccount
@@ -72,41 +74,20 @@ class SpmDmaNetwork(abc.ABC):
         self.energy = energy
 
     # ------------------------------------------------------------ transfers
+    # Each returns the completion time (float) or a completion event.
     @abc.abstractmethod
-    def dma_to_spm(self, slot: int, nbytes: float) -> Event:
+    def dma_to_spm(self, slot: int, nbytes: float) -> typing.Union[float, Event]:
         """Move ``nbytes`` from the DMA engine into slot's SPM group."""
 
     @abc.abstractmethod
-    def spm_to_dma(self, slot: int, nbytes: float) -> Event:
+    def spm_to_dma(self, slot: int, nbytes: float) -> typing.Union[float, Event]:
         """Move ``nbytes`` from slot's SPM group to the DMA engine."""
 
     @abc.abstractmethod
-    def chain(self, src_slot: int, dst_slot: int, nbytes: float) -> Event:
-        """Move ``nbytes`` directly between two slots' SPM groups."""
-
-    # ------------------------------------------------------- fast variants
-    # Fast-path counterparts used by the island's transfer chains: they
-    # may return the analytically known completion time as a float when
-    # the underlying channel is uncontended (the caller schedules the
-    # single wake-up) instead of an Event.  The defaults fall back to
-    # the exact event-returning model, so subclasses opt in per path.
-    def dma_to_spm_fast(self, slot: int, nbytes: float) -> typing.Union[float, Event]:
-        """Analytic variant of :meth:`dma_to_spm`: a float completion time
-        when the transfer is uncontended, else the exact-model Event.
-        The base implementation always takes the exact path."""
-        return self.dma_to_spm(slot, nbytes)
-
-    def spm_to_dma_fast(self, slot: int, nbytes: float) -> typing.Union[float, Event]:
-        """Analytic variant of :meth:`spm_to_dma` (see
-        :meth:`dma_to_spm_fast`)."""
-        return self.spm_to_dma(slot, nbytes)
-
-    def chain_fast(
+    def chain(
         self, src_slot: int, dst_slot: int, nbytes: float
     ) -> typing.Union[float, Event]:
-        """Analytic variant of :meth:`chain` (see
-        :meth:`dma_to_spm_fast`)."""
-        return self.chain(src_slot, dst_slot, nbytes)
+        """Move ``nbytes`` directly between two slots' SPM groups."""
 
     # ------------------------------------------------------------ physicals
     @property
@@ -128,36 +109,6 @@ class SpmDmaNetwork(abc.ABC):
             raise ConfigError(f"slot {slot} out of range (0..{self.n_slots - 1})")
 
 
-class _ProxyChainTransfer(FastChain):
-    """SPM -> DMA -> SPM store-and-forward over the proxy crossbar.
-
-    Mirrors the generator it replaces entry for entry: kick, one entry
-    per traversal/DMA completion, final fire.
-    """
-
-    __slots__ = ("_network", "_nbytes")
-
-    def __init__(self, network: "ProxyCrossbarNetwork", nbytes: float) -> None:
-        self._network = network
-        self._nbytes = nbytes
-        FastChain.__init__(self, network.sim)
-
-    def _step(self, stage: int):
-        network = self._network
-        if stage == 0:
-            return network._traverse_fast(self._nbytes)  # SPM -> DMA
-        if stage == 1:
-            dma = network._dma
-            if dma is None:
-                self._stage = 3
-                return network._traverse_fast(self._nbytes)  # DMA -> SPM
-            return dma.transfer_analytic(self._nbytes)  # store-and-forward
-        if stage == 2:
-            return network._traverse_fast(self._nbytes)  # DMA -> SPM
-        self.event.succeed(self._nbytes)
-        return None
-
-
 class ProxyCrossbarNetwork(SpmDmaNetwork):
     """Crossbar from the DMA engine to every SPM bank (the baseline).
 
@@ -175,55 +126,37 @@ class ProxyCrossbarNetwork(SpmDmaNetwork):
             name="proxy_xbar_dma_port",
         )
         self._dma: typing.Optional[BandwidthServer] = None
+        self._traverse_leg = leg(CALL, lambda route: self._traverse(route.nbytes))
+        self._chain_legs = (self._traverse_leg, self._traverse_leg, DONE)
 
     def attach_dma(self, dma: BandwidthServer) -> None:
         """Couple the island's DMA engine into the chaining path."""
         self._dma = dma
+        self._chain_legs = (
+            self._traverse_leg, leg(SERVE, dma), self._traverse_leg, DONE
+        )
 
-    def _traverse(self, nbytes: float) -> Event:
+    def _traverse(self, nbytes: float) -> float:
         self.energy.charge(
             "island_net",
             crossbar_traversal_energy_nj(nbytes, targets=self.total_banks),
         )
-        return self._port.transfer(nbytes)
+        return self._port.reserve(nbytes)
 
-    def _traverse_fast(self, nbytes: float) -> typing.Union[float, Event]:
-        self.energy.charge(
-            "island_net",
-            crossbar_traversal_energy_nj(nbytes, targets=self.total_banks),
-        )
-        return self._port.transfer_analytic(nbytes)
-
-    def dma_to_spm(self, slot: int, nbytes: float) -> Event:
+    def dma_to_spm(self, slot: int, nbytes: float) -> float:
         self._check_slot(slot)
         return self._traverse(nbytes)
 
-    def spm_to_dma(self, slot: int, nbytes: float) -> Event:
+    def spm_to_dma(self, slot: int, nbytes: float) -> float:
         self._check_slot(slot)
         return self._traverse(nbytes)
-
-    def dma_to_spm_fast(self, slot: int, nbytes: float) -> typing.Union[float, Event]:
-        """One crossbar traversal; float when the crossbar is idle."""
-        self._check_slot(slot)
-        return self._traverse_fast(nbytes)
-
-    def spm_to_dma_fast(self, slot: int, nbytes: float) -> typing.Union[float, Event]:
-        """One crossbar traversal; float when the crossbar is idle."""
-        self._check_slot(slot)
-        return self._traverse_fast(nbytes)
 
     def chain(self, src_slot: int, dst_slot: int, nbytes: float) -> Event:
-        """Chaining proxies through the DMA: two sequential traversals."""
+        """Chaining proxies through the DMA: traverse, store-and-forward
+        through the DMA engine (when attached), traverse again."""
         self._check_slot(src_slot)
         self._check_slot(dst_slot)
-        return _ProxyChainTransfer(self, nbytes).event
-
-    def chain_fast(
-        self, src_slot: int, dst_slot: int, nbytes: float
-    ) -> typing.Union[float, Event]:
-        """Two traversals with a DMA store-and-forward leg between; the
-        chain object handles per-leg analytic/exact fallback itself."""
-        return self.chain(src_slot, dst_slot, nbytes)
+        return Route(self.sim, self._chain_legs, nbytes).event
 
     @property
     def area_mm2(self) -> float:
@@ -266,43 +199,22 @@ class ChainingCrossbarNetwork(SpmDmaNetwork):
             crossbar_traversal_energy_nj(nbytes, targets=self.total_banks + 1),
         )
 
-    def dma_to_spm(self, slot: int, nbytes: float) -> Event:
+    def dma_to_spm(self, slot: int, nbytes: float) -> float:
         self._check_slot(slot)
         self._charge(nbytes)
-        return self._dma_port.transfer(nbytes)
+        return self._dma_port.reserve(nbytes)
 
-    def spm_to_dma(self, slot: int, nbytes: float) -> Event:
+    def spm_to_dma(self, slot: int, nbytes: float) -> float:
         self._check_slot(slot)
         self._charge(nbytes)
-        return self._dma_port.transfer(nbytes)
+        return self._dma_port.reserve(nbytes)
 
-    def chain(self, src_slot: int, dst_slot: int, nbytes: float) -> Event:
+    def chain(self, src_slot: int, dst_slot: int, nbytes: float) -> float:
         """Direct SPM -> SPM transfer over the parallel chaining paths."""
         self._check_slot(src_slot)
         self._check_slot(dst_slot)
         self._charge(nbytes)
-        return self._chain_paths.transfer(nbytes)
-
-    def dma_to_spm_fast(self, slot: int, nbytes: float) -> typing.Union[float, Event]:
-        """DMA-port hop; float when the port is idle at issue."""
-        self._check_slot(slot)
-        self._charge(nbytes)
-        return self._dma_port.transfer_analytic(nbytes)
-
-    def spm_to_dma_fast(self, slot: int, nbytes: float) -> typing.Union[float, Event]:
-        """DMA-port hop; float when the port is idle at issue."""
-        self._check_slot(slot)
-        self._charge(nbytes)
-        return self._dma_port.transfer_analytic(nbytes)
-
-    def chain_fast(
-        self, src_slot: int, dst_slot: int, nbytes: float
-    ) -> typing.Union[float, Event]:
-        """Direct chaining path; float when that path is idle at issue."""
-        self._check_slot(src_slot)
-        self._check_slot(dst_slot)
-        self._charge(nbytes)
-        return self._chain_paths.transfer_analytic(nbytes)
+        return self._chain_paths.reserve(nbytes)
 
     @property
     def area_mm2(self) -> float:
@@ -322,37 +234,6 @@ class ChainingCrossbarNetwork(SpmDmaNetwork):
             self._dma_port.utilization(elapsed),
             self._chain_paths.utilization(elapsed),
         )
-
-
-class _RingTransfer(FastChain):
-    """One ring traversal: fluid capacity occupancy, then hop latency.
-
-    Mirrors the generator it replaces entry for entry: kick, capacity
-    completion, hop-latency expiry, final fire.
-    """
-
-    __slots__ = ("_capacity", "_effective", "_hop_cycles", "_nbytes")
-
-    def __init__(
-        self,
-        network: "RingNetwork",
-        effective: float,
-        hop_cycles: float,
-        nbytes: float,
-    ) -> None:
-        self._capacity = network._capacity
-        self._effective = effective
-        self._hop_cycles = hop_cycles
-        self._nbytes = nbytes
-        FastChain.__init__(self, network.sim)
-
-    def _step(self, stage: int):
-        if stage == 0:
-            return self._capacity.transfer_analytic(self._effective)
-        if stage == 1:
-            return self.sim.now + self._hop_cycles
-        self.event.succeed(self._nbytes)
-        return None
 
 
 class RingNetwork(SpmDmaNetwork):
@@ -383,6 +264,10 @@ class RingNetwork(SpmDmaNetwork):
             width_bytes=config.link_width_bytes,
             length_mm=perimeter / self.n_nodes,
         )
+        # One traversal: fluid capacity occupancy, then hop latency.
+        # Legs per hop count, built on first use.
+        self._occupy = leg(SERVE, self._capacity)
+        self._legs: dict[int, tuple] = {}
 
     # -------------------------------------------------------------- routing
     def hops(self, src_node: int, dst_node: int) -> int:
@@ -395,13 +280,14 @@ class RingNetwork(SpmDmaNetwork):
         self._check_slot(slot)
         return slot + 1
 
-    def _start_transfer(
+    def _traverse(
         self, src_node: int, dst_node: int, nbytes: float
-    ) -> typing.Optional["_RingTransfer"]:
-        """Charge energy and launch the traversal chain (None at 0 hops)."""
+    ) -> typing.Union[float, Event]:
+        """Charge energy and start one traversal; a zero-hop move is done
+        now.  Occupancy of the fluid capacity scales with ``hops / N``."""
         hops = self.hops(src_node, dst_node)
         if hops == 0:
-            return None
+            return self.sim.now
         self.energy.charge(
             "island_net",
             hops
@@ -410,49 +296,24 @@ class RingNetwork(SpmDmaNetwork):
                 + self._link.transfer_energy_nj(nbytes)
             ),
         )
+        legs = self._legs.get(hops)
+        if legs is None:
+            legs = self._legs[hops] = (
+                self._occupy, leg(WAIT, RING_HOP_LATENCY * hops), DONE
+            )
         effective = nbytes * hops / self.n_nodes
-        return _RingTransfer(self, effective, RING_HOP_LATENCY * hops, nbytes)
+        return Route(self.sim, legs, effective, value=nbytes).event
 
-    def _transfer(self, src_node: int, dst_node: int, nbytes: float) -> Event:
-        chain = self._start_transfer(src_node, dst_node, nbytes)
-        if chain is None:
-            done = Event(self.sim)
-            done.succeed(nbytes)
-            return done
-        return chain.event
+    def dma_to_spm(self, slot: int, nbytes: float) -> typing.Union[float, Event]:
+        return self._traverse(0, self._slot_node(slot), nbytes)
 
-    def _transfer_fast(
-        self, src_node: int, dst_node: int, nbytes: float
-    ) -> typing.Union[float, Event]:
-        chain = self._start_transfer(src_node, dst_node, nbytes)
-        if chain is None:
-            return self.sim.now
-        return chain.event
+    def spm_to_dma(self, slot: int, nbytes: float) -> typing.Union[float, Event]:
+        return self._traverse(self._slot_node(slot), 0, nbytes)
 
-    def dma_to_spm(self, slot: int, nbytes: float) -> Event:
-        return self._transfer(0, self._slot_node(slot), nbytes)
-
-    def spm_to_dma(self, slot: int, nbytes: float) -> Event:
-        return self._transfer(self._slot_node(slot), 0, nbytes)
-
-    def chain(self, src_slot: int, dst_slot: int, nbytes: float) -> Event:
-        return self._transfer(
-            self._slot_node(src_slot), self._slot_node(dst_slot), nbytes
-        )
-
-    def dma_to_spm_fast(self, slot: int, nbytes: float) -> typing.Union[float, Event]:
-        """Ring traversal from the DMA stop; float on a zero-hop move."""
-        return self._transfer_fast(0, self._slot_node(slot), nbytes)
-
-    def spm_to_dma_fast(self, slot: int, nbytes: float) -> typing.Union[float, Event]:
-        """Ring traversal to the DMA stop; float on a zero-hop move."""
-        return self._transfer_fast(self._slot_node(slot), 0, nbytes)
-
-    def chain_fast(
+    def chain(
         self, src_slot: int, dst_slot: int, nbytes: float
     ) -> typing.Union[float, Event]:
-        """Slot-to-slot ring traversal; float on a zero-hop move."""
-        return self._transfer_fast(
+        return self._traverse(
             self._slot_node(src_slot), self._slot_node(dst_slot), nbytes
         )
 

@@ -60,49 +60,26 @@ class MemoryController:
 
     def access(self, nbytes: float, ref: str = "") -> Event:
         """Read or write ``nbytes``; the event fires when data is served."""
-        self.energy.charge("dram", DRAM_ENERGY_PJ_PER_BYTE * nbytes * 1e-3)
-        start = self._channel.sim.now
-        event = self._channel.transfer(nbytes)
-        if self.tracer is not None:
-            label = self._span_labels.get(nbytes)
-            if label is None:
-                label = f"{nbytes:g}B"
-                self._span_labels[nbytes] = label
-            # access() returns the channel event directly — no wrapping
-            # process exists to observe completion — so the span end is
-            # the channel's analytically known drain time.  Raw
-            # span-tuple append (the Tracer materializes records
-            # lazily): last_done >= start always, so Tracer.record's
-            # validation is vacuous here.
-            self.tracer._spans.append(
-                (start, self._channel.last_done, self._span_actor, "mem", label, ref, None)
-            )
-        return event
+        return self._channel.sim.at(self.access_fast(nbytes, ref), nbytes)
 
-    def access_fast(
-        self, nbytes: float, ref: str = ""
-    ) -> typing.Union[float, Event]:
-        """Analytic variant of :meth:`access`.
+    def access_fast(self, nbytes: float, ref: str = "") -> float:
+        """Read or write ``nbytes``; returns the time data is served.
 
-        Returns the completion time as a float when the channel is idle
-        at issue (no event, no heap entry); falls back to the exact
-        queued Event the moment another access is in flight.  Energy and
-        tracing are identical either way — the span end was always the
-        channel's analytically known drain time.
+        The body of both access paths.  The span is recorded at issue,
+        ending at the channel's completion time.
         """
         self.energy.charge("dram", DRAM_ENERGY_PJ_PER_BYTE * nbytes * 1e-3)
-        start = self._channel.sim.now
-        result = self._channel.transfer_analytic(nbytes)
-        if self.tracer is not None:
+        channel = self._channel
+        start = channel.sim.now
+        done = channel.reserve(nbytes)
+        tracer = self.tracer
+        if tracer is not None:
             label = self._span_labels.get(nbytes)
             if label is None:
                 label = f"{nbytes:g}B"
                 self._span_labels[nbytes] = label
-            # Raw span-tuple append; see access() for the rationale.
-            self.tracer._spans.append(
-                (start, self._channel.last_done, self._span_actor, "mem", label, ref, None)
-            )
-        return result
+            tracer.span(start, done, self._span_actor, "mem", label, ref)
+        return done
 
     def utilization(self, elapsed: float) -> float:
         """Busy fraction of the channel."""
@@ -160,9 +137,9 @@ class MemorySystem:
         nbytes: float,
         stream_id: typing.Optional[int] = None,
         ref: str = "",
-    ) -> typing.Union[float, Event]:
-        """Analytic variant of :meth:`access` (see
-        :meth:`MemoryController.access_fast`)."""
+    ) -> float:
+        """Like :meth:`access`, but returns the completion time (for
+        routes, which schedule their own wake-up)."""
         return self.controller_for(stream_id).access_fast(nbytes, ref)
 
     def total_bytes(self) -> float:

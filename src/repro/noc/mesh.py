@@ -14,7 +14,8 @@ from __future__ import annotations
 import math
 import typing
 
-from repro.engine import BandwidthServer, Event, FastChain, Simulator
+from repro.engine import BandwidthServer, Event, Route, Simulator
+from repro.engine.route import DONE, WAIT, leg
 from repro.engine.trace import Tracer
 from repro.errors import ConfigError
 from repro.noc.topology import MeshTopology, Node
@@ -31,75 +32,6 @@ NOC_ENERGY_PJ_PER_BYTE_HOP = 1.1
 
 #: Header/flow-control overhead per packet when segmentation is on.
 PACKET_HEADER_BYTES = 8.0
-
-
-class _MeshTransfer(FastChain):
-    """Tail of one mesh transfer: path-drain join, router latency, fire.
-
-    The links themselves are reserved at issue time by
-    :meth:`MeshNoC.transfer` (exactly as the event-based model issued
-    every link transfer before its process started); this chain takes
-    over at the completion entry of the slowest link — via its own
-    scheduled wake-up when that link was uncontended, or the link
-    event's callback when it was not — and mirrors the process-based
-    tail entry for entry: barrier fire, router-latency expiry, final
-    fire (where the traced span is recorded, as before).
-    """
-
-    __slots__ = ("_noc", "_src", "_dst", "_nbytes", "_hops", "_router_cycles", "_ref", "_t0")
-
-    def __init__(
-        self,
-        noc: "MeshNoC",
-        src: Node,
-        dst: Node,
-        nbytes: float,
-        hops: int,
-        router_cycles: float,
-        ref: str,
-    ) -> None:
-        self._noc = noc
-        self._src = src
-        self._dst = dst
-        self._nbytes = nbytes
-        self._hops = hops
-        self._router_cycles = router_cycles
-        self._ref = ref
-        sim = noc.sim
-        self._t0 = sim.now
-        self.sim = sim
-        self.event = Event(sim)
-        self._stage = 0
-        self._advance_cb = self._advance
-        # No kick here: MeshNoC.transfer arms the first advance at the
-        # slowest link's completion.
-
-    def _step(self, stage: int):
-        if stage == 0:
-            # Mirrors the barrier fire the link-join scheduled.
-            return self.sim.now
-        if stage == 1:
-            return self.sim.now + self._router_cycles
-        noc = self._noc
-        if noc.tracer is not None:
-            src, dst = self._src, self._dst
-            key = (src.x, src.y, dst.x, dst.y)
-            actor = noc._route_actors.get(key)
-            if actor is None:
-                actor = f"mesh.{src.x},{src.y}->{dst.x},{dst.y}"
-                noc._route_actors[key] = actor
-            label = noc._span_labels.get((self._nbytes, self._hops))
-            if label is None:
-                label = f"{self._nbytes:g}B/{self._hops}h"
-                noc._span_labels[(self._nbytes, self._hops)] = label
-            # Raw span-tuple append (the Tracer materializes records
-            # lazily): the monotone clock guarantees start <= end, so
-            # Tracer.record's validation is vacuous here.
-            noc.tracer._spans.append(
-                (self._t0, self.sim.now, actor, "noc", label, self._ref, None)
-            )
-        self.event.succeed(self._nbytes)
-        return None
 
 
 class MeshNoC:
@@ -138,13 +70,12 @@ class MeshNoC:
         # multiplied per-hop router latency (see repro.faults).
         self.fault_injector = fault_injector
         self.tracer = tracer
-        # Route actor names and span labels for traced transfers, built
-        # once per distinct route / (bytes, hops) pair: per-span
-        # f-string formatting was a measurable share of tracing
-        # overhead.  Keys are plain ints/floats (cheap to hash).
-        self._route_actors: dict[tuple[int, int, int, int], str] = {}
+        # Span labels of traced transfers, formatted once per
+        # (bytes, hops) pair.
         self._span_labels: dict[tuple[float, int], str] = {}
         self._links: dict[tuple[tuple[int, int], tuple[int, int]], BandwidthServer] = {}
+        # Route legs by router latency (and, traced, by route actor).
+        self._legs: dict[typing.Any, tuple] = {}
         self.total_transfers = 0
         self.total_packets = 0
         self.total_byte_hops = 0.0
@@ -207,22 +138,13 @@ class MeshNoC:
             "noc", NOC_ENERGY_PJ_PER_BYTE_HOP * wire_bytes * hops * 1e-3
         )
 
-        # Reserve every link on the path at issue time, exactly as the
-        # event-based model issued all link transfers before its process
-        # started.  An uncontended link answers with its drain time in
-        # closed form (no event, no heap entry); a contended link drops
-        # to the exact queued model and keeps its completion entry.  The
-        # transfer completes when the slowest link drains — on ties the
-        # last link reserved wins, matching the barrier's firing order.
-        slowest_done = -1.0
-        slowest_event: typing.Optional[Event] = None
+        # Every link on the path is reserved at issue; the transfer
+        # completes when the slowest one drains.
+        slowest = -1.0
         for a, b in path:
-            link = self._link(a, b)
-            result = link.transfer_analytic(wire_bytes)
-            done = link.last_done
-            if done >= slowest_done:
-                slowest_done = done
-                slowest_event = None if result.__class__ is float else result
+            done = self._link(a, b).reserve(wire_bytes)
+            if done > slowest:
+                slowest = done
 
         router_cycles = ROUTER_LATENCY * hops
         injector = self.fault_injector
@@ -238,12 +160,26 @@ class MeshNoC:
                     * degraded_hops
                 )
 
-        chain = _MeshTransfer(self, src, dst, nbytes, hops, router_cycles, ref)
-        if slowest_event is None:
-            self.sim._schedule(slowest_done, chain._advance_cb)
-        else:
-            slowest_event.add_callback(chain._advance_cb)
-        return chain.event
+        label = ""
+        key: typing.Any = router_cycles
+        if self.tracer is not None:
+            label = self._span_labels.get((nbytes, hops))
+            if label is None:
+                label = self._span_labels[(nbytes, hops)] = f"{nbytes:g}B/{hops}h"
+            key = (router_cycles, src.x, src.y, dst.x, dst.y)
+        legs = self._legs.get(key)
+        if legs is None:
+            legs = self._legs[key] = self._route_legs(router_cycles, src, dst)
+        return Route(self.sim, legs, nbytes, ref=ref, label=label, start=slowest).event
+
+    def _route_legs(self, router_cycles: float, src: Node, dst: Node) -> tuple:
+        """Legs of a route that starts when its slowest link has drained:
+        the zero-latency path-drain join, then the router pipeline,
+        whose end closes the traced span of the whole transfer."""
+        span = None
+        if self.tracer is not None:
+            span = (self.tracer, f"mesh.{src.x},{src.y}->{dst.x},{dst.y}", "noc")
+        return (leg(WAIT, 0.0), leg(WAIT, router_cycles, span), DONE)
 
     # ------------------------------------------------------------- metrics
     def max_link_utilization(self, elapsed: float) -> float:

@@ -166,7 +166,7 @@ class _Node:
 # The analyzer walks the tracer's raw span tuples rather than
 # materialized TraceRecord objects — attribution runs inside every
 # traced run_workload call, and the tuple path skips one object
-# construction per span.  Tuple layout (see Tracer._spans):
+# construction per span.  Tuple layout (see Tracer):
 # (start, end, actor, kind, label, ref, args).
 _START, _END, _ACTOR, _KIND, _LABEL, _REF, _ARGS = range(7)
 

@@ -16,7 +16,8 @@ from repro.cmp.fallback import SoftwareFallbackModel
 from repro.cmp.xeon import XEON_E5_2420
 from repro.core.allocation import AllocationPolicy, locality_then_load_balance
 from repro.core.composer import AcceleratorBlockComposer
-from repro.engine import Event, FastChain, Resource, Simulator, Timeout
+from repro.engine import Event, Resource, Route, Simulator, Timeout
+from repro.engine.route import CALL, DONE, leg
 from repro.engine.trace import Tracer
 from repro.errors import ConfigError
 from repro.faults import FaultInjector, FaultSpec, FaultStats
@@ -162,112 +163,6 @@ class SystemConfig:
         return digest(self)
 
 
-class _MemToIslandChain(FastChain):
-    """DRAM read -> mesh -> island ingress, without a wrapping process."""
-
-    __slots__ = ("_system", "_island_index", "_slot", "_nbytes", "_stream_id", "_ref")
-
-    def __init__(self, system, island_index, slot, nbytes, stream_id, ref):
-        self._system = system
-        self._island_index = island_index
-        self._slot = slot
-        self._nbytes = nbytes
-        self._stream_id = stream_id
-        self._ref = ref
-        FastChain.__init__(self, system.sim)
-
-    def _step(self, stage):
-        system = self._system
-        if stage == 0:
-            return system.memory.access_fast(
-                self._nbytes, self._stream_id, self._ref
-            )
-        if stage == 1:
-            return system.noc.transfer(
-                system._mc_node(self._stream_id),
-                system.topology.island(self._island_index),
-                self._nbytes,
-                self._ref,
-            )
-        if stage == 2:
-            return system.islands[self._island_index].ingress(
-                self._slot, self._nbytes, self._ref
-            )
-        self.event.succeed(self._nbytes)
-        return None
-
-
-class _IslandToMemChain(FastChain):
-    """Island egress -> mesh -> DRAM write, without a wrapping process."""
-
-    __slots__ = ("_system", "_island_index", "_slot", "_nbytes", "_stream_id", "_ref")
-
-    def __init__(self, system, island_index, slot, nbytes, stream_id, ref):
-        self._system = system
-        self._island_index = island_index
-        self._slot = slot
-        self._nbytes = nbytes
-        self._stream_id = stream_id
-        self._ref = ref
-        FastChain.__init__(self, system.sim)
-
-    def _step(self, stage):
-        system = self._system
-        if stage == 0:
-            return system.islands[self._island_index].egress(
-                self._slot, self._nbytes, self._ref
-            )
-        if stage == 1:
-            return system.noc.transfer(
-                system.topology.island(self._island_index),
-                system._mc_node(self._stream_id),
-                self._nbytes,
-                self._ref,
-            )
-        if stage == 2:
-            return system.memory.access_fast(
-                self._nbytes, self._stream_id, self._ref
-            )
-        self.event.succeed(self._nbytes)
-        return None
-
-
-class _IslandToIslandChain(FastChain):
-    """Cross-island chaining: egress -> mesh -> ingress."""
-
-    __slots__ = ("_system", "_src_index", "_src_slot", "_dst_index", "_dst_slot", "_nbytes", "_ref")
-
-    def __init__(self, system, src_index, src_slot, dst_index, dst_slot, nbytes, ref):
-        self._system = system
-        self._src_index = src_index
-        self._src_slot = src_slot
-        self._dst_index = dst_index
-        self._dst_slot = dst_slot
-        self._nbytes = nbytes
-        self._ref = ref
-        FastChain.__init__(self, system.sim)
-
-    def _step(self, stage):
-        system = self._system
-        if stage == 0:
-            return system.islands[self._src_index].egress(
-                self._src_slot, self._nbytes, self._ref
-            )
-        if stage == 1:
-            return system.noc.transfer(
-                system.topology.island(self._src_index),
-                system.topology.island(self._dst_index),
-                self._nbytes,
-                self._ref,
-            )
-        if stage == 2:
-            return system.islands[self._dst_index].ingress(
-                self._dst_slot, self._nbytes, self._ref
-            )
-        self.event.succeed(self._nbytes)
-        return None
-
-
 class SystemModel:
     """A fully wired accelerator-rich system ready to execute tiles."""
 
@@ -358,6 +253,15 @@ class SystemModel:
         )
         self.energy.add_static_power(config.platform_static_mw)
 
+        # System routes.  An endpoint is a memory stream id (DRAM via
+        # its controller) or an (island index, slot) pair.
+        read, write = leg(CALL, self._read), leg(CALL, self._write)
+        egress, ingress = leg(CALL, self._egress), leg(CALL, self._ingress)
+        mesh = leg(CALL, self._mesh)
+        self._mem_to_island_legs = (read, mesh, ingress, DONE)
+        self._island_to_mem_legs = (egress, mesh, write, DONE)
+        self._island_to_island_legs = (egress, mesh, ingress, DONE)
+
     # ---------------------------------------------------------------- faults
     @property
     def fault_stats(self) -> FaultStats:
@@ -394,6 +298,30 @@ class SystemModel:
         index = stream_id % self.config.n_memory_controllers
         return self.topology.memory_controller(index)
 
+    def _node(self, end):
+        if end.__class__ is tuple:
+            return self.topology.island(end[0])
+        return self._mc_node(end)
+
+    def _read(self, route: Route) -> float:
+        return self.memory.access_fast(route.nbytes, route.src, route.ref)
+
+    def _write(self, route: Route) -> float:
+        return self.memory.access_fast(route.nbytes, route.dst, route.ref)
+
+    def _egress(self, route: Route) -> Event:
+        island, slot = route.src
+        return self.islands[island].egress(slot, route.nbytes, route.ref)
+
+    def _ingress(self, route: Route) -> Event:
+        island, slot = route.dst
+        return self.islands[island].ingress(slot, route.nbytes, route.ref)
+
+    def _mesh(self, route: Route) -> Event:
+        return self.noc.transfer(
+            self._node(route.src), self._node(route.dst), route.nbytes, route.ref
+        )
+
     def memory_to_island(
         self,
         island_index: int,
@@ -403,8 +331,9 @@ class SystemModel:
         ref: str = "",
     ) -> Event:
         """DRAM read -> mesh -> island ingress -> SPM."""
-        return _MemToIslandChain(
-            self, island_index, slot, nbytes, stream_id, ref
+        return Route(
+            self.sim, self._mem_to_island_legs, nbytes,
+            stream_id, (island_index, slot), ref,
         ).event
 
     def island_to_memory(
@@ -416,8 +345,9 @@ class SystemModel:
         ref: str = "",
     ) -> Event:
         """SPM -> island egress -> mesh -> DRAM write."""
-        return _IslandToMemChain(
-            self, island_index, slot, nbytes, stream_id, ref
+        return Route(
+            self.sim, self._island_to_mem_legs, nbytes,
+            (island_index, slot), stream_id, ref,
         ).event
 
     def island_to_island(
@@ -434,8 +364,9 @@ class SystemModel:
             return self.islands[src_index].chain_local(
                 src_slot, dst_slot, nbytes, ref
             )
-        return _IslandToIslandChain(
-            self, src_index, src_slot, dst_index, dst_slot, nbytes, ref
+        return Route(
+            self.sim, self._island_to_island_legs, nbytes,
+            (src_index, src_slot), (dst_index, dst_slot), ref,
         ).event
 
     # -------------------------------------------------------------- metrics

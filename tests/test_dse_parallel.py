@@ -112,3 +112,25 @@ class TestRunPoints:
     def test_empty_points(self):
         results, simulated = run_points([])
         assert results == [] and simulated == 0
+
+    def test_single_cpu_runs_inline(self, monkeypatch):
+        """On one CPU a multi-job sweep spawns no pool and returns the
+        serial rows."""
+        import repro.dse.parallel as parallel
+        from repro.sim.system import SystemConfig
+
+        points = [
+            (SystemConfig(n_islands=n), workload)
+            for n in (3, 6)
+            for workload in workloads()
+        ]
+        serial, _ = run_points(points, jobs=1)
+
+        def no_pool(*_args, **_kwargs):
+            raise AssertionError("process pool spawned on one CPU")
+
+        monkeypatch.setattr(parallel.os, "cpu_count", lambda: 1)
+        monkeypatch.setattr(parallel, "ProcessPoolExecutor", no_pool)
+        inline, simulated = run_points(points, jobs=4)
+        assert simulated == len(points)
+        assert inline == serial

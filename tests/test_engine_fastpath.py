@@ -1,7 +1,7 @@
 """Tests for the kernel fast paths added by the engine hot-path work.
 
-Covers the analytic bandwidth-server shortcut (and its fall-back to the
-exact queued model under contention), AllOf edge cases around triggered
+Covers the closed-form bandwidth-server reservation (against the
+event-returning transfer built on it), AllOf edge cases around triggered
 and duplicated children, Store get-before-put determinism, non-finite
 time rejection in every scheduling entry point, the pooled-timeout
 recycle path, and the lazy span materialization of the tracer.
@@ -16,49 +16,29 @@ from repro.errors import ConfigError, SimulationError
 
 
 class TestTransferAnalytic:
+    """The closed-form path: ``reserve`` against the event-returning
+    ``transfer`` built on it."""
+
     def test_uncontended_returns_float(self):
         sim = Simulator()
         server = BandwidthServer(sim, bytes_per_cycle=4.0, latency=2.0)
-        done = server.transfer_analytic(100.0)
+        done = server.reserve(100.0)
         assert isinstance(done, float)
         assert done == 100.0 / 4.0 + 2.0
 
-    def test_overlapping_second_transfer_defers_to_exact_model(self):
-        """The fast path only fires when the channel is idle.
-
-        Two transfers issued back-to-back at t=0: the first sees an idle
-        channel and resolves in closed form; the second sees ``_free_at``
-        in the future and must come back as a real queued event.
-        """
-        sim = Simulator()
-        server = BandwidthServer(sim, bytes_per_cycle=4.0, latency=2.0)
-        first = server.transfer_analytic(100.0)
-        second = server.transfer_analytic(60.0)
-        assert isinstance(first, float)
-        assert isinstance(second, Event)
-        done = []
-        second.add_callback(lambda e: done.append(sim.now))
-        sim.run()
-        # Queued behind the first transfer's 25-cycle occupancy.
-        assert done == [25.0 + 60.0 / 4.0 + 2.0]
-
     def test_completion_times_match_plain_transfer_sequence(self):
-        """Analytic and event paths agree bit-for-bit under contention."""
+        """reserve() and transfer() agree bit-for-bit under contention."""
         sizes = [100.0, 60.0, 0.0, 512.0, 7.0]
 
-        def issue(sim, server, use_analytic, log):
+        def issue(sim, server, use_reserve, log):
             def body():
                 for nbytes in sizes:
-                    result = (
-                        server.transfer_analytic(nbytes)
-                        if use_analytic
-                        else server.transfer(nbytes)
-                    )
-                    if isinstance(result, float):
-                        log.append(result)
-                        yield sim.delay(result - sim.now)
+                    if use_reserve:
+                        done = server.reserve(nbytes)
+                        log.append(done)
+                        yield sim.delay(done - sim.now)
                     else:
-                        yield result
+                        yield server.transfer(nbytes)
                         log.append(sim.now)
 
             sim.process(body())
@@ -79,19 +59,23 @@ class TestTransferAnalytic:
         sim = Simulator()
         fast = BandwidthServer(sim, 8.0, latency=1.0)
         exact = BandwidthServer(sim, 8.0, latency=1.0)
-        fast.transfer_analytic(64.0)
-        exact.transfer(64.0)
+        done = fast.reserve(64.0)
+        event = exact.transfer(64.0)
         assert fast.busy_cycles == exact.busy_cycles
         assert fast.total_bytes == exact.total_bytes
         assert fast.total_transfers == exact.total_transfers
-        assert fast.last_done == exact.last_done
         assert fast._free_at == exact._free_at
+        sim.run()
+        assert event.triggered and sim.now == done
 
     def test_negative_size_rejected_on_fast_path(self):
         sim = Simulator()
         server = BandwidthServer(sim, 4.0)
         with pytest.raises(ConfigError):
-            server.transfer_analytic(-1.0)
+            server.reserve(-1.0)
+        with pytest.raises(ConfigError):
+            server.transfer(-1.0)
+        assert server.total_transfers == 0
 
 
 class TestAllOfEdgeCases:

@@ -8,6 +8,7 @@ the golden values (and re-check EXPERIMENTS.md).
 
 import pytest
 
+from repro.faults import parse_fault_spec
 from repro.island import NetworkKind, SpmDmaNetworkConfig
 from repro.sim import SystemConfig, run_workload
 from repro.workloads import get_workload
@@ -18,6 +19,15 @@ GOLDEN = {
     ("EKF-SLAM", "xbar"): (6599.813333333335, 286974.78352377407),
     ("EKF-SLAM", "ring"): (4461.926991869917, 195194.66702147876),
 }
+
+#: The same points under DMA stall and drop/retry faults.
+FAULTED_GOLDEN = {
+    ("Denoise", "xbar"): (30149.22000000001, 1316404.2154332104),
+    ("Denoise", "ring"): (30138.22000000001, 1317883.734559194),
+    ("EKF-SLAM", "xbar"): (7206.406666666668, 313121.7760632958),
+    ("EKF-SLAM", "ring"): (5775.260325203251, 251800.54637833213),
+}
+DMA_FAULTS = "dma:0.15,dmadrop:0.05"
 
 NETWORKS = {
     "xbar": SpmDmaNetworkConfig(),
@@ -30,5 +40,20 @@ def test_golden_run(name, net):
     config = SystemConfig(n_islands=3, network=NETWORKS[net])
     result = run_workload(config, get_workload(name, tiles=4))
     cycles, energy = GOLDEN[(name, net)]
+    assert result.total_cycles == pytest.approx(cycles, rel=1e-12)
+    assert result.energy_nj == pytest.approx(energy, rel=1e-12)
+
+
+@pytest.mark.parametrize("name,net", sorted(FAULTED_GOLDEN))
+def test_faulted_golden_run(name, net):
+    config = SystemConfig(
+        n_islands=3,
+        network=NETWORKS[net],
+        faults=parse_fault_spec(DMA_FAULTS),
+        fault_seed=1,
+    )
+    result = run_workload(config, get_workload(name, tiles=4))
+    cycles, energy = FAULTED_GOLDEN[(name, net)]
+    assert result.dma_stalls > 0  # the fault path actually ran
     assert result.total_cycles == pytest.approx(cycles, rel=1e-12)
     assert result.energy_nj == pytest.approx(energy, rel=1e-12)

@@ -23,9 +23,13 @@ def make(kind, n_slots=4, banks_per_slot=4, width=32, rings=1):
     return sim, net, energy
 
 
-def run_transfer(sim, event):
+def run_transfer(sim, result):
+    """Completion time of a network movement (a float or an event)."""
+    if isinstance(result, float):
+        sim.run()
+        return result
     done = []
-    event.add_callback(lambda e: done.append(sim.now))
+    result.add_callback(lambda e: done.append(sim.now))
     sim.run()
     return done[0]
 
@@ -60,10 +64,7 @@ class TestProxyCrossbar:
 
     def test_all_traffic_serializes_on_dma_port(self):
         sim, net, _ = make(NetworkKind.PROXY_CROSSBAR, width=32)
-        done = []
-        net.dma_to_spm(0, 320).add_callback(lambda e: done.append(sim.now))
-        net.spm_to_dma(1, 320).add_callback(lambda e: done.append(sim.now))
-        sim.run()
+        done = [net.dma_to_spm(0, 320), net.spm_to_dma(1, 320)]
         # Each occupies 10 cycles; second waits for the first.
         assert done == [12.0, 22.0]
 
@@ -94,10 +95,7 @@ class TestChainingCrossbar:
 
     def test_chain_and_memory_paths_independent(self):
         sim, net, _ = make(NetworkKind.CHAINING_CROSSBAR, width=32)
-        done = {}
-        net.dma_to_spm(0, 3200).add_callback(lambda e: done.setdefault("mem", sim.now))
-        net.chain(1, 2, 3200).add_callback(lambda e: done.setdefault("chain", sim.now))
-        sim.run()
+        done = {"mem": net.dma_to_spm(0, 3200), "chain": net.chain(1, 2, 3200)}
         # The chain path has 4x parallel width, so finishes much earlier
         # than if it had queued behind the memory transfer.
         assert done["chain"] < done["mem"]
@@ -125,7 +123,7 @@ class TestRing:
 
     def test_zero_hop_transfer_immediate(self):
         sim, ring, _ = make(NetworkKind.RING, n_slots=4)
-        t = run_transfer(sim, ring._transfer(2, 2, 1000))
+        t = run_transfer(sim, ring._traverse(2, 2, 1000))
         assert t == 0.0
 
     def test_spatial_reuse_parallelism(self):

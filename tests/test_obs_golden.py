@@ -12,6 +12,7 @@ from dataclasses import replace
 import pytest
 
 from repro.engine.trace import Tracer
+from repro.faults import parse_fault_spec
 from repro.island import NetworkKind, SpmDmaNetworkConfig
 from repro.serve import ArrivalConfig, ServeConfig, make_tenants, run_serve
 from repro.sim import SystemConfig, run_workload
@@ -40,9 +41,28 @@ def test_traced_run_matches_golden(name, net):
     assert result.energy_nj == pytest.approx(energy, rel=1e-12)
 
 
-@pytest.mark.parametrize("name,net", sorted(GOLDEN))
-def test_traced_equals_untraced(name, net):
-    config = SystemConfig(n_islands=3, network=NETWORKS[net])
+#: Fault specs for the traced-vs-untraced check: none, the DMA
+#: stall/retry path, and every model together.
+FAULT_SPECS = ("", "dma:0.15,dmadrop:0.05", "abb:0.25,dma:0.1,noc:0.2")
+
+
+@pytest.mark.parametrize(
+    "name,net,fault_spec",
+    [
+        pytest.param(
+            name, net, spec, id=f"{name}-{net}" + (f"-{spec}" if spec else "")
+        )
+        for spec in FAULT_SPECS
+        for name, net in sorted(GOLDEN)
+    ],
+)
+def test_traced_equals_untraced(name, net, fault_spec):
+    config = SystemConfig(
+        n_islands=3,
+        network=NETWORKS[net],
+        faults=parse_fault_spec(fault_spec),
+        fault_seed=1,
+    )
     base = run_workload(config, get_workload(name, tiles=4))
     traced = run_workload(config, get_workload(name, tiles=4), tracer=Tracer())
     # Identical in every field except the attribution the tracer adds.
