@@ -37,11 +37,6 @@ from repro.errors import SimulationError
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.system import SystemModel
 
-#: Interned ``"island{i}.slot{s}"`` actor names, shared by every traced
-#: scheduler (the strings depend only on the indices).  Bounded by the
-#: platform's slot count, and only populated on traced runs.
-_ACTOR_NAMES: dict = {}
-
 
 class TileScheduler:
     """Runs one flow-graph instance to completion.
@@ -205,14 +200,11 @@ class TileScheduler:
         assert isinstance(grant, Grant)
         self.locations[task_id] = (grant.island_index, grant.slot)
         island = system.islands[grant.island_index]
-        if self._tracer is not None:
-            key = (grant.island_index, grant.slot)
-            actor = _ACTOR_NAMES.get(key)
-            if actor is None:
-                actor = f"island{grant.island_index}.slot{grant.slot}"
-                _ACTOR_NAMES[key] = actor
-        else:
-            actor = ""
+        actor = (
+            f"island{grant.island_index}.slot{grant.slot}"
+            if self._tracer is not None
+            else ""
+        )
         if system.sim.now > requested_at:
             self._trace(requested_at, "alloc_wait", actor, tag, tag)
 
@@ -322,12 +314,11 @@ class TileScheduler:
 
         requested_at = system.sim.now
         yield system.fallback_cores.request()
-        actor = "core.sw"
         if system.sim.now > requested_at:
-            self._trace(requested_at, "alloc_wait", actor, tag, tag)
+            self._trace(requested_at, "alloc_wait", "core.sw", tag, tag)
 
         # Gather operands: spill chained data parked in producer SPMs to
-        # memory, then charge the core's own memory reads.
+        # memory (after the core grant), then run the job on the core.
         gather_start = system.sim.now
         spill_events = []
         read_bytes = graph.memory_input_bytes(task_id, library)
@@ -344,29 +335,16 @@ class TileScheduler:
                 )
         if spill_events:
             yield AllOf(system.sim, spill_events)
-        if read_bytes > 0:
-            yield system.memory.access(read_bytes, self._stream_id(task_id), tag)
-        if system.sim.now > gather_start:
-            self._trace(gather_start, "gather", actor, tag, tag)
-
-        # Compute in software at the calibrated per-invocation cost.
-        compute_start = system.sim.now
-        cycles = system.fallback_model.task_cycles(
-            task.abb_type, task.invocations
+        # Results are published to shared memory for downstream
+        # consumers (or as the final output when this task is a sink).
+        yield from system.software_execute(
+            read_bytes,
+            system.fallback_model.task_cycles(task.abb_type, task.invocations),
+            graph.task_output_bytes(task_id, library),
+            self._stream_id(task_id),
+            tag,
+            gather_start,
         )
-        yield system.sim.delay(cycles)
-        system.energy.charge(
-            "sw_fallback", system.fallback_model.energy_nj(cycles)
-        )
-        self._trace(compute_start, "sw_compute", actor, tag, tag)
-
-        # Publish results to shared memory for downstream consumers (or
-        # as the final output when this task is a sink).
-        out_bytes = graph.task_output_bytes(task_id, library)
-        if out_bytes > 0:
-            writeback_start = system.sim.now
-            yield system.memory.access(out_bytes, self._stream_id(task_id), tag)
-            self._trace(writeback_start, "writeback", actor, tag, tag)
         system.fallback_cores.release()
-        self._trace_task(task_start, actor, task_id, producers)
+        self._trace_task(task_start, "core.sw", task_id, producers)
         self._done[task_id].succeed(task_id)

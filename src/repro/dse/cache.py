@@ -29,11 +29,13 @@ import tempfile
 import typing
 
 from repro.abb.library import ABBLibrary
+from repro.errors import ReproError
 from repro.sim.fingerprint import canonical_value, digest
 from repro.sim.results import SimResult
 from repro.sim.run import DEFAULT_TILE_WINDOW
 from repro.sim.serialize import (
     SCHEMA_VERSION,
+    read_document,
     result_from_dict,
     result_to_dict,
 )
@@ -119,19 +121,18 @@ class ResultCache:
             self.cache_dir, fingerprint[:2], f"{fingerprint}.json"
         )
 
-    def _load(self, fingerprint: str, kind: str) -> typing.Optional[dict]:
-        """Raw entry payload for one fingerprint, or ``None``."""
-        path = self._path(fingerprint)
+    def _get(self, fingerprint: str, kind: str, decode) -> typing.Any:
+        """Decoded ``kind`` entry for one fingerprint, or ``None``."""
         try:
-            with open(path) as handle:
-                document = json.load(handle)
-            if document.get("schema_version") != SCHEMA_VERSION:
-                raise ValueError("schema mismatch")
+            document = read_document(self._path(fingerprint), payload="result")
             if document.get("kind", "sim") != kind:
                 raise ValueError("kind mismatch")
-            return document["result"]
-        except (OSError, ValueError, KeyError, TypeError):
+            result = decode(document["result"])
+        except (OSError, ReproError, ValueError, KeyError, TypeError):
+            self.misses += 1
             return None
+        self.hits += 1
+        return result
 
     def _store(self, fingerprint: str, kind: str, payload: dict) -> None:
         """Atomically write one entry (temp file + replace)."""
@@ -159,17 +160,7 @@ class ResultCache:
 
     def get(self, fingerprint: str) -> typing.Optional[SimResult]:
         """Look up a result by fingerprint; ``None`` if absent/corrupt."""
-        payload = self._load(fingerprint, "sim")
-        if payload is None:
-            self.misses += 1
-            return None
-        try:
-            result = result_from_dict(payload)
-        except (ValueError, KeyError, TypeError):
-            self.misses += 1
-            return None
-        self.hits += 1
-        return result
+        return self._get(fingerprint, "sim", result_from_dict)
 
     def put(self, fingerprint: str, result: SimResult) -> None:
         """Store a result under its fingerprint (atomic replace)."""
@@ -179,17 +170,7 @@ class ResultCache:
         """Look up a serving-session result; ``None`` if absent/corrupt."""
         from repro.serve.slo import serve_result_from_dict
 
-        payload = self._load(fingerprint, "serve")
-        if payload is None:
-            self.misses += 1
-            return None
-        try:
-            result = serve_result_from_dict(payload)
-        except (ValueError, KeyError, TypeError):
-            self.misses += 1
-            return None
-        self.hits += 1
-        return result
+        return self._get(fingerprint, "serve", serve_result_from_dict)
 
     def put_serve(self, fingerprint: str, result: "typing.Any") -> None:
         """Store a serving-session result under its fingerprint."""

@@ -21,7 +21,6 @@ samples from :meth:`MetricsRegistry.to_json_dict` output.
 
 from __future__ import annotations
 
-import json
 import re
 import typing
 
@@ -29,6 +28,7 @@ from repro.engine.stats import Counter as StatsCounter
 from repro.engine.stats import Histogram as StatsHistogram
 from repro.engine.stats import UtilizationTracker
 from repro.errors import ConfigError
+from repro.sim.serialize import check_schema_version, read_document, write_document
 
 #: Format version stamped into every metrics export.
 METRICS_SCHEMA_VERSION = 1
@@ -283,12 +283,9 @@ class MetricsRegistry:
     @classmethod
     def from_json_dict(cls, data: typing.Mapping) -> "MetricsRegistry":
         """Rebuild a registry of static samples from a JSON snapshot."""
-        version = data.get("schema_version")
-        if version != METRICS_SCHEMA_VERSION:
-            raise ConfigError(
-                f"unsupported metrics schema version {version!r} "
-                f"(expected {METRICS_SCHEMA_VERSION})"
-            )
+        check_schema_version(
+            "metrics", data.get("schema_version"), METRICS_SCHEMA_VERSION
+        )
         registry = cls()
         for entry in data.get("metrics", []):
             missing = {"name", "kind", "values"} - set(entry)
@@ -348,15 +345,16 @@ class MetricsRegistry:
 
     def save(self, path: str) -> None:
         """Write the JSON snapshot to ``path``."""
-        with open(path, "w") as handle:
-            json.dump(self.to_json_dict(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        write_document(path, self.to_json_dict())
 
     @classmethod
     def load(cls, path: str) -> "MetricsRegistry":
         """Read a snapshot written by :meth:`save`."""
-        with open(path) as handle:
-            return cls.from_json_dict(json.load(handle))
+        return cls.from_json_dict(
+            read_document(
+                path, METRICS_SCHEMA_VERSION, kind="metrics", payload="metrics"
+            )
+        )
 
 
 # ---------------------------------------------------------------- builders

@@ -23,6 +23,7 @@ import typing
 
 from repro.engine.trace import Tracer
 from repro.errors import ConfigError
+from repro.sim.serialize import read_document
 
 #: Format version stamped into the exported document's ``otherData``.
 TRACE_SCHEMA_VERSION = 1
@@ -143,6 +144,7 @@ def trace_document(tracer: Tracer, note: str = "") -> dict:
 def write_trace(tracer: Tracer, path: str, note: str = "") -> dict:
     """Write a Perfetto-loadable trace JSON; returns the document."""
     document = trace_document(tracer, note)
+    # Not write_document: traces are large, so they use a narrower indent.
     with open(path, "w") as handle:
         json.dump(document, handle, indent=1, sort_keys=True)
         handle.write("\n")
@@ -151,15 +153,12 @@ def write_trace(tracer: Tracer, path: str, note: str = "") -> dict:
 
 def load_trace(path: str) -> dict:
     """Read and validate a document written by :func:`write_trace`."""
-    with open(path) as handle:
-        document = json.load(handle)
-    version = document.get("otherData", {}).get("schema_version")
-    if version != TRACE_SCHEMA_VERSION:
-        raise ConfigError(
-            f"unsupported trace schema version {version!r} "
-            f"(expected {TRACE_SCHEMA_VERSION})"
-        )
-    if "traceEvents" not in document:
-        raise ConfigError(f"{path!r} is not a trace-event document")
+    document = read_document(
+        path,
+        TRACE_SCHEMA_VERSION,
+        kind="trace",
+        payload="traceEvents",
+        header="otherData",
+    )
     validate_events(document["traceEvents"])
     return document

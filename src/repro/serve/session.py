@@ -200,35 +200,31 @@ def run_serve(
             _TenantState(spec, graph, sw_cycles, sw_read, sw_write)
         )
 
-    def hw_request(state: _TenantState, tile_id: int, arrived: float):
-        done = TileScheduler(
-            system, state.graph, tile_id, tenant=state.spec.name
-        ).run()
-        yield done
-        state.hw_completed += 1
+    def complete(state: _TenantState, arrived: float) -> None:
         state.latencies.append(sim.now - arrived)
         if sim.now <= duration:
             state.window_completions += 1
 
+    def hw_request(state: _TenantState, tile_id: int, arrived: float):
+        yield TileScheduler(system, state.graph, tile_id, state.spec.name).run()
+        state.hw_completed += 1
+        complete(state, arrived)
+
     def sw_request(state: _TenantState, tile_id: int, arrived: float):
-        # ARC's software path: a host core fetches operands from shared
-        # memory, runs the calibrated software implementation, and
-        # writes results back.  Chained intermediates stay core-local.
+        # ARC's software path: the whole flow graph runs as one job on a
+        # host core.  Chained intermediates stay core-local.
         ref = f"{state.spec.name}.t{tile_id}.sw"
         yield system.fallback_cores.request()
         if tracer is not None and sim.now > arrived:
             tracer.record(arrived, sim.now, "core.sw", "alloc_wait", ref, ref)
-        if state.sw_read_bytes > 0:
-            yield system.memory.access(state.sw_read_bytes, tile_id, ref)
-        compute_start = sim.now
-        yield sim.delay(state.sw_cycles)
-        system.energy.charge(
-            "sw_fallback", system.fallback_model.energy_nj(state.sw_cycles)
+        yield from system.software_execute(
+            state.sw_read_bytes,
+            state.sw_cycles,
+            state.sw_write_bytes,
+            tile_id,
+            ref,
+            sim.now,
         )
-        if tracer is not None:
-            tracer.record(compute_start, sim.now, "core.sw", "sw_compute", ref, ref)
-        if state.sw_write_bytes > 0:
-            yield system.memory.access(state.sw_write_bytes, tile_id, ref)
         system.fallback_cores.release()
         if tracer is not None:
             tracer.record(
@@ -241,9 +237,7 @@ def run_serve(
                 {"deps": [], "tenant": state.spec.name},
             )
         state.sw_fallbacks += 1
-        state.latencies.append(sim.now - arrived)
-        if sim.now <= duration:
-            state.window_completions += 1
+        complete(state, arrived)
 
     def tenant_stream(index: int, state: _TenantState, times: list[float]):
         for request_index, arrival in enumerate(times):
@@ -293,11 +287,7 @@ def run_serve(
                 hw_completed=state.hw_completed,
                 sw_fallbacks=state.sw_fallbacks,
                 shed=state.shed,
-                latency_p50=summary["p50"],
-                latency_p95=summary["p95"],
-                latency_p99=summary["p99"],
-                latency_mean=summary["mean"],
-                latency_max=summary["max"],
+                **{f"latency_{k}": v for k, v in summary.items()},
                 offered_load=state.offered / duration * MEGACYCLE,
                 goodput=state.window_completions / duration * MEGACYCLE,
             )
@@ -330,11 +320,7 @@ def run_serve(
         duration_cycles=duration,
         drained_cycles=drained,
         tenants=tuple(tenant_rows),
-        latency_p50=aggregate["p50"],
-        latency_p95=aggregate["p95"],
-        latency_p99=aggregate["p99"],
-        latency_mean=aggregate["mean"],
-        latency_max=aggregate["max"],
+        **{f"latency_{k}": v for k, v in aggregate.items()},
         jain_fairness=jain_index([row.goodput for row in tenant_rows]),
         energy_nj=system.energy.total_nj(elapsed),
         abb_utilization_avg=system.average_abb_utilization(elapsed),

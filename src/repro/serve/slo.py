@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 from repro.engine.stats import Histogram
 from repro.errors import ConfigError
-from repro.sim.serialize import read_document, write_document
+from repro.sim.serialize import from_dict, read_document, to_dict, write_document
 
 #: Format version for serialized serve results.
 SERVE_SCHEMA_VERSION = 1
@@ -102,7 +102,7 @@ class ServeResult:
     policy: str
     duration_cycles: float
     drained_cycles: float  # total simulated time incl. post-arrival drain
-    tenants: tuple = ()
+    tenants: tuple[TenantSLO, ...] = ()
     latency_p50: float = 0.0
     latency_p95: float = 0.0
     latency_p99: float = 0.0
@@ -181,99 +181,14 @@ class ServeResult:
 
 
 # ------------------------------------------------------------- serialization
-def tenant_to_dict(tenant: TenantSLO) -> dict:
-    """Flatten one tenant's SLO row into a JSON-safe dict."""
-    return {
-        "tenant": tenant.tenant,
-        "workload": tenant.workload,
-        "offered": tenant.offered,
-        "completed": tenant.completed,
-        "hw_completed": tenant.hw_completed,
-        "sw_fallbacks": tenant.sw_fallbacks,
-        "shed": tenant.shed,
-        "latency_p50": tenant.latency_p50,
-        "latency_p95": tenant.latency_p95,
-        "latency_p99": tenant.latency_p99,
-        "latency_mean": tenant.latency_mean,
-        "latency_max": tenant.latency_max,
-        "offered_load": tenant.offered_load,
-        "goodput": tenant.goodput,
-    }
-
-
-def tenant_from_dict(data: typing.Mapping) -> TenantSLO:
-    """Rebuild one tenant row from :func:`tenant_to_dict` output."""
-    required = {"tenant", "workload", "offered", "completed"}
-    missing = required - set(data)
-    if missing:
-        raise ConfigError(f"serialized tenant missing fields: {sorted(missing)}")
-    return TenantSLO(
-        tenant=data["tenant"],
-        workload=data["workload"],
-        offered=int(data["offered"]),
-        completed=int(data["completed"]),
-        hw_completed=int(data.get("hw_completed", 0)),
-        sw_fallbacks=int(data.get("sw_fallbacks", 0)),
-        shed=int(data.get("shed", 0)),
-        latency_p50=float(data.get("latency_p50", 0.0)),
-        latency_p95=float(data.get("latency_p95", 0.0)),
-        latency_p99=float(data.get("latency_p99", 0.0)),
-        latency_mean=float(data.get("latency_mean", 0.0)),
-        latency_max=float(data.get("latency_max", 0.0)),
-        offered_load=float(data.get("offered_load", 0.0)),
-        goodput=float(data.get("goodput", 0.0)),
-    )
-
-
 def serve_result_to_dict(result: ServeResult) -> dict:
     """Flatten a serve result (with per-tenant rows) for JSON."""
-    return {
-        "config_label": result.config_label,
-        "policy": result.policy,
-        "duration_cycles": result.duration_cycles,
-        "drained_cycles": result.drained_cycles,
-        "tenants": [tenant_to_dict(t) for t in result.tenants],
-        "latency_p50": result.latency_p50,
-        "latency_p95": result.latency_p95,
-        "latency_p99": result.latency_p99,
-        "latency_mean": result.latency_mean,
-        "latency_max": result.latency_max,
-        "jain_fairness": result.jain_fairness,
-        "energy_nj": result.energy_nj,
-        "abb_utilization_avg": result.abb_utilization_avg,
-        "mean_wait_estimate": result.mean_wait_estimate,
-        "extras": dict(result.extras),
-        "derived": result.summary_row(),
-    }
+    return {**to_dict(result), "derived": result.summary_row()}
 
 
 def serve_result_from_dict(data: typing.Mapping) -> ServeResult:
     """Rebuild a serve result from :func:`serve_result_to_dict` output."""
-    required = {"config_label", "policy", "duration_cycles", "drained_cycles"}
-    missing = required - set(data)
-    if missing:
-        raise ConfigError(
-            f"serialized serve result missing fields: {sorted(missing)}"
-        )
-    return ServeResult(
-        config_label=data["config_label"],
-        policy=data["policy"],
-        duration_cycles=float(data["duration_cycles"]),
-        drained_cycles=float(data["drained_cycles"]),
-        tenants=tuple(tenant_from_dict(t) for t in data.get("tenants", [])),
-        latency_p50=float(data.get("latency_p50", 0.0)),
-        latency_p95=float(data.get("latency_p95", 0.0)),
-        latency_p99=float(data.get("latency_p99", 0.0)),
-        latency_mean=float(data.get("latency_mean", 0.0)),
-        latency_max=float(data.get("latency_max", 0.0)),
-        jain_fairness=float(data.get("jain_fairness", 1.0)),
-        energy_nj=float(data.get("energy_nj", 0.0)),
-        abb_utilization_avg=float(data.get("abb_utilization_avg", 0.0)),
-        mean_wait_estimate=float(data.get("mean_wait_estimate", 0.0)),
-        extras={
-            str(k): float(v) for k, v in dict(data.get("extras", {})).items()
-        },
-    )
+    return from_dict(ServeResult, data)
 
 
 def save_serve_results(
@@ -293,7 +208,7 @@ def save_serve_results(
 
 def load_serve_results(path: str) -> list:
     """Read results back from :func:`save_serve_results` output."""
-    document = read_document(path, expected_version=SERVE_SCHEMA_VERSION)
+    document = read_document(path, SERVE_SCHEMA_VERSION, kind="serve")
     if document.get("kind") != "serve":
         raise ConfigError(f"{path!r} is not a serve-results document")
     return [serve_result_from_dict(d) for d in document["results"]]

@@ -1,8 +1,10 @@
-"""Benchmark runner: execute a workload on a configured system.
+"""Benchmark runner: execute workloads on a configured system.
 
 Tiles are issued through a bounded in-flight window (the cores dispatch a
 stream of acceleration requests; the window models the depth of that
 stream), each tile executed by a :class:`~repro.core.scheduler.TileScheduler`.
+:func:`run_consolidated` is the one closed-loop driver; a single-workload
+run is its one-application case.
 """
 
 from __future__ import annotations
@@ -22,17 +24,6 @@ from repro.workloads.base import Workload
 DEFAULT_TILE_WINDOW = 8
 
 
-def _attribution_shares(
-    tracer: typing.Optional[Tracer], makespan: float
-) -> dict[str, float]:
-    """Critical-path shares for a traced closed-loop run ({} untraced)."""
-    if tracer is None:
-        return {}
-    from repro.obs.critpath import analyze_critical_path
-
-    return analyze_critical_path(tracer, makespan=makespan).shares()
-
-
 def run_workload(
     config: SystemConfig,
     workload: Workload,
@@ -46,53 +37,11 @@ def run_workload(
     Returns a :class:`SimResult` with timing, energy, area and
     utilization.  Deterministic: identical inputs produce identical
     results — with or without a ``tracer``; tracing only *observes* the
-    run (and fills the result's ``attribution`` breakdown).
+    run (and fills the result's ``attribution`` breakdown).  The
+    one-application case of :func:`run_consolidated`.
     """
-    if tile_window < 1:
-        raise ConfigError("tile window must be >= 1")
-    system = SystemModel(config, library=library, tracer=tracer)
-    graph = workload.build_graph(system.library, allow_fabric=allow_fabric)
-    sim = system.sim
-    window = Resource(sim, capacity=tile_window)
-    completed: list[int] = []
-
-    def tile_process(tile_id: int):
-        yield window.request()
-        done = TileScheduler(system, graph, tile_id).run()
-        yield done
-        window.release()
-        completed.append(tile_id)
-
-    for tile_id in range(workload.tiles):
-        sim.process(tile_process(tile_id))
-    sim.run()
-
-    if len(completed) != workload.tiles:
-        raise SimulationError(
-            f"{workload.name}: only {len(completed)}/{workload.tiles} tiles "
-            f"completed — simulation deadlocked"
-        )
-
-    elapsed = sim.now
-    degradation = system.fault_stats
-    return SimResult(
-        workload=workload.name,
-        attribution=_attribution_shares(tracer, elapsed),
-        config_label=config.label(),
-        tiles=workload.tiles,
-        total_cycles=elapsed,
-        energy_nj=system.energy.total_nj(elapsed),
-        area_mm2=system.accelerator_area_mm2,
-        abb_utilization_avg=system.average_abb_utilization(elapsed),
-        abb_utilization_peak=system.peak_abb_utilization(),
-        energy_breakdown_nj=system.energy.breakdown(elapsed),
-        noc_max_link_utilization=system.noc.max_link_utilization(elapsed),
-        memory_bytes=system.memory.total_bytes(),
-        failed_abbs=degradation.failed_abbs,
-        dma_stalls=degradation.dma_stalls,
-        dma_retries=degradation.dma_retries,
-        fallback_tasks=degradation.fallback_tasks,
-        fallback_tiles=degradation.fallback_tiles,
+    return run_consolidated(
+        config, [workload], tile_window, library, tracer, allow_fabric
     )
 
 
@@ -102,6 +51,7 @@ def run_consolidated(
     tile_window: int = DEFAULT_TILE_WINDOW,
     library: typing.Optional[ABBLibrary] = None,
     tracer: typing.Optional[Tracer] = None,
+    allow_fabric: bool = False,
 ) -> SimResult:
     """Run several applications *concurrently* on one shared platform.
 
@@ -119,7 +69,7 @@ def run_consolidated(
     completed: list[tuple[int, int]] = []
     total_tiles = 0
     for app_index, workload in enumerate(workloads):
-        graph = workload.build_graph(system.library)
+        graph = workload.build_graph(system.library, allow_fabric=allow_fabric)
         window = Resource(sim, capacity=tile_window)
         total_tiles += workload.tiles
 
@@ -135,16 +85,22 @@ def run_consolidated(
             sim.process(tile_process(tile_id))
     sim.run()
 
+    label = " + ".join(w.name for w in workloads)
     if len(completed) != total_tiles:
         raise SimulationError(
-            f"consolidated run finished {len(completed)}/{total_tiles} tiles"
+            f"{label}: only {len(completed)}/{total_tiles} tiles "
+            f"completed — simulation deadlocked"
         )
     elapsed = sim.now
-    label = " + ".join(w.name for w in workloads)
+    attribution: dict[str, float] = {}
+    if tracer is not None:  # critical-path shares need the span DAG
+        from repro.obs.critpath import analyze_critical_path
+
+        attribution = analyze_critical_path(tracer, makespan=elapsed).shares()
     degradation = system.fault_stats
     return SimResult(
         workload=label,
-        attribution=_attribution_shares(tracer, elapsed),
+        attribution=attribution,
         config_label=config.label(),
         tiles=total_tiles,
         total_cycles=elapsed,

@@ -2,11 +2,15 @@
 
 Simulations are deterministic, but sweeps are not free — serializing
 results lets a DSE session be saved, diffed against a future code
-version, or post-processed outside Python.
+version, or post-processed outside Python.  One codec,
+:func:`to_dict`/:func:`from_dict`, serves every result dataclass by
+walking its fields and decoding each value by its type annotation.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import json
 import typing
 
@@ -17,6 +21,15 @@ from repro.sim.results import SimResult
 SCHEMA_VERSION = 1
 
 
+def check_schema_version(kind: str, version: typing.Any, expected: int) -> None:
+    """Reject a ``kind`` document of another schema version, so a format
+    change can never be silently misread as current data."""
+    if version != expected:
+        raise ConfigError(
+            f"unsupported {kind} schema version {version!r} (expected {expected})"
+        )
+
+
 def write_document(path: str, document: dict) -> None:
     """Write one JSON document (stable key order, trailing newline)."""
     with open(path, "w") as handle:
@@ -24,81 +37,91 @@ def write_document(path: str, document: dict) -> None:
         handle.write("\n")
 
 
-def read_document(path: str, expected_version: int = SCHEMA_VERSION) -> dict:
-    """Read a JSON document written by :func:`write_document`.
+def read_document(
+    path: str,
+    expected_version: int = SCHEMA_VERSION,
+    kind: str = "results",
+    payload: str = "results",
+    header: typing.Optional[str] = None,
+) -> dict:
+    """Read a JSON object with a ``payload`` key whose ``schema_version``
+    (under the ``header`` object, if given) is ``expected_version``.
 
-    Rejects documents whose ``schema_version`` does not match, so a
-    format change can never be silently misread as current data.
+    A file breaking that contract raises :class:`ConfigError` naming it.
     """
-    with open(path) as handle:
-        document = json.load(handle)
-    version = document.get("schema_version")
-    if version != expected_version:
-        raise ConfigError(
-            f"unsupported results schema version {version!r} "
-            f"(expected {expected_version})"
-        )
+    try:
+        with open(path) as handle:
+            document = json.load(handle)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path!r} is not valid JSON: {exc}") from None
+    if not isinstance(document, dict):
+        raise ConfigError(f"{path!r} is not a {kind} document (not an object)")
+    versioned = document.get(header, {}) if header else document
+    version = versioned.get("schema_version") if isinstance(versioned, dict) else None
+    check_schema_version(kind, version, expected_version)
+    if payload not in document:
+        raise ConfigError(f"{path!r} is not a {kind} document (no {payload!r})")
     return document
+
+
+#: Type hints per result dataclass (evaluated once per class).
+_hints = functools.lru_cache(maxsize=None)(typing.get_type_hints)
+
+
+def to_dict(obj: typing.Any) -> dict:
+    """Flatten a result dataclass into a JSON-safe dict, field by field."""
+    return {f.name: _encode(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+
+
+def _encode(value: typing.Any) -> typing.Any:
+    if dataclasses.is_dataclass(value):
+        return to_dict(value)
+    if isinstance(value, tuple):
+        return [_encode(item) for item in value]
+    return dict(value) if isinstance(value, dict) else value
+
+
+def _decode(hint: typing.Any, value: typing.Any) -> typing.Any:
+    origin = typing.get_origin(hint)
+    if origin is dict:
+        key, item = typing.get_args(hint)
+        return {key(k): item(v) for k, v in value.items()}
+    if origin is tuple:
+        return tuple(_decode(typing.get_args(hint)[0], v) for v in value)
+    if dataclasses.is_dataclass(hint):
+        return from_dict(hint, value)
+    return hint(value)
+
+
+def from_dict(cls: type, data: typing.Mapping) -> typing.Any:
+    """Rebuild a ``cls`` dataclass from :func:`to_dict` output.
+
+    Fields without a default are required; unknown keys are ignored.
+    """
+    fields = dataclasses.fields(cls)
+    missing = [
+        f.name
+        for f in fields
+        if f.name not in data
+        and f.default is dataclasses.MISSING
+        and f.default_factory is dataclasses.MISSING
+    ]
+    if missing:
+        raise ConfigError(f"serialized {cls.__name__} missing fields: {missing}")
+    hints = _hints(cls)
+    return cls(**{
+        f.name: _decode(hints[f.name], data[f.name]) for f in fields if f.name in data
+    })
 
 
 def result_to_dict(result: SimResult) -> dict:
     """Flatten a result into a JSON-safe dict (includes derived metrics)."""
-    return {
-        "workload": result.workload,
-        "config_label": result.config_label,
-        "tiles": result.tiles,
-        "total_cycles": result.total_cycles,
-        "energy_nj": result.energy_nj,
-        "area_mm2": result.area_mm2,
-        "abb_utilization_avg": result.abb_utilization_avg,
-        "abb_utilization_peak": result.abb_utilization_peak,
-        "energy_breakdown_nj": dict(result.energy_breakdown_nj),
-        "noc_max_link_utilization": result.noc_max_link_utilization,
-        "memory_bytes": result.memory_bytes,
-        "failed_abbs": result.failed_abbs,
-        "dma_stalls": result.dma_stalls,
-        "dma_retries": result.dma_retries,
-        "fallback_tasks": result.fallback_tasks,
-        "fallback_tiles": result.fallback_tiles,
-        "attribution": dict(result.attribution),
-        "derived": result.summary_row(),
-    }
+    return {**to_dict(result), "derived": result.summary_row()}
 
 
 def result_from_dict(data: typing.Mapping) -> SimResult:
     """Rebuild a result from :func:`result_to_dict` output."""
-    required = {
-        "workload",
-        "config_label",
-        "tiles",
-        "total_cycles",
-        "energy_nj",
-        "area_mm2",
-    }
-    missing = required - set(data)
-    if missing:
-        raise ConfigError(f"serialized result missing fields: {sorted(missing)}")
-    return SimResult(
-        workload=data["workload"],
-        config_label=data["config_label"],
-        tiles=int(data["tiles"]),
-        total_cycles=float(data["total_cycles"]),
-        energy_nj=float(data["energy_nj"]),
-        area_mm2=float(data["area_mm2"]),
-        abb_utilization_avg=float(data.get("abb_utilization_avg", 0.0)),
-        abb_utilization_peak=float(data.get("abb_utilization_peak", 0.0)),
-        energy_breakdown_nj=dict(data.get("energy_breakdown_nj", {})),
-        noc_max_link_utilization=float(data.get("noc_max_link_utilization", 0.0)),
-        memory_bytes=float(data.get("memory_bytes", 0.0)),
-        failed_abbs=int(data.get("failed_abbs", 0)),
-        dma_stalls=int(data.get("dma_stalls", 0)),
-        dma_retries=int(data.get("dma_retries", 0)),
-        fallback_tasks=int(data.get("fallback_tasks", 0)),
-        fallback_tiles=int(data.get("fallback_tiles", 0)),
-        attribution={
-            str(k): float(v) for k, v in data.get("attribution", {}).items()
-        },
-    )
+    return from_dict(SimResult, data)
 
 
 def save_results(

@@ -293,6 +293,39 @@ class SystemModel:
         for island_index, slot, cycle in plan:
             Timeout(self.sim, cycle).add_callback(make_callback(island_index, slot))
 
+    # ------------------------------------------------------ software path
+    def software_execute(
+        self,
+        read_bytes: float,
+        cycles: float,
+        write_bytes: float,
+        stream: int,
+        ref: str,
+        gather_start: float,
+    ):
+        """The one host-core software path (a generator to ``yield from``).
+
+        Reads operands from shared memory, computes for ``cycles``,
+        charges the energy and writes results back.  The caller holds a
+        :attr:`fallback_cores` grant; its gathering began at
+        ``gather_start``.
+        """
+        sim, tracer = self.sim, self.tracer
+        if read_bytes > 0:
+            yield self.memory.access(read_bytes, stream, ref)
+        if tracer is not None and sim.now > gather_start:
+            tracer.span(gather_start, sim.now, "core.sw", "gather", ref, ref)
+        start = sim.now
+        yield sim.delay(cycles)
+        self.energy.charge("sw_fallback", self.fallback_model.energy_nj(cycles))
+        if tracer is not None:
+            tracer.span(start, sim.now, "core.sw", "sw_compute", ref, ref)
+        if write_bytes > 0:
+            start = sim.now
+            yield self.memory.access(write_bytes, stream, ref)
+            if tracer is not None:
+                tracer.span(start, sim.now, "core.sw", "writeback", ref, ref)
+
     # ------------------------------------------------------------ data path
     def _mc_node(self, stream_id: int):
         index = stream_id % self.config.n_memory_controllers

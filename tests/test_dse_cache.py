@@ -184,5 +184,17 @@ class TestResultCache:
             json.dump(document, handle)
         assert cache.get(fingerprint) is None
 
+    def test_entry_missing_a_field_is_a_miss(self, tmp_path, result):
+        cache = ResultCache(str(tmp_path))
+        fingerprint = "0a" + "0" * 62
+        cache.put(fingerprint, result)
+        path = os.path.join(str(tmp_path), "0a", f"{fingerprint}.json")
+        with open(path) as handle:
+            document = json.load(handle)
+        del document["result"]["total_cycles"]
+        with open(path, "w") as handle:
+            json.dump(document, handle)
+        assert cache.get(fingerprint) is None
+
     def test_len_on_missing_dir(self, tmp_path):
         assert len(ResultCache(str(tmp_path / "nope"))) == 0

@@ -10,8 +10,8 @@ import pytest
 
 from repro.faults import parse_fault_spec
 from repro.island import NetworkKind, SpmDmaNetworkConfig
-from repro.sim import SystemConfig, run_workload
-from repro.workloads import get_workload
+from repro.sim import SystemConfig, run_consolidated, run_workload
+from repro.workloads import get_workload, synthetic_workload
 
 GOLDEN = {
     ("Denoise", "xbar"): (27292.04666666668, 1193246.7626134404),
@@ -57,3 +57,43 @@ def test_faulted_golden_run(name, net):
     assert result.dma_stalls > 0  # the fault path actually ran
     assert result.total_cycles == pytest.approx(cycles, rel=1e-12)
     assert result.energy_nj == pytest.approx(energy, rel=1e-12)
+
+
+#: Shared-platform runs (:func:`run_consolidated`): two applications
+#: concurrently on one ABB pool.  The faulted row loses ABBs mid-run, so
+#: some tasks fall back to the host cores.
+SHARED_MIX = {"poly": 2, "div": 2, "sqrt": 1, "pow": 1, "sum": 1}
+
+
+def test_consolidated_golden_run():
+    config = SystemConfig(n_islands=3)
+    result = run_consolidated(
+        config,
+        [get_workload("Denoise", tiles=4), get_workload("EKF-SLAM", tiles=4)],
+    )
+    assert result.workload == "Denoise + EKF-SLAM"
+    assert result.total_cycles == pytest.approx(31034.80000000003, rel=1e-12)
+    assert result.energy_nj == pytest.approx(1357068.9785109651, rel=1e-12)
+
+
+def test_consolidated_faulted_golden_run():
+    config = SystemConfig(
+        n_islands=1,
+        abb_mix=SHARED_MIX,
+        faults=parse_fault_spec("abb:0.4,dma:0.1"),
+        fault_seed=4,
+    )
+    result = run_consolidated(
+        config,
+        [
+            synthetic_workload(
+                name="a", depth=2, width=2, invocations=32, tiles=6
+            ),
+            synthetic_workload(
+                name="b", depth=3, width=1, invocations=16, tiles=6
+            ),
+        ],
+    )
+    assert result.fallback_tasks == 6  # the host-core path actually ran
+    assert result.total_cycles == pytest.approx(13218.993333333334, rel=1e-12)
+    assert result.energy_nj == pytest.approx(594468.3403892533, rel=1e-12)

@@ -14,10 +14,16 @@ import pytest
 from repro.engine.trace import Tracer
 from repro.faults import parse_fault_spec
 from repro.island import NetworkKind, SpmDmaNetworkConfig
-from repro.serve import ArrivalConfig, ServeConfig, make_tenants, run_serve
+from repro.serve import (
+    AdmissionConfig,
+    ArrivalConfig,
+    ServeConfig,
+    make_tenants,
+    run_serve,
+)
 from repro.sim import SystemConfig, run_workload
 from repro.sim.serialize import result_to_dict
-from repro.workloads import denoise, get_workload
+from repro.workloads import denoise, get_workload, synthetic_workload
 
 GOLDEN = {
     ("Denoise", "xbar"): (27292.04666666668, 1193246.7626134404),
@@ -100,3 +106,46 @@ def test_traced_serve_equals_untraced():
         if key.startswith("attr.")
     }
     assert sum(attr.values()) == pytest.approx(1.0)
+
+
+#: A bursty ``wait_threshold`` session on a slot-constrained island:
+#: ABC queues build during bursts, so requests run on host cores in
+#: software.  ``(drained_cycles, latency_p99, energy_nj, sw_fallbacks)``.
+SERVE_GOLDEN = {
+    "": (630719.5137336281, 66332.02148924318, 32201798.706907853, 112),
+    "abb:0.25": (972949.1661749809, 394713.210520207, 56507484.00763458, 330),
+}
+
+
+@pytest.mark.parametrize("fault_spec", sorted(SERVE_GOLDEN), ids=["clean", "abb"])
+def test_traced_software_serve_matches_golden(fault_spec):
+    config = SystemConfig(
+        n_islands=2,
+        abb_mix={"poly": 2, "div": 2, "sqrt": 1, "pow": 1, "sum": 1},
+        faults=parse_fault_spec(fault_spec),
+        fault_seed=1,
+    )
+    arrival = ArrivalConfig(
+        kind="onoff",
+        rate_per_mcycle=250.0,
+        mean_on_cycles=50_000.0,
+        mean_off_cycles=50_000.0,
+    )
+    serve = ServeConfig(
+        tenants=make_tenants(
+            4,
+            [synthetic_workload(name="rpc", depth=2, width=2, invocations=32, tiles=4)],
+            arrival,
+        ),
+        admission=AdmissionConfig("wait_threshold"),
+        duration_cycles=600_000.0,
+    )
+    base = run_serve(config, serve)
+    traced = run_serve(config, serve, tracer=Tracer())
+    assert traced.extras and not base.extras
+    assert replace(traced, extras={}) == base
+    drained, p99, energy, sw_fallbacks = SERVE_GOLDEN[fault_spec]
+    assert traced.sw_fallbacks == sw_fallbacks
+    assert traced.drained_cycles == pytest.approx(drained, rel=1e-12)
+    assert traced.latency_p99 == pytest.approx(p99, rel=1e-12)
+    assert traced.energy_nj == pytest.approx(energy, rel=1e-12)

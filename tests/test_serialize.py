@@ -1,8 +1,12 @@
 """Tests for result serialization."""
 
+import re
+
 import pytest
 
 from repro.errors import ConfigError
+from repro.obs import MetricsRegistry, load_trace
+from repro.serve import load_serve_results
 from repro.sim import SystemConfig, run_workload
 from repro.sim.serialize import (
     load_results,
@@ -52,3 +56,32 @@ class TestRoundTrip:
         path.write_text(json.dumps(doc))
         with pytest.raises(ConfigError):
             load_results(str(path))
+
+
+#: Every document loader with a header that passes its version check
+#: but lacks the payload key.
+LOADERS = {
+    "results": (load_results, {"schema_version": 1}),
+    "serve": (load_serve_results, {"schema_version": 1, "kind": "serve"}),
+    "trace": (load_trace, {"otherData": {"schema_version": 1}}),
+    "metrics": (MetricsRegistry.load, {"schema_version": 1}),
+}
+
+MALFORMED = {
+    "array": "[1, 2, 3]",
+    "invalid-json": '{"schema_version": 1,',
+    "no-payload": None,  # the loader's header without its payload key
+}
+
+
+@pytest.mark.parametrize("flaw", sorted(MALFORMED))
+@pytest.mark.parametrize("loader", sorted(LOADERS))
+def test_loaders_reject_malformed_documents(loader, flaw, tmp_path):
+    import json
+
+    load, header = LOADERS[loader]
+    path = tmp_path / f"{loader}-{flaw}.json"
+    text = MALFORMED[flaw]
+    path.write_text(json.dumps(header) if text is None else text)
+    with pytest.raises(ConfigError, match=re.escape(str(path))):
+        load(str(path))
