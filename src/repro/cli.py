@@ -46,6 +46,15 @@ def _print(text: str) -> None:
     sys.stdout.write(text + "\n")
 
 
+def _network(name: str):
+    """The paper network configuration behind a CLI alias."""
+    if name not in NETWORK_ALIASES:
+        raise ConfigError(
+            f"unknown network {name!r}; choose from {sorted(NETWORK_ALIASES)}"
+        )
+    return PAPER_NETWORKS[NETWORK_ALIASES[name]]
+
+
 # --------------------------------------------------------------- commands
 def cmd_fig2(_args) -> None:
     """Print the Figure 2 pipeline energy breakdown."""
@@ -135,16 +144,9 @@ def cmd_fig10(args) -> None:
 
 def cmd_run(args) -> None:
     """Run one benchmark on one configuration and summarize it."""
-    if args.network not in NETWORK_ALIASES:
-        raise ConfigError(
-            f"unknown network {args.network!r}; choose from "
-            f"{sorted(NETWORK_ALIASES)}"
-        )
+    network = _network(args.network)
     fault_spec = parse_fault_spec(args.faults) if args.faults else None
-    config = SystemConfig(
-        n_islands=args.islands,
-        network=PAPER_NETWORKS[NETWORK_ALIASES[args.network]],
-    )
+    config = SystemConfig(n_islands=args.islands, network=network)
     if fault_spec is not None:
         config = replace(config, faults=fault_spec, fault_seed=args.fault_seed)
     workload = get_workload(args.workload, tiles=args.tiles)
@@ -192,12 +194,9 @@ def cmd_sweep(args) -> None:
     from repro.dse import DesignSpace, Explorer, ResultCache
     from repro.sim.serialize import save_results
 
-    network_names = _parse_csv(args.networks, "networks")
-    for name in network_names:
-        if name not in NETWORK_ALIASES:
-            raise ConfigError(
-                f"unknown network {name!r}; choose from {sorted(NETWORK_ALIASES)}"
-            )
+    networks = tuple(
+        _network(name) for name in _parse_csv(args.networks, "networks")
+    )
     try:
         island_counts = tuple(
             int(n) for n in _parse_csv(args.islands, "island counts")
@@ -206,9 +205,7 @@ def cmd_sweep(args) -> None:
         raise ConfigError(f"bad island count: {err}") from None
     space = DesignSpace(
         island_counts=island_counts,
-        networks=tuple(
-            PAPER_NETWORKS[NETWORK_ALIASES[name]] for name in network_names
-        ),
+        networks=networks,
     )
     workloads = [
         get_workload(name, tiles=args.tiles)
@@ -259,14 +256,9 @@ def cmd_serve(args) -> None:
         trace_from_file,
     )
 
-    if args.network not in NETWORK_ALIASES:
-        raise ConfigError(
-            f"unknown network {args.network!r}; choose from "
-            f"{sorted(NETWORK_ALIASES)}"
-        )
     config = SystemConfig(
         n_islands=args.islands,
-        network=PAPER_NETWORKS[NETWORK_ALIASES[args.network]],
+        network=_network(args.network),
     )
     workloads = [
         get_workload(name, tiles=args.tiles)
@@ -401,14 +393,9 @@ def cmd_trace(args) -> None:
     from repro.engine.trace import Tracer
     from repro.obs import analyze_critical_path, write_trace
 
-    if args.network not in NETWORK_ALIASES:
-        raise ConfigError(
-            f"unknown network {args.network!r}; choose from "
-            f"{sorted(NETWORK_ALIASES)}"
-        )
     config = SystemConfig(
         n_islands=args.islands,
-        network=PAPER_NETWORKS[NETWORK_ALIASES[args.network]],
+        network=_network(args.network),
     )
     workload = get_workload(args.workload, tiles=args.tiles)
     tracer = Tracer()

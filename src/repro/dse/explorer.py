@@ -13,7 +13,7 @@ from __future__ import annotations
 import typing
 from dataclasses import dataclass
 
-from repro.dse.cache import ResultCache, point_fingerprint
+from repro.dse.cache import ResultCache
 from repro.dse.parallel import run_points
 from repro.dse.space import DesignSpace, design_points
 from repro.errors import ConfigError
@@ -63,12 +63,6 @@ class Explorer:
         self.rows: list[SweepRow] = []
         self.simulations_run = 0
         self._memo: dict[str, SimResult] = {}
-
-    def _key(self, config: SystemConfig, workload: Workload) -> str:
-        """Full content address of one point (config + workload +
-        library + tile window) — collision-free across *every* config
-        field, unlike the old hand-picked tuple key."""
-        return point_fingerprint(config, workload, tile_window=self.tile_window)
 
     def _resolve(
         self, points: typing.Sequence[tuple[SystemConfig, Workload]], jobs: int

@@ -134,10 +134,6 @@ class BandwidthServer:
         self.total_bytes = 0.0
         self.total_transfers = 0
 
-    def occupancy_for(self, nbytes: float) -> float:
-        """Channel occupancy (cycles) of a transfer of ``nbytes``."""
-        return nbytes / self.bytes_per_cycle
-
     def reserve(self, nbytes: float) -> float:
         """Account one transfer; returns its completion time.
 

@@ -237,6 +237,8 @@ class Tracer:
         Ties are broken by actor name so the ranking is deterministic
         regardless of record insertion order.
         """
+        if top < 0:
+            raise ConfigError(f"hotspot count must be >= 0, got {top}")
         busy = self.busy_cycles()
         return sorted(busy.items(), key=lambda kv: (-kv[1], kv[0]))[:top]
 

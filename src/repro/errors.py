@@ -19,10 +19,6 @@ class SimulationError(ReproError):
     """The simulation reached an inconsistent state."""
 
 
-class DeadlockError(SimulationError):
-    """The event queue drained while processes were still waiting."""
-
-
 class AllocationError(ReproError):
     """The ABC/GAM could not allocate a requested resource."""
 

@@ -92,12 +92,6 @@ class ArrivalConfig:
                     raise ConfigError("trace arrival times must be sorted")
                 previous = time
 
-    def with_rate(self, rate_per_mcycle: float) -> "ArrivalConfig":
-        """Copy of this config at a different mean rate."""
-        from dataclasses import replace
-
-        return replace(self, rate_per_mcycle=rate_per_mcycle)
-
 
 def _stream_rng(config: ArrivalConfig, stream: str) -> random.Random:
     """Deterministic per-stream RNG.

@@ -44,8 +44,13 @@ class TestCommands:
         assert "Denoise" in out
         assert "speedup" in out
 
-    def test_run_rejects_unknown_network(self, capsys):
-        assert main(["run", "Denoise", "--tiles", "2", "--network", "torus"]) == 1
+    @pytest.mark.parametrize(
+        "argv",
+        [["run", "Denoise"], ["serve", "--no-cache"], ["trace", "Denoise"]],
+        ids=["run", "serve", "trace"],
+    )
+    def test_run_rejects_unknown_network(self, capsys, argv):
+        assert main([*argv, "--tiles", "2", "--network", "torus"]) == 1
         assert "unknown network" in capsys.readouterr().err
 
     def test_run_rejects_unknown_workload(self):

@@ -34,7 +34,7 @@ QUARTER_FAILURES = FaultSpec(abb_failure_fraction=0.25, abb_failure_window=2_000
 
 class TestFaultFreeEquivalence:
     @pytest.mark.parametrize("name,net", sorted(GOLDEN))
-    def test_disabled_faults_match_golden(self, name, net):
+    def test_disabled_faults_match_golden(self, name, net, work_counts):
         """Explicitly-disabled fault injection must not perturb results."""
         config = SystemConfig(
             n_islands=3,
@@ -43,9 +43,10 @@ class TestFaultFreeEquivalence:
             fault_seed=12345,  # ignored when no fault model is active
         )
         result = run_workload(config, get_workload(name, tiles=4))
-        cycles, energy = GOLDEN[(name, net)]
+        cycles, energy, heap_entries, processes = GOLDEN[(name, net)]
         assert result.total_cycles == pytest.approx(cycles, rel=1e-12)
         assert result.energy_nj == pytest.approx(energy, rel=1e-12)
+        assert work_counts.take() == (heap_entries, processes)
         assert not result.degraded
         assert result.failed_abbs == 0
         assert result.fallback_tiles == 0

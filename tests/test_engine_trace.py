@@ -64,6 +64,11 @@ class TestTracer:
         t = self.make_tracer()
         assert t.hotspots(1) == [("abb0", 14.0)]
 
+    def test_hotspots_reject_negative_top(self):
+        # A negative slice would silently drop the least-busy actors.
+        with pytest.raises(ConfigError, match="hotspot count"):
+            self.make_tracer().hotspots(-1)
+
     def test_hotspots_tie_break_by_actor_name(self):
         # Equal-cycle actors rank alphabetically regardless of the order
         # their spans were recorded.

@@ -4,6 +4,11 @@ Exact outputs of a few fixed configurations, pinned to catch
 unintentional model drift.  The simulator is deterministic, so these
 match to full float precision; an *intentional* model change must update
 the golden values (and re-check EXPERIMENTS.md).
+
+Each row also pins the simulator work the run took: heap entries and
+processes spawned (the ``work_counts`` fixture).  The counts are exact,
+so they catch a performance regression in the engine or the data path
+without timing anything.
 """
 
 import pytest
@@ -13,19 +18,20 @@ from repro.island import NetworkKind, SpmDmaNetworkConfig
 from repro.sim import SystemConfig, run_consolidated, run_workload
 from repro.workloads import get_workload, synthetic_workload
 
+#: ``(total_cycles, energy_nj, heap_entries, processes)``.
 GOLDEN = {
-    ("Denoise", "xbar"): (27292.04666666668, 1193246.7626134404),
-    ("Denoise", "ring"): (26880.30130081302, 1177464.430365832),
-    ("EKF-SLAM", "xbar"): (6599.813333333335, 286974.78352377407),
-    ("EKF-SLAM", "ring"): (4461.926991869917, 195194.66702147876),
+    ("Denoise", "xbar"): (27292.04666666668, 1193246.7626134404, 804, 32),
+    ("Denoise", "ring"): (26880.30130081302, 1177464.430365832, 956, 32),
+    ("EKF-SLAM", "xbar"): (6599.813333333335, 286974.78352377407, 872, 48),
+    ("EKF-SLAM", "ring"): (4461.926991869917, 195194.66702147876, 769, 48),
 }
 
 #: The same points under DMA stall and drop/retry faults.
 FAULTED_GOLDEN = {
-    ("Denoise", "xbar"): (30149.22000000001, 1316404.2154332104),
-    ("Denoise", "ring"): (30138.22000000001, 1317883.734559194),
-    ("EKF-SLAM", "xbar"): (7206.406666666668, 313121.7760632958),
-    ("EKF-SLAM", "ring"): (5775.260325203251, 251800.54637833213),
+    ("Denoise", "xbar"): (30149.22000000001, 1316404.2154332104, 812, 32),
+    ("Denoise", "ring"): (30138.22000000001, 1317883.734559194, 964, 32),
+    ("EKF-SLAM", "xbar"): (7206.406666666668, 313121.7760632958, 873, 48),
+    ("EKF-SLAM", "ring"): (5775.260325203251, 251800.54637833213, 770, 48),
 }
 DMA_FAULTS = "dma:0.15,dmadrop:0.05"
 
@@ -36,16 +42,17 @@ NETWORKS = {
 
 
 @pytest.mark.parametrize("name,net", sorted(GOLDEN))
-def test_golden_run(name, net):
+def test_golden_run(name, net, work_counts):
     config = SystemConfig(n_islands=3, network=NETWORKS[net])
     result = run_workload(config, get_workload(name, tiles=4))
-    cycles, energy = GOLDEN[(name, net)]
+    cycles, energy, heap_entries, processes = GOLDEN[(name, net)]
     assert result.total_cycles == pytest.approx(cycles, rel=1e-12)
     assert result.energy_nj == pytest.approx(energy, rel=1e-12)
+    assert work_counts.take() == (heap_entries, processes)
 
 
 @pytest.mark.parametrize("name,net", sorted(FAULTED_GOLDEN))
-def test_faulted_golden_run(name, net):
+def test_faulted_golden_run(name, net, work_counts):
     config = SystemConfig(
         n_islands=3,
         network=NETWORKS[net],
@@ -53,10 +60,11 @@ def test_faulted_golden_run(name, net):
         fault_seed=1,
     )
     result = run_workload(config, get_workload(name, tiles=4))
-    cycles, energy = FAULTED_GOLDEN[(name, net)]
+    cycles, energy, heap_entries, processes = FAULTED_GOLDEN[(name, net)]
     assert result.dma_stalls > 0  # the fault path actually ran
     assert result.total_cycles == pytest.approx(cycles, rel=1e-12)
     assert result.energy_nj == pytest.approx(energy, rel=1e-12)
+    assert work_counts.take() == (heap_entries, processes)
 
 
 #: Shared-platform runs (:func:`run_consolidated`): two applications
@@ -65,7 +73,7 @@ def test_faulted_golden_run(name, net):
 SHARED_MIX = {"poly": 2, "div": 2, "sqrt": 1, "pow": 1, "sum": 1}
 
 
-def test_consolidated_golden_run():
+def test_consolidated_golden_run(work_counts):
     config = SystemConfig(n_islands=3)
     result = run_consolidated(
         config,
@@ -74,9 +82,10 @@ def test_consolidated_golden_run():
     assert result.workload == "Denoise + EKF-SLAM"
     assert result.total_cycles == pytest.approx(31034.80000000003, rel=1e-12)
     assert result.energy_nj == pytest.approx(1357068.9785109651, rel=1e-12)
+    assert work_counts.take() == (1676, 80)
 
 
-def test_consolidated_faulted_golden_run():
+def test_consolidated_faulted_golden_run(work_counts):
     config = SystemConfig(
         n_islands=1,
         abb_mix=SHARED_MIX,
@@ -97,3 +106,4 @@ def test_consolidated_faulted_golden_run():
     assert result.fallback_tasks == 6  # the host-core path actually ran
     assert result.total_cycles == pytest.approx(13218.993333333334, rel=1e-12)
     assert result.energy_nj == pytest.approx(594468.3403892533, rel=1e-12)
+    assert work_counts.take() == (882, 54)

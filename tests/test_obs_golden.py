@@ -4,7 +4,9 @@ Tracing is opt-in and purely observational — a traced run must produce
 *bit-identical* results to an untraced one.  These tests re-run the
 pinned golden configurations with a tracer attached and require the
 exact golden values, plus field-by-field equality of traced vs untraced
-results for both batch and serving paths.
+results for both batch and serving paths.  Tracing also schedules no
+events: traced runs take exactly the heap entries and processes of
+untraced ones.
 """
 
 from dataclasses import replace
@@ -13,7 +15,6 @@ import pytest
 
 from repro.engine.trace import Tracer
 from repro.faults import parse_fault_spec
-from repro.island import NetworkKind, SpmDmaNetworkConfig
 from repro.serve import (
     AdmissionConfig,
     ArrivalConfig,
@@ -24,27 +25,17 @@ from repro.serve import (
 from repro.sim import SystemConfig, run_workload
 from repro.sim.serialize import result_to_dict
 from repro.workloads import denoise, get_workload, synthetic_workload
-
-GOLDEN = {
-    ("Denoise", "xbar"): (27292.04666666668, 1193246.7626134404),
-    ("Denoise", "ring"): (26880.30130081302, 1177464.430365832),
-    ("EKF-SLAM", "xbar"): (6599.813333333335, 286974.78352377407),
-    ("EKF-SLAM", "ring"): (4461.926991869917, 195194.66702147876),
-}
-
-NETWORKS = {
-    "xbar": SpmDmaNetworkConfig(),
-    "ring": SpmDmaNetworkConfig(NetworkKind.RING, 32, 2),
-}
+from tests.test_golden import GOLDEN, NETWORKS
 
 
 @pytest.mark.parametrize("name,net", sorted(GOLDEN))
-def test_traced_run_matches_golden(name, net):
+def test_traced_run_matches_golden(name, net, work_counts):
     config = SystemConfig(n_islands=3, network=NETWORKS[net])
     result = run_workload(config, get_workload(name, tiles=4), tracer=Tracer())
-    cycles, energy = GOLDEN[(name, net)]
+    cycles, energy, heap_entries, processes = GOLDEN[(name, net)]
     assert result.total_cycles == pytest.approx(cycles, rel=1e-12)
     assert result.energy_nj == pytest.approx(energy, rel=1e-12)
+    assert work_counts.take() == (heap_entries, processes)
 
 
 #: Fault specs for the traced-vs-untraced check: none, the DMA
@@ -62,7 +53,7 @@ FAULT_SPECS = ("", "dma:0.15,dmadrop:0.05", "abb:0.25,dma:0.1,noc:0.2")
         for name, net in sorted(GOLDEN)
     ],
 )
-def test_traced_equals_untraced(name, net, fault_spec):
+def test_traced_equals_untraced(name, net, fault_spec, work_counts):
     config = SystemConfig(
         n_islands=3,
         network=NETWORKS[net],
@@ -70,7 +61,9 @@ def test_traced_equals_untraced(name, net, fault_spec):
         fault_seed=1,
     )
     base = run_workload(config, get_workload(name, tiles=4))
+    base_counts = work_counts.take()
     traced = run_workload(config, get_workload(name, tiles=4), tracer=Tracer())
+    assert work_counts.take() == base_counts
     # Identical in every field except the attribution the tracer adds.
     assert traced.attribution  # tracing actually produced attribution
     assert not base.attribution
@@ -83,7 +76,7 @@ def test_traced_equals_untraced(name, net, fault_spec):
     assert traced_dict == base_dict
 
 
-def test_traced_serve_equals_untraced():
+def test_traced_serve_equals_untraced(work_counts):
     config = SystemConfig(n_islands=3)
 
     def run(tracer):
@@ -97,7 +90,9 @@ def test_traced_serve_equals_untraced():
         )
 
     base = run(None)
+    base_counts = work_counts.take()
     traced = run(Tracer())
+    assert work_counts.take() == base_counts
     assert traced.extras and not base.extras
     assert replace(traced, extras={}) == base
     attr = {
@@ -110,15 +105,23 @@ def test_traced_serve_equals_untraced():
 
 #: A bursty ``wait_threshold`` session on a slot-constrained island:
 #: ABC queues build during bursts, so requests run on host cores in
-#: software.  ``(drained_cycles, latency_p99, energy_nj, sw_fallbacks)``.
+#: software.  ``(drained_cycles, latency_p99, energy_nj, sw_fallbacks,
+#: heap_entries, processes)``.
 SERVE_GOLDEN = {
-    "": (630719.5137336281, 66332.02148924318, 32201798.706907853, 112),
-    "abb:0.25": (972949.1661749809, 394713.210520207, 56507484.00763458, 330),
+    "": (630719.5137336281, 66332.02148924318, 32201798.706907853, 112, 44982, 2571),
+    "abb:0.25": (
+        972949.1661749809,
+        394713.210520207,
+        56507484.00763458,
+        330,
+        26889,
+        1699,
+    ),
 }
 
 
 @pytest.mark.parametrize("fault_spec", sorted(SERVE_GOLDEN), ids=["clean", "abb"])
-def test_traced_software_serve_matches_golden(fault_spec):
+def test_traced_software_serve_matches_golden(fault_spec, work_counts):
     config = SystemConfig(
         n_islands=2,
         abb_mix={"poly": 2, "div": 2, "sqrt": 1, "pow": 1, "sum": 1},
@@ -141,10 +144,13 @@ def test_traced_software_serve_matches_golden(fault_spec):
         duration_cycles=600_000.0,
     )
     base = run_serve(config, serve)
+    base_counts = work_counts.take()
     traced = run_serve(config, serve, tracer=Tracer())
+    traced_counts = work_counts.take()
     assert traced.extras and not base.extras
     assert replace(traced, extras={}) == base
-    drained, p99, energy, sw_fallbacks = SERVE_GOLDEN[fault_spec]
+    drained, p99, energy, sw_fallbacks, *counts = SERVE_GOLDEN[fault_spec]
+    assert base_counts == traced_counts == tuple(counts)
     assert traced.sw_fallbacks == sw_fallbacks
     assert traced.drained_cycles == pytest.approx(drained, rel=1e-12)
     assert traced.latency_p99 == pytest.approx(p99, rel=1e-12)
