@@ -24,7 +24,6 @@ from repro.abb import (
 )
 from repro.arch import (
     best_paper_config,
-    paper_baseline_config,
     run_arc,
     run_camel,
     run_charm,
@@ -89,7 +88,6 @@ __all__ = [
     "decompose",
     "get_workload",
     "minimum_abb_set",
-    "paper_baseline_config",
     "paper_suite",
     "parse_fault_spec",
     "run_arc",

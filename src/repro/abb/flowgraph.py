@@ -173,13 +173,6 @@ class ABBFlowGraph:
             return 0.0
         return len(self._edges) / len(self._tasks)
 
-    def required_types(self) -> dict[str, int]:
-        """Count of tasks per ABB type."""
-        counts: dict[str, int] = {}
-        for task in self._tasks.values():
-            counts[task.abb_type] = counts.get(task.abb_type, 0) + 1
-        return counts
-
     def edge(self, producer: str, consumer: str) -> Edge:
         """Look up the edge between two tasks."""
         try:
@@ -224,17 +217,6 @@ class ABBFlowGraph:
         total = self.task_input_bytes(task_id, library)
         chained = self.chained_input_bytes(task_id, library)
         return max(0.0, total - chained)
-
-    def total_memory_traffic(self, library: ABBLibrary) -> float:
-        """Bytes exchanged with shared memory for one graph execution."""
-        inbound = sum(
-            self.memory_input_bytes(tid, library) for tid in self._tasks
-        )
-        outbound = sum(
-            self.task_output_bytes(tid, library)
-            for tid in self.sinks()
-        )
-        return inbound + outbound
 
     def total_invocations(self) -> int:
         """Sum of invocations over all tasks."""

@@ -16,7 +16,6 @@ from repro.arch.presets import (
     BASELINE_ISLAND_COUNTS,
     PAPER_NETWORKS,
     best_paper_config,
-    paper_baseline_config,
 )
 
 __all__ = [
@@ -27,7 +26,6 @@ __all__ = [
     "camel_config",
     "camel_library",
     "charm_config",
-    "paper_baseline_config",
     "run_arc",
     "run_camel",
     "run_charm",

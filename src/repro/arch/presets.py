@@ -32,16 +32,6 @@ PAPER_NETWORKS: dict[str, SpmDmaNetworkConfig] = {
 }
 
 
-def paper_baseline_config(n_islands: int = 3) -> SystemConfig:
-    """Section 5's baseline island: proxy crossbar, exact ports, no sharing."""
-    return SystemConfig(
-        n_islands=n_islands,
-        network=PAPER_NETWORKS["Crossbar"],
-        spm_porting=SpmPorting.EXACT,
-        spm_sharing=False,
-    )
-
-
 def best_paper_config() -> SystemConfig:
     """Section 5.8's best design point: 24 islands, 2-ring 32-byte."""
     return SystemConfig(

@@ -256,6 +256,15 @@ def cmd_serve(args) -> None:
         trace_from_file,
     )
 
+    # Reject bad flags before the saturation probe simulates anything.
+    if args.tenants < 1:
+        raise ConfigError(f"--tenants must be at least 1, got {args.tenants}")
+    if args.duration <= 0:
+        raise ConfigError(f"--duration must be positive, got {args.duration}")
+    if args.arrival == "trace":
+        if not args.trace_file:
+            raise ConfigError("--arrival trace needs --trace-file")
+        arrival = trace_from_file(args.trace_file, seed=args.seed)
     config = SystemConfig(
         n_islands=args.islands,
         network=_network(args.network),
@@ -275,11 +284,7 @@ def cmd_serve(args) -> None:
         per_tenant_rate = args.rate
     else:
         per_tenant_rate = args.load * saturation / args.tenants
-    if args.arrival == "trace":
-        if not args.trace_file:
-            raise ConfigError("--arrival trace needs --trace-file")
-        arrival = trace_from_file(args.trace_file, seed=args.seed)
-    else:
+    if args.arrival != "trace":
         arrival = ArrivalConfig(
             kind=args.arrival,
             rate_per_mcycle=per_tenant_rate,

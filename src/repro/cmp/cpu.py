@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import ConfigError
-from repro.power.mcpat import PipelineEnergyModel
 
 
 @dataclass(frozen=True)
@@ -54,7 +53,3 @@ class CoreModel:
     def energy_j(self, cycles: float) -> float:
         """Energy one core burns over ``cycles`` of active execution."""
         return self.active_power_w * self.execution_time_s(cycles)
-
-    def compute_energy_fraction(self) -> float:
-        """Share of core energy doing actual computation (~26 %)."""
-        return PipelineEnergyModel().compute_fraction()

@@ -19,7 +19,6 @@ from repro.core.allocation import (
     AllocationPolicy,
     first_fit,
     locality_then_load_balance,
-    round_robin,
 )
 from repro.core.scheduler import TileScheduler
 from repro.core.virtualization import VirtualAccelerator
@@ -34,5 +33,4 @@ __all__ = [
     "VirtualAccelerator",
     "first_fit",
     "locality_then_load_balance",
-    "round_robin",
 ]

@@ -2,8 +2,8 @@
 
 A policy orders candidate islands for a new task.  The ABC tries islands
 in the returned order and allocates the first usable slot.  The paper's
-ABC does locality-aware placement with load balancing; the alternatives
-exist for the ablation benches.
+ABC does locality-aware placement with load balancing; ``first_fit``
+is the no-balancing alternative for the load-balancing ablation.
 """
 
 from __future__ import annotations
@@ -15,20 +15,15 @@ from repro.errors import AllocationError
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.island.island import Island
 
-#: A policy maps (islands, preferred_island_id, request_serial) to an
-#: ordered list of island indices to try.
+#: A policy maps (islands, preferred_island_id) to an ordered list of
+#: island indices to try.
 AllocationPolicy = typing.Callable[
-    [typing.Sequence["Island"], typing.Optional[int], int], typing.List[int]
+    [typing.Sequence["Island"], typing.Optional[int]], typing.List[int]
 ]
 
 
 def _require_islands(islands: typing.Sequence["Island"]) -> None:
-    """Reject the degenerate empty platform with a clear error.
-
-    Without this guard ``round_robin`` died with a bare
-    ``ZeroDivisionError`` (``serial % 0``) while the other policies
-    silently returned an empty order; all three now fail the same way.
-    """
+    """Reject the degenerate empty platform with a clear error."""
     if not islands:
         raise AllocationError(
             "allocation policy invoked with an empty island list; "
@@ -39,7 +34,6 @@ def _require_islands(islands: typing.Sequence["Island"]) -> None:
 def locality_then_load_balance(
     islands: typing.Sequence["Island"],
     preferred: typing.Optional[int],
-    serial: int,
 ) -> list[int]:
     """The paper's policy: producer-locality first, then least-busy.
 
@@ -61,20 +55,8 @@ def locality_then_load_balance(
 def first_fit(
     islands: typing.Sequence["Island"],
     preferred: typing.Optional[int],
-    serial: int,
 ) -> list[int]:
     """No load balancing: always scan islands in index order."""
     _require_islands(islands)
     return list(range(len(islands)))
 
-
-def round_robin(
-    islands: typing.Sequence["Island"],
-    preferred: typing.Optional[int],
-    serial: int,
-) -> list[int]:
-    """Rotate the starting island with each request; ignores locality."""
-    _require_islands(islands)
-    n = len(islands)
-    start = serial % n
-    return [(start + i) % n for i in range(n)]

@@ -81,7 +81,6 @@ class AcceleratorBlockComposer:
         self.islands = list(islands)
         self.policy = policy
         self._waiters: collections.deque[_Waiter] = collections.deque()
-        self._serial = 0
         # Request-path caches: island ABB mixes are fixed at
         # construction, so type existence never changes; and until the
         # fault layer reports a hard failure every existing slot is
@@ -120,9 +119,7 @@ class AcceleratorBlockComposer:
     def _try_allocate(
         self, type_name: str, preferred: typing.Optional[int]
     ) -> typing.Optional[Grant]:
-        order = self.policy(self.islands, preferred, self._serial)
-        self._serial += 1
-        for island_idx in order:
+        for island_idx in self.policy(self.islands, preferred):
             free = self.islands[island_idx].free_slots(type_name)
             if free:
                 slot = free[0]
@@ -188,10 +185,7 @@ class AcceleratorBlockComposer:
         # Under the open-loop serving frontend the wait queue can hold
         # thousands of requests, and the ungated scan made every release
         # O(waiters x slots) — this is the difference between serving
-        # sessions draining in seconds versus minutes.  `_serial` is
-        # still bumped on gated skips so allocation decisions (which may
-        # consume the serial, e.g. round_robin) are bit-identical to the
-        # ungated scan's.
+        # sessions draining in seconds versus minutes.
         progress = True
         while progress and self._waiters:
             progress = False
@@ -214,10 +208,7 @@ class AcceleratorBlockComposer:
                 if type_name not in free_count:
                     free_count[type_name] = self.free_count(type_name)
                 if free_count[type_name] <= 0:
-                    # No slot can serve this waiter; skip the policy
-                    # call but consume its serial so decisions match
-                    # the ungated scan exactly.
-                    self._serial += 1
+                    # No slot can serve this waiter; skip the policy call.
                     remaining.append(waiter)
                     continue
                 grant = self._try_allocate(type_name, waiter.preferred)
@@ -258,14 +249,6 @@ class AcceleratorBlockComposer:
         """Usable slots of a type across all islands right now."""
         return sum(len(i.free_slots(type_name)) for i in self.islands)
 
-    def operational_count(self, type_name: str) -> int:
-        """Non-failed slots of a type across all islands (busy or free)."""
-        return sum(len(i.operational_slots(type_name)) for i in self.islands)
-
-    def pending_requests(self, type_name: str) -> int:
-        """Queued allocation requests for one type."""
-        return sum(1 for w in self._waiters if w.type_name == type_name)
-
     def estimate_wait(
         self, type_name: str, service_hint: typing.Optional[float] = None
     ) -> float:
@@ -284,7 +267,7 @@ class AcceleratorBlockComposer:
         """
         if self.free_count(type_name) > 0:
             return 0.0
-        units = self.operational_count(type_name)
+        units = sum(len(i.operational_slots(type_name)) for i in self.islands)
         if units == 0:
             return float("inf")
         mean_service = (
@@ -293,5 +276,6 @@ class AcceleratorBlockComposer:
             or self.wait_cycles.mean
             or 1.0
         )
-        ahead = self.pending_requests(type_name) + units
+        pending = sum(1 for w in self._waiters if w.type_name == type_name)
+        ahead = pending + units
         return ahead * mean_service / units

@@ -7,10 +7,11 @@ cache stores each :class:`~repro.sim.results.SimResult` on disk under a
 **full content address**: the SHA-256 fingerprint of the complete
 :class:`~repro.sim.system.SystemConfig` (every field — see
 :meth:`SystemConfig.fingerprint`), the workload (kernel IR, tiles,
-software baseline), the ABB library, and the tile window.  Because the
-address covers every input that can influence the result, a hit is
-always safe to reuse — across processes of a parallel sweep and across
-runs on different days.
+software baseline), the ABB library, the tile window, and the
+simulator source (:func:`~repro.sim.fingerprint.model_digest`).
+Because the address covers every input that can influence the result,
+a hit is always safe to reuse — across processes of a parallel sweep
+and across runs on different days.
 
 Layout: ``<cache_dir>/ab/<fingerprint>.json`` (two-character fan-out to
 keep directories small), each file a standalone JSON document embedding
@@ -30,7 +31,7 @@ import typing
 
 from repro.abb.library import ABBLibrary
 from repro.errors import ReproError
-from repro.sim.fingerprint import canonical_value, digest
+from repro.sim.fingerprint import canonical_value, digest, model_digest
 from repro.sim.results import SimResult
 from repro.sim.run import DEFAULT_TILE_WINDOW
 from repro.sim.serialize import (
@@ -65,7 +66,7 @@ def point_fingerprint(
 
     Covers everything :func:`~repro.sim.run.run_workload` consumes:
     the full system config, the workload (including its kernel IR), the
-    ABB library, and the in-flight tile window.
+    ABB library, and the in-flight tile window; plus the model source.
     """
     return digest(
         {
@@ -73,6 +74,7 @@ def point_fingerprint(
             "workload": canonical_value(workload),
             "library": library_fingerprint(library),
             "tile_window": tile_window,
+            "model": model_digest(),
         }
     )
 
@@ -87,14 +89,16 @@ def serve_point_fingerprint(
     Covers everything :func:`~repro.serve.session.run_serve` consumes:
     the full system config, the complete serve config (tenant workloads
     with their kernel IR, arrival processes and seeds, admission policy,
-    duration, session seed), and the ABB library.  Serving sessions are
-    deterministic functions of these inputs, so a hit is always safe.
+    duration, session seed), and the ABB library; plus the model source.
+    Serving sessions are deterministic functions of these inputs, so a
+    hit is always safe.
     """
     return digest(
         {
             "config": canonical_value(config),
             "serve": canonical_value(serve),
             "library": library_fingerprint(library),
+            "model": model_digest(),
         }
     )
 

@@ -51,31 +51,6 @@ def hbar_chart(
     return "\n".join(lines)
 
 
-def grouped_bars(
-    table: typing.Mapping[str, typing.Mapping[str, float]],
-    title: str = "",
-    width: int = 30,
-) -> str:
-    """Render a {row: {series: value}} table as grouped bars per row."""
-    if not table:
-        raise ConfigError("nothing to plot")
-    lines = [title] if title else []
-    maximum = max(v for row in table.values() for v in row.values())
-    if maximum <= 0:
-        raise ConfigError("bar chart needs a positive maximum")
-    series_width = max(
-        len(str(s)) for row in table.values() for s in row
-    ) + 1
-    for row_label, row in table.items():
-        lines.append(f"{row_label}:")
-        for series, value in row.items():
-            filled = int(round(value / maximum * width))
-            lines.append(
-                f"  {str(series):<{series_width}} {BAR_CHAR * filled} {value:.2f}"
-            )
-    return "\n".join(lines)
-
-
 def line_series(
     series: typing.Mapping[str, typing.Sequence[float]],
     x_labels: typing.Sequence,

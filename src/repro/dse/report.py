@@ -60,7 +60,7 @@ def fig6_series(
     ]
     baselines = {
         name: _run(name, min(island_counts), "Crossbar", tiles).performance
-        for name in {n for n, _net in plan}
+        for name in dict.fromkeys(n for n, _net in plan)
     }
     series: dict[str, list[float]] = {}
     for name, net in plan:

@@ -12,18 +12,12 @@ from repro.engine.event import Event, PooledTimeout, Timeout
 from repro.engine.process import Process
 from repro.engine.route import Route
 from repro.engine.simulator import Simulator
-from repro.engine.resources import (
-    AllOf,
-    BandwidthServer,
-    Resource,
-    Store,
-)
-from repro.engine.stats import Counter, Histogram, UtilizationTracker
+from repro.engine.resources import AllOf, BandwidthServer, Resource
+from repro.engine.stats import Histogram, UtilizationTracker
 
 __all__ = [
     "AllOf",
     "BandwidthServer",
-    "Counter",
     "Event",
     "Histogram",
     "PooledTimeout",
@@ -31,7 +25,6 @@ __all__ = [
     "Resource",
     "Route",
     "Simulator",
-    "Store",
     "Timeout",
     "UtilizationTracker",
 ]

@@ -66,36 +66,6 @@ class Resource:
         return len(self._waiters)
 
 
-class Store:
-    """An unbounded FIFO queue of items with blocking ``get``."""
-
-    __slots__ = ("sim", "_items", "_getters")
-
-    def __init__(self, sim: "Simulator") -> None:
-        self.sim = sim
-        self._items: collections.deque = collections.deque()
-        self._getters: collections.deque[Event] = collections.deque()
-
-    def put(self, item: object) -> None:
-        """Deposit an item, waking the oldest blocked getter if any."""
-        if self._getters:
-            self._getters.popleft().succeed(item)
-        else:
-            self._items.append(item)
-
-    def get(self) -> Event:
-        """Return an event that fires with the next item."""
-        event = Event(self.sim)
-        if self._items:
-            event.succeed(self._items.popleft())
-        else:
-            self._getters.append(event)
-        return event
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-
 class BandwidthServer:
     """A FIFO-serialized channel with a fixed service rate.
 
@@ -165,11 +135,6 @@ class BandwidthServer:
         if elapsed <= 0:
             return 0.0
         return min(1.0, self.busy_cycles / elapsed)
-
-    @property
-    def backlog_cycles(self) -> float:
-        """Cycles of queued work ahead of a transfer issued right now."""
-        return max(0.0, self._free_at - self.sim.now)
 
 
 class AllOf(Event):

@@ -8,21 +8,6 @@ import typing
 from repro.errors import ConfigError
 
 
-class Counter:
-    """A named monotonically increasing tally."""
-
-    def __init__(self, name: str = "") -> None:
-        self.name = name
-        self.value: float = 0.0
-
-    def add(self, amount: float = 1.0) -> None:
-        """Increase the tally by ``amount``."""
-        self.value += amount
-
-    def __repr__(self) -> str:
-        return f"Counter({self.name!r}, {self.value})"
-
-
 class Histogram:
     """Streaming summary statistics (count/mean/min/max/stddev) plus
     exact percentiles.
@@ -150,48 +135,3 @@ class UtilizationTracker:
             return 0.0
         return self.peak / self.capacity
 
-
-class StatsRegistry:
-    """A namespace of named counters/histograms for one simulation run."""
-
-    def __init__(self) -> None:
-        self.counters: dict[str, Counter] = {}
-        self.histograms: dict[str, Histogram] = {}
-
-    def counter(self, name: str) -> Counter:
-        """Get or create a counter."""
-        if name not in self.counters:
-            self.counters[name] = Counter(name)
-        return self.counters[name]
-
-    def histogram(self, name: str) -> Histogram:
-        """Get or create a histogram."""
-        if name not in self.histograms:
-            self.histograms[name] = Histogram(name)
-        return self.histograms[name]
-
-    def snapshot(self) -> dict[str, float]:
-        """Flatten all counters (and histogram means) into one dict.
-
-        A histogram named ``foo`` contributes ``foo.mean`` and
-        ``foo.count``; a counter literally named ``foo.mean`` or
-        ``foo.count`` would silently shadow those derived keys, so the
-        collision is detected and raised instead of losing a value.
-        """
-        out: dict[str, float] = {}
-        for name, counter in self.counters.items():
-            out[name] = counter.value
-        for name, histogram in self.histograms.items():
-            for suffix, value in (
-                ("mean", histogram.mean),
-                ("count", float(histogram.count)),
-            ):
-                key = f"{name}.{suffix}"
-                if key in out:
-                    raise ConfigError(
-                        f"stats snapshot key collision: {key!r} is both a "
-                        f"counter and a derived key of histogram {name!r}; "
-                        f"rename one of them"
-                    )
-                out[key] = value
-        return out

@@ -197,14 +197,6 @@ class Tracer:
         """All spans of one actor, in record order."""
         return [r for r in self.records if r.actor == actor]
 
-    def by_kind(self, kind: str) -> list:
-        """All spans of one kind."""
-        return [r for r in self.records if r.kind == kind]
-
-    def by_ref(self, ref: str) -> list:
-        """All spans correlated to one task/request id."""
-        return [r for r in self.records if r.ref == ref]
-
     def actors(self) -> list:
         """Distinct actors, in first-seen order."""
         seen: dict[str, None] = {}

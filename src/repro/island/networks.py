@@ -100,10 +100,6 @@ class SpmDmaNetwork(abc.ABC):
     def static_power_mw(self) -> float:
         """Leakage power of the network."""
 
-    @abc.abstractmethod
-    def utilization(self, elapsed: float) -> float:
-        """Busy fraction of the network's bottleneck channel."""
-
     def _check_slot(self, slot: int) -> None:
         if not 0 <= slot < self.n_slots:
             raise ConfigError(f"slot {slot} out of range (0..{self.n_slots - 1})")
@@ -168,9 +164,6 @@ class ProxyCrossbarNetwork(SpmDmaNetwork):
             1, self.total_banks, self.config.link_width_bytes
         )
 
-    def utilization(self, elapsed: float) -> float:
-        return self._port.utilization(elapsed)
-
 
 class ChainingCrossbarNetwork(SpmDmaNetwork):
     """Full SPM-to-SPM crossbar: direct chaining, quadratic area."""
@@ -227,12 +220,6 @@ class ChainingCrossbarNetwork(SpmDmaNetwork):
     def static_power_mw(self) -> float:
         return crossbar_static_power_mw(
             self.total_banks, self.total_banks + 1, self.config.link_width_bytes
-        )
-
-    def utilization(self, elapsed: float) -> float:
-        return max(
-            self._dma_port.utilization(elapsed),
-            self._chain_paths.utilization(elapsed),
         )
 
 
@@ -330,9 +317,6 @@ class RingNetwork(SpmDmaNetwork):
             self.n_nodes * self._router.static_power_mw
             + self.n_nodes * self.config.rings * self._link.static_power_mw
         )
-
-    def utilization(self, elapsed: float) -> float:
-        return self._capacity.utilization(elapsed)
 
 
 def build_network(

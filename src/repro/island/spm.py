@@ -73,11 +73,6 @@ class SPMGroup:
 
     # ----------------------------------------------------------- physicals
     @property
-    def total_bytes_capacity(self) -> int:
-        """Aggregate capacity of the group."""
-        return self.banks * self.abb_type.spm_bank_bytes
-
-    @property
     def area_mm2(self) -> float:
         """Total silicon area of the group's banks."""
         return self.banks * self._model.area_mm2

@@ -1,17 +1,14 @@
-"""Memory-system substrate: controllers, DRAM energy and a shared L2.
+"""Memory-system substrate: controllers and DRAM energy.
 
 The paper's evaluated system has 4 memory controllers with an average
-180-cycle latency at 10 GB/s each (Section 4).  The L2 model serves the
-CMP baseline and core-initiated traffic.
+180-cycle latency at 10 GB/s each (Section 4).
 """
 
 from repro.mem.controller import MemoryController, MemorySystem
 from repro.mem.dram import DRAM_ENERGY_PJ_PER_BYTE
-from repro.mem.l2cache import L2Cache
 
 __all__ = [
     "DRAM_ENERGY_PJ_PER_BYTE",
-    "L2Cache",
     "MemoryController",
     "MemorySystem",
 ]

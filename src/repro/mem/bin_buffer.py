@@ -19,8 +19,13 @@ from dataclasses import dataclass
 from repro.engine import BandwidthServer, Event, Simulator
 from repro.errors import AllocationError, CapacityError, ConfigError
 from repro.mem.controller import MemorySystem
-from repro.mem.l2cache import L2_BANK_BYTES_PER_CYCLE, L2_HIT_LATENCY
 from repro.noc.topology import MeshTopology, NodeKind
+
+#: L2 bank access latency, cycles.
+L2_HIT_LATENCY = 20.0
+
+#: L2 bank bandwidth, bytes/cycle.
+L2_BANK_BYTES_PER_CYCLE = 32.0
 
 #: Default capacity one L2 bank can donate to accelerator buffers.
 DEFAULT_BANK_BUFFER_BYTES = 256 * 1024

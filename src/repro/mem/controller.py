@@ -145,7 +145,3 @@ class MemorySystem:
     def total_bytes(self) -> float:
         """Bytes served across all controllers."""
         return sum(mc.total_bytes for mc in self.controllers)
-
-    def peak_utilization(self, elapsed: float) -> float:
-        """Busy fraction of the most loaded controller."""
-        return max(mc.utilization(elapsed) for mc in self.controllers)

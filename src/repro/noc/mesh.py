@@ -187,10 +187,3 @@ class MeshNoC:
         if not self._links:
             return 0.0
         return max(link.utilization(elapsed) for link in self._links.values())
-
-    def mean_link_utilization(self, elapsed: float) -> float:
-        """Average busy fraction over links that saw traffic."""
-        if not self._links:
-            return 0.0
-        values = [link.utilization(elapsed) for link in self._links.values()]
-        return sum(values) / len(values)

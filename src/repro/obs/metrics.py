@@ -24,7 +24,6 @@ from __future__ import annotations
 import re
 import typing
 
-from repro.engine.stats import Counter as StatsCounter
 from repro.engine.stats import Histogram as StatsHistogram
 from repro.engine.stats import UtilizationTracker
 from repro.errors import ConfigError
@@ -42,7 +41,7 @@ _PROM_SANITIZE_RE = re.compile(r"[^a-zA-Z0-9_:]")
 #: Percentiles exported for histogram metrics.
 HISTOGRAM_PERCENTILES = (50.0, 95.0, 99.0)
 
-_Source = typing.Union[float, int, typing.Callable[[], float], StatsCounter]
+_Source = typing.Union[float, int, typing.Callable[[], float]]
 
 
 def _check_name(name: str) -> str:
@@ -58,8 +57,6 @@ def _check_name(name: str) -> str:
 
 
 def _sample_scalar(source: _Source) -> float:
-    if isinstance(source, StatsCounter):
-        return float(source.value)
     if callable(source):
         return float(source())
     return float(source)

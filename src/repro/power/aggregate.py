@@ -58,9 +58,3 @@ class EnergyAccount:
         out = dict(self.dynamic_nj)
         out["static"] = self.static_energy_nj(elapsed_cycles)
         return out
-
-    def merge(self, other: "EnergyAccount") -> None:
-        """Fold another account's dynamic charges and static power in."""
-        for category, energy in other.dynamic_nj.items():
-            self.charge(category, energy)
-        self.static_power_mw += other.static_power_mw

@@ -3,7 +3,6 @@
 from repro.sim.system import SystemConfig, SystemModel, distribute_mix
 from repro.sim.results import SimResult
 from repro.sim.run import run_consolidated, run_workload
-from repro.sim.metrics import geomean, normalize_to
 from repro.sim.fingerprint import canonical_value, digest
 
 __all__ = [
@@ -13,8 +12,6 @@ __all__ = [
     "SystemConfig",
     "SystemModel",
     "distribute_mix",
-    "geomean",
-    "normalize_to",
     "run_consolidated",
     "run_workload",
 ]

@@ -17,14 +17,20 @@ Canonicalization rules (applied recursively):
 * sequences/sets -> lists (sets sorted by repr for stability);
 * callables (e.g. allocation policies) -> ``"module.qualname"``;
 * scalars (str/int/float/bool/None) pass through unchanged.
+
+:func:`model_digest` addresses the simulator itself: cached results are
+keyed by it too, so a change to the model code never serves a result
+the old code produced.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 import hashlib
 import json
+import os
 import typing
 
 from repro.errors import ConfigError
@@ -67,6 +73,29 @@ def canonical_value(value: typing.Any) -> typing.Any:
     raise ConfigError(
         f"cannot fingerprint value of type {type(value).__name__}: {value!r}"
     )
+
+
+@functools.lru_cache(maxsize=None)
+def model_digest() -> str:
+    """SHA-256 hex digest of the ``repro`` package source.
+
+    Covers every ``*.py`` file, in order of its path relative to the
+    package root; computed once per process.
+    """
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    paths = []
+    for directory, _dirs, files in os.walk(root):
+        for name in files:
+            if name.endswith(".py"):
+                path = os.path.join(directory, name)
+                paths.append(os.path.relpath(path, root).replace(os.sep, "/"))
+    sha = hashlib.sha256()
+    for rel in sorted(paths):
+        with open(os.path.join(root, rel), "rb") as handle:
+            data = handle.read()
+        sha.update(f"{rel}\n{len(data)}\n".encode("utf-8"))
+        sha.update(data)
+    return sha.hexdigest()
 
 
 def digest(value: typing.Any) -> str:

@@ -1,33 +1,10 @@
-"""Metric helpers: normalization and aggregation, paper-figure style."""
+"""Metric helpers: aggregation, paper-figure style."""
 
 from __future__ import annotations
 
-import math
 import typing
 
 from repro.errors import ConfigError
-
-
-def normalize_to(
-    values: typing.Mapping[str, float], baseline_key: str
-) -> dict[str, float]:
-    """Divide every value by the baseline entry (paper-style bars)."""
-    if baseline_key not in values:
-        raise ConfigError(f"baseline {baseline_key!r} not in values")
-    base = values[baseline_key]
-    if base == 0:
-        raise ConfigError("baseline value is zero")
-    return {key: value / base for key, value in values.items()}
-
-
-def geomean(values: typing.Iterable[float]) -> float:
-    """Geometric mean (the standard for speedup aggregation)."""
-    values = list(values)
-    if not values:
-        raise ConfigError("geomean of empty sequence")
-    if any(v <= 0 for v in values):
-        raise ConfigError("geomean requires positive values")
-    return math.exp(sum(math.log(v) for v in values) / len(values))
 
 
 def arithmetic_mean(values: typing.Iterable[float]) -> float:

@@ -40,18 +40,9 @@ class Clock:
         if self.freq_hz <= 0:
             raise ConfigError(f"clock frequency must be positive, got {self.freq_hz}")
 
-    @property
-    def period_s(self) -> float:
-        """Duration of one cycle in seconds."""
-        return 1.0 / self.freq_hz
-
     def cycles_to_seconds(self, cycles: float) -> float:
         """Convert a cycle count in this domain to seconds."""
         return cycles / self.freq_hz
-
-    def seconds_to_cycles(self, seconds: float) -> float:
-        """Convert seconds to a (possibly fractional) cycle count."""
-        return seconds * self.freq_hz
 
     def bandwidth_bytes_per_cycle(self, bytes_per_second: float) -> float:
         """Convert a bandwidth in bytes/s into bytes per cycle of this clock."""
@@ -70,13 +61,3 @@ CORE_CLOCK = Clock(2e9)
 def gbps_to_bytes_per_cycle(gb_per_s: float, clock: Clock = ACCEL_CLOCK) -> float:
     """Convert a link bandwidth quoted in GB/s to bytes/cycle at ``clock``."""
     return clock.bandwidth_bytes_per_cycle(gb_per_s * GIGA)
-
-
-def bytes_per_cycle_to_gbps(bpc: float, clock: Clock = ACCEL_CLOCK) -> float:
-    """Convert bytes/cycle at ``clock`` back to GB/s."""
-    return bpc * clock.freq_hz / GIGA
-
-
-def mm2(um2: float) -> float:
-    """Convert an area in square micrometres to square millimetres."""
-    return um2 / 1e6

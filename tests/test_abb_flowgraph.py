@@ -100,12 +100,6 @@ class TestMetrics:
         assert chain_graph(1).chaining_ratio() == 0.0
         assert chain_graph(4).chaining_ratio() == pytest.approx(3 / 4)
 
-    def test_required_types(self):
-        g = chain_graph(5)
-        counts = g.required_types()
-        assert sum(counts.values()) == 5
-        assert counts["poly"] == 1
-
     def test_memory_input_subtracts_chained_bytes(self, lib):
         g = ABBFlowGraph()
         g.add_task("p", "poly", 100)  # outputs 100*4 = 400 B
@@ -121,13 +115,6 @@ class TestMetrics:
         g.add_task("c", "sqrt", 10)  # only 40 B in
         g.add_edge("p", "c")
         assert g.memory_input_bytes("c", lib) == 0.0
-
-    def test_total_memory_traffic(self, lib):
-        g = ABBFlowGraph()
-        g.add_task("a", "div", 10)
-        traffic = g.total_memory_traffic(lib)
-        # standalone task: all inputs + all outputs hit memory
-        assert traffic == pytest.approx(10 * 8 + 10 * 4)
 
     def test_critical_path_linear_chain(self, lib):
         g = chain_graph(2, invocations=1)

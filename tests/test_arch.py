@@ -8,7 +8,6 @@ from repro.arch import (
     camel_config,
     camel_library,
     charm_config,
-    paper_baseline_config,
     run_arc,
     run_camel,
     run_charm,
@@ -33,11 +32,6 @@ class TestPresets:
             "2-Ring, 32-Byte",
             "3-Ring, 32-Byte",
         }
-
-    def test_baseline_is_proxy_crossbar(self):
-        cfg = paper_baseline_config()
-        assert cfg.network.kind is NetworkKind.PROXY_CROSSBAR
-        assert not cfg.spm_sharing
 
     def test_best_config_is_24_island_2ring(self):
         cfg = best_paper_config()

@@ -154,11 +154,28 @@ class TestCommands:
         ]) == 0
         assert "trace" in capsys.readouterr().out
 
-    def test_serve_trace_requires_file(self, capsys):
-        assert main([
-            "serve", "--arrival", "trace", "--tiles", "4", "--no-cache",
-        ]) == 1
-        assert "trace" in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (["--tenants", "0"], "--tenants"),
+            (["--duration", "-5"], "--duration"),
+            (["--arrival", "trace"], "--trace-file"),
+        ],
+        ids=["no-tenants", "negative-duration", "trace-without-file"],
+    )
+    def test_serve_rejects_bad_flags_before_probe(
+        self, capsys, monkeypatch, flags, named
+    ):
+        import repro.serve
+
+        def probe(*_args, **_kwargs):
+            raise AssertionError("saturation probe ran before validation")
+
+        monkeypatch.setattr(repro.serve, "estimate_saturation", probe)
+        assert main(["serve", "--tiles", "4", "--no-cache", *flags]) == 1
+        captured = capsys.readouterr()
+        assert named in captured.err
+        assert captured.out == ""
 
     def test_fig10_small(self, capsys):
         assert main(["fig10", "--tiles", "2"]) == 0

@@ -27,10 +27,6 @@ class TestCoreModel:
         assert core.issue_width == 4
         assert core.rob_entries == 96
 
-    def test_compute_fraction_matches_mcpat(self):
-        core = CoreModel("test", freq_ghz=2.0, active_power_w=10.0)
-        assert core.compute_energy_fraction() == pytest.approx(0.257, abs=0.01)
-
     def test_invalid_params_rejected(self):
         with pytest.raises(ConfigError):
             CoreModel("bad", freq_ghz=0, active_power_w=1)

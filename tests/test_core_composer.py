@@ -3,7 +3,7 @@
 import pytest
 
 from repro.abb import standard_library
-from repro.core import AcceleratorBlockComposer, first_fit, round_robin
+from repro.core import AcceleratorBlockComposer, first_fit
 from repro.core.allocation import locality_then_load_balance
 from repro.engine import Simulator
 from repro.errors import AllocationError, ConfigError
@@ -105,28 +105,12 @@ class TestPolicies:
         sim.run()
         assert grants[0].island_index == 2
 
-    def test_round_robin_rotates(self):
-        sim, islands, abc = make_abc(n_islands=2, mix={"poly": 4}, policy=round_robin)
-        grants = []
-        for _ in range(2):
-            abc.request("poly").add_callback(lambda e: grants.append(e.value))
-        sim.run()
-        assert grants[0].island_index != grants[1].island_index
-
 
 class TestEmptyIslandPolicies:
-    @pytest.mark.parametrize(
-        "policy", [locality_then_load_balance, first_fit, round_robin]
-    )
+    @pytest.mark.parametrize("policy", [locality_then_load_balance, first_fit])
     def test_policy_rejects_empty_platform(self, policy):
         with pytest.raises(AllocationError, match="empty island list"):
-            policy([], None, 0)
-
-    def test_round_robin_no_zero_division(self):
-        # Regression: used to die with a bare ZeroDivisionError
-        # (serial % 0) instead of a clear AllocationError.
-        with pytest.raises(AllocationError):
-            round_robin([], None, 3)
+            policy([], None)
 
 
 class TestWaiterDrain:
@@ -181,15 +165,6 @@ class TestWaiterDrain:
     def test_estimate_wait_zero_when_free(self):
         _, _, abc = make_abc()
         assert abc.estimate_wait("poly") == 0.0
-
-    def test_operational_and_pending_counts(self):
-        sim, _, abc = make_abc(n_islands=2, mix={"poly": 2})
-        assert abc.operational_count("poly") == 4
-        assert abc.pending_requests("poly") == 0
-        for _ in range(6):
-            abc.request("poly")
-        sim.run()
-        assert abc.pending_requests("poly") == 2
 
     def test_estimate_wait_monotone_in_queue_depth(self):
         # Same property the GAM guarantees: deeper queue, never a

@@ -8,11 +8,18 @@ import pytest
 
 from repro.abb.library import standard_library
 from repro.core.allocation import first_fit
-from repro.dse.cache import ResultCache, library_fingerprint, point_fingerprint
+from repro.dse import cache as cache_module
+from repro.dse.cache import (
+    ResultCache,
+    library_fingerprint,
+    point_fingerprint,
+    serve_point_fingerprint,
+)
 from repro.errors import ConfigError
 from repro.faults import FaultSpec
 from repro.island import NetworkKind, SpmDmaNetworkConfig, SpmPorting
-from repro.sim.fingerprint import canonical_value, digest
+from repro.serve import ArrivalConfig, ServeConfig, make_tenants
+from repro.sim.fingerprint import canonical_value, digest, model_digest
 from repro.sim.run import run_workload
 from repro.sim.system import SystemConfig
 from repro.workloads import get_workload, scale_workload
@@ -123,6 +130,40 @@ class TestPointFingerprint:
         a = library_fingerprint(standard_library())
         b = library_fingerprint(standard_library())
         assert a == b
+
+
+class TestModelDigest:
+    def test_is_a_sha256_hex_digest(self):
+        assert len(model_digest()) == 64
+        int(model_digest(), 16)
+
+    def test_changed_model_changes_both_fingerprints(self, monkeypatch):
+        config = SystemConfig()
+        workload = get_workload("Denoise", tiles=2)
+        serve = ServeConfig(tenants=make_tenants(1, [workload], ArrivalConfig()))
+        before = (
+            point_fingerprint(config, workload),
+            serve_point_fingerprint(config, serve),
+        )
+        monkeypatch.setattr(cache_module, "model_digest", lambda: "0" * 64)
+        after = (
+            point_fingerprint(config, workload),
+            serve_point_fingerprint(config, serve),
+        )
+        assert before[0] != after[0]
+        assert before[1] != after[1]
+
+    def test_entry_from_another_model_is_a_miss(self, tmp_path, monkeypatch):
+        config = SystemConfig(n_islands=3)
+        workload = get_workload("Denoise", tiles=2)
+        cache = ResultCache(str(tmp_path))
+        monkeypatch.setattr(cache_module, "model_digest", lambda: "a" * 64)
+        cache.put(
+            point_fingerprint(config, workload), run_workload(config, workload)
+        )
+        assert cache.get(point_fingerprint(config, workload)) is not None
+        monkeypatch.setattr(cache_module, "model_digest", lambda: "b" * 64)
+        assert cache.get(point_fingerprint(config, workload)) is None
 
 
 class TestCanonicalValue:

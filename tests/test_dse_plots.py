@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.dse.plots import grouped_bars, hbar_chart, line_series
+from repro.dse.plots import hbar_chart, line_series
 from repro.errors import ConfigError
 
 
@@ -34,17 +34,6 @@ class TestHBarChart:
     def test_narrow_width_rejected(self):
         with pytest.raises(ConfigError):
             hbar_chart({"a": 1.0}, width=2)
-
-
-class TestGroupedBars:
-    def test_rows_and_series(self):
-        chart = grouped_bars({"r1": {"s1": 1.0, "s2": 2.0}, "r2": {"s1": 0.5, "s2": 1.5}})
-        assert "r1:" in chart and "r2:" in chart
-        assert chart.count("s1") == 2
-
-    def test_empty_rejected(self):
-        with pytest.raises(ConfigError):
-            grouped_bars({})
 
 
 class TestLineSeries:

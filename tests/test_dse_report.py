@@ -5,6 +5,11 @@ the generators at tiny tile counts to pin their structure (keys,
 normalization, averaging).
 """
 
+import json
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.dse import (
@@ -19,6 +24,20 @@ from repro.dse.report import RING_LABELS
 from repro.workloads import PAPER_BENCHMARKS
 
 TILES = 2
+
+#: Records the order in which ``fig6_series`` calls ``_run``; the stub
+#: result keeps it free of simulation.
+_RUN_ORDER_SCRIPT = """
+import json, types
+import repro.dse.report as report
+calls = []
+def fake_run(name, n_islands, network_label, tiles):
+    calls.append([name, n_islands, network_label])
+    return types.SimpleNamespace(performance=1.0)
+report._run = fake_run
+report.fig6_series(tiles=1, island_counts=(3,))
+print(json.dumps(calls))
+"""
 
 
 @pytest.fixture(scope="module")
@@ -37,6 +56,20 @@ class TestFig6:
         series = fig6_series(tiles=TILES, island_counts=(3, 6))
         assert series["Denoise, Crossbar"][0] == pytest.approx(1.0)
         assert series["EKF-SLAM, Crossbar"][0] == pytest.approx(1.0)
+
+    def test_run_order_independent_of_hash_seed(self):
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        orders = []
+        for seed in ("0", "1", "2", "123"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            out = subprocess.run(
+                [sys.executable, "-c", _RUN_ORDER_SCRIPT],
+                env=env, capture_output=True, text=True, check=True,
+            ).stdout
+            orders.append(json.loads(out))
+        assert all(order == orders[0] for order in orders)
+        # Baselines run first, in the plan's first-appearance order.
+        assert [call[0] for call in orders[0][:2]] == ["Denoise", "EKF-SLAM"]
 
 
 class TestRingTables:

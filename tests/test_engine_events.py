@@ -105,7 +105,7 @@ def test_event_triggered_flag():
 def test_hot_path_classes_are_slotted():
     """Event-loop objects are allocated per transfer/grant; they must
     stay ``__slots__``-based (no per-instance ``__dict__``)."""
-    from repro.engine import AllOf, Resource, Store
+    from repro.engine import AllOf, Resource
 
     sim = Simulator()
     instances = [
@@ -113,7 +113,6 @@ def test_hot_path_classes_are_slotted():
         sim.timeout(1.0),
         sim.process(x for x in []),
         Resource(sim),
-        Store(sim),
         AllOf(sim, []),
     ]
     for obj in instances:

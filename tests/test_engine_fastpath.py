@@ -2,14 +2,14 @@
 
 Covers the closed-form bandwidth-server reservation (against the
 event-returning transfer built on it), AllOf edge cases around triggered
-and duplicated children, Store get-before-put determinism, non-finite
-time rejection in every scheduling entry point, the pooled-timeout
-recycle path, and the lazy span materialization of the tracer.
+and duplicated children, non-finite time rejection in every scheduling
+entry point, the pooled-timeout recycle path, and the lazy span
+materialization of the tracer.
 """
 
 import pytest
 
-from repro.engine import AllOf, BandwidthServer, Event, Simulator, Store
+from repro.engine import AllOf, BandwidthServer, Event, Simulator
 from repro.engine.event import PooledTimeout
 from repro.engine.trace import TraceRecord, Tracer
 from repro.errors import ConfigError, SimulationError
@@ -118,42 +118,6 @@ class TestAllOfEdgeCases:
         join = AllOf(sim, [slow, quick])
         sim.run()
         assert join.value == ["slow", "quick"]
-
-
-class TestStoreDeterminism:
-    def test_getters_before_puts_fifo(self):
-        """Blocked getters are served in arrival order, not put order."""
-        sim = Simulator()
-        store = Store(sim)
-        log = []
-
-        def getter(tag):
-            item = yield store.get()
-            log.append((tag, item, sim.now))
-
-        def putter():
-            yield sim.timeout(1.0)
-            store.put("first")
-            yield sim.timeout(1.0)
-            store.put("second")
-
-        sim.process(getter("g0"))
-        sim.process(getter("g1"))
-        sim.process(putter())
-        sim.run()
-        assert log == [("g0", "first", 1.0), ("g1", "second", 2.0)]
-
-    def test_interleaved_get_put_get(self):
-        sim = Simulator()
-        store = Store(sim)
-        blocked = store.get()
-        store.put("a")  # wakes the blocked getter, bypassing the queue
-        store.put("b")  # queued: nobody waiting
-        ready = store.get()
-        sim.run()
-        assert blocked.triggered and blocked.value == "a"
-        assert ready.triggered and ready.value == "b"
-        assert len(store) == 0
 
 
 class TestNonFiniteRejection:

@@ -1,8 +1,8 @@
-"""Unit tests for resources, stores, bandwidth servers and AllOf."""
+"""Unit tests for resources, bandwidth servers and AllOf."""
 
 import pytest
 
-from repro.engine import AllOf, BandwidthServer, Resource, Simulator, Store
+from repro.engine import AllOf, BandwidthServer, Resource, Simulator
 from repro.errors import CapacityError, ConfigError
 
 
@@ -71,47 +71,6 @@ class TestResource:
         assert res.queue_length == 2
 
 
-class TestStore:
-    def test_put_then_get(self):
-        sim = Simulator()
-        store = Store(sim)
-        store.put("x")
-        got = []
-        store.get().add_callback(lambda e: got.append(e.value))
-        sim.run()
-        assert got == ["x"]
-
-    def test_get_blocks_until_put(self):
-        sim = Simulator()
-        store = Store(sim)
-        got = []
-
-        def consumer():
-            item = yield store.get()
-            got.append((item, sim.now))
-
-        def producer():
-            yield sim.timeout(7.0)
-            store.put("late")
-
-        sim.process(consumer())
-        sim.process(producer())
-        sim.run()
-        assert got == [("late", 7.0)]
-
-    def test_fifo_item_order(self):
-        sim = Simulator()
-        store = Store(sim)
-        for item in [1, 2, 3]:
-            store.put(item)
-        got = []
-        for _ in range(3):
-            store.get().add_callback(lambda e: got.append(e.value))
-        sim.run()
-        assert got == [1, 2, 3]
-        assert len(store) == 0
-
-
 class TestBandwidthServer:
     def test_single_transfer_latency_and_occupancy(self):
         sim = Simulator()
@@ -174,12 +133,6 @@ class TestBandwidthServer:
         link = BandwidthServer(sim, bytes_per_cycle=1.0)
         with pytest.raises(ConfigError):
             link.transfer(-5)
-
-    def test_backlog_reflects_queued_work(self):
-        sim = Simulator()
-        link = BandwidthServer(sim, bytes_per_cycle=1.0)
-        link.transfer(100)
-        assert link.backlog_cycles == 100.0
 
 
 class TestAllOf:

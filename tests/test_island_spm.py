@@ -54,7 +54,6 @@ class TestPorting:
     def test_bank_count_from_type(self, poly):
         group = SPMGroup(poly, SpmPorting.EXACT)
         assert group.banks == poly.spm_banks_min
-        assert group.total_bytes_capacity == poly.spm_banks_min * poly.spm_bank_bytes
 
 
 class TestAccounting:

@@ -1,10 +1,10 @@
-"""Tests for memory controllers, the memory system and the L2 cache."""
+"""Tests for memory controllers and the memory system."""
 
 import pytest
 
 from repro.engine import Simulator
 from repro.errors import ConfigError
-from repro.mem import L2Cache, MemoryController, MemorySystem
+from repro.mem import MemoryController, MemorySystem
 from repro.mem.controller import (
     PAPER_MC_BANDWIDTH_GBPS,
     PAPER_MC_COUNT,
@@ -99,44 +99,3 @@ class TestMemorySystem:
         with pytest.raises(ConfigError):
             MemorySystem(Simulator(), n_controllers=0)
 
-
-class TestL2Cache:
-    def make(self, hit_rate=0.5):
-        sim = Simulator()
-        mem = MemorySystem(sim)
-        l2 = L2Cache(sim, mem, hit_rate=hit_rate)
-        return sim, l2
-
-    def test_full_hit_avoids_memory(self):
-        sim, l2 = self.make(hit_rate=1.0)
-        t = run_event(sim, l2.access(320))
-        # bank: 320/32 = 10 cycles + 20 latency; no memory access.
-        assert t == pytest.approx(30.0)
-        assert l2.memory.total_bytes() == 0
-
-    def test_miss_fraction_goes_to_memory(self):
-        sim, l2 = self.make(hit_rate=0.5)
-        run_event(sim, l2.access(1000))
-        assert l2.memory.total_bytes() == pytest.approx(500.0)
-        assert l2.measured_hit_rate == pytest.approx(0.5)
-
-    def test_full_miss_waits_for_memory(self):
-        sim, l2 = self.make(hit_rate=0.0)
-        t = run_event(sim, l2.access(100))
-        assert t >= 180.0
-
-    def test_invalid_hit_rate_rejected(self):
-        sim = Simulator()
-        mem = MemorySystem(sim)
-        with pytest.raises(ConfigError):
-            L2Cache(sim, mem, hit_rate=1.5)
-
-    def test_negative_access_rejected(self):
-        sim, l2 = self.make()
-        with pytest.raises(ConfigError):
-            l2.access(-1)
-
-    def test_l2_energy_charged(self):
-        sim, l2 = self.make(hit_rate=1.0)
-        run_event(sim, l2.access(1000))
-        assert l2.energy.dynamic_nj["l2"] == pytest.approx(1.5)

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.engine.stats import Counter as StatsCounter
 from repro.engine.stats import Histogram, UtilizationTracker
 from repro.errors import ConfigError
 from repro.obs import (
@@ -38,14 +37,6 @@ class TestNaming:
 
 
 class TestViews:
-    def test_counter_over_stats_counter(self):
-        stats = StatsCounter("n")
-        registry = MetricsRegistry()
-        metric = registry.counter("events.n", stats)
-        stats.add(3)
-        stats.add(4)
-        assert metric.values() == {"value": 7.0}
-
     def test_gauge_over_callable_samples_live(self):
         level = [0.0]
         registry = MetricsRegistry()

@@ -36,17 +36,6 @@ class TestEnergyAccount:
         assert breakdown["spm"] == 7.0
         assert breakdown["static"] == pytest.approx(1000.0)
 
-    def test_merge_folds_charges_and_power(self):
-        a = EnergyAccount()
-        b = EnergyAccount()
-        a.charge("abb", 1.0)
-        b.charge("abb", 2.0)
-        b.charge("noc", 4.0)
-        b.add_static_power(3.0)
-        a.merge(b)
-        assert a.dynamic_nj == {"abb": 3.0, "noc": 4.0}
-        assert a.static_power_mw == 3.0
-
     def test_negative_charge_rejected(self):
         with pytest.raises(ConfigError):
             EnergyAccount().charge("x", -1.0)

@@ -3,41 +3,7 @@
 import pytest
 
 from repro.errors import ConfigError
-from repro.sim.metrics import arithmetic_mean, geomean, normalize_to
-
-
-class TestNormalize:
-    def test_baseline_becomes_one(self):
-        out = normalize_to({"a": 2.0, "b": 4.0}, "a")
-        assert out == {"a": 1.0, "b": 2.0}
-
-    def test_missing_baseline_rejected(self):
-        with pytest.raises(ConfigError):
-            normalize_to({"a": 1.0}, "z")
-
-    def test_zero_baseline_rejected(self):
-        with pytest.raises(ConfigError):
-            normalize_to({"a": 0.0}, "a")
-
-
-class TestGeomean:
-    def test_known_value(self):
-        assert geomean([1.0, 4.0]) == pytest.approx(2.0)
-
-    def test_single_value(self):
-        assert geomean([7.0]) == pytest.approx(7.0)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ConfigError):
-            geomean([])
-
-    def test_nonpositive_rejected(self):
-        with pytest.raises(ConfigError):
-            geomean([1.0, 0.0])
-
-    def test_below_arithmetic_mean(self):
-        values = [1.0, 10.0, 100.0]
-        assert geomean(values) < arithmetic_mean(values)
+from repro.sim.metrics import arithmetic_mean
 
 
 class TestArithmeticMean:
