@@ -1,9 +1,11 @@
 """Island-selection policies for the ABC.
 
-A policy orders candidate islands for a new task.  The ABC tries islands
-in the returned order and allocates the first usable slot.  The paper's
-ABC does locality-aware placement with load balancing; ``first_fit``
-is the no-balancing alternative for the load-balancing ablation.
+A policy picks the island for a new task from the candidates: the
+islands that hold a usable slot of the task's ABB type right now, in
+index order.  The ABC allocates that island's lowest-index usable slot.
+The paper's ABC does locality-aware placement with load balancing;
+``first_fit`` is the no-balancing alternative for the load-balancing
+ablation.
 """
 
 from __future__ import annotations
@@ -15,10 +17,10 @@ from repro.errors import AllocationError
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.island.island import Island
 
-#: A policy maps (islands, preferred_island_id) to an ordered list of
-#: island indices to try.
+#: A policy maps (islands, candidate indices, preferred_island_id) to the
+#: index of the chosen candidate.
 AllocationPolicy = typing.Callable[
-    [typing.Sequence["Island"], typing.Optional[int]], typing.List[int]
+    [typing.Sequence["Island"], typing.Sequence[int], typing.Optional[int]], int
 ]
 
 
@@ -33,30 +35,27 @@ def _require_islands(islands: typing.Sequence["Island"]) -> None:
 
 def locality_then_load_balance(
     islands: typing.Sequence["Island"],
+    candidates: typing.Sequence[int],
     preferred: typing.Optional[int],
-) -> list[int]:
+) -> int:
     """The paper's policy: producer-locality first, then least-busy.
 
     The preferred island (where most of the task's chained input already
-    resides) is tried first; the rest are ordered by current busy
-    fraction so work spreads across islands.
+    resides) wins if it is a candidate; otherwise the least busy
+    candidate does, the lower index breaking ties, so work spreads
+    across islands.
     """
     _require_islands(islands)
-    order = sorted(
-        range(len(islands)),
-        key=lambda i: (islands[i].busy_fraction(), i),
-    )
-    if preferred is not None and 0 <= preferred < len(islands):
-        order.remove(preferred)
-        order.insert(0, preferred)
-    return order
+    if preferred in candidates:
+        return preferred
+    return min(candidates, key=lambda i: islands[i].busy_fraction())
 
 
 def first_fit(
     islands: typing.Sequence["Island"],
+    candidates: typing.Sequence[int],
     preferred: typing.Optional[int],
-) -> list[int]:
-    """No load balancing: always scan islands in index order."""
+) -> int:
+    """No load balancing: always the lowest-index candidate."""
     _require_islands(islands)
-    return list(range(len(islands)))
-
+    return candidates[0]

@@ -80,7 +80,12 @@ class AcceleratorBlockComposer:
         self.sim = sim
         self.islands = list(islands)
         self.policy = policy
+        # Each island's usable-slot counts by type, read on every request.
+        self._usable_counts = [island.usable_counts for island in self.islands]
         self._waiters: collections.deque[_Waiter] = collections.deque()
+        # Queued requests per type, kept on enqueue, grant and fallback
+        # (estimate_wait reads it on every admission decision).
+        self._pending: collections.Counter[str] = collections.Counter()
         # Request-path caches: island ABB mixes are fixed at
         # construction, so type existence never changes; and until the
         # fault layer reports a hard failure every existing slot is
@@ -113,20 +118,26 @@ class AcceleratorBlockComposer:
         if not self._any_failures:
             return self._type_exists(type_name)
         return any(
-            island.operational_slots(type_name) for island in self.islands
+            island.operational_counts.get(type_name)
+            for island in self.islands
         )
 
     def _try_allocate(
         self, type_name: str, preferred: typing.Optional[int]
     ) -> typing.Optional[Grant]:
-        for island_idx in self.policy(self.islands, preferred):
-            free = self.islands[island_idx].free_slots(type_name)
-            if free:
-                slot = free[0]
-                token = object()
-                self.islands[island_idx].allocate(slot, token)
-                return Grant(island_idx, slot, type_name, token, self.sim.now)
-        return None
+        candidates = [
+            index
+            for index, counts in enumerate(self._usable_counts)
+            if counts.get(type_name)
+        ]
+        if not candidates:
+            return None
+        index = self.policy(self.islands, candidates, preferred)
+        island = self.islands[index]
+        slot = island.first_usable(type_name)
+        token = object()
+        island.allocate(slot, token)
+        return Grant(index, slot, type_name, token, self.sim.now)
 
     # --------------------------------------------------------------- public
     def request(
@@ -159,6 +170,7 @@ class AcceleratorBlockComposer:
             event.succeed(grant)
         else:
             self.total_queued += 1
+            self._pending[type_name] += 1
             self._waiters.append(
                 _Waiter(event, type_name, preferred_island, self.sim.now)
             )
@@ -175,59 +187,43 @@ class AcceleratorBlockComposer:
         self._drain_waiters()
 
     def _drain_waiters(self) -> None:
-        # Retry every waiter in FIFO order until a full pass grants
-        # nothing (a release can free neighbours too, under SPM sharing,
-        # so one release may unblock several waiters).
-        #
-        # Per-type free counts gate the scan: a waiter whose type has no
-        # free slot left this pass is requeued with a cheap dict lookup
-        # instead of a full policy + slot-scan `_try_allocate` call.
-        # Under the open-loop serving frontend the wait queue can hold
-        # thousands of requests, and the ungated scan made every release
-        # O(waiters x slots) — this is the difference between serving
-        # sessions draining in seconds versus minutes.
-        progress = True
-        while progress and self._waiters:
-            progress = False
-            free_count: dict[str, int] = {}
-            operational: dict[str, bool] = {}
-            remaining: collections.deque[_Waiter] = collections.deque()
-            while self._waiters:
-                waiter = self._waiters.popleft()
-                type_name = waiter.type_name
-                if type_name not in operational:
-                    operational[type_name] = self._type_operational(type_name)
-                if not operational[type_name]:
-                    # Every slot of this type hard-failed while the
-                    # request was queued; resolve it to software rather
-                    # than strand it forever.
-                    progress = True
-                    self.fallback_grants += 1
-                    waiter.event.succeed(SOFTWARE_FALLBACK)
-                    continue
-                if type_name not in free_count:
-                    free_count[type_name] = self.free_count(type_name)
-                if free_count[type_name] <= 0:
-                    # No slot can serve this waiter; skip the policy call.
-                    remaining.append(waiter)
-                    continue
-                grant = self._try_allocate(type_name, waiter.preferred)
-                if grant is None:
-                    # SPM-sharing port conflicts can shrink free slots
-                    # mid-pass; treat the stale count as exhausted.
-                    free_count[type_name] = 0
-                    remaining.append(waiter)
-                else:
-                    # A cached count can only overestimate after this
-                    # grant (allocation never frees slots mid-pass), and
-                    # an overestimate merely costs one corrective
-                    # `_try_allocate`, so other types' counts stay.
-                    free_count[type_name] -= 1
-                    progress = True
-                    self.total_grants += 1
-                    self.wait_cycles.record(self.sim.now - waiter.requested_at)
-                    waiter.event.succeed(grant)
-            self._waiters = remaining
+        # One FIFO pass grants every waiter that can be served now.  A
+        # release can free several slots (neighbours too, under SPM
+        # sharing), but granting never frees one, so a type found
+        # exhausted stays exhausted for the rest of the pass: its later
+        # waiters are requeued with a set lookup instead of a policy
+        # call.  Under the open-loop serving frontend the wait queue can
+        # hold thousands of requests.
+        exhausted: set[str] = set()
+        operational: dict[str, bool] = {}
+        remaining: collections.deque[_Waiter] = collections.deque()
+        pending = self._pending
+        for waiter in self._waiters:
+            type_name = waiter.type_name
+            if type_name in exhausted:
+                remaining.append(waiter)
+                continue
+            alive = operational.get(type_name)
+            if alive is None:
+                alive = operational[type_name] = self._type_operational(type_name)
+            if not alive:
+                # Every slot of this type hard-failed while the request
+                # was queued; resolve it to software rather than strand
+                # it forever.
+                pending[type_name] -= 1
+                self.fallback_grants += 1
+                waiter.event.succeed(SOFTWARE_FALLBACK)
+                continue
+            grant = self._try_allocate(type_name, waiter.preferred)
+            if grant is None:
+                exhausted.add(type_name)
+                remaining.append(waiter)
+                continue
+            pending[type_name] -= 1
+            self.total_grants += 1
+            self.wait_cycles.record(self.sim.now - waiter.requested_at)
+            waiter.event.succeed(grant)
+        self._waiters = remaining
 
     def on_slot_failed(self, type_name: str) -> None:
         """React to an ABB hard failure reported by the fault layer.
@@ -247,7 +243,7 @@ class AcceleratorBlockComposer:
 
     def free_count(self, type_name: str) -> int:
         """Usable slots of a type across all islands right now."""
-        return sum(len(i.free_slots(type_name)) for i in self.islands)
+        return sum(counts.get(type_name, 0) for counts in self._usable_counts)
 
     def estimate_wait(
         self, type_name: str, service_hint: typing.Optional[float] = None
@@ -267,7 +263,10 @@ class AcceleratorBlockComposer:
         """
         if self.free_count(type_name) > 0:
             return 0.0
-        units = sum(len(i.operational_slots(type_name)) for i in self.islands)
+        units = sum(
+            island.operational_counts.get(type_name, 0)
+            for island in self.islands
+        )
         if units == 0:
             return float("inf")
         mean_service = (
@@ -276,6 +275,5 @@ class AcceleratorBlockComposer:
             or self.wait_cycles.mean
             or 1.0
         )
-        pending = sum(1 for w in self._waiters if w.type_name == type_name)
-        ahead = pending + units
+        ahead = self._pending[type_name] + units
         return ahead * mean_service / units

@@ -19,7 +19,8 @@ class Event:
     An event starts *pending*; calling :meth:`succeed` schedules it to
     *trigger* at the current simulation time, at which point all registered
     callbacks run (in registration order) and late callbacks run
-    immediately.
+    immediately.  :meth:`trigger` fires it inline instead, with no heap
+    entry.
 
     Events are the most-allocated objects in a simulation (every
     transfer, timeout and resource grant creates one), so the class is
@@ -57,6 +58,18 @@ class Event:
         sim = self.sim
         heappush(sim._heap, (sim.now, sim._seq, self._fire))
         sim._seq += 1
+        return self
+
+    def trigger(self, value: object = None) -> "Event":
+        """Fire this event now, inline: its callbacks run in this call.
+
+        Adds no heap entry (see the same-time rule in
+        :mod:`repro.engine.route`).
+        """
+        if self._triggered or self._scheduled:
+            raise SimulationError("event already triggered")
+        self.value = value
+        self._fire()
         return self
 
     def _fire(self) -> None:

@@ -4,7 +4,8 @@ A process body is a Python generator that ``yield``s :class:`Event`
 objects.  The process suspends until the yielded event fires, then resumes
 with the event's ``value`` as the result of the ``yield`` expression.  The
 process itself is an event that fires (with the generator's return value)
-when the body completes, so processes can wait on each other.
+when the body completes, so processes can wait on each other.  A process
+that completes with nothing waiting on it pushes no heap entry.
 
 Resumption is allocation-free on the hot path: the bound resume method is
 created once at spawn and reused as the callback for every yielded event,
@@ -64,7 +65,12 @@ class Process(Event):
         except StopIteration as stop:
             self.sim._processes -= 1
             if not self._triggered and not self._scheduled:
-                self.succeed(stop.value)
+                if self._callback is None:
+                    # Nothing waits: mark it done; a later add_callback
+                    # runs at once, as for any triggered event.
+                    self.trigger(stop.value)
+                else:
+                    self.succeed(stop.value)
             return
         if not isinstance(target, _event_type):
             self.sim._processes -= 1

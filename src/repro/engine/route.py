@@ -17,7 +17,7 @@ network, the mesh, the system) and shared by every transfer over it::
 * :data:`CALL` — ``arg(route)`` returns a completion time (float) or an
   :class:`~repro.engine.event.Event`: a nested route, a mesh transfer,
   an island ingress/egress, a memory access;
-* :data:`END` — the route is done; its event fires with
+* :data:`END` — the route is done; its event fires, inline, with
   :attr:`Route.value`.  Every leg tuple ends with one.
 
 The optional attributes apply to any leg:
@@ -30,10 +30,22 @@ The optional attributes apply to any leg:
   ``charge``; a float return means "wait that many cycles, then start
   the leg again" (DMA stall and drop/retry), ``None`` lets it proceed.
 
-Heap entries: the route's first step is scheduled at creation (at
-``start``, by default now — the kick), each leg completion is one entry
-(the route's own wake-up for a float, the event's fire otherwise), and
-the final ``succeed`` is one more.
+The same-time rule.  Routes add a heap entry only where the model has
+a delay, so work at one instant runs in the order it is issued:
+
+* work that starts at time *t* starts when it is issued: a route's first
+  leg runs inside the call that creates it;
+* a route's completion runs its waiters inside the leg that ends it (the
+  :data:`END` leg fires :attr:`Route.event` inline, so a nested route
+  finishes its outer route directly);
+* only a modelled delay (a :data:`SERVE` completion, a :data:`WAIT`, a
+  memory access, a fault hook's wait) or an :meth:`Event.succeed` adds a
+  heap entry.  Entries at equal times still run in push order.
+
+Heap entries: one per leg (the route's own wake-up for a float, the
+event's fire otherwise), even for a leg that ends as it starts, and one
+per fault-hook wait.  Nothing else: no entry to start the route, none
+to finish it.
 """
 
 from __future__ import annotations
@@ -107,7 +119,6 @@ class Route:
         dst: typing.Any = None,
         ref: str = "",
         label: str = "",
-        start: typing.Optional[float] = None,
         value: typing.Any = None,
     ) -> None:
         self.sim = sim
@@ -121,22 +132,19 @@ class Route:
         #: Fault-hook state of the current leg (see ``Island._dma_fault``).
         self.attempt = 0
         self._legs = legs
-        self._index = -1
+        self._index = 0
         self._t0 = sim.now
-        advance = self._advance_cb = self._advance
-        # The first step runs at ``start`` but never synchronously, so
-        # issue order cannot perturb same-time event ordering.
-        sim._schedule(sim.now if start is None else start, advance)
+        self._advance_cb = self._advance
+        self._start()
 
     def _advance(self, _event: typing.Optional[Event] = None) -> None:
         """End the current leg (recording its span), start the next."""
         index = self._index
-        if index >= 0:
-            span = self._legs[index][2]
-            if span is not None:
-                now = self.sim.now
-                span[0].span(self._t0, now, span[1], span[2], self.label, self.ref)
-                self._t0 = now
+        span = self._legs[index][2]
+        if span is not None:
+            now = self.sim.now
+            span[0].span(self._t0, now, span[1], span[2], self.label, self.ref)
+            self._t0 = now
         self._index = index + 1
         self._start()
 
@@ -158,7 +166,7 @@ class Route:
         elif op == CALL:
             done = arg(self)
         else:
-            self.event.succeed(self.value)
+            self.event.trigger(self.value)
             return
         if done.__class__ is float:
             sim._schedule(done, self._advance_cb)

@@ -101,7 +101,9 @@ class Simulator:
     def run(self, until: typing.Optional[float] = None) -> float:
         """Execute events until the queue drains or ``until`` is reached.
 
-        Returns the final simulation time.
+        Returns the final simulation time.  ``until`` must be finite and
+        not in the past (the clock never moves backwards); ``None`` runs
+        until the queue drains.
 
         The event loop is the hottest code in any simulation, so both
         branches pop entries directly (one heap operation per event);
@@ -116,6 +118,13 @@ class Simulator:
                 self.now = time
                 callback()
             return self.now
+        # The same chained comparison as _schedule: past times, NaN and
+        # +/-inf all fail it.
+        if not (self.now <= until < _INF):
+            raise SimulationError(
+                f"cannot run until {until!r} (now={self.now}): "
+                "the deadline must be finite and not in the past"
+            )
         while heap:
             entry = pop(heap)
             time = entry[0]

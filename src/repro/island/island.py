@@ -115,14 +115,25 @@ class Island:
         # normally (fail-stop after drain).
         self.fault_injector = fault_injector
         self._failed = [False] * len(self.abbs)
-        # Allocation-policy hot-path state: the slot layout is fixed
-        # after construction, so the per-type slot lists are built once,
-        # and the busy count is maintained by allocate/release instead
-        # of recounted per query (busy_fraction runs on every policy
-        # evaluation of every request).
+        # Allocation state, kept by allocate, release and fail_slot
+        # instead of recounted per query (the ABC reads it on every
+        # request): the slot layout is fixed after construction, so the
+        # per-type slot lists are built once; a usable flag per slot; the
+        # busy count.
         self._slots_by_type: dict[str, list[int]] = {}
         for index, abb in enumerate(self.abbs):
             self._slots_by_type.setdefault(abb.abb_type.name, []).append(index)
+        self._types = [abb.abb_type.name for abb in self.abbs]
+        self._usable = [True] * len(self.abbs)
+        #: Usable slots per ABB type (see :meth:`slot_usable`); maintained,
+        #: read-only for callers.
+        self.usable_counts: dict[str, int] = {
+            name: len(slots) for name, slots in self._slots_by_type.items()
+        }
+        #: Non-failed slots per ABB type, free *or* busy: a busy
+        #: operational slot will serve again after release, a failed one
+        #: never will.  Maintained, read-only for callers.
+        self.operational_counts = dict(self.usable_counts)
         self._slot_count = len(self.abbs)
         self._busy_slots = 0
         self.abb_tracker = UtilizationTracker(
@@ -182,28 +193,15 @@ class Island:
         borrowed the slot's banks.
         """
         self._check_slot(slot)
-        if self._failed[slot]:
-            return False
-        if not self.abbs[slot].is_free or not self.spm_groups[slot].is_free:
-            return False
-        if self.config.spm_sharing and self._neighbor_locks[slot] > 0:
-            return False
-        return True
+        return self._usable[slot]
 
-    def free_slots(self, type_name: str) -> list[int]:
-        """Usable slots of a given ABB type."""
-        return [s for s in self.slots_of_type(type_name) if self.slot_usable(s)]
-
-    def operational_slots(self, type_name: str) -> list[int]:
-        """Non-failed slots of a type (free *or* busy).
-
-        A busy operational slot will serve again after release, so queued
-        requests for its type can still make progress; a failed slot
-        never will.
-        """
-        return [
-            s for s in self.slots_of_type(type_name) if not self._failed[s]
-        ]
+    def first_usable(self, type_name: str) -> typing.Optional[int]:
+        """The lowest-index usable slot of a given ABB type, if any."""
+        usable = self._usable
+        for slot in self.slots_of_type(type_name):
+            if usable[slot]:
+                return slot
+        return None
 
     @property
     def failed_slot_count(self) -> int:
@@ -223,9 +221,11 @@ class Island:
             )
         self.abbs[slot].reserve(self.sim.now)
         self.spm_groups[slot].acquire(owner)
+        self._set_usable(slot, False)
         if self.config.spm_sharing:
             for neighbor in self._neighbors(slot):
                 self._neighbor_locks[neighbor] += 1
+                self._set_usable(neighbor, False)
         self._busy_slots += 1
         self.abb_tracker.adjust(+1, self.sim.now)
 
@@ -234,11 +234,13 @@ class Island:
         self._check_slot(slot)
         self.abbs[slot].finish(self.sim.now, invocations)
         self.spm_groups[slot].release(owner)
+        self._refresh_usable(slot)
         if self.config.spm_sharing:
             for neighbor in self._neighbors(slot):
                 if self._neighbor_locks[neighbor] <= 0:
                     raise AllocationError("sharing lock underflow")
                 self._neighbor_locks[neighbor] -= 1
+                self._refresh_usable(neighbor)
         self._busy_slots -= 1
         self.abb_tracker.adjust(-1, self.sim.now)
 
@@ -256,7 +258,26 @@ class Island:
                 f"island {self.island_id}: slot {slot} already failed"
             )
         self._failed[slot] = True
-        return self.abbs[slot].abb_type.name
+        self._set_usable(slot, False)
+        type_name = self._types[slot]
+        self.operational_counts[type_name] -= 1
+        return type_name
+
+    def _set_usable(self, slot: int, usable: bool) -> None:
+        """Set a slot's usable flag, keeping its type's count."""
+        if self._usable[slot] != usable:
+            self._usable[slot] = usable
+            self.usable_counts[self._types[slot]] += 1 if usable else -1
+
+    def _refresh_usable(self, slot: int) -> None:
+        """Recompute a slot's usable flag after a release."""
+        self._set_usable(
+            slot,
+            not self._failed[slot]
+            and self.abbs[slot].is_free
+            and self.spm_groups[slot].is_free
+            and not (self.config.spm_sharing and self._neighbor_locks[slot] > 0),
+        )
 
     def _neighbors(self, slot: int) -> list[int]:
         return [n for n in (slot - 1, slot + 1) if 0 <= n < len(self.abbs)]

@@ -15,7 +15,7 @@ import math
 import typing
 
 from repro.engine import BandwidthServer, Event, Route, Simulator
-from repro.engine.route import DONE, WAIT, leg
+from repro.engine.route import CALL, DONE, leg
 from repro.engine.trace import Tracer
 from repro.errors import ConfigError
 from repro.noc.topology import MeshTopology, Node
@@ -74,8 +74,10 @@ class MeshNoC:
         # (bytes, hops) pair.
         self._span_labels: dict[tuple[float, int], str] = {}
         self._links: dict[tuple[tuple[int, int], tuple[int, int]], BandwidthServer] = {}
-        # Route legs by router latency (and, traced, by route actor).
-        self._legs: dict[typing.Any, tuple] = {}
+        # Route legs: one shared tuple, or per endpoint pair when traced
+        # (the span actor names the pair).
+        self._plain_legs = (leg(CALL, self._traverse), DONE)
+        self._traced_legs: dict[tuple[int, int, int, int], tuple] = {}
         self.total_transfers = 0
         self.total_packets = 0
         self.total_byte_hops = 0.0
@@ -116,17 +118,32 @@ class MeshNoC:
         """Send ``nbytes`` from ``src`` to ``dst``; event fires on arrival."""
         if nbytes < 0:
             raise ConfigError(f"transfer size must be non-negative, got {nbytes}")
+        self.total_transfers += 1
+        if nbytes == 0 or (src.x == dst.x and src.y == dst.y):
+            # Nothing crosses a link: the transfer arrives as it is
+            # issued, with no heap entry.  Its zero charge still enters
+            # "noc" in the energy breakdown, as any transfer does.
+            self.energy.charge("noc", 0.0)
+            return Event(self.sim).trigger(nbytes)
+        legs = self._plain_legs
+        if self.tracer is not None:
+            key = (src.x, src.y, dst.x, dst.y)
+            legs = self._traced_legs.get(key)
+            if legs is None:
+                actor = f"mesh.{src.x},{src.y}->{dst.x},{dst.y}"
+                legs = self._traced_legs[key] = (
+                    leg(CALL, self._traverse, (self.tracer, actor, "noc")),
+                    DONE,
+                )
+        return Route(self.sim, legs, nbytes, src, dst, ref).event
+
+    def _traverse(self, route: Route) -> float:
+        """The one leg of a mesh transfer: reserve every link on the XY
+        path at issue; arrival is when the slowest link has drained the
+        payload, plus the router pipeline."""
+        src, dst, nbytes = route.src, route.dst, route.nbytes
         path = self.route(src, dst)
         hops = len(path)
-        self.total_transfers += 1
-        if hops == 0 or nbytes == 0:
-            self.energy.charge(
-                "noc", NOC_ENERGY_PJ_PER_BYTE_HOP * nbytes * hops * 1e-3
-            )
-            done = Event(self.sim)
-            done.succeed(nbytes)
-            return done
-
         wire_bytes = nbytes
         if self.segment_bytes is not None:
             payload = self.segment_bytes - PACKET_HEADER_BYTES
@@ -138,8 +155,6 @@ class MeshNoC:
             "noc", NOC_ENERGY_PJ_PER_BYTE_HOP * wire_bytes * hops * 1e-3
         )
 
-        # Every link on the path is reserved at issue; the transfer
-        # completes when the slowest one drains.
         slowest = -1.0
         for a, b in path:
             done = self._link(a, b).reserve(wire_bytes)
@@ -160,26 +175,12 @@ class MeshNoC:
                     * degraded_hops
                 )
 
-        label = ""
-        key: typing.Any = router_cycles
         if self.tracer is not None:
             label = self._span_labels.get((nbytes, hops))
             if label is None:
                 label = self._span_labels[(nbytes, hops)] = f"{nbytes:g}B/{hops}h"
-            key = (router_cycles, src.x, src.y, dst.x, dst.y)
-        legs = self._legs.get(key)
-        if legs is None:
-            legs = self._legs[key] = self._route_legs(router_cycles, src, dst)
-        return Route(self.sim, legs, nbytes, ref=ref, label=label, start=slowest).event
-
-    def _route_legs(self, router_cycles: float, src: Node, dst: Node) -> tuple:
-        """Legs of a route that starts when its slowest link has drained:
-        the zero-latency path-drain join, then the router pipeline,
-        whose end closes the traced span of the whole transfer."""
-        span = None
-        if self.tracer is not None:
-            span = (self.tracer, f"mesh.{src.x},{src.y}->{dst.x},{dst.y}", "noc")
-        return (leg(WAIT, 0.0), leg(WAIT, router_cycles, span), DONE)
+            route.label = label
+        return slowest + router_cycles
 
     # ------------------------------------------------------------- metrics
     def max_link_utilization(self, elapsed: float) -> float:

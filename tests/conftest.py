@@ -1,8 +1,17 @@
 """Shared fixtures for the tier-1 suite."""
 
+import os
+
 import pytest
+from hypothesis import settings
 
 from repro.engine.simulator import Simulator
+
+# Property tests that leave ``max_examples`` unset (the differential
+# reference checks among them) run hypothesis' default of 100 examples;
+# ``HYPOTHESIS_PROFILE=ci`` runs them ten times deeper.
+settings.register_profile("ci", max_examples=1000, deadline=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 class WorkCounts:

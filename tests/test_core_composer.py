@@ -110,7 +110,7 @@ class TestEmptyIslandPolicies:
     @pytest.mark.parametrize("policy", [locality_then_load_balance, first_fit])
     def test_policy_rejects_empty_platform(self, policy):
         with pytest.raises(AllocationError, match="empty island list"):
-            policy([], None)
+            policy([], [], None)
 
 
 class TestWaiterDrain:

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.engine import Event, Simulator, Timeout
+from repro.engine import BandwidthServer, Event, Route, Simulator, Timeout
+from repro.engine.route import DONE, SERVE, leg
 from repro.errors import SimulationError
 
 
@@ -49,6 +50,57 @@ def test_run_until_stops_early():
     assert fired == []
     sim.run()
     assert fired == [1]
+
+
+@pytest.mark.parametrize("until", [50.0, float("nan"), float("inf")])
+def test_run_until_rejects_past_and_non_finite_deadlines(until):
+    """The clock never moves backwards, and a NaN or infinite deadline
+    is no deadline at all; each is an error, and nothing runs."""
+    sim = Simulator()
+    fired = []
+    sim.timeout(200.0).add_callback(lambda e: fired.append(sim.now))
+    assert sim.run(until=150.0) == 150.0
+    with pytest.raises(SimulationError):
+        sim.run(until=until)
+    assert sim.now == 150.0
+    assert fired == []
+
+
+def test_finished_process_without_waiter_pushes_no_entry():
+    """A process that ends with nothing waiting only marks itself
+    triggered; a later waiter runs at once with its value."""
+    sim = Simulator()
+
+    def body():
+        yield sim.timeout(3.0)
+        return "done"
+
+    process = sim.process(body())
+    sim.run()
+    assert sim._seq == 2  # the spawn kick and the timeout only
+    assert process.triggered
+    seen = []
+    process.add_callback(lambda e: seen.append((sim.now, e.value)))
+    assert seen == [(3.0, "done")]
+    assert sim.peek() is None
+
+
+def test_same_instant_routes_served_in_issue_order():
+    """Two routes issued at one instant onto one server: the first leg
+    of each runs inside its issue, so the first issued is served first."""
+    sim = Simulator()
+    server = BandwidthServer(sim, bytes_per_cycle=1.0)
+    legs = (leg(SERVE, server), DONE)
+    done = {}
+
+    def issue(_event):
+        for tag, nbytes in (("first", 10.0), ("second", 4.0)):
+            route = Route(sim, legs, nbytes)
+            route.event.add_callback(lambda e, tag=tag: done.setdefault(tag, sim.now))
+
+    sim.timeout(5.0).add_callback(issue)
+    sim.run()
+    assert done == {"first": 15.0, "second": 19.0}
 
 
 def test_event_succeed_carries_value():

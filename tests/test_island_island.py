@@ -41,7 +41,7 @@ class TestConstruction:
 class TestAllocation:
     def test_allocate_and_release(self):
         sim, island, _ = make_island()
-        slot = island.free_slots("poly")[0]
+        slot = island.first_usable("poly")
         island.allocate(slot, owner="t1")
         assert not island.slot_usable(slot)
         assert island.busy_fraction() == pytest.approx(1 / 5)
@@ -57,9 +57,9 @@ class TestAllocation:
 
     def test_free_slots_by_type(self):
         _, island, _ = make_island()
-        poly_slots = island.free_slots("poly")
-        island.allocate(poly_slots[0], "x")
-        assert len(island.free_slots("poly")) == 2
+        assert island.usable_counts["poly"] == 3
+        island.allocate(island.first_usable("poly"), "x")
+        assert island.usable_counts["poly"] == 2
 
     def test_sharing_locks_out_neighbours(self):
         """Section 5.1: allocating an ABB renders nearby ABBs unusable."""
@@ -92,10 +92,10 @@ class TestAllocation:
         def max_parallel(island):
             count = 0
             while True:
-                free = island.free_slots("poly")
-                if not free:
+                slot = island.first_usable("poly")
+                if slot is None:
                     return count
-                island.allocate(free[0], f"t{count}")
+                island.allocate(slot, f"t{count}")
                 count += 1
 
         assert max_parallel(shared) < max_parallel(private)

@@ -2,15 +2,18 @@
 
 The reference is the model routes replaced: one generator process per
 transfer, every leg a ``BandwidthServer.transfer`` event or a timeout,
-and the DMA stall/drop/retry logic written inline.  It runs on a twin
-island (same configuration) whose servers it drives directly.
+and the DMA stall/drop/retry logic written inline.  It runs on a twin island
+(same configuration) whose servers it drives directly.  It keeps the
+same-time rule of :mod:`repro.engine.route`: a reference process starts
+inside the call that creates it, and its completion runs its waiters
+inline.
 Hypothesis generates network shapes and overlapping transfer mixes; the
 routed island must match the reference exactly: the same completion
 time for every transfer, the same per-server accounting and the same
 fault counters.
 """
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import repro.faults as faults
 from repro.abb import standard_library
@@ -28,6 +31,23 @@ from repro.island.networks import RING_HOP_LATENCY
 
 
 # ----------------------------------------------------------- reference
+def start(sim, body):
+    """Run a generator process from now: its first step runs in this
+    call, and its event fires inline when the body returns."""
+    done = sim.event()
+
+    def resume(event=None):
+        try:
+            target = body.send(None if event is None else event.value)
+        except StopIteration as stop:
+            done.trigger(stop.value)
+            return
+        target.add_callback(resume)
+
+    resume()
+    return done
+
+
 def ref_network(sim, net, src_slot, dst_slot, nbytes):
     """One island-network movement; ``None`` is the DMA engine."""
     if isinstance(net, RingNetwork):
@@ -42,7 +62,7 @@ def ref_network(sim, net, src_slot, dst_slot, nbytes):
             yield sim.timeout(RING_HOP_LATENCY * hops)
             return nbytes
 
-        return sim.process(traversal())
+        return start(sim, traversal())
     if isinstance(net, ChainingCrossbarNetwork):
         if src_slot is None or dst_slot is None:
             return net._dma_port.transfer(nbytes)
@@ -56,7 +76,7 @@ def ref_network(sim, net, src_slot, dst_slot, nbytes):
         yield net._port.transfer(nbytes)
         return nbytes
 
-    return sim.process(proxy_chain())
+    return start(sim, proxy_chain())
 
 
 def ref_dma(sim, island, injector, nbytes):
@@ -101,7 +121,7 @@ def ref_transfer(sim, island, injector, op, a, b, nbytes):
         return nbytes
 
     body = {"ingress": ingress, "egress": egress, "chain": chain_local}[op]
-    return sim.process(body())
+    return start(sim, body())
 
 
 def routed_transfer(island, op, a, b, nbytes):
@@ -197,7 +217,25 @@ fault_specs = st.one_of(
 )
 
 
-@settings(max_examples=80, deadline=None)
+# The same-time rule in one case: the egress issued at t=5 reserves the
+# proxy port inside its issue, ahead of the ingress whose DMA leg ends
+# at t=5 too.  A reference that kicks each process off with a separate
+# heap entry lets the ingress in first (7.0 instead of 7.0625).
+@example(
+    network=SpmDmaNetworkConfig(NetworkKind.PROXY_CROSSBAR, 16),
+    spec=FaultSpec(),
+    ops=[("ingress", 0, 0, 0.0, 0.0), ("egress", 0, 0, 1.0, 5.0)],
+)
+# And its second clause: the egress's ring traversal (capacity to t=3,
+# then six hops) ends at t=9 and completes its island route inline, so
+# its DMA leg starts ahead of the ingress whose NoC leg also ends at t=9.
+# With one more entry to finish the traversal, the ingress goes first.
+@example(
+    network=SpmDmaNetworkConfig(NetworkKind.RING, 16, 1),
+    spec=FaultSpec(),
+    ops=[("egress", 0, 0, 56.0, 0.0), ("ingress", 3, 0, 6.0, 4.0)],
+)
+@settings(deadline=None)
 @given(network=networks, spec=fault_specs, ops=transfer_ops)
 def test_routes_match_reference_model(network, spec, ops):
     routed = run(network, spec, ops, routed=True)
