@@ -41,11 +41,11 @@ if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
 class TileScheduler:
     """Runs one flow-graph instance to completion.
 
-    ``tenant`` is an optional tenancy tag: under the multi-tenant
-    serving frontend (:mod:`repro.serve`) every request carries its
-    tenant's name so trace records attribute queueing and compute to the
-    tenant that caused them.  Single-workload runs leave it empty and
-    behave exactly as before.
+    ``tenant`` tags the trace records with the serving tenant that
+    caused them (empty outside :mod:`repro.serve`).  ``after`` is the
+    ref of the task whose completion started this tile (the closed-loop
+    window handoff), recorded as the source tasks' dependency;
+    :attr:`last_ref` is the ref of the tile's last-completed task.
     """
 
     def __init__(
@@ -54,11 +54,14 @@ class TileScheduler:
         graph: ABBFlowGraph,
         tile_id: int,
         tenant: str = "",
+        after: str = "",
     ) -> None:
         self.system = system
         self.graph = graph
         self.tile_id = tile_id
         self.tenant = tenant
+        self.after = after
+        self.last_ref = ""
         self._tracer = getattr(system, "tracer", None)
         self._tags: dict[str, str] = {}
         # Maps task -> (island, slot); None marks a task that ran in
@@ -72,12 +75,9 @@ class TileScheduler:
     def run(self) -> Event:
         """Start the tile; returns an event firing at tile end.
 
-        Only root tasks spawn a process up front.  Every downstream task
-        is started by a countdown callback on its producers' done events
-        — the spawn happens inside the last producer's fire, the same
-        entry the old per-task producer-join ``AllOf`` fired in, so the
-        event order is unchanged while the parked generator and join
-        object per waiting task disappear.
+        Only root tasks spawn a process up front; every downstream task
+        is spawned by a countdown callback inside its last producer's
+        done event.
         """
         sim = self.system.sim
         order = self.graph.topological_order()
@@ -160,6 +160,9 @@ class TileScheduler:
         """Record the task's aggregate span carrying the DAG edges."""
         tracer = self._tracer
         if tracer is not None:
+            deps = [self._tag(p) for p in producers]
+            if not deps and self.after:
+                deps.append(self.after)
             tracer.span(
                 start,
                 self.system.sim.now,
@@ -167,10 +170,7 @@ class TileScheduler:
                 "task",
                 task_id,
                 self._tag(task_id),
-                {
-                    "deps": [self._tag(p) for p in producers],
-                    "tenant": self.tenant,
-                },
+                {"deps": deps, "tenant": self.tenant},
             )
 
     # --------------------------------------------------------- task process
@@ -288,6 +288,7 @@ class TileScheduler:
             self._trace(writeback_start, "writeback", actor, tag, tag)
         system.abc.release(grant, task.invocations)
         self._trace_task(requested_at, actor, task_id, producers)
+        self.last_ref = tag
         self._done[task_id].succeed(task_id)
 
     # ---------------------------------------------------- software fallback
@@ -347,4 +348,5 @@ class TileScheduler:
         )
         system.fallback_cores.release()
         self._trace_task(task_start, "core.sw", task_id, producers)
+        self.last_ref = tag
         self._done[task_id].succeed(task_id)

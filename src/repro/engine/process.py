@@ -38,7 +38,6 @@ class Process(Event):
         self._generator = generator
         self._send = generator.send  # bound once; loaded on every resume
         resume = self._resume_cb = self._resume
-        sim._processes += 1
         # Kick the body off at the current time (not synchronously) so that
         # spawning order does not depend on the caller's position in a step.
         sim._schedule(sim.now, resume)
@@ -63,7 +62,6 @@ class Process(Event):
         try:
             target = self._send(send_value)
         except StopIteration as stop:
-            self.sim._processes -= 1
             if not self._triggered and not self._scheduled:
                 if self._callback is None:
                     # Nothing waits: mark it done; a later add_callback
@@ -73,7 +71,6 @@ class Process(Event):
                     self.succeed(stop.value)
             return
         if not isinstance(target, _event_type):
-            self.sim._processes -= 1
             self._generator.close()
             raise SimulationError(
                 f"process yielded {target!r} ({type(target).__name__}); "

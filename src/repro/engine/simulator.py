@@ -20,13 +20,12 @@ class Simulator:
     deterministic.
     """
 
-    __slots__ = ("now", "_heap", "_seq", "_processes", "_timeout_pool")
+    __slots__ = ("now", "_heap", "_seq", "_timeout_pool")
 
     def __init__(self) -> None:
         self.now: float = 0.0
         self._heap: list[tuple[float, int, typing.Callable[[], None]]] = []
         self._seq = 0
-        self._processes: int = 0  # live processes, for deadlock detection
         # Recycled PooledTimeout instances (see Simulator.delay).
         self._timeout_pool: list[PooledTimeout] = []
 

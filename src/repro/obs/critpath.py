@@ -2,13 +2,14 @@
 
 End-to-end latency says *that* a run is slow; this module says *why*.
 The scheduler records one ``"task"`` span per flow-graph task carrying
-its producer refs (the span DAG), and every component a task touches —
-ABC allocation wait, island DMA, the SPM<->DMA network, mesh NoC links,
-memory controllers, the ABB pipeline itself — records leaf spans under
-the task's correlation ref.  The analyzer walks that DAG backward from
-the last-finishing task, following whichever span *gated* completion at
-every instant, and attributes each cycle of the makespan to one of six
-categories:
+its producer refs (the span DAG; a closed-loop tile's source tasks
+carry the ref of the task whose completion released their window slot),
+and every component a task touches — ABC allocation wait, island DMA,
+the SPM<->DMA network, mesh NoC links, memory controllers, the ABB
+pipeline itself — records leaf spans under the task's correlation ref.
+The analyzer walks that DAG backward from the last-finishing task,
+following whichever span *gated* completion at every instant, and
+attributes each cycle of the makespan to one of six categories:
 
 ``compute``
     ABB pipeline (and software-fallback) execution.
@@ -26,8 +27,8 @@ categories:
 ``other``
     Everything else, itemized in the report's ``detail`` map: DRAM
     controller time (``mem``), the island-internal SPM network
-    (``spm_net``), tile-window handoffs, issue/arrival idle time, and
-    walk gaps.
+    (``spm_net``), gaps between a dependency's end and its consumer's
+    start (``handoff``), issue/arrival idle time, and walk gaps.
 
 Segments tile [0, makespan] exactly — shares always sum to 100 % — and
 the *reported critical path length equals the makespan by construction*,
@@ -286,35 +287,17 @@ def _gating_dep(
     nodes: dict[str, _Node], node: _Node, eps: float
 ) -> typing.Optional[_Node]:
     """The producer whose completion gated this node's start."""
-    candidates = [nodes[ref] for ref in node.deps if ref in nodes]
-    candidates = [c for c in candidates if c.end <= node.start + eps]
-    if not candidates:
-        return None
-    return max(candidates, key=lambda c: (c.end, c.ref))
-
-
-def _implicit_handoff(
-    ends_sorted: list, node: _Node, eps: float
-) -> typing.Optional[_Node]:
-    """The latest-finishing task at or before ``node.start``.
-
-    Models the tile-window handoff in closed-loop runs: a source task
-    that starts late was waiting for an in-flight tile to finish and
-    release the window slot, so the walk continues through that tile.
-    """
-    index = bisect.bisect_right(ends_sorted, (node.start + eps, "￿")) - 1
-    while index >= 0:
-        candidate = ends_sorted[index][2]
-        if candidate.ref != node.ref and candidate.end > eps:
-            return candidate
-        index -= 1
-    return None
+    candidates = [
+        nodes[ref]
+        for ref in node.deps
+        if ref in nodes and nodes[ref].end <= node.start + eps
+    ]
+    return max(candidates, key=lambda c: (c.end, c.ref), default=None)
 
 
 def analyze_critical_path(
     tracer: Tracer,
     makespan: typing.Optional[float] = None,
-    window_handoff: bool = True,
 ) -> AttributionReport:
     """Attribute a traced run's makespan to bottleneck categories.
 
@@ -325,11 +308,6 @@ def analyze_critical_path(
         makespan: Total simulated cycles; defaults to the latest span
             end.  Time past the last span is attributed to
             ``other/drain``.
-        window_handoff: Follow implicit predecessors (the tile-window
-            handoff) when a source task starts late.  Disable for
-            open-loop serving sessions, where a late source means the
-            request simply had not *arrived* — that idle time reports as
-            ``other/idle`` instead.
 
     Returns an :class:`AttributionReport` whose segments tile
     [0, makespan] exactly.
@@ -340,10 +318,6 @@ def analyze_critical_path(
     if makespan <= 0 or not nodes:
         return AttributionReport(makespan=max(makespan, 0.0))
     eps = 1e-9 * max(1.0, makespan)
-    ends_sorted = sorted(
-        ((node.end, node.ref, node) for node in nodes.values()),
-        key=lambda item: (item[0], item[1]),
-    )
 
     segments: list[Segment] = []
     current = max(nodes.values(), key=lambda node: (node.end, node.ref))
@@ -359,8 +333,6 @@ def analyze_critical_path(
         if t <= eps:
             break
         successor = _gating_dep(nodes, current, eps)
-        if successor is None and window_handoff:
-            successor = _implicit_handoff(ends_sorted, current, eps)
         if successor is None:
             segments.append(Segment(0.0, t, "other", "idle", current.ref, ""))
             t = 0.0

@@ -20,11 +20,11 @@ from __future__ import annotations
 
 import typing
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 from repro.abb.library import ABBLibrary
-from repro.core.scheduler import TileScheduler
 from repro.engine.trace import Tracer
-from repro.errors import ConfigError, SimulationError
+from repro.errors import ConfigError
 from repro.serve.arrivals import MEGACYCLE, ArrivalConfig, arrival_times
 from repro.serve.frontend import AdmissionConfig, AdmissionFrontend, Decision
 from repro.serve.slo import (
@@ -33,13 +33,9 @@ from repro.serve.slo import (
     jain_index,
     latency_summary,
 )
-from repro.sim.run import run_workload
+from repro.sim.run import TILE_ID_STRIDE, RequestDriver, run_workload
 from repro.sim.system import SystemConfig, SystemModel
 from repro.workloads.base import Workload
-
-#: Tile-id stride between tenants, so per-request memory streams and
-#: trace tags never collide across tenants.
-TENANT_TILE_STRIDE = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -129,7 +125,6 @@ class _TenantState:
     sw_write_bytes: float
     offered: int = 0
     shed: int = 0
-    hw_completed: int = 0
     sw_fallbacks: int = 0
     latencies: list = field(default_factory=list)
     window_completions: int = 0  # completed before the duration horizon
@@ -146,16 +141,19 @@ def estimate_saturation(
     the per-workload throughputs harmonically over the tenant list —
     the sustained rate of a fair interleaving.  This anchors "0.8x
     saturation load" style experiments to a measured capacity instead
-    of a guessed rate.
+    of a guessed rate.  Workloads are told apart by content, not name.
     """
     if not workloads:
         raise ConfigError("need at least one workload")
-    by_name: dict[str, float] = {}
-    for workload in workloads:
-        if workload.name not in by_name:
+    rates: list[float] = []  # tiles per Mcycle
+    for index, workload in enumerate(workloads):
+        first = workloads.index(workload)  # the first equal workload
+        if first < index:
+            rates.append(rates[first])
+        else:
             result = run_workload(config, workload, library=library)
-            by_name[workload.name] = result.performance  # tiles per Mcycle
-    inverse = sum(1.0 / by_name[w.name] for w in workloads) / len(workloads)
+            rates.append(result.performance)
+    inverse = sum(1.0 / rate for rate in rates) / len(rates)
     return 1.0 / inverse
 
 
@@ -181,6 +179,7 @@ def run_serve(
     """
     system = SystemModel(config, library=library, tracer=tracer)
     sim = system.sim
+    driver = RequestDriver(system)
     frontend = AdmissionFrontend(system, serve.admission)
     duration = serve.duration_cycles
     wait_estimates: list[float] = []
@@ -200,15 +199,10 @@ def run_serve(
             _TenantState(spec, graph, sw_cycles, sw_read, sw_write)
         )
 
-    def complete(state: _TenantState, arrived: float) -> None:
+    def complete(state: _TenantState, arrived: float, _ref: str = "") -> None:
         state.latencies.append(sim.now - arrived)
         if sim.now <= duration:
             state.window_completions += 1
-
-    def hw_request(state: _TenantState, tile_id: int, arrived: float):
-        yield TileScheduler(system, state.graph, tile_id, state.spec.name).run()
-        state.hw_completed += 1
-        complete(state, arrived)
 
     def sw_request(state: _TenantState, tile_id: int, arrived: float):
         # ARC's software path: the whole flow graph runs as one job on a
@@ -237,21 +231,28 @@ def run_serve(
                 {"deps": [], "tenant": state.spec.name},
             )
         state.sw_fallbacks += 1
+        driver.finished += 1
         complete(state, arrived)
 
     def tenant_stream(index: int, state: _TenantState, times: list[float]):
         for request_index, arrival in enumerate(times):
             yield sim.delay(arrival - sim.now)
             state.offered += 1
-            tile_id = index * TENANT_TILE_STRIDE + request_index
+            tile_id = index * TILE_ID_STRIDE + request_index
             decision, estimate = frontend.decide(state.graph, state.sw_cycles)
             wait_estimates.append(estimate)
             if decision is Decision.SHED:
                 state.shed += 1
             elif decision is Decision.SOFTWARE:
+                driver.started += 1
                 sim.process(sw_request(state, tile_id, sim.now))
             else:
-                sim.process(hw_request(state, tile_id, sim.now))
+                driver.issue(
+                    state.graph,
+                    tile_id,
+                    partial(complete, state, sim.now),
+                    state.spec.name,
+                )
 
     for index, state in enumerate(tenants):
         times = arrival_times(
@@ -261,16 +262,7 @@ def run_serve(
         )
         if times:
             sim.process(tenant_stream(index, state, times))
-    sim.run()
-
-    for state in tenants:
-        expected = state.offered - state.shed
-        completed = state.hw_completed + state.sw_fallbacks
-        if completed != expected:
-            raise SimulationError(
-                f"tenant {state.spec.name}: {completed}/{expected} admitted "
-                f"requests completed — serving session deadlocked"
-            )
+    shares = driver.run("serving session")
 
     drained = sim.now
     tenant_rows = []
@@ -283,8 +275,8 @@ def run_serve(
                 tenant=state.spec.name,
                 workload=state.spec.workload.name,
                 offered=state.offered,
-                completed=state.hw_completed + state.sw_fallbacks,
-                hw_completed=state.hw_completed,
+                completed=len(state.latencies),
+                hw_completed=len(state.latencies) - state.sw_fallbacks,
                 sw_fallbacks=state.sw_fallbacks,
                 shed=state.shed,
                 **{f"latency_{k}": v for k, v in summary.items()},
@@ -294,22 +286,10 @@ def run_serve(
         )
     aggregate = latency_summary(all_latencies)
     elapsed = max(drained, 1.0)
-    extras: dict[str, float] = {}
+    extras = {f"attr.{category}": share for category, share in shares.items()}
     if tracer is not None:
-        from repro.obs.critpath import (
-            analyze_critical_path,
-            category_cycles_by_tenant,
-        )
+        from repro.obs.critpath import category_cycles_by_tenant
 
-        # Open-loop sessions disable the window-handoff heuristic: a
-        # request that starts late was not waiting on a finished
-        # predecessor, it simply had not arrived — that idle time must
-        # report as "other", not as someone else's work.
-        report = analyze_critical_path(
-            tracer, makespan=drained, window_handoff=False
-        )
-        for category, share in report.shares().items():
-            extras[f"attr.{category}"] = share
         for tenant, cycles in sorted(category_cycles_by_tenant(tracer).items()):
             for category, value in cycles.items():
                 extras[f"busy.{tenant or 'none'}.{category}"] = value

@@ -20,18 +20,18 @@ from repro.workloads import get_workload, synthetic_workload
 
 #: ``(total_cycles, energy_nj, heap_entries, processes)``.
 GOLDEN = {
-    ("Denoise", "xbar"): (27292.04666666668, 1193246.7626134404, 412, 32),
-    ("Denoise", "ring"): (26880.30130081302, 1177464.430365832, 460, 32),
-    ("EKF-SLAM", "xbar"): (6599.813333333335, 286974.78352377407, 484, 48),
-    ("EKF-SLAM", "ring"): (4461.926991869917, 195194.66702147876, 407, 48),
+    ("Denoise", "xbar"): (27292.04666666668, 1193246.7626134404, 404, 28),
+    ("Denoise", "ring"): (26880.30130081302, 1177464.430365832, 452, 28),
+    ("EKF-SLAM", "xbar"): (6599.813333333335, 286974.78352377407, 476, 44),
+    ("EKF-SLAM", "ring"): (4461.926991869917, 195194.66702147876, 399, 44),
 }
 
 #: The same points under DMA stall and drop/retry faults.
 FAULTED_GOLDEN = {
-    ("Denoise", "xbar"): (30149.22000000001, 1316404.2154332104, 420, 32),
-    ("Denoise", "ring"): (30138.22000000001, 1317883.734559194, 468, 32),
-    ("EKF-SLAM", "xbar"): (7206.406666666668, 313121.7760632958, 485, 48),
-    ("EKF-SLAM", "ring"): (5775.260325203251, 251800.54637833213, 408, 48),
+    ("Denoise", "xbar"): (30149.22000000001, 1316404.2154332104, 412, 28),
+    ("Denoise", "ring"): (30138.22000000001, 1317883.734559194, 460, 28),
+    ("EKF-SLAM", "xbar"): (7206.406666666668, 313121.7760632958, 477, 44),
+    ("EKF-SLAM", "ring"): (5775.260325203251, 251800.54637833213, 400, 44),
 }
 DMA_FAULTS = "dma:0.15,dmadrop:0.05"
 
@@ -82,7 +82,7 @@ def test_consolidated_golden_run(work_counts):
     assert result.workload == "Denoise + EKF-SLAM"
     assert result.total_cycles == pytest.approx(31034.80000000003, rel=1e-12)
     assert result.energy_nj == pytest.approx(1357068.9785109651, rel=1e-12)
-    assert work_counts.take() == (896, 80)
+    assert work_counts.take() == (880, 72)
 
 
 def test_consolidated_faulted_golden_run(work_counts):
@@ -106,4 +106,4 @@ def test_consolidated_faulted_golden_run(work_counts):
     assert result.fallback_tasks == 6  # the host-core path actually ran
     assert result.total_cycles == pytest.approx(13218.993333333334, rel=1e-12)
     assert result.energy_nj == pytest.approx(594468.3403892533, rel=1e-12)
-    assert work_counts.take() == (504, 54)
+    assert work_counts.take() == (480, 42)

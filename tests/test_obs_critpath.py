@@ -164,10 +164,10 @@ class TestChainProperties:
         depth=st.integers(min_value=2, max_value=5),
         invocations=st.integers(min_value=32, max_value=256),
     )
-    def test_single_tile_chain_has_no_window_handoff(self, depth, invocations):
-        # One tile, one chain: every non-source segment must be
-        # explained by real spans or dependency gaps, never the
-        # window-handoff heuristic.
+    def test_single_tile_chain_has_no_handoff_gap(self, depth, invocations):
+        # One tile, one chain: every consumer starts the instant its
+        # producer ends, so no segment is a gap before a dependency's
+        # consumer.
         workload = synthetic_workload(
             name="chain1",
             depth=depth,

@@ -108,14 +108,14 @@ def test_traced_serve_equals_untraced(work_counts):
 #: software.  ``(drained_cycles, latency_p99, energy_nj, sw_fallbacks,
 #: heap_entries, processes)``.
 SERVE_GOLDEN = {
-    "": (630719.5137336281, 66332.02148924318, 32201798.706907853, 112, 24735, 2571),
+    "": (630719.5137336281, 66332.02148924318, 32201798.706907853, 112, 24244, 2080),
     "abb:0.25": (
         972949.1661749809,
         394713.210520207,
         56507484.00763458,
         330,
-        15362,
-        1699,
+        15089,
+        1426,
     ),
 }
 

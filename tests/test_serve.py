@@ -312,6 +312,19 @@ class TestServeSession:
         pair = estimate_saturation(config, [RPC, get_workload("Denoise", tiles=4)])
         assert 0 < pair < single
 
+    def test_saturation_probe_tells_same_named_workloads_apart(self):
+        # Two different workloads under one name each get their own
+        # closed-loop probe, so tenant order cannot change the answer.
+        config = tiny_system()
+        small = synthetic_workload(
+            name="rpc", depth=1, width=1, invocations=16, tiles=8
+        )
+        big = synthetic_workload(name="rpc", depth=4, width=3, invocations=64)
+        alone = [estimate_saturation(config, [w]) for w in (small, big)]
+        harmonic = 2.0 / (1.0 / alone[0] + 1.0 / alone[1])
+        assert estimate_saturation(config, [small, big]) == pytest.approx(harmonic)
+        assert estimate_saturation(config, [big, small]) == pytest.approx(harmonic)
+
 
 class TestAdmissionImpact:
     def test_wait_threshold_beats_always_hw_on_bursty_tail(self):
