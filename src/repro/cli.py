@@ -261,6 +261,10 @@ def cmd_serve(args) -> None:
         raise ConfigError(f"--tenants must be at least 1, got {args.tenants}")
     if args.duration <= 0:
         raise ConfigError(f"--duration must be positive, got {args.duration}")
+    if args.load <= 0:
+        raise ConfigError(f"--load must be positive, got {args.load}")
+    if args.rate < 0:
+        raise ConfigError(f"--rate must be non-negative, got {args.rate}")
     if args.arrival == "trace":
         if not args.trace_file:
             raise ConfigError("--arrival trace needs --trace-file")
@@ -398,6 +402,8 @@ def cmd_trace(args) -> None:
     from repro.engine.trace import Tracer
     from repro.obs import analyze_critical_path, write_trace
 
+    if args.top < 0:
+        raise ConfigError(f"--top must be non-negative, got {args.top}")
     config = SystemConfig(
         n_islands=args.islands,
         network=_network(args.network),

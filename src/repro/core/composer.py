@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import collections
 import typing
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.allocation import AllocationPolicy, locality_then_load_balance
 from repro.engine import Event, Simulator
@@ -41,6 +41,10 @@ SOFTWARE_FALLBACK = "software-fallback"
 class Grant:
     """An allocated ABB slot, returned by :meth:`ABC.request`.
 
+    The grant itself is the slot's owner on its island, compared by
+    identity: two grants of one slot at one instant are equal but never
+    the same object.
+
     Attributes:
         island_index: Which island the block sits on.
         slot: Slot index within the island.
@@ -52,7 +56,6 @@ class Grant:
     island_index: int
     slot: int
     type_name: str
-    _token: object = field(repr=False, default=None)
     granted_at: float = 0.0
 
 
@@ -86,12 +89,12 @@ class AcceleratorBlockComposer:
         # Queued requests per type, kept on enqueue, grant and fallback
         # (estimate_wait reads it on every admission decision).
         self._pending: collections.Counter[str] = collections.Counter()
-        # Request-path caches: island ABB mixes are fixed at
-        # construction, so type existence never changes; and until the
-        # fault layer reports a hard failure every existing slot is
-        # operational, making both checks O(1) on clean platforms.
-        self._type_exists_cache: dict[str, bool] = {}
-        self._any_failures = False
+        # Operational (non-failed, free or busy) slots per type across
+        # all islands, kept by :meth:`fail_slot`.  A type with no key
+        # exists nowhere; a count of zero means every slot of it failed.
+        self._operational: collections.Counter[str] = collections.Counter(
+            abb_type.name for island in self.islands for abb_type in island.abbs
+        )
         self.wait_cycles = Histogram("abc.wait")
         self.service_cycles = Histogram("abc.service")
         self.total_grants = 0
@@ -99,29 +102,6 @@ class AcceleratorBlockComposer:
         self.fallback_grants = 0
 
     # ------------------------------------------------------------ internals
-    def _type_exists(self, type_name: str) -> bool:
-        exists = self._type_exists_cache.get(type_name)
-        if exists is None:
-            exists = any(
-                island.slots_of_type(type_name) for island in self.islands
-            )
-            self._type_exists_cache[type_name] = exists
-        return exists
-
-    def _type_operational(self, type_name: str) -> bool:
-        """Whether any non-failed slot of a type survives anywhere.
-
-        A busy operational slot counts: it will free up and serve queued
-        requests.  Only when every slot of the type has hard-failed is
-        hardware composition impossible.
-        """
-        if not self._any_failures:
-            return self._type_exists(type_name)
-        return any(
-            island.operational_counts.get(type_name)
-            for island in self.islands
-        )
-
     def _try_allocate(
         self, type_name: str, preferred: typing.Optional[int]
     ) -> typing.Optional[Grant]:
@@ -135,9 +115,9 @@ class AcceleratorBlockComposer:
         index = self.policy(self.islands, candidates, preferred)
         island = self.islands[index]
         slot = island.first_usable(type_name)
-        token = object()
-        island.allocate(slot, token)
-        return Grant(index, slot, type_name, token, self.sim.now)
+        grant = Grant(index, slot, type_name, self.sim.now)
+        island.allocate(slot, grant)
+        return grant
 
     # --------------------------------------------------------------- public
     def request(
@@ -153,13 +133,14 @@ class AcceleratorBlockComposer:
         service, the event instead fires immediately with
         :data:`SOFTWARE_FALLBACK` and the caller runs in software.
         """
-        if not self._type_exists(type_name):
+        operational = self._operational.get(type_name)
+        if operational is None:
             raise AllocationError(
                 f"no island carries ABB type {type_name!r}; "
                 f"the platform cannot compose this graph"
             )
         event = Event(self.sim)
-        if not self._type_operational(type_name):
+        if not operational:
             self.fallback_grants += 1
             event.succeed(SOFTWARE_FALLBACK)
             return event
@@ -176,14 +157,12 @@ class AcceleratorBlockComposer:
             )
         return event
 
-    def release(self, grant: Grant, invocations: int) -> None:
+    def release(self, grant: Grant) -> None:
         """Return a granted slot; retries queued waiters in FIFO order."""
         if not 0 <= grant.island_index < len(self.islands):
             raise ConfigError(f"island index {grant.island_index} out of range")
         self.service_cycles.record(self.sim.now - grant.granted_at)
-        self.islands[grant.island_index].release(
-            grant.slot, grant._token, invocations
-        )
+        self.islands[grant.island_index].release(grant.slot, grant)
         self._drain_waiters()
 
     def _drain_waiters(self) -> None:
@@ -195,7 +174,7 @@ class AcceleratorBlockComposer:
         # call.  Under the open-loop serving frontend the wait queue can
         # hold thousands of requests.
         exhausted: set[str] = set()
-        operational: dict[str, bool] = {}
+        operational = self._operational
         remaining: collections.deque[_Waiter] = collections.deque()
         pending = self._pending
         for waiter in self._waiters:
@@ -203,10 +182,7 @@ class AcceleratorBlockComposer:
             if type_name in exhausted:
                 remaining.append(waiter)
                 continue
-            alive = operational.get(type_name)
-            if alive is None:
-                alive = operational[type_name] = self._type_operational(type_name)
-            if not alive:
+            if not operational[type_name]:
                 # Every slot of this type hard-failed while the request
                 # was queued; resolve it to software rather than strand
                 # it forever.
@@ -225,14 +201,18 @@ class AcceleratorBlockComposer:
             waiter.event.succeed(grant)
         self._waiters = remaining
 
-    def on_slot_failed(self, type_name: str) -> None:
-        """React to an ABB hard failure reported by the fault layer.
+    def fail_slot(self, island_index: int, slot: int) -> None:
+        """Take a slot out of service for good (ABB hard failure).
 
-        Re-evaluates the wait queue: waiters for a type that just lost
-        its last operational slot are resolved to software fallback
-        immediately (they can never be served in hardware).
+        The one entry for hard failures: the island marks the slot
+        failed, the per-type operational count drops, and the wait
+        queue is re-evaluated — waiters for a type that just lost its
+        last operational slot resolve to software fallback at once
+        (they can never be served in hardware).
         """
-        self._any_failures = True
+        # ``-=`` on the item keeps a zero count (all failed) distinct
+        # from a missing key (type absent).
+        self._operational[self.islands[island_index].fail_slot(slot)] -= 1
         if self._waiters:
             self._drain_waiters()
 
@@ -263,10 +243,7 @@ class AcceleratorBlockComposer:
         """
         if self.free_count(type_name) > 0:
             return 0.0
-        units = sum(
-            island.operational_counts.get(type_name, 0)
-            for island in self.islands
-        )
+        units = self._operational[type_name]
         if units == 0:
             return float("inf")
         mean_service = (

@@ -238,21 +238,11 @@ class TileScheduler:
                 )
                 continue
             src_island, src_slot = location
-            if src_island == grant.island_index:
-                input_events.append(
-                    island.chain_local(src_slot, grant.slot, nbytes, tag)
+            input_events.append(
+                system.island_to_island(
+                    src_island, src_slot, grant.island_index, grant.slot, nbytes, tag
                 )
-            else:
-                input_events.append(
-                    system.island_to_island(
-                        src_island,
-                        src_slot,
-                        grant.island_index,
-                        grant.slot,
-                        nbytes,
-                        tag,
-                    )
-                )
+            )
         if input_events:
             gather_start = system.sim.now
             yield AllOf(system.sim, input_events)
@@ -286,7 +276,7 @@ class TileScheduler:
                 tag,
             )
             self._trace(writeback_start, "writeback", actor, tag, tag)
-        system.abc.release(grant, task.invocations)
+        system.abc.release(grant)
         self._trace_task(requested_at, actor, task_id, producers)
         self.last_ref = tag
         self._done[task_id].succeed(task_id)

@@ -6,9 +6,12 @@ The island exposes three data paths to the system simulator:
 * ``egress(slot, nbytes)``   — SPM -> internal net -> DMA -> NoC link out;
 * ``chain_local(src, dst, nbytes)`` — SPM -> internal net -> SPM.
 
-It also owns slot allocation, including the Section 5.1 neighbour-lockout
-semantics of SPM sharing (allocating an ABB temporarily claims its
-neighbours' banks, rendering the neighbours unusable).
+It is also the one record of slot occupancy: each slot's owner (the
+ABC's grant) and computing flag, failures, and the Section 5.1
+neighbour-lockout semantics of SPM sharing (allocating an ABB
+temporarily claims its neighbours' banks, rendering the neighbours
+unusable).  Every misuse of a slot's lifecycle — allocate, compute,
+release — is checked here.
 """
 
 from __future__ import annotations
@@ -16,8 +19,8 @@ from __future__ import annotations
 import typing
 
 import repro.faults as faults
-from repro.abb.instance import ABBInstance
 from repro.abb.library import ABBLibrary
+from repro.abb.types import ABBType
 from repro.engine import (
     BandwidthServer,
     Event,
@@ -27,7 +30,7 @@ from repro.engine import (
 )
 from repro.engine.route import CALL, DONE, END, SERVE, leg
 from repro.engine.trace import Tracer
-from repro.errors import AllocationError, ConfigError
+from repro.errors import AllocationError, ConfigError, SimulationError
 from repro.island.config import IslandConfig
 from repro.island.networks import SpmDmaNetwork, build_network
 from repro.island.spm import SPMGroup
@@ -67,15 +70,13 @@ class Island:
 
         # Slots: one ABB + one SPM group per slot, laid out in a fixed
         # physical order (types interleaved as given by the mix).
-        self.abbs: list[ABBInstance] = []
+        self.abbs: list[ABBType] = []
         self.spm_groups: list[SPMGroup] = []
-        next_id = island_id * 10_000
         for type_name in sorted(config.abb_mix):
             abb_type = library.get(type_name)
             for _ in range(config.abb_mix[type_name]):
-                self.abbs.append(ABBInstance(next_id, abb_type, island_id))
+                self.abbs.append(abb_type)
                 self.spm_groups.append(SPMGroup(abb_type, config.spm_porting))
-                next_id += 1
 
         self.network: SpmDmaNetwork = build_network(
             sim,
@@ -115,25 +116,25 @@ class Island:
         # normally (fail-stop after drain).
         self.fault_injector = fault_injector
         self._failed = [False] * len(self.abbs)
+        # Occupancy: each slot's owner (the grant that holds it, compared
+        # by identity) and whether its task has started computing.
+        self._owner: list[object] = [None] * len(self.abbs)
+        self._computing = [False] * len(self.abbs)
         # Allocation state, kept by allocate, release and fail_slot
         # instead of recounted per query (the ABC reads it on every
         # request): the slot layout is fixed after construction, so the
         # per-type slot lists are built once; a usable flag per slot; the
         # busy count.
         self._slots_by_type: dict[str, list[int]] = {}
-        for index, abb in enumerate(self.abbs):
-            self._slots_by_type.setdefault(abb.abb_type.name, []).append(index)
-        self._types = [abb.abb_type.name for abb in self.abbs]
+        for index, abb_type in enumerate(self.abbs):
+            self._slots_by_type.setdefault(abb_type.name, []).append(index)
+        self._types = [abb_type.name for abb_type in self.abbs]
         self._usable = [True] * len(self.abbs)
         #: Usable slots per ABB type (see :meth:`slot_usable`); maintained,
         #: read-only for callers.
         self.usable_counts: dict[str, int] = {
             name: len(slots) for name, slots in self._slots_by_type.items()
         }
-        #: Non-failed slots per ABB type, free *or* busy: a busy
-        #: operational slot will serve again after release, a failed one
-        #: never will.  Maintained, read-only for callers.
-        self.operational_counts = dict(self.usable_counts)
         self._slot_count = len(self.abbs)
         self._busy_slots = 0
         self.abb_tracker = UtilizationTracker(
@@ -188,9 +189,9 @@ class Island:
     def slot_usable(self, slot: int) -> bool:
         """Whether a slot can be allocated right now.
 
-        Requires an operational (non-failed) slot, a free ABB, a free SPM
-        group, and — with sharing enabled — that no neighbour has
-        borrowed the slot's banks.
+        Requires an operational (non-failed) slot that no grant owns
+        and — with sharing enabled — whose banks no neighbour has
+        borrowed.
         """
         self._check_slot(slot)
         return self._usable[slot]
@@ -214,13 +215,12 @@ class Island:
 
     # ----------------------------------------------------------- allocation
     def allocate(self, slot: int, owner: object) -> None:
-        """Claim a slot for a task; applies sharing lockout to neighbours."""
+        """Claim a slot for ``owner``; applies sharing lockout to neighbours."""
         if not self.slot_usable(slot):
             raise AllocationError(
                 f"island {self.island_id}: slot {slot} not usable"
             )
-        self.abbs[slot].reserve(self.sim.now)
-        self.spm_groups[slot].acquire(owner)
+        self._owner[slot] = owner
         self._set_usable(slot, False)
         if self.config.spm_sharing:
             for neighbor in self._neighbors(slot):
@@ -229,11 +229,19 @@ class Island:
         self._busy_slots += 1
         self.abb_tracker.adjust(+1, self.sim.now)
 
-    def release(self, slot: int, owner: object, invocations: int) -> None:
-        """Return a slot to the pool after its task completes."""
+    def release(self, slot: int, owner: object) -> None:
+        """Return a slot to the pool after its owner's task computed."""
         self._check_slot(slot)
-        self.abbs[slot].finish(self.sim.now, invocations)
-        self.spm_groups[slot].release(owner)
+        if self._owner[slot] is not owner:
+            raise SimulationError(
+                f"island {self.island_id}: slot {slot} released by non-owner"
+            )
+        if not self._computing[slot]:
+            raise SimulationError(
+                f"island {self.island_id}: slot {slot} released before compute"
+            )
+        self._owner[slot] = None
+        self._computing[slot] = False
         self._refresh_usable(slot)
         if self.config.spm_sharing:
             for neighbor in self._neighbors(slot):
@@ -247,10 +255,10 @@ class Island:
     def fail_slot(self, slot: int) -> str:
         """Take a slot permanently out of service (ABB hard failure).
 
-        Idempotent-safe for planning code: failing an already-failed slot
-        is an error, since the fault plan draws slots without
-        replacement.  Returns the failed slot's ABB type so the caller
-        (the ABC) can re-evaluate queued requests for that type.
+        Failing an already-failed slot is an error, since the fault plan
+        draws slots without replacement.  Returns the failed slot's ABB
+        type.  Call it through :meth:`AcceleratorBlockComposer.fail_slot`,
+        which keeps the per-type operational count.
         """
         self._check_slot(slot)
         if self._failed[slot]:
@@ -259,9 +267,7 @@ class Island:
             )
         self._failed[slot] = True
         self._set_usable(slot, False)
-        type_name = self._types[slot]
-        self.operational_counts[type_name] -= 1
-        return type_name
+        return self._types[slot]
 
     def _set_usable(self, slot: int, usable: bool) -> None:
         """Set a slot's usable flag, keeping its type's count."""
@@ -274,8 +280,7 @@ class Island:
         self._set_usable(
             slot,
             not self._failed[slot]
-            and self.abbs[slot].is_free
-            and self.spm_groups[slot].is_free
+            and self._owner[slot] is None
             and not (self.config.spm_sharing and self._neighbor_locks[slot] > 0),
         )
 
@@ -360,20 +365,24 @@ class Island:
         ).event
 
     def compute(self, slot: int, invocations: int) -> Event:
-        """Run ``invocations`` through a reserved slot's ABB pipeline."""
+        """Run ``invocations`` through an allocated slot's ABB pipeline."""
         self._check_slot(slot)
-        abb = self.abbs[slot]
-        group = self.spm_groups[slot]
-        abb.start_compute()
-        cycles = abb.abb_type.compute_cycles(invocations)
-        cycles *= 1.0 + group.conflict_penalty()
-        self.energy.charge("abb", abb.abb_type.dynamic_energy_nj(invocations))
+        if self._owner[slot] is None or self._computing[slot]:
+            state = "computing" if self._computing[slot] else "unowned"
+            raise SimulationError(
+                f"island {self.island_id}: slot {slot} computed while {state}"
+            )
+        self._computing[slot] = True
+        abb_type = self.abbs[slot]
+        cycles = abb_type.compute_cycles(invocations)
+        cycles *= 1.0 + self.spm_groups[slot].conflict_penalty()
+        self.energy.charge("abb", abb_type.dynamic_energy_nj(invocations))
         return self.sim.delay(cycles, invocations)
 
     # ------------------------------------------------------------ physicals
     def area_breakdown_mm2(self) -> dict[str, float]:
         """Area of every island component (Section 5.7 accounting)."""
-        abb_area = sum(abb.abb_type.area_mm2 for abb in self.abbs)
+        abb_area = sum(abb_type.area_mm2 for abb_type in self.abbs)
         spm_area = sum(group.area_mm2 for group in self.spm_groups)
         sharing_factor = 3 if self.config.spm_sharing else 1
         abb_spm_xbar = sum(
@@ -401,7 +410,7 @@ class Island:
     @property
     def static_power_mw(self) -> float:
         """Total island leakage: ABBs + SPM + networks + fixed blocks."""
-        abb_static = sum(abb.abb_type.static_power_mw for abb in self.abbs)
+        abb_static = sum(abb_type.static_power_mw for abb_type in self.abbs)
         spm_static = sum(group.static_power_mw for group in self.spm_groups)
         breakdown = self.area_breakdown_mm2()
         fixed_area = (

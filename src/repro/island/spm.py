@@ -1,6 +1,6 @@
 """Per-ABB SPM bank groups.
 
-Each ABB owns a group of SPM banks sized by its type (``spm_banks_min``
+Each ABB slot has a group of SPM banks sized by its type (``spm_banks_min``
 banks at peak throughput).  Section 5.4's porting study is modeled as a
 small residual bank-conflict penalty on compute time: with exact porting a
 software-managed layout removes *almost* all conflicts (a ~2 % residue
@@ -11,7 +11,6 @@ and leakage for every extra port.
 from __future__ import annotations
 
 from repro.abb.types import ABBType
-from repro.errors import SimulationError
 from repro.island.config import SpmPorting
 from repro.power.spm_model import SPMModel
 
@@ -33,25 +32,6 @@ class SPMGroup:
         )
         self.bytes_read = 0.0
         self.bytes_written = 0.0
-        self._owner: object = None
-
-    # ------------------------------------------------------------ occupancy
-    @property
-    def is_free(self) -> bool:
-        """Whether no task currently owns the group."""
-        return self._owner is None
-
-    def acquire(self, owner: object) -> None:
-        """Claim the group for a task (paper: one ABB per bank at a time)."""
-        if self._owner is not None:
-            raise SimulationError("SPM group already owned")
-        self._owner = owner
-
-    def release(self, owner: object) -> None:
-        """Release the group; must be the current owner."""
-        if self._owner is not owner:
-            raise SimulationError("SPM group released by non-owner")
-        self._owner = None
 
     # --------------------------------------------------------------- timing
     def conflict_penalty(self) -> float:

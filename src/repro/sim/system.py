@@ -273,10 +273,10 @@ class SystemModel:
     def _arm_abb_failures(self) -> None:
         """Schedule the planned ABB hard failures on the simulator.
 
-        Each failure marks the slot out of service (an in-flight task
-        drains first) and notifies the ABC so queued requests for a type
-        with no surviving hardware resolve to software fallback instead
-        of deadlocking.
+        Each failure goes through :meth:`AcceleratorBlockComposer.fail_slot`:
+        the slot leaves service (an in-flight task drains first) and
+        queued requests for a type with no surviving hardware resolve to
+        software fallback instead of deadlocking.
         """
         plan = self.fault_injector.plan_abb_failures(
             [island.n_slots for island in self.islands]
@@ -284,9 +284,8 @@ class SystemModel:
 
         def make_callback(island_index: int, slot: int):
             def on_fire(_event: Event) -> None:
-                type_name = self.islands[island_index].fail_slot(slot)
+                self.abc.fail_slot(island_index, slot)
                 self.fault_injector.stats.failed_abbs += 1
-                self.abc.on_slot_failed(type_name)
 
             return on_fire
 

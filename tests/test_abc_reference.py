@@ -3,14 +3,15 @@
 The reference is the allocator the index replaced: on every request it
 sorts the islands into the policy's order and scans every slot of the
 type for the first usable one; its usable test reads the slot's raw
-state (failure, ABB and SPM-group occupancy, sharing locks); its wait
+state (failure, the island's one owner record, sharing locks); its wait
 queue is drained in repeated passes with per-pass free counts, and it
 counts pending waiters by scanning the queue.  It runs on a twin
 platform (same configuration).  Hypothesis generates platforms and
 sequences of requests, releases, ABB failures and time steps, with SPM
 sharing on and off and under both policies; after every step both
 allocators must have made the same grants in the same order and report
-the same free counts, queue length and wait estimates.
+the same free counts, queue length and wait estimates, and the ABC's
+per-type operational count must equal a scan of the non-failed slots.
 """
 
 import collections
@@ -33,7 +34,7 @@ TYPES = ("poly", "div", "sum")
 def ref_usable(island, slot):
     if island._failed[slot]:
         return False
-    if not island.abbs[slot].is_free or not island.spm_groups[slot].is_free:
+    if island._owner[slot] is not None:
         return False
     if island.config.spm_sharing and island._neighbor_locks[slot] > 0:
         return False
@@ -82,9 +83,9 @@ class ReferenceABC:
         for island_idx in ref_order(self.policy, self.islands, preferred):
             free = ref_free_slots(self.islands[island_idx], type_name)
             if free:
-                token = object()
-                self.islands[island_idx].allocate(free[0], token)
-                return Grant(island_idx, free[0], type_name, token, self.sim.now)
+                grant = Grant(island_idx, free[0], type_name, self.sim.now)
+                self.islands[island_idx].allocate(free[0], grant)
+                return grant
         return None
 
     def request(self, type_name, preferred=None):
@@ -104,14 +105,13 @@ class ReferenceABC:
             self._waiters.append((event, type_name, preferred, self.sim.now))
         return event
 
-    def release(self, grant, invocations):
+    def release(self, grant):
         self.service_cycles.record(self.sim.now - grant.granted_at)
-        self.islands[grant.island_index].release(
-            grant.slot, grant._token, invocations
-        )
+        self.islands[grant.island_index].release(grant.slot, grant)
         self._drain_waiters()
 
-    def on_slot_failed(self, _type_name):
+    def fail_slot(self, island_index, slot):
+        self.islands[island_index].fail_slot(slot)
         if self._waiters:
             self._drain_waiters()
 
@@ -203,13 +203,13 @@ class Platform:
             )
         elif kind == "release" and self.held:
             grant = self.held.pop(a % len(self.held))
-            self.islands[grant.island_index].abbs[grant.slot].start_compute()
-            self.abc.release(grant, invocations=1)
+            self.islands[grant.island_index].compute(grant.slot, 1)
+            self.abc.release(grant)
         elif kind == "fail":
-            island = self.islands[a % len(self.islands)]
-            slot = b % island.n_slots
-            if not island._failed[slot]:
-                self.abc.on_slot_failed(island.fail_slot(slot))
+            index = a % len(self.islands)
+            slot = b % self.islands[index].n_slots
+            if not self.islands[index]._failed[slot]:
+                self.abc.fail_slot(index, slot)
         elif kind == "wait":
             self.sim.timeout(float(a))
         self.sim.run()
@@ -274,3 +274,9 @@ def test_abc_index_matches_reference(mixes, sharing, policy, ops):
         indexed.step(op)
         reference.step(op)
         assert indexed.observe() == reference.observe(), op
+        types = {t.name for island in indexed.islands for t in island.abbs}
+        operational = {
+            t: sum(len(ref_operational(i, t)) for i in indexed.islands)
+            for t in types
+        }
+        assert dict(indexed.abc._operational) == operational, op

@@ -160,8 +160,18 @@ class TestCommands:
             (["--tenants", "0"], "--tenants"),
             (["--duration", "-5"], "--duration"),
             (["--arrival", "trace"], "--trace-file"),
+            (["--load", "0"], "--load"),
+            (["--load", "-1"], "--load"),
+            (["--rate", "-5"], "--rate"),
         ],
-        ids=["no-tenants", "negative-duration", "trace-without-file"],
+        ids=[
+            "no-tenants",
+            "negative-duration",
+            "trace-without-file",
+            "zero-load",
+            "negative-load",
+            "negative-rate",
+        ],
     )
     def test_serve_rejects_bad_flags_before_probe(
         self, capsys, monkeypatch, flags, named
@@ -176,6 +186,17 @@ class TestCommands:
         captured = capsys.readouterr()
         assert named in captured.err
         assert captured.out == ""
+
+    def test_trace_rejects_negative_top_before_simulating(
+        self, capsys, tmp_path
+    ):
+        out = tmp_path / "trace.json"
+        argv = ["trace", "Denoise", "--tiles", "2", "--top", "-1", "--out", str(out)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert "--top" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
 
     def test_fig10_small(self, capsys):
         assert main(["fig10", "--tiles", "2"]) == 0

@@ -5,6 +5,7 @@ import pytest
 from repro.abb import standard_library
 from repro.core import AcceleratorBlockComposer, first_fit
 from repro.core.allocation import locality_then_load_balance
+from repro.core.composer import SOFTWARE_FALLBACK
 from repro.engine import Simulator
 from repro.errors import AllocationError, ConfigError
 from repro.island import Island, IslandConfig
@@ -42,8 +43,8 @@ class TestRequestRelease:
         abc.request("poly").add_callback(lambda e: grants.append(e.value))
         sim.run()
         grant = grants[0]
-        islands[grant.island_index].abbs[grant.slot].start_compute()
-        abc.release(grant, invocations=10)
+        islands[grant.island_index].compute(grant.slot, 1)
+        abc.release(grant)
         assert islands[grant.island_index].slot_usable(grant.slot)
 
     def test_queue_when_all_busy(self):
@@ -53,9 +54,9 @@ class TestRequestRelease:
         def user(tag, hold):
             grant = yield abc.request("div")
             order.append((tag, sim.now))
-            islands[grant.island_index].abbs[grant.slot].start_compute()
+            islands[grant.island_index].compute(grant.slot, 1)
             yield sim.timeout(hold)
-            abc.release(grant, invocations=1)
+            abc.release(grant)
 
         sim.process(user("a", 10))
         sim.process(user("b", 10))
@@ -121,9 +122,9 @@ class TestWaiterDrain:
         def user(tag):
             grant = yield abc.request("poly")
             order.append(tag)
-            islands[grant.island_index].abbs[grant.slot].start_compute()
+            islands[grant.island_index].compute(grant.slot, 1)
             yield sim.timeout(5)
-            abc.release(grant, invocations=1)
+            abc.release(grant)
 
         for tag in "abcd":
             sim.process(user(tag))
@@ -136,17 +137,17 @@ class TestWaiterDrain:
 
         def poly_user():
             grant = yield abc.request("poly")
-            islands[grant.island_index].abbs[grant.slot].start_compute()
+            islands[grant.island_index].compute(grant.slot, 1)
             yield sim.timeout(50)
-            abc.release(grant, invocations=1)
+            abc.release(grant)
             got.append("poly_done")
 
         def div_user():
             yield sim.timeout(1)
             grant = yield abc.request("div")
             got.append(("div", sim.now))
-            islands[grant.island_index].abbs[grant.slot].start_compute()
-            abc.release(grant, invocations=1)
+            islands[grant.island_index].compute(grant.slot, 1)
+            abc.release(grant)
 
         sim.process(poly_user())
         sim.process(div_user())
@@ -181,17 +182,43 @@ class TestWaiterDrain:
 
     def test_estimate_wait_infinite_when_type_dead(self):
         sim, islands, abc = make_abc(n_islands=1, mix={"poly": 1, "div": 1})
-        islands[0].fail_slot(islands[0].slots_of_type("poly")[0])
+        abc.fail_slot(0, islands[0].slots_of_type("poly")[0])
         assert abc.estimate_wait("poly") == float("inf")
+
+    def test_last_failure_resolves_waiters_to_software(self):
+        # A type whose every slot failed still exists: requests fall
+        # back to software instead of raising AllocationError.
+        sim, islands, abc = make_abc(n_islands=2, mix={"poly": 1, "div": 1})
+        values = []
+        for _ in range(3):
+            abc.request("poly").add_callback(lambda e: values.append(e.value))
+        sim.run()
+        assert len(values) == 2 and abc.queue_length() == 1
+        abc.fail_slot(0, islands[0].slots_of_type("poly")[0])
+        assert abc.queue_length() == 1
+        abc.fail_slot(1, islands[1].slots_of_type("poly")[0])
+        sim.run()
+        assert values[2] == SOFTWARE_FALLBACK
+        assert abc.queue_length() == 0
+        abc.request("poly").add_callback(lambda e: values.append(e.value))
+        sim.run()
+        assert values[3] == SOFTWARE_FALLBACK
+        assert abc.fallback_grants == 2
+        assert abc.estimate_wait("poly") == float("inf")
+        # In-flight grants on failed slots still drain normally.
+        for grant in values[:2]:
+            islands[grant.island_index].compute(grant.slot, 1)
+            abc.release(grant)
+        assert abc.free_count("poly") == 0
 
     def test_service_cycles_observed_on_release(self):
         sim, islands, abc = make_abc(n_islands=1, mix={"poly": 1})
 
         def user(hold):
             grant = yield abc.request("poly")
-            islands[grant.island_index].abbs[grant.slot].start_compute()
+            islands[grant.island_index].compute(grant.slot, 1)
             yield sim.timeout(hold)
-            abc.release(grant, invocations=1)
+            abc.release(grant)
 
         sim.process(user(80))
         sim.process(user(40))

@@ -4,7 +4,8 @@ import pytest
 
 from repro.abb import standard_library
 from repro.engine import Simulator
-from repro.errors import AllocationError, ConfigError
+from repro.core.composer import Grant
+from repro.errors import AllocationError, ConfigError, SimulationError
 from repro.island import Island, IslandConfig, NetworkKind, SpmDmaNetworkConfig, SpmPorting
 from repro.power import EnergyAccount
 
@@ -32,10 +33,13 @@ class TestConstruction:
         with pytest.raises(ConfigError):
             make_island(abb_mix={"fft": 2})
 
-    def test_abb_ids_unique_per_island(self):
+    def test_every_slot_starts_free(self):
         _, island, _ = make_island()
-        ids = [abb.abb_id for abb in island.abbs]
-        assert len(set(ids)) == len(ids)
+        assert island.busy_fraction() == 0.0
+        assert all(island.slot_usable(s) for s in range(island.n_slots))
+        assert [abb_type.name for abb_type in island.abbs] == [
+            "div", "poly", "poly", "poly", "sum"
+        ]
 
 
 class TestAllocation:
@@ -45,9 +49,10 @@ class TestAllocation:
         island.allocate(slot, owner="t1")
         assert not island.slot_usable(slot)
         assert island.busy_fraction() == pytest.approx(1 / 5)
-        island.abbs[slot].start_compute()
-        island.release(slot, owner="t1", invocations=10)
+        island.compute(slot, 10)
+        island.release(slot, owner="t1")
         assert island.slot_usable(slot)
+        assert island.busy_fraction() == 0.0
 
     def test_allocate_busy_slot_rejected(self):
         _, island, _ = make_island()
@@ -73,8 +78,8 @@ class TestAllocation:
     def test_sharing_release_unlocks(self):
         _, island, _ = make_island(spm_sharing=True)
         island.allocate(2, "t")
-        island.abbs[2].start_compute()
-        island.release(2, "t", invocations=1)
+        island.compute(2, 1)
+        island.release(2, "t")
         assert island.slot_usable(1)
         assert island.slot_usable(3)
 
@@ -99,6 +104,118 @@ class TestAllocation:
                 count += 1
 
         assert max_parallel(shared) < max_parallel(private)
+
+
+def _allocate_busy(island):
+    island.allocate(0, "a")
+    island.allocate(0, "b")
+
+
+def _allocate_failed(island):
+    island.fail_slot(0)
+    island.allocate(0, "a")
+
+
+def _allocate_locked(island):
+    island.allocate(2, "a")
+    island.allocate(3, "b")
+
+
+def _allocate_computing(island):
+    island.allocate(0, "a")
+    island.compute(0, 1)
+    island.allocate(0, "b")
+
+
+def _compute_unowned(island):
+    island.compute(0, 1)
+
+
+def _compute_twice(island):
+    island.allocate(0, "a")
+    island.compute(0, 1)
+    island.compute(0, 1)
+
+
+def _release_unowned(island):
+    island.release(0, "a")
+
+
+def _release_by_non_owner(island):
+    island.allocate(0, "a")
+    island.compute(0, 1)
+    island.release(0, "b")
+
+
+def _release_by_equal_grant(island):
+    # Grants are value-equal dataclasses: ownership is identity.
+    mine = Grant(0, 0, "div")
+    island.allocate(0, mine)
+    island.compute(0, 1)
+    island.release(0, Grant(0, 0, "div"))
+
+
+def _release_twice(island):
+    island.allocate(0, "a")
+    island.compute(0, 1)
+    island.release(0, "a")
+    island.release(0, "a")
+
+
+def _release_before_compute(island):
+    island.allocate(0, "a")
+    island.release(0, "a")
+
+
+MISUSES = [
+    (_allocate_busy, AllocationError, "not usable"),
+    (_allocate_failed, AllocationError, "not usable"),
+    (_allocate_locked, AllocationError, "not usable"),
+    (_allocate_computing, AllocationError, "not usable"),
+    (_compute_unowned, SimulationError, "while unowned"),
+    (_compute_twice, SimulationError, "while computing"),
+    (_release_unowned, SimulationError, "non-owner"),
+    (_release_by_non_owner, SimulationError, "non-owner"),
+    (_release_by_equal_grant, SimulationError, "non-owner"),
+    (_release_twice, SimulationError, "non-owner"),
+    (_release_before_compute, SimulationError, "before compute"),
+]
+
+
+class TestSlotChecks:
+    """Every misuse of a slot's allocate -> compute -> release cycle."""
+
+    @pytest.mark.parametrize(
+        "misuse, error, match",
+        [
+            pytest.param(*case, id=case[0].__name__[1:].replace("_", "-"))
+            for case in MISUSES
+        ],
+    )
+    def test_misuse_raises(self, misuse, error, match):
+        _, island, _ = make_island(spm_sharing=True)
+        with pytest.raises(error, match=match):
+            misuse(island)
+
+    def test_clean_cycle_raises_nothing(self):
+        _, island, _ = make_island(spm_sharing=True)
+        for owner in ("a", "b"):
+            island.allocate(0, owner)
+            island.compute(0, 1)
+            island.release(0, owner)
+        assert island.slot_usable(0) and island.slot_usable(1)
+
+    def test_slot_busy_from_allocate_until_release(self):
+        sim, island, _ = make_island()
+        island.allocate(1, "t")
+        done = island.compute(1, 30)
+        sim.run()
+        assert done.triggered
+        assert not island.slot_usable(1)
+        assert island.busy_fraction() == pytest.approx(1 / 5)
+        island.release(1, "t")
+        assert island.slot_usable(1)
+        assert island.busy_fraction() == 0.0
 
 
 class TestDataPath:
@@ -131,7 +248,7 @@ class TestDataPath:
         sim, island, _ = make_island(spm_porting=SpmPorting.DOUBLE)
         island.allocate(0, "t")
         t = self.run_event(sim, island.compute(0, invocations=100))
-        poly = island.abbs[0].abb_type
+        poly = island.abbs[0]
         assert t == pytest.approx(poly.compute_cycles(100))
 
     def test_exact_porting_adds_conflict_penalty(self):

@@ -118,14 +118,13 @@ class TestSchedulerConservation:
             TileScheduler(system, graph, tile).run()
         system.sim.run()
 
-        executed = sum(
-            abb.total_tasks for island in system.islands for abb in island.abbs
-        )
-        assert executed == n_tasks * tiles
-        # Every ABB freed at the end; no leaked allocations.
+        # Every task granted once and released once, per tile.
+        abc = system.abc
+        assert abc.total_grants == abc.service_cycles.count == n_tasks * tiles
+        # Every slot freed at the end; no leaked allocations.
         for island in system.islands:
-            assert all(abb.is_free for abb in island.abbs)
-            assert all(group.is_free for group in island.spm_groups)
+            assert island.busy_fraction() == 0
+            assert all(island.slot_usable(s) for s in range(island.n_slots))
 
 
 class TestEnergyMonotonicity:
