@@ -7,16 +7,23 @@ Two demonstrations of the management layer:
    CHARM platform; the ABC arbitrates the shared ABB pool, and the
    combined run beats time slicing because one app's idle blocks serve
    the other.
-2. *Wait-time feedback* — the GAM tells dispatching cores how long the
-   accelerator queue is; cores spill tiles to software when queueing
-   would cost more than just computing (ARC's feedback mechanism).
+2. *Wait-time feedback* — the ABC (CHARM's extension of ARC's GAM)
+   estimates how long a request would queue for ABB slots; under the
+   ``wait_threshold`` admission policy, bursty requests spill to the
+   host cores when queueing would cost more than computing in software.
 """
 
 from repro import SystemConfig, get_workload, run_workload
-from repro.core.dispatch import FeedbackDispatcher
-from repro.core.gam import GlobalAcceleratorManager
-from repro.engine import Simulator
+from repro.serve import (
+    AdmissionConfig,
+    ArrivalConfig,
+    ServeConfig,
+    estimate_saturation,
+    make_tenants,
+    run_serve,
+)
 from repro.sim.run import run_consolidated
+from repro.workloads import synthetic_workload
 
 
 def consolidation_demo() -> None:
@@ -35,26 +42,35 @@ def consolidation_demo() -> None:
 
 
 def feedback_demo() -> None:
-    """GAM wait estimates steering tiles between accelerator and core."""
-    sim = Simulator()
-    gam = GlobalAcceleratorManager(sim, {"denoise": 2})
-    dispatcher = FeedbackDispatcher(
-        sim,
-        gam,
-        "denoise",
-        accel_cycles=1_000.0,  # accelerator: fast but only 2 units
-        software_cycles=4_500.0,  # core: slow but always available
+    """ABC wait estimates steering bursty requests to the host cores."""
+    # One island whose few ABB slots are the serving bottleneck.
+    config = SystemConfig(
+        n_islands=1, abb_mix={"poly": 2, "div": 2, "sqrt": 1, "pow": 1, "sum": 1}
     )
-    done = dispatcher.run_tiles(24)
-    sim.run()
-    stats = dispatcher.stats
-    print("\n-- GAM wait-time feedback --")
-    print(f"24 tiles in {sim.now:,.0f} cycles")
-    print(
-        f"accelerated: {stats.accelerated}, software fallback: "
-        f"{stats.software_fallback} ({stats.fallback_fraction:.0%})"
+    rpc = synthetic_workload(
+        name="rpc", depth=2, width=2, invocations=32, tiles=16
     )
-    print("(with the queue saturated, the feedback spills work to the cores)")
+    saturation = estimate_saturation(config, [rpc] * 4)
+    arrival = ArrivalConfig(
+        kind="onoff",
+        rate_per_mcycle=0.8 * saturation / 4,
+        mean_on_cycles=150_000,
+        mean_off_cycles=150_000,
+    )
+    serve = ServeConfig(
+        tenants=make_tenants(4, [rpc], arrival),
+        admission=AdmissionConfig("always_hw"),
+        duration_cycles=1_000_000.0,
+        seed=1,
+    )
+    print("\n-- ABC wait-time feedback (4 bursty tenants, 0.8x saturation) --")
+    for policy in ("always_hw", "wait_threshold"):
+        result = run_serve(config, serve.with_policy(AdmissionConfig(policy)))
+        print(
+            f"{policy:<15} software fallback {result.fallback_rate:5.1%}, "
+            f"p99 {result.latency_p99:,.0f} cycles"
+        )
+    print("(feedback spills burst excess to the cores, cutting the tail)")
 
 
 def main() -> None:

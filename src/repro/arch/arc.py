@@ -24,7 +24,7 @@ from repro.abb.flowgraph import ABBFlowGraph
 from repro.abb.library import ABBLibrary, standard_library
 from repro.core.gam import GlobalAcceleratorManager
 from repro.engine import BandwidthServer, Simulator
-from repro.errors import ConfigError, SimulationError
+from repro.errors import SimulationError
 from repro.island.spm import SPMGroup
 from repro.island.config import SpmPorting
 from repro.mem import MemorySystem
@@ -85,8 +85,6 @@ class ARCSystem:
         platform_power_w: float = ARC_PLATFORM_POWER_W,
         lightweight_interrupts: bool = True,
     ) -> None:
-        if n_units < 1:
-            raise ConfigError("ARC needs at least one accelerator unit")
         self.workload = workload
         self.library = library if library is not None else standard_library()
         self.graph = workload.build_graph(self.library)
@@ -95,9 +93,7 @@ class ARCSystem:
         self.energy = EnergyAccount()
         self.energy.add_static_power(platform_power_w * 1e3)  # W -> mW
         self.gam = GlobalAcceleratorManager(
-            self.sim,
-            {workload.kernel.name: n_units},
-            lightweight_interrupts=lightweight_interrupts,
+            self.sim, n_units, lightweight_interrupts=lightweight_interrupts
         )
         self.memory = MemorySystem(self.sim, energy=self.energy)
         # Each unit has its own NoC interface (in and out aggregated).
@@ -124,9 +120,7 @@ class ARCSystem:
 
     # ------------------------------------------------------------------ run
     def _tile(self, tile_id: int):
-        kernel_name = self.workload.kernel.name
-        ticket = yield self.gam.request(kernel_name)
-        unit = ticket % self.n_units
+        unit = yield self.gam.request()
         link = self._links[unit]
         # Stream inputs: DRAM and the unit's NoC link in series.
         yield self.memory.access(self._in_bytes, stream_id=tile_id)
@@ -143,7 +137,7 @@ class ARCSystem:
         yield self.memory.access(self._out_bytes, stream_id=tile_id)
         # The completion interrupt runs on the dispatching core before
         # the result is consumed; the OS path costs 100X more cycles.
-        handler_cycles = self.gam.release(kernel_name, ticket)
+        handler_cycles = self.gam.release(unit)
         yield self.sim.delay(handler_cycles)
         self.completed += 1
 

@@ -269,6 +269,14 @@ def cmd_serve(args) -> None:
         if not args.trace_file:
             raise ConfigError("--arrival trace needs --trace-file")
         arrival = trace_from_file(args.trace_file, seed=args.seed)
+    admissions = [
+        AdmissionConfig(
+            policy=policy,
+            wait_bound_cycles=args.wait_bound or None,
+            queue_bound=args.queue_bound,
+        )
+        for policy in (ADMISSION_POLICIES if args.compare else [args.policy])
+    ]
     config = SystemConfig(
         n_islands=args.islands,
         network=_network(args.network),
@@ -296,9 +304,6 @@ def cmd_serve(args) -> None:
         )
     tenants = make_tenants(args.tenants, workloads, arrival)
 
-    policies = (
-        list(ADMISSION_POLICIES) if args.compare else [args.policy]
-    )
     cache = None if args.no_cache else ResultCache(args.cache_dir)
     _print(
         f"{args.tenants} tenants on {config.label()} | closed-loop "
@@ -306,12 +311,7 @@ def cmd_serve(args) -> None:
         f"{per_tenant_rate:.1f}/tenant ({args.arrival})"
     )
     results = []
-    for policy in policies:
-        admission = AdmissionConfig(
-            policy=policy,
-            wait_bound_cycles=args.wait_bound or None,
-            queue_bound=args.queue_bound,
-        )
+    for admission in admissions:
         serve = ServeConfig(
             tenants=tenants,
             admission=admission,

@@ -1,11 +1,11 @@
 """Accelerator management: the paper's primary architectural contribution.
 
-* :mod:`repro.core.gam` — the ARC Global Accelerator Manager: hardware
-  arbitration of shared accelerators with wait-time feedback and a
-  lightweight interrupt scheme.
+* :mod:`repro.core.gam` — the ARC Global Accelerator Manager: a FIFO
+  pool of monolithic accelerator units and the lightweight interrupt
+  scheme.
 * :mod:`repro.core.composer` — the CHARM Accelerator Block Composer
   (ABC): dynamic allocation and composition of ABBs from flow graphs,
-  with load balancing across islands.
+  with load balancing across islands and wait-time feedback.
 * :mod:`repro.core.allocation` — pluggable island-selection policies.
 * :mod:`repro.core.scheduler` — executes a flow-graph instance (one
   "tile") on a simulated system, orchestrating transfers and compute.

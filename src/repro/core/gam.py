@@ -1,20 +1,23 @@
 """The ARC Global Accelerator Manager (GAM).
 
 ARC [6] introduces hardware support for sharing a common set of
-accelerators among multiple cores: a hardware arbitration queue per
-accelerator class, wait-time feedback to requesting cores, and a
-lightweight interrupt scheme that avoids the OS interrupt path for the
-frequent accelerator-completion events.
+accelerators among multiple cores: a hardware arbitration queue,
+wait-time feedback to requesting cores, and a lightweight interrupt
+scheme that avoids the OS interrupt path for the frequent
+accelerator-completion events.
+
+This model keeps the arbitration queue and the interrupts.  Wait-time
+feedback is modelled once, by CHARM's ABC (an extension of the GAM):
+:meth:`repro.core.composer.AcceleratorBlockComposer.estimate_wait`,
+read by the serving frontend's ``wait_threshold`` admission rule.
 """
 
 from __future__ import annotations
 
 import collections
-import typing
 from dataclasses import dataclass
 
 from repro.engine import Event, Simulator
-from repro.engine.stats import Histogram
 from repro.errors import AllocationError, ConfigError
 
 #: Cycles for the ARC lightweight (user-level) interrupt path.
@@ -57,104 +60,48 @@ class InterruptModel:
 
 
 class GlobalAcceleratorManager:
-    """Hardware arbitration for a pool of monolithic accelerators.
+    """Hardware arbitration for a pool of identical monolithic units.
 
-    Each accelerator class (e.g. ``"deblur"``) has a fixed number of
-    physical units.  Cores request a unit and receive either an immediate
-    grant or queue FIFO; :meth:`estimate_wait` reproduces the GAM's
-    wait-time feedback so a core can decide to run in software instead.
+    Cores request a unit and receive either an immediate grant or queue
+    FIFO; a released unit goes straight to the oldest waiter.  Every
+    release fires a completion interrupt through :attr:`interrupts`.
     """
 
     def __init__(
-        self,
-        sim: Simulator,
-        accelerator_counts: typing.Mapping[str, int],
-        lightweight_interrupts: bool = True,
+        self, sim: Simulator, n_units: int, lightweight_interrupts: bool = True
     ) -> None:
-        if not accelerator_counts:
-            raise ConfigError("GAM needs at least one accelerator class")
-        for name, count in accelerator_counts.items():
-            if count < 1:
-                raise ConfigError(f"accelerator class {name!r} needs >= 1 unit")
+        if n_units < 1:
+            raise ConfigError("GAM needs at least one accelerator unit")
         self.sim = sim
-        self.capacity = dict(accelerator_counts)
-        self.in_use = {name: 0 for name in accelerator_counts}
-        self._queues: dict[str, collections.deque[Event]] = {
-            name: collections.deque() for name in accelerator_counts
-        }
+        # Reversed so pop() grants the lowest free unit first.
+        self._free = list(range(n_units - 1, -1, -1))
+        self._held: set[int] = set()
+        self._waiters: collections.deque[Event] = collections.deque()
         self.interrupts = InterruptModel(lightweight=lightweight_interrupts)
-        self.wait_cycles = Histogram("gam.wait")
-        self.service_cycles = Histogram("gam.service")
-        self._grant_times: dict[int, float] = {}
-        self._next_grant = 0
 
-    def _check_class(self, name: str) -> None:
-        if name not in self.capacity:
-            raise ConfigError(
-                f"unknown accelerator class {name!r}; known: {sorted(self.capacity)}"
-            )
-
-    # -------------------------------------------------------------- request
-    def request(self, name: str) -> Event:
-        """Request a unit; the event fires with a grant ticket (int)."""
-        self._check_class(name)
+    def request(self) -> Event:
+        """Request a unit; the event fires with the granted unit index."""
         event = Event(self.sim)
-        requested_at = self.sim.now
-
-        def grant(_=None) -> None:
-            ticket = self._next_grant
-            self._next_grant += 1
-            self._grant_times[ticket] = self.sim.now
-            self.wait_cycles.record(self.sim.now - requested_at)
-            event.succeed(ticket)
-
-        if self.in_use[name] < self.capacity[name]:
-            self.in_use[name] += 1
-            grant()
+        if self._free:
+            unit = self._free.pop()
+            self._held.add(unit)
+            event.succeed(unit)
         else:
-            self._queues[name].append(grant)
+            self._waiters.append(event)
         return event
 
-    def release(self, name: str, ticket: int) -> float:
-        """Return a unit; fires the completion interrupt.
+    def release(self, unit: int) -> float:
+        """Return ``unit``; fires the completion interrupt.
 
         Returns the interrupt handler cost in cycles (the caller's core
         model should charge it).
         """
-        self._check_class(name)
-        if self.in_use[name] <= 0:
-            raise AllocationError(f"release of idle accelerator class {name!r}")
-        granted_at = self._grant_times.pop(ticket, None)
-        if granted_at is None:
-            raise AllocationError(f"unknown grant ticket {ticket}")
-        self.service_cycles.record(self.sim.now - granted_at)
-        if self._queues[name]:
-            # Hand the unit straight to the next waiter.
-            self._queues[name].popleft()()
+        if unit not in self._held:
+            raise AllocationError(f"release of unheld accelerator unit {unit}")
+        if self._waiters:
+            # Hand the unit straight to the oldest waiter.
+            self._waiters.popleft().succeed(unit)
         else:
-            self.in_use[name] -= 1
+            self._held.remove(unit)
+            self._free.append(unit)
         return self.interrupts.record()
-
-    # ------------------------------------------------------------- feedback
-    def queue_length(self, name: str) -> int:
-        """Requests currently waiting for this class."""
-        self._check_class(name)
-        return len(self._queues[name])
-
-    def estimate_wait(
-        self, name: str, service_hint: typing.Optional[float] = None
-    ) -> float:
-        """Wait-time feedback: expected cycles until a unit frees up.
-
-        Zero when a unit is free; otherwise the queue depth ahead of a
-        new request times the mean service time, divided by the unit
-        count (units drain the queue in parallel).  ``service_hint``
-        seeds the per-task service time before any completion has been
-        observed (e.g. the compiler's cycle estimate).
-        """
-        self._check_class(name)
-        if self.in_use[name] < self.capacity[name]:
-            return 0.0
-        mean_service = self.service_cycles.mean or service_hint or 1.0
-        ahead = self.queue_length(name) + self.capacity[name]
-        return ahead * mean_service / self.capacity[name]

@@ -64,28 +64,6 @@ class Explorer:
         self.simulations_run = 0
         self._memo: dict[str, SimResult] = {}
 
-    def _resolve(
-        self, points: typing.Sequence[tuple[SystemConfig, Workload]], jobs: int
-    ) -> list[SweepRow]:
-        results, simulated = run_points(
-            points,
-            jobs=jobs,
-            cache=self.cache,
-            tile_window=self.tile_window,
-            memo=self._memo,
-        )
-        self.simulations_run += simulated
-        rows = [
-            SweepRow(config, workload.name, result)
-            for (config, workload), result in zip(points, results)
-        ]
-        self.rows.extend(rows)
-        return rows
-
-    def run_point(self, config: SystemConfig) -> list[SweepRow]:
-        """Run every workload at one design point (cached)."""
-        return self._resolve([(config, w) for w in self.workloads], jobs=1)
-
     def sweep(
         self, space: DesignSpace, jobs: typing.Optional[int] = None
     ) -> list[SweepRow]:
@@ -100,7 +78,18 @@ class Explorer:
             for config in design_points(space)
             for workload in self.workloads
         ]
-        self._resolve(points, jobs=self.jobs if jobs is None else jobs)
+        results, simulated = run_points(
+            points,
+            jobs=self.jobs if jobs is None else jobs,
+            cache=self.cache,
+            tile_window=self.tile_window,
+            memo=self._memo,
+        )
+        self.simulations_run += simulated
+        self.rows.extend(
+            SweepRow(config, workload.name, result)
+            for (config, workload), result in zip(points, results)
+        )
         return list(self.rows)
 
     # ------------------------------------------------------------ analysis
@@ -128,9 +117,8 @@ class Explorer:
     ) -> list[SweepRow]:
         """Rows not dominated on all the given maximize-metrics.
 
-        The common two-metric case runs in O(n log n) via a sort-based
-        sweep; other arities fall back to the generic all-pairs scan.
-        Rows are returned in gathering order either way.
+        An all-pairs scan (fronts cover tens of rows); rows are returned
+        in gathering order.
         """
         rows = (
             self.results_for(workload_name) if workload_name else list(self.rows)
@@ -138,58 +126,12 @@ class Explorer:
         values = [
             tuple(metric(row.result) for metric in metrics) for row in rows
         ]
-        if len(metrics) == 2:
-            keep = _pareto_indices_2d(values)
-        else:
-            keep = _pareto_indices_generic(values)
-        return [row for i, row in enumerate(rows) if i in keep]
-
-
-def _pareto_indices_2d(
-    values: typing.Sequence[tuple[float, ...]],
-) -> set[int]:
-    """Non-dominated indices for exactly two maximize-metrics.
-
-    Sort by the first metric descending; scanning in that order, a
-    point is dominated iff some point with a strictly larger first
-    metric has second metric >= its own, or a point tied on the first
-    metric has a strictly larger second metric.  Ties on both metrics
-    do not dominate each other, matching the all-pairs definition.
-    """
-    order = sorted(range(len(values)), key=lambda i: -values[i][0])
-    keep: set[int] = set()
-    best_y_above = float("-inf")  # max y among strictly-greater x
-    position = 0
-    while position < len(order):
-        # Gather the group tied on x.
-        group_end = position
-        x = values[order[position]][0]
-        group_max_y = float("-inf")
-        while group_end < len(order) and values[order[group_end]][0] == x:
-            group_max_y = max(group_max_y, values[order[group_end]][1])
-            group_end += 1
-        for rank in range(position, group_end):
-            index = order[rank]
-            y = values[index][1]
-            if y == group_max_y and y > best_y_above:
-                keep.add(index)
-        best_y_above = max(best_y_above, group_max_y)
-        position = group_end
-    return keep
-
-
-def _pareto_indices_generic(
-    values: typing.Sequence[tuple[float, ...]],
-) -> set[int]:
-    """Non-dominated indices for any metric arity (all-pairs scan)."""
-    keep: set[int] = set()
-    for i, candidate in enumerate(values):
-        dominated = any(
-            all(o >= c for o, c in zip(other, candidate))
-            and any(o > c for o, c in zip(other, candidate))
-            for j, other in enumerate(values)
-            if j != i
-        )
-        if not dominated:
-            keep.add(i)
-    return keep
+        return [
+            row
+            for candidate, row in zip(values, rows)
+            if not any(
+                all(o >= c for o, c in zip(other, candidate))
+                and any(o > c for o, c in zip(other, candidate))
+                for other in values
+            )
+        ]

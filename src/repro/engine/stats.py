@@ -9,7 +9,7 @@ from repro.errors import ConfigError
 
 
 class Histogram:
-    """Streaming summary statistics (count/mean/min/max/stddev) plus
+    """Streaming summary statistics (count/mean/min/max) plus
     exact percentiles.
 
     Every observation is retained (a run records at most a few hundred
@@ -23,27 +23,19 @@ class Histogram:
         self.name = name
         self.count = 0
         self._mean = 0.0
-        self._m2 = 0.0
         self.min = math.inf
         self.max = -math.inf
         self._samples: list[float] = []
         self._sorted_cache: typing.Optional[list[float]] = None
 
     def record(self, value: float) -> None:
-        """Add one observation (Welford update)."""
+        """Add one observation (running-mean update)."""
         self.count += 1
-        delta = value - self._mean
-        self._mean += delta / self.count
-        self._m2 += delta * (value - self._mean)
+        self._mean += (value - self._mean) / self.count
         self.min = min(self.min, value)
         self.max = max(self.max, value)
         self._samples.append(value)
         self._sorted_cache = None
-
-    @property
-    def samples(self) -> list[float]:
-        """All recorded observations, in insertion order (a copy)."""
-        return list(self._samples)
 
     def percentile(self, p: float) -> float:
         """Exact ``p``-th percentile (0 <= p <= 100) of the observations.
@@ -77,16 +69,6 @@ class Histogram:
     def mean(self) -> float:
         """Arithmetic mean of observations (0 if empty)."""
         return self._mean if self.count else 0.0
-
-    @property
-    def variance(self) -> float:
-        """Population variance of observations (0 if fewer than 2)."""
-        return self._m2 / self.count if self.count > 1 else 0.0
-
-    @property
-    def stddev(self) -> float:
-        """Population standard deviation."""
-        return math.sqrt(self.variance)
 
 
 class UtilizationTracker:

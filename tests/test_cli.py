@@ -163,6 +163,8 @@ class TestCommands:
             (["--load", "0"], "--load"),
             (["--load", "-1"], "--load"),
             (["--rate", "-5"], "--rate"),
+            (["--queue-bound", "0"], "queue bound"),
+            (["--wait-bound", "-5"], "wait bound"),
         ],
         ids=[
             "no-tenants",
@@ -171,6 +173,8 @@ class TestCommands:
             "zero-load",
             "negative-load",
             "negative-rate",
+            "zero-queue-bound",
+            "negative-wait-bound",
         ],
     )
     def test_serve_rejects_bad_flags_before_probe(

@@ -13,119 +13,104 @@ from repro.engine import Simulator
 from repro.errors import AllocationError, ConfigError
 
 
-def make_gam(counts=None, **kwargs):
+def make_gam(n_units=2, **kwargs):
     sim = Simulator()
-    gam = GlobalAcceleratorManager(sim, counts or {"deblur": 2}, **kwargs)
-    return sim, gam
+    return sim, GlobalAcceleratorManager(sim, n_units, **kwargs)
+
+
+def grant_now(sim, gam):
+    """Request a unit and return the granted index."""
+    granted = []
+    gam.request().add_callback(lambda e: granted.append(e.value))
+    sim.run()
+    return granted[0]
 
 
 class TestArbitration:
     def test_grants_up_to_capacity(self):
-        sim, gam = make_gam({"deblur": 2})
-        tickets = []
-        gam.request("deblur").add_callback(lambda e: tickets.append(e.value))
-        gam.request("deblur").add_callback(lambda e: tickets.append(e.value))
+        sim, gam = make_gam(2)
+        grants = []
+        for _ in range(3):
+            gam.request().add_callback(lambda e: grants.append(e.value))
         sim.run()
-        assert len(tickets) == 2
-        assert gam.queue_length("deblur") == 0
+        assert grants == [0, 1]  # the third request waits
 
     def test_third_request_queues_fifo(self):
-        sim, gam = make_gam({"deblur": 1})
+        sim, gam = make_gam(1)
         order = []
 
         def user(tag, hold):
-            ticket = yield gam.request("deblur")
+            unit = yield gam.request()
             order.append(tag)
             yield sim.timeout(hold)
-            gam.release("deblur", ticket)
+            gam.release(unit)
 
-        sim.process(user("a", 10))
-        sim.process(user("b", 10))
-        sim.process(user("c", 10))
+        for tag in "abc":
+            sim.process(user(tag, 10))
         sim.run()
         assert order == ["a", "b", "c"]
 
-    def test_release_requires_valid_ticket(self):
-        sim, gam = make_gam()
-        grants = []
-        gam.request("deblur").add_callback(lambda e: grants.append(e.value))
-        sim.run()
-        with pytest.raises(AllocationError):
-            gam.release("deblur", ticket=99999)
-
-    def test_release_idle_class_rejected(self):
-        sim, gam = make_gam()
-        with pytest.raises(AllocationError):
-            gam.release("deblur", 0)
-
-    def test_unknown_class_rejected(self):
-        sim, gam = make_gam()
-        with pytest.raises(ConfigError):
-            gam.request("fft")
-        with pytest.raises(ConfigError):
-            gam.queue_length("fft")
-
-    def test_invalid_config_rejected(self):
-        sim = Simulator()
-        with pytest.raises(ConfigError):
-            GlobalAcceleratorManager(sim, {})
-        with pytest.raises(ConfigError):
-            GlobalAcceleratorManager(sim, {"x": 0})
-
-
-class TestWaitFeedback:
-    def test_zero_wait_when_free(self):
-        _, gam = make_gam({"deblur": 2})
-        assert gam.estimate_wait("deblur") == 0.0
-
-    def test_wait_grows_with_queue(self):
-        sim, gam = make_gam({"deblur": 1})
-
-        def holder():
-            ticket = yield gam.request("deblur")
-            yield sim.timeout(100)
-            gam.release("deblur", ticket)
-
-        sim.process(holder())
-        sim.run(until=1)
-        first = gam.estimate_wait("deblur")
-        gam.request("deblur")
-        second = gam.estimate_wait("deblur")
-        assert second > first > 0
-
     @given(
-        capacity=st.integers(1, 8),
-        queue_depths=st.lists(st.integers(0, 30), min_size=2, max_size=6),
-        hint=st.floats(1.0, 1e6),
+        n_units=st.integers(1, 5),
+        holds=st.lists(st.integers(1, 50), min_size=1, max_size=12),
     )
-    def test_estimate_monotone_in_queue_depth(self, capacity, queue_depths, hint):
-        # Property: for a saturated class, a deeper queue never yields a
-        # smaller wait estimate — what makes the feedback usable as an
-        # admission signal.
-        estimates = []
-        for depth in sorted(queue_depths):
-            _, gam = make_gam({"deblur": capacity})
-            for _ in range(capacity + depth):
-                gam.request("deblur")
-            assert gam.queue_length("deblur") == depth
-            estimates.append(gam.estimate_wait("deblur", service_hint=hint))
-        assert all(b >= a for a, b in zip(estimates, estimates[1:]))
-        assert all(e > 0 for e in estimates)
-
-    def test_wait_statistics_recorded(self):
-        sim, gam = make_gam({"deblur": 1})
+    def test_units_held_at_once_are_distinct(self, n_units, holds):
+        sim, gam = make_gam(n_units)
+        held = set()
 
         def user(hold):
-            ticket = yield gam.request("deblur")
+            unit = yield gam.request()
+            assert 0 <= unit < n_units
+            assert unit not in held
+            held.add(unit)
             yield sim.timeout(hold)
-            gam.release("deblur", ticket)
+            held.remove(unit)
+            gam.release(unit)
 
-        sim.process(user(50))
-        sim.process(user(50))
+        for hold in holds:
+            sim.process(user(hold))
         sim.run()
-        assert gam.wait_cycles.count == 2
-        assert gam.wait_cycles.max == pytest.approx(50.0)
-        assert gam.service_cycles.mean == pytest.approx(50.0)
+        assert not held
+
+    def test_out_of_order_release_hands_over_released_unit(self):
+        # Unit 0 is held longer than unit 1, so unit 1 comes back first:
+        # the oldest waiter must get unit 1, not the still-busy unit 0.
+        sim, gam = make_gam(2)
+        grants = []
+
+        def user(tag, hold):
+            unit = yield gam.request()
+            grants.append((tag, unit, sim.now))
+            yield sim.timeout(hold)
+            gam.release(unit)
+
+        sim.process(user("long", 100))
+        sim.process(user("short", 10))
+        sim.process(user("waiter", 10))
+        sim.run()
+        assert grants == [
+            ("long", 0, 0.0),
+            ("short", 1, 0.0),
+            ("waiter", 1, 10.0),
+        ]
+
+    def test_release_of_idle_unit_rejected(self):
+        _, gam = make_gam(2)
+        with pytest.raises(AllocationError):
+            gam.release(0)
+
+    def test_release_of_unheld_unit_rejected(self):
+        sim, gam = make_gam(2)
+        unit = grant_now(sim, gam)
+        gam.release(unit)
+        with pytest.raises(AllocationError):
+            gam.release(unit)  # double release
+        with pytest.raises(AllocationError):
+            gam.release(7)  # no such unit
+
+    def test_invalid_config_rejected(self):
+        with pytest.raises(ConfigError):
+            GlobalAcceleratorManager(Simulator(), 0)
 
 
 class TestInterrupts:
@@ -134,19 +119,13 @@ class TestInterrupts:
 
     def test_release_fires_interrupt(self):
         sim, gam = make_gam()
-        grants = []
-        gam.request("deblur").add_callback(lambda e: grants.append(e.value))
-        sim.run()
-        cost = gam.release("deblur", grants[0])
+        cost = gam.release(grant_now(sim, gam))
         assert cost == LIGHTWEIGHT_INTERRUPT_CYCLES
         assert gam.interrupts.count == 1
 
     def test_os_interrupt_mode(self):
         sim, gam = make_gam(lightweight_interrupts=False)
-        grants = []
-        gam.request("deblur").add_callback(lambda e: grants.append(e.value))
-        sim.run()
-        assert gam.release("deblur", grants[0]) == OS_INTERRUPT_CYCLES
+        assert gam.release(grant_now(sim, gam)) == OS_INTERRUPT_CYCLES
 
     def test_total_overhead_accumulates(self):
         model = InterruptModel(lightweight=True)

@@ -47,8 +47,11 @@ class TestExplorer:
 
     def test_cache_avoids_rerun(self, explorer):
         before = len(explorer.rows)
-        explorer.run_point(next(design_points(small_space())))
+        ran = explorer.simulations_run
+        first_network = small_space().networks[:1]
+        explorer.sweep(DesignSpace(island_counts=(3,), networks=first_network))
         # Rows grow, but results come from cache (identical objects).
+        assert explorer.simulations_run == ran
         rows = explorer.results_for("Denoise")
         assert rows[0].result is [
             r for r in explorer.rows[before:] if r.workload == "Denoise"
@@ -87,33 +90,7 @@ class TestExplorer:
 
 
 class TestParetoAlgorithms:
-    def test_sorted_2d_matches_all_pairs_on_random_rows(self):
-        """Regression: the O(n log n) 2-metric path must agree with the
-        brute-force all-pairs definition, ties and duplicates included."""
-        import random
-
-        from repro.dse.explorer import (
-            _pareto_indices_2d,
-            _pareto_indices_generic,
-        )
-
-        rng = random.Random(42)
-        for _trial in range(25):
-            n = rng.randrange(1, 80)
-            # Coarse integer grid: plenty of ties and exact duplicates.
-            values = [
-                (float(rng.randrange(6)), float(rng.randrange(6)))
-                for _ in range(n)
-            ]
-            assert _pareto_indices_2d(values) == _pareto_indices_generic(
-                values
-            )
-        continuous = [(rng.random(), rng.random()) for _ in range(300)]
-        assert _pareto_indices_2d(continuous) == _pareto_indices_generic(
-            continuous
-        )
-
-    def test_three_metric_front_uses_generic_path(self):
+    def test_three_metric_front_contains_best(self):
         ex = Explorer([get_workload("Denoise", tiles=2)])
         ex.sweep(DesignSpace(island_counts=(3, 6)))
         front = ex.pareto_front(

@@ -71,7 +71,9 @@ class TestParallelSweep:
         space = small_space()
         explorer.sweep(space)
         ran = explorer.simulations_run
-        explorer.run_point(SystemConfigAt(space))
+        explorer.sweep(
+            DesignSpace(island_counts=(3,), networks=space.networks[:1])
+        )
         assert explorer.simulations_run == ran
 
     def test_jobs_validation(self):
@@ -79,13 +81,6 @@ class TestParallelSweep:
             Explorer(workloads(), jobs=0)
         with pytest.raises(ConfigError):
             run_points([], jobs=0)
-
-
-def SystemConfigAt(space):
-    """First design point of a space (helper for memo test)."""
-    from repro.dse import design_points
-
-    return next(design_points(space))
 
 
 class TestRunPoints:

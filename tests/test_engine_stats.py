@@ -1,7 +1,5 @@
 """Unit tests for statistics helpers."""
 
-import math
-
 import pytest
 from hypothesis import given, strategies as st
 
@@ -13,7 +11,6 @@ class TestHistogram:
     def test_empty_histogram_safe(self):
         h = Histogram()
         assert h.mean == 0.0
-        assert h.variance == 0.0
         assert h.count == 0
 
     def test_mean_min_max(self):
@@ -56,14 +53,6 @@ class TestHistogram:
         h.record(5.0)
         assert h.percentile(100.0) == 5.0
 
-    def test_samples_returns_copy_in_insertion_order(self):
-        h = Histogram()
-        h.record(3.0)
-        h.record(1.0)
-        samples = h.samples
-        samples.append(99.0)
-        assert h.samples == [3.0, 1.0]
-
     @given(
         st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=50),
         st.floats(0.0, 100.0),
@@ -88,10 +77,7 @@ class TestHistogram:
         for v in values:
             h.record(v)
         mean = sum(values) / len(values)
-        var = sum((v - mean) ** 2 for v in values) / len(values)
         assert h.mean == pytest.approx(mean, rel=1e-6, abs=1e-6)
-        assert h.variance == pytest.approx(var, rel=1e-6, abs=1e-3)
-        assert h.stddev == pytest.approx(math.sqrt(var), rel=1e-6, abs=1e-3)
 
 
 class TestUtilizationTracker:

@@ -13,6 +13,7 @@ without timing anything.
 
 import pytest
 
+from repro.arch.arc import ARCSystem
 from repro.faults import parse_fault_spec
 from repro.island import NetworkKind, SpmDmaNetworkConfig
 from repro.sim import SystemConfig, run_consolidated, run_workload
@@ -41,6 +42,16 @@ NETWORKS = {
 }
 
 
+#: ARC's monolithic units under GAM arbitration, default 2 units, with
+#: lightweight and OS-path completion interrupts.
+ARC_GOLDEN = {
+    ("Denoise", True): (48140.58181818182, 7813291.374545455, 32, 4),
+    ("Denoise", False): (52100.58181818182, 8454811.374545453, 32, 4),
+    ("EKF-SLAM", True): (5439.418181818181, 882556.6254545454, 32, 4),
+    ("EKF-SLAM", False): (9399.418181818182, 1524076.6254545455, 32, 4),
+}
+
+
 @pytest.mark.parametrize("name,net", sorted(GOLDEN))
 def test_golden_run(name, net, work_counts):
     config = SystemConfig(n_islands=3, network=NETWORKS[net])
@@ -62,6 +73,18 @@ def test_faulted_golden_run(name, net, work_counts):
     result = run_workload(config, get_workload(name, tiles=4))
     cycles, energy, heap_entries, processes = FAULTED_GOLDEN[(name, net)]
     assert result.dma_stalls > 0  # the fault path actually ran
+    assert result.total_cycles == pytest.approx(cycles, rel=1e-12)
+    assert result.energy_nj == pytest.approx(energy, rel=1e-12)
+    assert work_counts.take() == (heap_entries, processes)
+
+
+@pytest.mark.parametrize("name,lightweight", sorted(ARC_GOLDEN))
+def test_arc_golden_run(name, lightweight, work_counts):
+    system = ARCSystem(
+        get_workload(name, tiles=4), lightweight_interrupts=lightweight
+    )
+    result = system.run()
+    cycles, energy, heap_entries, processes = ARC_GOLDEN[(name, lightweight)]
     assert result.total_cycles == pytest.approx(cycles, rel=1e-12)
     assert result.energy_nj == pytest.approx(energy, rel=1e-12)
     assert work_counts.take() == (heap_entries, processes)
