@@ -11,6 +11,7 @@ from conftest import BENCH_TILES, run_once
 from repro.core import first_fit, locality_then_load_balance
 from repro.sim import SystemConfig, run_workload
 from repro.sim.system import SystemModel
+from repro.abb import TilePlan
 from repro.core.scheduler import TileScheduler
 from repro.workloads import get_workload
 import dataclasses
@@ -29,7 +30,7 @@ def island_utilization_spread(policy, workload_name="Denoise", n_islands=6):
     system = SystemModel(config)
     graph = workload.build_graph(system.library)
     for tile in range(workload.tiles):
-        TileScheduler(system, graph, tile).run()
+        TileScheduler(system, TilePlan(graph, system.library), tile).run()
     system.sim.run()
     elapsed = system.sim.now
     utils = [i.average_abb_utilization(elapsed) for i in system.islands]

@@ -16,6 +16,7 @@ from conftest import BENCH_TILES, run_once
 
 from repro.island import NetworkKind, SpmDmaNetworkConfig
 from repro.sim import SystemConfig, SystemModel
+from repro.abb import TilePlan
 from repro.core.scheduler import TileScheduler
 from repro.sim.run import run_workload
 from repro.workloads import get_workload
@@ -25,7 +26,7 @@ def noc_interface_utilization(config, workload):
     system = SystemModel(config)
     graph = workload.build_graph(system.library)
     for tile in range(workload.tiles):
-        TileScheduler(system, graph, tile).run()
+        TileScheduler(system, TilePlan(graph, system.library), tile).run()
     system.sim.run()
     elapsed = system.sim.now
     ins = [island.noc_in.utilization(elapsed) for island in system.islands]

@@ -8,6 +8,7 @@ directly visible.
 """
 
 from repro import SystemConfig, SystemModel, get_workload
+from repro.abb import TilePlan
 from repro.core import TileScheduler
 from repro.engine.trace import Tracer
 
@@ -25,7 +26,7 @@ def main() -> None:
     workload = get_workload("EKF-SLAM", tiles=1)
     graph = workload.build_graph(system.library)
 
-    TileScheduler(system, graph, tile_id=0).run()
+    TileScheduler(system, TilePlan(graph, system.library), tile_id=0).run()
     system.sim.run()
 
     print(f"one {workload.name} tile: {system.sim.now:,.0f} cycles\n")

@@ -15,7 +15,7 @@ from repro.abb.library import (
     PAPER_TOTAL_ABBS,
     standard_library,
 )
-from repro.abb.flowgraph import ABBFlowGraph, ABBTask
+from repro.abb.flowgraph import ABBFlowGraph, ABBTask, TilePlan
 
 __all__ = [
     "ABBFlowGraph",
@@ -24,5 +24,6 @@ __all__ = [
     "ABBType",
     "PAPER_ABB_MIX",
     "PAPER_TOTAL_ABBS",
+    "TilePlan",
     "standard_library",
 ]

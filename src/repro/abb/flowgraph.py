@@ -4,7 +4,9 @@ The compiler decomposes an accelerator kernel into a DAG of ABB tasks; the
 ABC consumes this graph at runtime to allocate ABBs and orchestrate
 chaining.  Edges represent producer→consumer streams (chaining); task
 inputs not covered by an incoming edge are fetched from shared memory, and
-sink outputs are written back to shared memory.
+sink outputs are written back to shared memory.  :class:`TilePlan` is a
+graph compiled against a library: the per-task byte counts the runtime
+reads, resolved once per run.
 """
 
 from __future__ import annotations
@@ -64,7 +66,6 @@ class ABBFlowGraph:
         self._succ: dict[str, list[str]] = {}
         self._pred: dict[str, list[str]] = {}
         self._edges: list[Edge] = []
-        self._edge_map: dict[tuple[str, str], Edge] = {}
 
     # ---------------------------------------------------------------- build
     def add_task(self, task_id: str, abb_type: str, invocations: int) -> ABBTask:
@@ -99,9 +100,7 @@ class ABBFlowGraph:
             raise ConfigError(f"edge bytes must be non-negative, got {nbytes}")
         self._succ[producer].append(consumer)
         self._pred[consumer].append(producer)
-        edge = Edge(producer, consumer, nbytes)
-        self._edges.append(edge)
-        self._edge_map[(producer, consumer)] = edge
+        self._edges.append(Edge(producer, consumer, nbytes))
 
     # ---------------------------------------------------------------- query
     @property
@@ -121,17 +120,9 @@ class ABBFlowGraph:
         except KeyError:
             raise ConfigError(f"unknown task {task_id!r}") from None
 
-    def successors(self, task_id: str) -> list[str]:
-        """Consumers chained from ``task_id``."""
-        return list(self._succ[task_id])
-
     def predecessors(self, task_id: str) -> list[str]:
         """Producers chained into ``task_id``."""
         return list(self._pred[task_id])
-
-    def sources(self) -> list[str]:
-        """Tasks with no producers (inputs come from memory)."""
-        return [tid for tid in self._tasks if not self._pred[tid]]
 
     def sinks(self) -> list[str]:
         """Tasks with no consumers (outputs go to memory)."""
@@ -173,67 +164,87 @@ class ABBFlowGraph:
             return 0.0
         return len(self._edges) / len(self._tasks)
 
-    def edge(self, producer: str, consumer: str) -> Edge:
-        """Look up the edge between two tasks."""
-        try:
-            return self._edge_map[(producer, consumer)]
-        except KeyError:
-            raise ConfigError(f"no edge {producer!r} -> {consumer!r}") from None
-
-    def edge_bytes(self, edge: Edge, library: ABBLibrary) -> float:
-        """Bytes streamed along a chaining edge.
-
-        The edge's explicit operand volume when set; otherwise the
-        producer's output volume.
-        """
-        if edge.nbytes is not None:
-            return edge.nbytes
-        producer = self._tasks[edge.producer]
-        return producer.invocations * library.get(producer.abb_type).output_bytes
-
-    def chained_input_bytes(self, task_id: str, library: ABBLibrary) -> float:
-        """Operand bytes a task receives over chaining edges."""
-        return sum(
-            self.edge_bytes(self.edge(pred, task_id), library)
-            for pred in self._pred[task_id]
-        )
-
-    def task_input_bytes(self, task_id: str, library: ABBLibrary) -> float:
-        """Total operand bytes consumed by a task."""
-        task = self._tasks[task_id]
-        return task.invocations * library.get(task.abb_type).input_bytes
-
-    def task_output_bytes(self, task_id: str, library: ABBLibrary) -> float:
-        """Total result bytes produced by a task."""
-        task = self._tasks[task_id]
-        return task.invocations * library.get(task.abb_type).output_bytes
-
-    def memory_input_bytes(self, task_id: str, library: ABBLibrary) -> float:
-        """Operand bytes a task must fetch from shared memory.
-
-        Chained bytes arriving on incoming edges are subtracted from the
-        task's total operand volume (never below zero).
-        """
-        total = self.task_input_bytes(task_id, library)
-        chained = self.chained_input_bytes(task_id, library)
-        return max(0.0, total - chained)
-
-    def total_invocations(self) -> int:
-        """Sum of invocations over all tasks."""
-        return sum(task.invocations for task in self._tasks.values())
-
-    def critical_path_cycles(self, library: ABBLibrary) -> float:
-        """Longest compute-only path through the DAG, in cycles.
-
-        Ignores data movement — a lower bound used by the scheduler to
-        prioritize long chains.
-        """
+    def path_lengths(
+        self, weight: typing.Callable[[ABBTask], float]
+    ) -> dict[str, float]:
+        """Longest ``weight``-summed path ending at each task, its own
+        weight included (a source's length is its weight)."""
         longest: dict[str, float] = {}
         for tid in self.topological_order():
-            task = self._tasks[tid]
-            cycles = library.get(task.abb_type).compute_cycles(task.invocations)
-            best_pred = max(
-                (longest[p] for p in self._pred[tid]), default=0.0
+            best = max((longest[p] for p in self._pred[tid]), default=0)
+            longest[tid] = best + weight(self._tasks[tid])
+        return longest
+
+
+@dataclass(frozen=True)
+class PlannedTask:
+    """One task of a :class:`TilePlan`: the :class:`ABBTask` fields plus
+    its insertion ``index`` in the graph (it keys the task's memory
+    stream), ``memory_bytes`` (operand bytes less chained bytes, never
+    below zero), ``inputs`` (``(producer position, chained bytes)`` per
+    incoming edge, in edge order; a position indexes
+    :attr:`TilePlan.tasks`), ``output_bytes`` and ``is_sink``."""
+
+    task_id: str
+    abb_type: str
+    invocations: int
+    index: int
+    memory_bytes: float
+    inputs: tuple[tuple[int, float], ...]
+    output_bytes: float
+    is_sink: bool
+
+
+class TilePlan:
+    """A flow graph compiled against a library, once per run.
+
+    Everything a tile reads from its graph is fixed per graph, so the
+    tile scheduler, the serving path and ARC all read it from here.
+
+    Attributes:
+        tasks: One :class:`PlannedTask` per task, in topological order.
+        memory_read_bytes: Memory-input bytes of every task, summed in
+            insertion order (one software run of the whole graph).
+        sink_write_bytes: Output bytes of the sinks, summed in insertion
+            order.
+        type_hints: ``(ABB type, mean invocations per task)`` pairs,
+            sorted by type name.
+    """
+
+    def __init__(self, graph: ABBFlowGraph, library: ABBLibrary) -> None:
+        position = {tid: pos for pos, tid in enumerate(graph.topological_order())}
+        sinks = set(graph.sinks())
+        output = {
+            task.task_id: task.invocations * library.get(task.abb_type).output_bytes
+            for task in graph.tasks
+        }
+        # An edge without explicit bytes carries its producer's output.
+        chained = {
+            (edge.producer, edge.consumer): (
+                output[edge.producer] if edge.nbytes is None else edge.nbytes
             )
-            longest[tid] = best_pred + cycles
-        return max(longest.values(), default=0.0)
+            for edge in graph.edges
+        }
+        records = []
+        invocations: dict[str, list[int]] = {}
+        for index, task in enumerate(graph.tasks):
+            tid = task.task_id
+            inputs = tuple(
+                (position[p], chained[p, tid]) for p in graph.predecessors(tid)
+            )
+            operand = task.invocations * library.get(task.abb_type).input_bytes
+            memory = max(0.0, operand - sum(nbytes for _p, nbytes in inputs))
+            records.append(
+                PlannedTask(
+                    tid, task.abb_type, task.invocations, index,
+                    memory, inputs, output[tid], tid in sinks,
+                )
+            )
+            invocations.setdefault(task.abb_type, []).append(task.invocations)
+        self.tasks = tuple(sorted(records, key=lambda t: position[t.task_id]))
+        self.memory_read_bytes = sum(t.memory_bytes for t in records)
+        self.sink_write_bytes = sum(t.output_bytes for t in records if t.is_sink)
+        self.type_hints = tuple(
+            (abb_type, sum(counts) / len(counts))
+            for abb_type, counts in sorted(invocations.items())
+        )

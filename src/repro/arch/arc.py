@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import typing
 
-from repro.abb.flowgraph import ABBFlowGraph
+from repro.abb.flowgraph import ABBFlowGraph, TilePlan
 from repro.abb.library import ABBLibrary, standard_library
 from repro.core.gam import GlobalAcceleratorManager
 from repro.engine import BandwidthServer, Simulator
@@ -57,12 +57,7 @@ def monolithic_cycles(graph: ABBFlowGraph, library: ABBLibrary) -> float:
     Pipeline fill (sum of stage latencies along the critical path) plus
     the streaming time of the widest stage.
     """
-    fill: dict[str, float] = {}
-    for task_id in graph.topological_order():
-        task = graph.task(task_id)
-        latency = library.get(task.abb_type).latency
-        best = max((fill[p] for p in graph.predecessors(task_id)), default=0.0)
-        fill[task_id] = best + latency
+    fill = graph.path_lengths(lambda task: float(library.get(task.abb_type).latency))
     max_fill = max(fill.values(), default=0.0)
     widest = max(
         (
@@ -88,6 +83,7 @@ class ARCSystem:
         self.workload = workload
         self.library = library if library is not None else standard_library()
         self.graph = workload.build_graph(self.library)
+        self.plan = TilePlan(self.graph, self.library)
         self.n_units = n_units
         self.sim = Simulator()
         self.energy = EnergyAccount()
@@ -109,13 +105,6 @@ class ARCSystem:
         self._tile_compute = (
             monolithic_cycles(self.graph, self.library) * ARC_PIPELINE_STALL_FACTOR
         )
-        self._in_bytes = sum(
-            self.graph.memory_input_bytes(t.task_id, self.library)
-            for t in self.graph.tasks
-        )
-        self._out_bytes = sum(
-            self.graph.task_output_bytes(t, self.library) for t in self.graph.sinks()
-        )
         self.completed = 0
 
     # ------------------------------------------------------------------ run
@@ -123,8 +112,8 @@ class ARCSystem:
         unit = yield self.gam.request()
         link = self._links[unit]
         # Stream inputs: DRAM and the unit's NoC link in series.
-        yield self.memory.access(self._in_bytes, stream_id=tile_id)
-        yield link.transfer(self._in_bytes)
+        yield self.memory.access(self.plan.memory_read_bytes, stream_id=tile_id)
+        yield link.transfer(self.plan.memory_read_bytes)
         # Fused pipeline.
         yield self.sim.delay(self._tile_compute)
         for task in self.graph.tasks:
@@ -133,8 +122,8 @@ class ARCSystem:
                 self.library.get(task.abb_type).dynamic_energy_nj(task.invocations),
             )
         # Drain outputs.
-        yield link.transfer(self._out_bytes)
-        yield self.memory.access(self._out_bytes, stream_id=tile_id)
+        yield link.transfer(self.plan.sink_write_bytes)
+        yield self.memory.access(self.plan.sink_write_bytes, stream_id=tile_id)
         # The completion interrupt runs on the dispatching core before
         # the result is consumed; the OS path costs 100X more cycles.
         handler_cycles = self.gam.release(unit)

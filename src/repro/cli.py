@@ -12,6 +12,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import typing
 from dataclasses import replace
@@ -259,12 +260,17 @@ def cmd_serve(args) -> None:
     # Reject bad flags before the saturation probe simulates anything.
     if args.tenants < 1:
         raise ConfigError(f"--tenants must be at least 1, got {args.tenants}")
-    if args.duration <= 0:
-        raise ConfigError(f"--duration must be positive, got {args.duration}")
-    if args.load <= 0:
-        raise ConfigError(f"--load must be positive, got {args.load}")
-    if args.rate < 0:
-        raise ConfigError(f"--rate must be non-negative, got {args.rate}")
+    # Chained comparisons also reject NaN, which every comparison fails.
+    if not 0 < args.duration < math.inf:
+        raise ConfigError(
+            f"--duration must be positive and finite, got {args.duration}"
+        )
+    if not 0 < args.load < math.inf:
+        raise ConfigError(f"--load must be positive and finite, got {args.load}")
+    if not 0 <= args.rate < math.inf:
+        raise ConfigError(
+            f"--rate must be non-negative and finite, got {args.rate}"
+        )
     if args.arrival == "trace":
         if not args.trace_file:
             raise ConfigError("--arrival trace needs --trace-file")

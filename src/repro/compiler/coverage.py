@@ -15,15 +15,6 @@ from repro.abb.flowgraph import ABBFlowGraph
 from repro.abb.library import ABBLibrary
 
 
-def _asap_levels(graph: ABBFlowGraph) -> dict[str, int]:
-    """Level of each task: 0 for sources, 1 + max(producer levels) else."""
-    levels: dict[str, int] = {}
-    for tid in graph.topological_order():
-        preds = graph.predecessors(tid)
-        levels[tid] = 0 if not preds else 1 + max(levels[p] for p in preds)
-    return levels
-
-
 def minimum_abb_set(graph: ABBFlowGraph) -> dict[str, int]:
     """Per-type ABB counts needed to exploit the graph's parallelism.
 
@@ -32,7 +23,8 @@ def minimum_abb_set(graph: ABBFlowGraph) -> dict[str, int]:
     the count beyond which extra ABBs cannot help a single graph
     instance.
     """
-    levels = _asap_levels(graph)
+    # ASAP level of each task, counted from 1 at the sources.
+    levels = graph.path_lengths(lambda _task: 1)
     per_level_type: dict[tuple[int, str], int] = {}
     for task in graph.tasks:
         key = (levels[task.task_id], task.abb_type)

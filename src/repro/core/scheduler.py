@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import typing
 
-from repro.abb.flowgraph import ABBFlowGraph
+from repro.abb.flowgraph import PlannedTask, TilePlan
 from repro.core.composer import Grant, SOFTWARE_FALLBACK
 from repro.engine import AllOf, Event
 from repro.errors import SimulationError
@@ -41,6 +41,8 @@ if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
 class TileScheduler:
     """Runs one flow-graph instance to completion.
 
+    ``plan`` is the graph compiled once per run (:class:`TilePlan`);
+    every tile of the graph reads its per-task bytes from it.
     ``tenant`` tags the trace records with the serving tenant that
     caused them (empty outside :mod:`repro.serve`).  ``after`` is the
     ref of the task whose completion started this tile (the closed-loop
@@ -51,25 +53,36 @@ class TileScheduler:
     def __init__(
         self,
         system: "SystemModel",
-        graph: ABBFlowGraph,
+        plan: TilePlan,
         tile_id: int,
         tenant: str = "",
         after: str = "",
     ) -> None:
         self.system = system
-        self.graph = graph
+        self.plan = plan
         self.tile_id = tile_id
         self.tenant = tenant
         self.after = after
         self.last_ref = ""
         self._tracer = getattr(system, "tracer", None)
-        self._tags: dict[str, str] = {}
-        # Maps task -> (island, slot); None marks a task that ran in
+        # Memory-interleave stream of a task: this base plus its
+        # insertion index.
+        self._stream_base = tile_id * 131
+        prefix = f"{tenant}." if tenant else ""
+        # Correlation id of each task (``tenant1.t3.conv0``), by position.
+        self._tags = [f"{prefix}t{tile_id}.{task.task_id}" for task in plan.tasks]
+        # Maps position -> (island, slot); None marks a task that ran in
         # software (its results live in shared memory, not an SPM).
-        self.locations: dict[str, typing.Optional[tuple[int, int]]] = {}
-        self._done: dict[str, Event] = {}
-        self._task_index = {t.task_id: i for i, t in enumerate(graph.tasks)}
+        self._placed: dict[int, typing.Optional[tuple[int, int]]] = {}
+        self._done: list[Event] = []
         self.used_fallback = False
+
+    @property
+    def locations(self) -> dict[str, typing.Optional[tuple[int, int]]]:
+        """Task id -> (island, slot) of every placed task, in placement
+        order; ``None`` for a task that ran in software."""
+        tasks = self.plan.tasks
+        return {tasks[pos].task_id: where for pos, where in self._placed.items()}
 
     # ---------------------------------------------------------------- run
     def run(self) -> Event:
@@ -80,51 +93,42 @@ class TileScheduler:
         done event.
         """
         sim = self.system.sim
-        order = self.graph.topological_order()
-        for task_id in order:
-            self._done[task_id] = Event(sim)
-        tile_done = AllOf(sim, [self._done[t] for t in order])
-        for task_id in order:
-            producers = self.graph.predecessors(task_id)
-            if not producers:
-                sim.process(self._run_task(task_id))
+        tasks = self.plan.tasks
+        done = self._done = [Event(sim) for _task in tasks]
+        tile_done = AllOf(sim, done)
+        for position, task in enumerate(tasks):
+            if not task.inputs:
+                sim.process(self._run_task(position))
                 continue
-            remaining = [len(producers)]
+            remaining = [len(task.inputs)]
 
             def on_producer_done(
                 _event: Event,
-                task_id: str = task_id,
+                position: int = position,
                 remaining: list = remaining,
             ) -> None:
                 remaining[0] -= 1
                 if remaining[0] == 0:
-                    sim.process(self._run_task(task_id))
+                    sim.process(self._run_task(position))
 
-            for producer in producers:
-                self._done[producer].add_callback(on_producer_done)
+            for producer, _nbytes in task.inputs:
+                done[producer].add_callback(on_producer_done)
         return tile_done
 
     # ------------------------------------------------------------- helpers
-    def _stream_id(self, task_id: str) -> int:
-        """Deterministic memory-interleave stream for a task."""
-        return self.tile_id * 131 + self._task_index[task_id]
-
-    def _preferred_island(self, task_id: str) -> typing.Optional[int]:
+    def _preferred_island(self, task: PlannedTask) -> typing.Optional[int]:
         """Island holding the largest share of the task's chained input."""
-        library = self.system.library
         bytes_by_island: dict[int, float] = {}
-        for producer in self.graph.predecessors(task_id):
-            if producer not in self.locations:
+        for producer, nbytes in task.inputs:
+            if producer not in self._placed:
                 raise SimulationError(
-                    f"producer {producer!r} finished without a recorded location"
+                    f"producer {self.plan.tasks[producer].task_id!r} "
+                    "finished without a recorded location"
                 )
-            location = self.locations[producer]
+            location = self._placed[producer]
             if location is None:  # producer ran in software; data is in DRAM
                 continue
             island_idx, _slot = location
-            nbytes = self.graph.edge_bytes(
-                self.graph.edge(producer, task_id), library
-            )
             bytes_by_island[island_idx] = (
                 bytes_by_island.get(island_idx, 0.0) + nbytes
             )
@@ -145,22 +149,12 @@ class TileScheduler:
         if tracer is not None:
             tracer.span(start, self.system.sim.now, actor, kind, label, ref, args)
 
-    def _tag(self, task_id: str) -> str:
-        """Correlation id of one task of this tile (``tenant1.t3.conv0``)."""
-        tag = self._tags.get(task_id)
-        if tag is None:
-            prefix = f"{self.tenant}." if self.tenant else ""
-            tag = f"{prefix}t{self.tile_id}.{task_id}"
-            self._tags[task_id] = tag
-        return tag
-
-    def _trace_task(
-        self, start: float, actor: str, task_id: str, producers
-    ) -> None:
+    def _trace_task(self, start: float, actor: str, position: int) -> None:
         """Record the task's aggregate span carrying the DAG edges."""
         tracer = self._tracer
         if tracer is not None:
-            deps = [self._tag(p) for p in producers]
+            task = self.plan.tasks[position]
+            deps = [self._tags[producer] for producer, _nbytes in task.inputs]
             if not deps and self.after:
                 deps.append(self.after)
             tracer.span(
@@ -168,19 +162,18 @@ class TileScheduler:
                 self.system.sim.now,
                 actor,
                 "task",
-                task_id,
-                self._tag(task_id),
+                task.task_id,
+                self._tags[position],
                 {"deps": deps, "tenant": self.tenant},
             )
 
     # --------------------------------------------------------- task process
-    def _run_task(self, task_id: str):
+    def _run_task(self, position: int):
         system = self.system
-        graph = self.graph
-        library = system.library
-        task = graph.task(task_id)
-        producers = graph.predecessors(task_id)
-        tag = self._tag(task_id)
+        tasks = self.plan.tasks
+        task = tasks[position]
+        tag = self._tags[position]
+        streams = self._stream_base
 
         # 1. Producers are already done — :meth:`run` spawns this
         # process from the last producer's completion callback.
@@ -190,15 +183,13 @@ class TileScheduler:
         # software-fallback sentinel instead of a grant.
         requested_at = system.sim.now
         grant = yield system.abc.request(
-            task.abb_type, preferred_island=self._preferred_island(task_id)
+            task.abb_type, preferred_island=self._preferred_island(task)
         )
         if grant is SOFTWARE_FALLBACK:
-            yield from self._run_task_software(
-                task_id, task, producers, tag, requested_at
-            )
+            yield from self._run_task_software(position, tag, requested_at)
             return
         assert isinstance(grant, Grant)
-        self.locations[task_id] = (grant.island_index, grant.slot)
+        self._placed[position] = (grant.island_index, grant.slot)
         island = system.islands[grant.island_index]
         actor = (
             f"island{grant.island_index}.slot{grant.slot}"
@@ -210,20 +201,18 @@ class TileScheduler:
 
         # 3. Gather operands in parallel.
         input_events = []
-        mem_bytes = graph.memory_input_bytes(task_id, library)
-        if mem_bytes > 0:
+        if task.memory_bytes > 0:
             input_events.append(
                 system.memory_to_island(
                     grant.island_index,
                     grant.slot,
-                    mem_bytes,
-                    self._stream_id(task_id),
+                    task.memory_bytes,
+                    streams + task.index,
                     tag,
                 )
             )
-        for producer in producers:
-            nbytes = graph.edge_bytes(graph.edge(producer, task_id), library)
-            location = self.locations[producer]
+        for producer, nbytes in task.inputs:
+            location = self._placed[producer]
             if location is None:
                 # Producer ran in software; its results sit in shared
                 # memory and stream in like any memory operand.
@@ -232,7 +221,7 @@ class TileScheduler:
                         grant.island_index,
                         grant.slot,
                         nbytes,
-                        self._stream_id(producer),
+                        streams + tasks[producer].index,
                         tag,
                     )
                 )
@@ -265,26 +254,23 @@ class TileScheduler:
             )
 
         # 5. Write back sink outputs, then release the block.
-        if not graph.successors(task_id):
-            out_bytes = graph.task_output_bytes(task_id, library)
+        if task.is_sink:
             writeback_start = system.sim.now
             yield system.island_to_memory(
                 grant.island_index,
                 grant.slot,
-                out_bytes,
-                self._stream_id(task_id),
+                task.output_bytes,
+                streams + task.index,
                 tag,
             )
             self._trace(writeback_start, "writeback", actor, tag, tag)
         system.abc.release(grant)
-        self._trace_task(requested_at, actor, task_id, producers)
+        self._trace_task(requested_at, actor, position)
         self.last_ref = tag
-        self._done[task_id].succeed(task_id)
+        self._done[position].succeed(task.task_id)
 
     # ---------------------------------------------------- software fallback
-    def _run_task_software(
-        self, task_id: str, task, producers, tag: str, task_start: float
-    ):
+    def _run_task_software(self, position: int, tag: str, task_start: float):
         """Run one task on a host core (no hardware composition exists).
 
         The core fetches every operand from shared memory (chained
@@ -294,14 +280,15 @@ class TileScheduler:
         results back so any consumer can read them from DRAM.
         """
         system = self.system
-        graph = self.graph
-        library = system.library
+        tasks = self.plan.tasks
+        task = tasks[position]
+        streams = self._stream_base
         stats = system.fault_stats
         stats.fallback_tasks += 1
         if not self.used_fallback:
             self.used_fallback = True
             stats.fallback_tiles += 1
-        self.locations[task_id] = None
+        self._placed[position] = None
 
         requested_at = system.sim.now
         yield system.fallback_cores.request()
@@ -312,16 +299,19 @@ class TileScheduler:
         # memory (after the core grant), then run the job on the core.
         gather_start = system.sim.now
         spill_events = []
-        read_bytes = graph.memory_input_bytes(task_id, library)
-        for producer in producers:
-            nbytes = graph.edge_bytes(graph.edge(producer, task_id), library)
+        read_bytes = task.memory_bytes
+        for producer, nbytes in task.inputs:
             read_bytes += nbytes
-            location = self.locations[producer]
+            location = self._placed[producer]
             if location is not None:
                 src_island, src_slot = location
                 spill_events.append(
                     system.island_to_memory(
-                        src_island, src_slot, nbytes, self._stream_id(producer), tag
+                        src_island,
+                        src_slot,
+                        nbytes,
+                        streams + tasks[producer].index,
+                        tag,
                     )
                 )
         if spill_events:
@@ -331,12 +321,12 @@ class TileScheduler:
         yield from system.software_execute(
             read_bytes,
             system.fallback_model.task_cycles(task.abb_type, task.invocations),
-            graph.task_output_bytes(task_id, library),
-            self._stream_id(task_id),
+            task.output_bytes,
+            streams + task.index,
             tag,
             gather_start,
         )
         system.fallback_cores.release()
-        self._trace_task(task_start, "core.sw", task_id, producers)
+        self._trace_task(task_start, "core.sw", position)
         self.last_ref = tag
-        self._done[task_id].succeed(task_id)
+        self._done[position].succeed(task.task_id)

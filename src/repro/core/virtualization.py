@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import typing
 
-from repro.abb.flowgraph import ABBFlowGraph
+from repro.abb.flowgraph import ABBFlowGraph, TilePlan
 from repro.core.scheduler import TileScheduler
 from repro.engine import Event
 from repro.errors import SimulationError
@@ -27,7 +27,9 @@ class VirtualAccelerator:
         self.system = system
         self.graph = graph
         self.va_id = va_id
-        self._scheduler = TileScheduler(system, graph, tile_id=va_id)
+        self._scheduler = TileScheduler(
+            system, TilePlan(graph, system.library), tile_id=va_id
+        )
         self.started_at: typing.Optional[float] = None
         self.finished_at: typing.Optional[float] = None
 

@@ -73,21 +73,27 @@ class ArrivalConfig:
                 f"unknown arrival kind {self.kind!r}; choose from "
                 f"{sorted(ARRIVAL_KINDS)}"
             )
-        if self.kind != "trace" and self.rate_per_mcycle <= 0:
+        # ``0 < x < inf`` also rejects NaN, which every comparison fails.
+        if self.kind != "trace" and not 0 < self.rate_per_mcycle < math.inf:
             raise ConfigError(
-                f"arrival rate must be positive, got {self.rate_per_mcycle}"
+                f"arrival rate must be positive and finite, got "
+                f"{self.rate_per_mcycle}"
             )
-        if self.kind == "onoff" and (
-            self.mean_on_cycles <= 0 or self.mean_off_cycles <= 0
+        if self.kind == "onoff" and not (
+            0 < self.mean_on_cycles < math.inf
+            and 0 < self.mean_off_cycles < math.inf
         ):
-            raise ConfigError("on/off dwell times must be positive")
+            raise ConfigError("on/off dwell times must be positive and finite")
         if self.kind == "trace":
             if not self.trace:
                 raise ConfigError("trace arrivals need at least one time")
             previous = -math.inf
             for time in self.trace:
-                if time < 0:
-                    raise ConfigError(f"negative trace arrival time {time}")
+                if not 0 <= time < math.inf:
+                    raise ConfigError(
+                        f"trace arrival times must be finite and non-negative, "
+                        f"got {time}"
+                    )
                 if time < previous:
                     raise ConfigError("trace arrival times must be sorted")
                 previous = time
@@ -158,8 +164,13 @@ def trace_from_file(path: str, seed: int = 0) -> ArrivalConfig:
     embedded in the returned config, so fingerprints cover the trace
     *content* rather than a path that could silently change.
     """
-    with open(path) as handle:
-        text = handle.read()
+    try:
+        with open(path) as handle:
+            text = handle.read()
+    except OSError as err:
+        raise ConfigError(
+            f"cannot read arrival trace {path!r}: {err.strerror}"
+        ) from None
     stripped = text.lstrip()
     try:
         if stripped.startswith("["):

@@ -25,10 +25,11 @@ Three pluggable policies:
 from __future__ import annotations
 
 import enum
+import math
 import typing
 from dataclasses import dataclass
 
-from repro.abb.flowgraph import ABBFlowGraph
+from repro.abb.flowgraph import TilePlan
 from repro.errors import ConfigError
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -69,9 +70,12 @@ class AdmissionConfig:
                 f"unknown admission policy {self.policy!r}; choose from "
                 f"{sorted(ADMISSION_POLICIES)}"
             )
-        if self.wait_bound_cycles is not None and self.wait_bound_cycles <= 0:
+        if self.wait_bound_cycles is not None and not (
+            0 < self.wait_bound_cycles < math.inf
+        ):
             raise ConfigError(
-                f"wait bound must be positive, got {self.wait_bound_cycles}"
+                f"wait bound must be positive and finite, got "
+                f"{self.wait_bound_cycles}"
             )
         if self.queue_bound < 1:
             raise ConfigError(
@@ -93,33 +97,24 @@ class AdmissionFrontend:
         self.config = config
         self.decisions = {decision: 0 for decision in Decision}
 
-    def wait_estimate(self, graph: ABBFlowGraph) -> float:
-        """Worst-case GAM wait estimate over the graph's ABB types.
+    def wait_estimate(self, plan: TilePlan) -> float:
+        """Worst-case GAM wait estimate over the plan's ABB types.
 
         The request cannot finish before its most-contended type clears,
-        so the bottleneck type's estimate is the binding one.  Service
-        hints come from each type's compute-time lower bound so the very
-        first requests (before any release has been observed) still see
-        a sensible scale.
+        so the bottleneck type's estimate is the binding one.  Each
+        type's service hint is its mean per-task invocation count
+        (:attr:`TilePlan.type_hints`), so the very first requests
+        (before any release has been observed) still see a sensible
+        scale.
         """
         abc = self.system.abc
         estimate = 0.0
-        for type_name in sorted({task.abb_type for task in graph.tasks}):
-            hint = self._service_hint(graph, type_name)
+        for type_name, hint in plan.type_hints:
             estimate = max(estimate, abc.estimate_wait(type_name, hint))
         return estimate
 
-    def _service_hint(self, graph: ABBFlowGraph, type_name: str) -> float:
-        """Mean per-task invocation count of a type (cycle-scale hint)."""
-        counts = [
-            task.invocations
-            for task in graph.tasks
-            if task.abb_type == type_name
-        ]
-        return sum(counts) / len(counts) if counts else 1.0
-
     def decide(
-        self, graph: ABBFlowGraph, software_cycles: float
+        self, plan: TilePlan, software_cycles: float
     ) -> tuple[Decision, float]:
         """Admission decision for one request arriving now.
 
@@ -128,7 +123,7 @@ class AdmissionFrontend:
         feedback the request saw.
         """
         config = self.config
-        estimate = self.wait_estimate(graph)
+        estimate = self.wait_estimate(plan)
         if config.policy == "always_hw":
             decision = Decision.HARDWARE
         elif config.policy == "wait_threshold":

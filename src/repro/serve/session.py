@@ -18,10 +18,12 @@ bit-reproducible and cacheable by content address
 
 from __future__ import annotations
 
+import math
 import typing
 from dataclasses import dataclass, field, replace
 from functools import partial
 
+from repro.abb.flowgraph import TilePlan
 from repro.abb.library import ABBLibrary
 from repro.engine.trace import Tracer
 from repro.errors import ConfigError
@@ -70,9 +72,10 @@ class ServeConfig:
     def __post_init__(self) -> None:
         if not self.tenants:
             raise ConfigError("serving session needs at least one tenant")
-        if self.duration_cycles <= 0:
+        if not 0 < self.duration_cycles < math.inf:
             raise ConfigError(
-                f"serve duration must be positive, got {self.duration_cycles}"
+                f"serve duration must be positive and finite, got "
+                f"{self.duration_cycles}"
             )
         names = [t.name for t in self.tenants]
         if len(set(names)) != len(names):
@@ -119,10 +122,8 @@ class _TenantState:
     """Mutable per-tenant accounting while a session runs."""
 
     spec: TenantSpec
-    graph: typing.Any
+    plan: TilePlan
     sw_cycles: float
-    sw_read_bytes: float
-    sw_write_bytes: float
     offered: int = 0
     shed: int = 0
     sw_fallbacks: int = 0
@@ -187,16 +188,12 @@ def run_serve(
     tenants: list[_TenantState] = []
     for spec in serve.tenants:
         graph = spec.workload.build_graph(system.library)
-        sw_cycles = system.fallback_model.graph_cycles(graph)
-        sw_read = sum(
-            graph.memory_input_bytes(t.task_id, system.library)
-            for t in graph.tasks
-        )
-        sw_write = sum(
-            graph.task_output_bytes(t, system.library) for t in graph.sinks()
-        )
         tenants.append(
-            _TenantState(spec, graph, sw_cycles, sw_read, sw_write)
+            _TenantState(
+                spec,
+                TilePlan(graph, system.library),
+                system.fallback_model.graph_cycles(graph),
+            )
         )
 
     def complete(state: _TenantState, arrived: float, _ref: str = "") -> None:
@@ -212,9 +209,9 @@ def run_serve(
         if tracer is not None and sim.now > arrived:
             tracer.record(arrived, sim.now, "core.sw", "alloc_wait", ref, ref)
         yield from system.software_execute(
-            state.sw_read_bytes,
+            state.plan.memory_read_bytes,
             state.sw_cycles,
-            state.sw_write_bytes,
+            state.plan.sink_write_bytes,
             tile_id,
             ref,
             sim.now,
@@ -239,7 +236,7 @@ def run_serve(
             yield sim.delay(arrival - sim.now)
             state.offered += 1
             tile_id = index * TILE_ID_STRIDE + request_index
-            decision, estimate = frontend.decide(state.graph, state.sw_cycles)
+            decision, estimate = frontend.decide(state.plan, state.sw_cycles)
             wait_estimates.append(estimate)
             if decision is Decision.SHED:
                 state.shed += 1
@@ -248,7 +245,7 @@ def run_serve(
                 sim.process(sw_request(state, tile_id, sim.now))
             else:
                 driver.issue(
-                    state.graph,
+                    state.plan,
                     tile_id,
                     partial(complete, state, sim.now),
                     state.spec.name,

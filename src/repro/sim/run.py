@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import typing
 
-from repro.abb.flowgraph import ABBFlowGraph
+from repro.abb.flowgraph import TilePlan
 from repro.abb.library import ABBLibrary
 from repro.core.scheduler import TileScheduler
 from repro.engine.trace import Tracer
@@ -45,7 +45,7 @@ class RequestDriver:
 
     def issue(
         self,
-        graph: ABBFlowGraph,
+        plan: TilePlan,
         tile_id: int,
         on_done: typing.Callable[[str], None],
         tenant: str = "",
@@ -55,7 +55,7 @@ class RequestDriver:
         task's ref when it ends, and ``after`` names the task the tile's
         source tasks record as their dependency."""
         self.started += 1
-        scheduler = TileScheduler(self.system, graph, tile_id, tenant, after)
+        scheduler = TileScheduler(self.system, plan, tile_id, tenant, after)
 
         def finish(_event: object) -> None:
             self.finished += 1
@@ -64,7 +64,7 @@ class RequestDriver:
         scheduler.run().add_callback(finish)
 
     def window(
-        self, graph: ABBFlowGraph, first_id: int, tiles: int, size: int
+        self, plan: TilePlan, first_id: int, tiles: int, size: int
     ) -> None:
         """Issue ``tiles`` tiles, ``size`` in flight: each finished tile
         issues the next and hands it its last-completed task's ref, so
@@ -75,7 +75,7 @@ class RequestDriver:
             tile = issued[0]
             if tile < tiles:
                 issued[0] = tile + 1
-                self.issue(graph, first_id + tile, issue_next, after=after)
+                self.issue(plan, first_id + tile, issue_next, after=after)
 
         for _ in range(size):
             issue_next()
@@ -140,7 +140,8 @@ def run_consolidated(
     driver = RequestDriver(system)
     for app_index, workload in enumerate(workloads):
         graph = workload.build_graph(system.library, allow_fabric=allow_fabric)
-        driver.window(graph, app_index * TILE_ID_STRIDE, workload.tiles, tile_window)
+        plan = TilePlan(graph, system.library)
+        driver.window(plan, app_index * TILE_ID_STRIDE, workload.tiles, tile_window)
     label = " + ".join(w.name for w in workloads)
     attribution = driver.run(label)
     elapsed = system.sim.now

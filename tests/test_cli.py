@@ -165,6 +165,17 @@ class TestCommands:
             (["--rate", "-5"], "--rate"),
             (["--queue-bound", "0"], "queue bound"),
             (["--wait-bound", "-5"], "wait bound"),
+            (["--duration", "nan"], "--duration"),
+            (["--duration", "inf"], "--duration"),
+            (["--load", "nan"], "--load"),
+            (["--load", "inf"], "--load"),
+            (["--rate", "nan"], "--rate"),
+            (["--rate", "inf"], "--rate"),
+            (["--wait-bound", "nan"], "wait bound"),
+            (
+                ["--arrival", "trace", "--trace-file", "/nonexistent/trace.txt"],
+                "arrival trace",
+            ),
         ],
         ids=[
             "no-tenants",
@@ -175,6 +186,14 @@ class TestCommands:
             "negative-rate",
             "zero-queue-bound",
             "negative-wait-bound",
+            "nan-duration",
+            "inf-duration",
+            "nan-load",
+            "inf-load",
+            "nan-rate",
+            "inf-rate",
+            "nan-wait-bound",
+            "missing-trace-file",
         ],
     )
     def test_serve_rejects_bad_flags_before_probe(

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.abb import ABBFlowGraph
+from repro.abb import ABBFlowGraph, TilePlan
 from repro.core import TileScheduler, VirtualAccelerator
 from repro.errors import SimulationError
 from repro.sim import SystemConfig, SystemModel
@@ -33,7 +33,7 @@ class TestTileScheduler:
         system = make_system()
         g = ABBFlowGraph("one")
         g.add_task("a", "poly", 16)
-        done = TileScheduler(system, g, tile_id=0).run()
+        done = TileScheduler(system, TilePlan(g, system.library), tile_id=0).run()
         system.sim.run()
         assert done.triggered
         assert system.sim.now > 0
@@ -41,7 +41,7 @@ class TestTileScheduler:
     def test_chain_completes_and_records_locations(self):
         system = make_system()
         g = chain_graph(system.library)
-        sched = TileScheduler(system, g, tile_id=0)
+        sched = TileScheduler(system, TilePlan(g, system.library), tile_id=0)
         sched.run()
         system.sim.run()
         assert set(sched.locations) == {"t0", "t1", "t2"}
@@ -50,7 +50,7 @@ class TestTileScheduler:
         """A consumer must start compute after its producer finishes."""
         system = make_system()
         g = chain_graph(system.library, n=2)
-        sched = TileScheduler(system, g, tile_id=0)
+        sched = TileScheduler(system, TilePlan(g, system.library), tile_id=0)
         done = sched.run()
         system.sim.run()
         assert done.triggered
@@ -61,7 +61,7 @@ class TestTileScheduler:
     def test_all_abbs_released_at_end(self):
         system = make_system()
         g = chain_graph(system.library, n=3)
-        TileScheduler(system, g, tile_id=0).run()
+        TileScheduler(system, TilePlan(g, system.library), tile_id=0).run()
         system.sim.run()
         assert system.abc.total_grants == system.abc.service_cycles.count == 3
         for island in system.islands:
@@ -71,14 +71,15 @@ class TestTileScheduler:
     def test_parallel_tiles_share_abbs(self):
         system = make_system(mix={"poly": 2, "div": 1, "sqrt": 1})
         g = chain_graph(system.library, n=3)
-        events = [TileScheduler(system, g, tile_id=t).run() for t in range(4)]
+        plan = TilePlan(g, system.library)
+        events = [TileScheduler(system, plan, tile_id=t).run() for t in range(4)]
         system.sim.run()
         assert all(e.triggered for e in events)
 
     def test_memory_traffic_accounted(self):
         system = make_system()
         g = chain_graph(system.library)
-        TileScheduler(system, g, tile_id=0).run()
+        TileScheduler(system, TilePlan(g, system.library), tile_id=0).run()
         system.sim.run()
         assert system.memory.total_bytes() > 0
 
@@ -86,7 +87,7 @@ class TestTileScheduler:
         def run_once():
             system = make_system()
             g = chain_graph(system.library, n=3)
-            TileScheduler(system, g, tile_id=0).run()
+            TileScheduler(system, TilePlan(g, system.library), tile_id=0).run()
             system.sim.run()
             return system.sim.now
 
@@ -97,7 +98,7 @@ class TestLocalityPreference:
     def test_chained_consumer_prefers_producer_island(self):
         system = make_system(n_islands=4, mix={"poly": 8, "div": 4, "sqrt": 4})
         g = chain_graph(system.library, n=3)
-        sched = TileScheduler(system, g, tile_id=0)
+        sched = TileScheduler(system, TilePlan(g, system.library), tile_id=0)
         sched.run()
         system.sim.run()
         islands = {island for island, _ in sched.locations.values()}

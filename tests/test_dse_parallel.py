@@ -1,12 +1,35 @@
 """Tests for the parallel sweep runner and persistent-cache reuse."""
 
+import json
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.dse import DesignSpace, Explorer, ResultCache
 from repro.dse.parallel import run_points
 from repro.errors import ConfigError
 from repro.island import NetworkKind, SpmDmaNetworkConfig
+from repro.sim.system import SystemConfig
 from repro.workloads import get_workload
+
+#: Resolves :func:`distinct_points` on a two-worker pool, forced even on
+#: a one-CPU host, and prints the pool size and the result reprs.
+_POOL_SCRIPT = """
+import json
+import repro.dse.parallel as parallel
+from tests.test_dse_parallel import distinct_points
+pools = []
+real_pool = parallel.ProcessPoolExecutor
+def recording_pool(max_workers):
+    pools.append(max_workers)
+    return real_pool(max_workers=max_workers)
+parallel.os.cpu_count = lambda: 2
+parallel.ProcessPoolExecutor = recording_pool
+results, _ = parallel.run_points(distinct_points(), jobs=2)
+print(json.dumps({"pools": pools, "reprs": [repr(r) for r in results]}))
+"""
 
 
 def small_space():
@@ -25,6 +48,15 @@ def workloads():
     return [
         get_workload("Denoise", tiles=2),
         get_workload("EKF-SLAM", tiles=2),
+    ]
+
+
+def distinct_points():
+    """Four distinct design points: two island counts x two workloads."""
+    return [
+        (SystemConfig(n_islands=n), workload)
+        for n in (3, 6)
+        for workload in workloads()
     ]
 
 
@@ -112,13 +144,8 @@ class TestRunPoints:
         """On one CPU a multi-job sweep spawns no pool and returns the
         serial rows."""
         import repro.dse.parallel as parallel
-        from repro.sim.system import SystemConfig
 
-        points = [
-            (SystemConfig(n_islands=n), workload)
-            for n in (3, 6)
-            for workload in workloads()
-        ]
+        points = distinct_points()
         serial, _ = run_points(points, jobs=1)
 
         def no_pool(*_args, **_kwargs):
@@ -129,3 +156,17 @@ class TestRunPoints:
         inline, simulated = run_points(points, jobs=4)
         assert simulated == len(points)
         assert inline == serial
+
+    def test_pool_workers_match_inline_across_hash_seeds(self):
+        root = os.path.join(os.path.dirname(__file__), os.pardir)
+        path = os.pathsep.join([os.path.join(root, "src"), root])
+        inline, _ = run_points(distinct_points(), jobs=1)
+        for seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path)
+            out = subprocess.run(
+                [sys.executable, "-c", _POOL_SCRIPT],
+                env=env, capture_output=True, text=True, check=True,
+            ).stdout
+            child = json.loads(out)
+            assert child["pools"] == [2]
+            assert child["reprs"] == [repr(result) for result in inline]

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.abb import ABBFlowGraph
+from repro.abb import ABBFlowGraph, TilePlan
 from repro.core import TileScheduler
 from repro.engine.trace import TraceRecord, Tracer
 from repro.errors import ConfigError
@@ -171,7 +171,7 @@ class TestSchedulerIntegration:
         graph.add_task("a", "poly", 16)
         graph.add_task("b", "div", 16)
         graph.add_edge("a", "b")
-        TileScheduler(system, graph, tile_id=0).run()
+        TileScheduler(system, TilePlan(graph, system.library), tile_id=0).run()
         system.sim.run()
         kinds = {r.kind for r in tracer.records}
         assert "compute" in kinds
@@ -185,7 +185,7 @@ class TestSchedulerIntegration:
             system = SystemModel(SystemConfig(n_islands=3), tracer=tracer)
             graph = ABBFlowGraph("g")
             graph.add_task("a", "poly", 64)
-            TileScheduler(system, graph, 0).run()
+            TileScheduler(system, TilePlan(graph, system.library), 0).run()
             system.sim.run()
             return system.sim.now
 

@@ -138,10 +138,11 @@ class TestExport:
 class TestBuilders:
     def test_system_metrics_names_and_values(self):
         system = SystemModel(SystemConfig(n_islands=3))
+        from repro.abb import TilePlan
         from repro.core import TileScheduler
 
         graph = denoise().build_graph(system.library)
-        TileScheduler(system, graph, 0).run()
+        TileScheduler(system, TilePlan(graph, system.library), 0).run()
         system.sim.run()
         registry = system_metrics(system, system.sim.now)
         names = registry.names()

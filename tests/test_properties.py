@@ -5,7 +5,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.abb import ABBFlowGraph, PAPER_ABB_MIX, standard_library
+from repro.abb import ABBFlowGraph, PAPER_ABB_MIX, TilePlan, standard_library
 from repro.core import TileScheduler
 from repro.engine import BandwidthServer, Simulator
 from repro.island import NetworkKind, SpmDmaNetworkConfig
@@ -114,8 +114,9 @@ class TestSchedulerConservation:
         graph.validate(lib)
 
         system = SystemModel(SystemConfig(n_islands=3))
+        plan = TilePlan(graph, system.library)
         for tile in range(tiles):
-            TileScheduler(system, graph, tile).run()
+            TileScheduler(system, plan, tile).run()
         system.sim.run()
 
         # Every task granted once and released once, per tile.

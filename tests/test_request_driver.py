@@ -17,6 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.abb import TilePlan
 from repro.core.scheduler import TileScheduler
 from repro.engine import Event, Resource
 from repro.engine.trace import Tracer
@@ -49,12 +50,12 @@ def reference_run(config, workloads, tile_window):
     system = SystemModel(config)
     sim = system.sim
     for app, workload in enumerate(workloads):
-        graph = workload.build_graph(system.library)
+        plan = TilePlan(workload.build_graph(system.library), system.library)
         window = Resource(sim, capacity=tile_window)
 
-        def tile_process(tile_id, graph=graph, window=window, app=app):
+        def tile_process(tile_id, plan=plan, window=window, app=app):
             yield window.request()
-            yield TileScheduler(system, graph, tile_id + app * TILE_ID_STRIDE).run()
+            yield TileScheduler(system, plan, tile_id + app * TILE_ID_STRIDE).run()
             window.release()
 
         for tile_id in range(workload.tiles):

@@ -1,9 +1,11 @@
 """Tests for the multi-tenant open-loop serving subsystem."""
 
 import dataclasses
+import math
 
 import pytest
 
+from repro.abb import TilePlan
 from repro.dse import ResultCache, serve_point_fingerprint
 from repro.errors import ConfigError
 from repro.serve import (
@@ -49,18 +51,25 @@ class TestArrivals:
             ArrivalConfig(kind="uniform")
 
     def test_nonpositive_rate_rejected(self):
-        with pytest.raises(ConfigError):
-            ArrivalConfig(rate_per_mcycle=0.0)
+        for rate in (0.0, math.nan, math.inf):
+            with pytest.raises(ConfigError):
+                ArrivalConfig(rate_per_mcycle=rate)
 
     def test_bad_dwell_rejected(self):
-        with pytest.raises(ConfigError):
-            ArrivalConfig(kind="onoff", mean_on_cycles=-1.0)
+        for dwell in (-1.0, math.nan, math.inf):
+            with pytest.raises(ConfigError):
+                ArrivalConfig(kind="onoff", mean_on_cycles=dwell)
+            with pytest.raises(ConfigError):
+                ArrivalConfig(kind="onoff", mean_off_cycles=dwell)
 
     def test_trace_must_be_sorted(self):
         with pytest.raises(ConfigError):
             ArrivalConfig(kind="trace", trace=(5.0, 2.0))
         with pytest.raises(ConfigError):
             ArrivalConfig(kind="trace", trace=(-1.0,))
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ConfigError):
+                ArrivalConfig(kind="trace", trace=(1.0, bad))
         with pytest.raises(ConfigError):
             ArrivalConfig(kind="trace", trace=())
 
@@ -106,6 +115,8 @@ class TestArrivals:
         path.write_text("not a number\n")
         with pytest.raises(ConfigError):
             trace_from_file(str(path))
+        with pytest.raises(ConfigError):
+            trace_from_file(str(tmp_path / "missing.txt"))
 
 
 # ---------------------------------------------------------------- admission
@@ -117,6 +128,9 @@ class TestAdmission:
     def test_bad_bounds_rejected(self):
         with pytest.raises(ConfigError):
             AdmissionConfig(policy="wait_threshold", wait_bound_cycles=-1.0)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ConfigError):
+                AdmissionConfig(policy="wait_threshold", wait_bound_cycles=bad)
         with pytest.raises(ConfigError):
             AdmissionConfig(policy="shed", queue_bound=0)
 
@@ -125,60 +139,60 @@ class TestAdmission:
         system = SystemModel(
             SystemConfig(n_islands=1, abb_mix=dict(TINY_MIX))
         )
-        graph = RPC.build_graph(system.library)
+        plan = TilePlan(RPC.build_graph(system.library), system.library)
         for _ in range(TINY_MIX["poly"]):
             system.abc.request("poly")
         for _ in range(4):  # queue depth behind the busy slots
             system.abc.request("poly")
         system.sim.run()
         assert system.abc.free_count("poly") == 0
-        return AdmissionFrontend(system, admission), graph
+        return AdmissionFrontend(system, admission), plan
 
     def test_always_hw_admits_under_contention(self):
-        frontend, graph = self._contended_frontend(AdmissionConfig("always_hw"))
-        decision, estimate = frontend.decide(graph, software_cycles=1.0)
+        frontend, plan = self._contended_frontend(AdmissionConfig("always_hw"))
+        decision, estimate = frontend.decide(plan, software_cycles=1.0)
         assert decision is Decision.HARDWARE
         assert estimate > 0.0
 
     def test_wait_threshold_diverts_above_bound(self):
-        frontend, graph = self._contended_frontend(
+        frontend, plan = self._contended_frontend(
             AdmissionConfig("wait_threshold", wait_bound_cycles=0.5)
         )
-        decision, estimate = frontend.decide(graph, software_cycles=1e12)
+        decision, estimate = frontend.decide(plan, software_cycles=1e12)
         assert estimate > 0.5
         assert decision is Decision.SOFTWARE
 
     def test_wait_threshold_never_admits_above_bound(self):
         # The policy invariant: HARDWARE implies estimate <= bound.
         for bound in (0.5, 10.0, 1e3, 1e6, 1e9):
-            frontend, graph = self._contended_frontend(
+            frontend, plan = self._contended_frontend(
                 AdmissionConfig("wait_threshold", wait_bound_cycles=bound)
             )
-            decision, estimate = frontend.decide(graph, software_cycles=1e12)
+            decision, estimate = frontend.decide(plan, software_cycles=1e12)
             if decision is Decision.HARDWARE:
                 assert estimate <= bound
             else:
                 assert estimate > bound
 
     def test_wait_threshold_defaults_bound_to_software_cost(self):
-        frontend, graph = self._contended_frontend(
+        frontend, plan = self._contended_frontend(
             AdmissionConfig("wait_threshold")
         )
-        _, estimate = frontend.decide(graph, software_cycles=1e12)
-        decision, _ = frontend.decide(graph, software_cycles=estimate / 2)
+        _, estimate = frontend.decide(plan, software_cycles=1e12)
+        decision, _ = frontend.decide(plan, software_cycles=estimate / 2)
         assert decision is Decision.SOFTWARE
 
     def test_shed_drops_at_queue_bound(self):
-        frontend, graph = self._contended_frontend(
+        frontend, plan = self._contended_frontend(
             AdmissionConfig("shed", queue_bound=2)
         )
-        decision, _ = frontend.decide(graph, software_cycles=1.0)
+        decision, _ = frontend.decide(plan, software_cycles=1.0)
         assert decision is Decision.SHED
 
     def test_decision_counts_tracked(self):
-        frontend, graph = self._contended_frontend(AdmissionConfig("always_hw"))
-        frontend.decide(graph, software_cycles=1.0)
-        frontend.decide(graph, software_cycles=1.0)
+        frontend, plan = self._contended_frontend(AdmissionConfig("always_hw"))
+        frontend.decide(plan, software_cycles=1.0)
+        frontend.decide(plan, software_cycles=1.0)
         assert frontend.decisions[Decision.HARDWARE] == 2
 
 
@@ -206,6 +220,12 @@ class TestServeConfig:
     def test_needs_tenants(self):
         with pytest.raises(ConfigError):
             ServeConfig(tenants=())
+
+    def test_bad_duration_rejected(self):
+        tenants = make_tenants(1, [RPC], ArrivalConfig())
+        for duration in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ConfigError):
+                ServeConfig(tenants=tenants, duration_cycles=duration)
 
     def test_duplicate_tenant_names_rejected(self):
         spec = TenantSpec(name="t0", workload=RPC)

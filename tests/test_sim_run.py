@@ -41,6 +41,27 @@ class TestRunWorkload:
         with pytest.raises(ConfigError):
             run_workload(SystemConfig(), get_workload("Denoise", tiles=2), tile_window=0)
 
+    def test_graph_sorted_per_run_not_per_tile(self, monkeypatch):
+        # The flow graph is compiled once per run: tile count must not
+        # change how often it is sorted.
+        from repro.abb import ABBFlowGraph
+
+        calls = [0]
+        original = ABBFlowGraph.topological_order
+
+        def counted(graph):
+            calls[0] += 1
+            return original(graph)
+
+        monkeypatch.setattr(ABBFlowGraph, "topological_order", counted)
+        sorts = []
+        for tiles in (2, 16):
+            workload = get_workload("Denoise", tiles=tiles)
+            calls[0] = 0
+            run_workload(SystemConfig(n_islands=3), workload)
+            sorts.append(calls[0])
+        assert sorts[0] == sorts[1]
+
     def test_energy_breakdown_categories(self, denoise_result):
         breakdown = denoise_result.energy_breakdown_nj
         for category in ("abb", "spm", "noc", "dram", "static"):

@@ -86,7 +86,7 @@ class TestChainingCharacter:
 
     def test_segmentation_is_most_compute(self, lib):
         totals = {
-            w.name: w.build_graph(lib).total_invocations()
+            w.name: sum(t.invocations for t in w.build_graph(lib).tasks)
             for w in paper_suite(tiles=2)
         }
         assert totals["Segmentation"] == max(totals.values())
