@@ -1,10 +1,13 @@
 """Routes: every multi-leg data movement, run by one interpreter.
 
 A transfer through the system — NoC interface, DMA engine, island
-network, mesh, memory channel — is a straight line of *legs*.  A
-:class:`Route` walks one such line for one transfer.  The legs are plain
-tuples, built once by the component that owns the path (an island, a
-network, the mesh, the system) and shared by every transfer over it::
+network, mesh, memory channel — is a straight line of *legs*, and one
+:class:`Route` walks the whole line.  The legs are plain tuples, built
+once by the component that owns each stretch of the path and shared by
+every transfer over it.  Owners splice their legs into one flat tuple:
+the network's go into the island's ingress, and the system's read leg,
+the mesh's crossing leg and that ingress make a memory-to-island
+transfer::
 
     (op, arg, span, charge, fault)
 
@@ -14,17 +17,20 @@ network, the mesh, the system) and shared by every transfer over it::
   :class:`~repro.engine.resources.BandwidthServer`, for the route's
   bytes (:meth:`~repro.engine.resources.BandwidthServer.reserve`);
 * :data:`WAIT` — a fixed latency of ``arg`` cycles;
-* :data:`CALL` — ``arg(route)`` returns a completion time (float) or an
-  :class:`~repro.engine.event.Event`: a nested route, a mesh transfer,
-  an island ingress/egress, a memory access;
-* :data:`END` — the route is done; its event fires, inline, with
-  :attr:`Route.value`.  Every leg tuple ends with one.
+* :data:`CALL` — ``arg(route)`` does the owner's work (a memory access,
+  a mesh crossing) and returns its completion time, or ``None`` when
+  nothing moves: the leg then ends as it starts, with no heap entry and
+  no span;
+* :data:`END` — the route is done; its event fires, inline, with the
+  route's bytes.  Every leg tuple ends with one.
 
 The optional attributes apply to any leg:
 
-* ``span`` — ``(tracer, actor, kind)``: when the leg ends, a span from
-  the end of the route's previous span (or the route's creation) to now
-  is recorded;
+* ``span`` — ``(tracer, actor, kind, label)``: when the leg ends, a span
+  labelled ``label(nbytes)`` is recorded from the route's span clock
+  (its creation, at first) to now, and the clock moves to now.
+  :data:`MARK` only moves the clock: it marks a leg whose owner records
+  its own span (a memory access);
 * ``charge`` — ``charge(route)`` runs when the leg starts (energy);
 * ``fault`` — ``fault(route)`` runs when the leg starts, before
   ``charge``; a float return means "wait that many cycles, then start
@@ -36,16 +42,15 @@ a delay, so work at one instant runs in the order it is issued:
 * work that starts at time *t* starts when it is issued: a route's first
   leg runs inside the call that creates it;
 * a route's completion runs its waiters inside the leg that ends it (the
-  :data:`END` leg fires :attr:`Route.event` inline, so a nested route
-  finishes its outer route directly);
+  :data:`END` leg fires :attr:`Route.event` inline);
 * only a modelled delay (a :data:`SERVE` completion, a :data:`WAIT`, a
-  memory access, a fault hook's wait) or an :meth:`Event.succeed` adds a
-  heap entry.  Entries at equal times still run in push order.
+  :data:`CALL`'s completion time, a fault hook's wait) or an
+  :meth:`Event.succeed` adds a heap entry.  Entries at equal times still
+  run in push order.
 
-Heap entries: one per leg (the route's own wake-up for a float, the
-event's fire otherwise), even for a leg that ends as it starts, and one
-per fault-hook wait.  Nothing else: no entry to start the route, none
-to finish it.
+Heap entries: one per leg, even for a zero-cycle :data:`WAIT`, but
+none for a :data:`CALL` that returns ``None``; and one per fault-hook
+wait.  None to start the route or to finish it.
 """
 
 from __future__ import annotations
@@ -65,6 +70,9 @@ END = 3
 
 #: A leg: ``(op, arg, span, charge, fault)``.
 Leg = typing.Tuple[int, typing.Any, typing.Any, typing.Any, typing.Any]
+
+#: The ``span`` of a leg that records no span but moves the span clock.
+MARK = (None, None, None, None)
 
 
 def leg(
@@ -87,22 +95,19 @@ DONE = leg(END)
 class Route:
     """One transfer walking a shared tuple of legs.
 
-    ``nbytes`` is what :data:`SERVE` legs reserve and ``value`` (default
-    ``nbytes``) what :attr:`event` fires with.  ``src``/``dst`` are the
-    transfer's endpoints, whatever the owner's ``CALL`` and ``charge``
-    functions need (slot indices, ``(island, slot)`` pairs, memory
-    stream ids); ``ref`` and ``label`` go into traced spans.
+    ``nbytes`` is what :data:`SERVE` legs reserve and what :attr:`event`
+    fires with.  ``src``/``dst`` name the transfer's ends for the
+    owners' ``CALL`` and ``charge`` functions (``(island, slot)`` pairs,
+    memory stream ids); ``ref`` goes into traced spans.
     """
 
     __slots__ = (
         "sim",
         "event",
         "nbytes",
-        "value",
         "src",
         "dst",
         "ref",
-        "label",
         "attempt",
         "_legs",
         "_index",
@@ -118,17 +123,13 @@ class Route:
         src: typing.Any = None,
         dst: typing.Any = None,
         ref: str = "",
-        label: str = "",
-        value: typing.Any = None,
     ) -> None:
         self.sim = sim
         self.event = Event(sim)
         self.nbytes = nbytes
-        self.value = nbytes if value is None else value
         self.src = src
         self.dst = dst
         self.ref = ref
-        self.label = label
         #: Fault-hook state of the current leg (see ``Island._dma_fault``).
         self.attempt = 0
         self._legs = legs
@@ -137,13 +138,17 @@ class Route:
         self._advance_cb = self._advance
         self._start()
 
-    def _advance(self, _event: typing.Optional[Event] = None) -> None:
+    def _advance(self) -> None:
         """End the current leg (recording its span), start the next."""
         index = self._index
         span = self._legs[index][2]
         if span is not None:
             now = self.sim.now
-            span[0].span(self._t0, now, span[1], span[2], self.label, self.ref)
+            tracer = span[0]
+            if tracer is not None:
+                tracer.span(
+                    self._t0, now, span[1], span[2], span[3](self.nbytes), self.ref
+                )
             self._t0 = now
         self._index = index + 1
         self._start()
@@ -165,10 +170,11 @@ class Route:
             done = sim.now + arg
         elif op == CALL:
             done = arg(self)
+            if done is None:
+                self._index += 1
+                self._start()
+                return
         else:
-            self.event.trigger(self.value)
+            self.event.trigger(self.nbytes)
             return
-        if done.__class__ is float:
-            sim._schedule(done, self._advance_cb)
-        else:
-            done.add_callback(self._advance_cb)
+        sim._schedule(done, self._advance_cb)

@@ -1,6 +1,9 @@
 """Island assembly: ABBs + SPM groups + internal networks + NoC interface.
 
-The island exposes three data paths to the system simulator:
+The island owns three data paths.  Each method returns the path's leg
+tuple, the network's legs spliced in (see :mod:`repro.engine.route`),
+for the system to splice into one route whose island ends are
+``(island, slot)`` pairs:
 
 * ``ingress(slot, nbytes)``  — NoC link in -> DMA -> internal net -> SPM;
 * ``egress(slot, nbytes)``   — SPM -> internal net -> DMA -> NoC link out;
@@ -16,6 +19,7 @@ release — is checked here.
 
 from __future__ import annotations
 
+import math
 import typing
 
 import repro.faults as faults
@@ -28,7 +32,7 @@ from repro.engine import (
     Simulator,
     UtilizationTracker,
 )
-from repro.engine.route import CALL, DONE, END, SERVE, leg
+from repro.engine.route import CALL, END, SERVE, Leg, leg
 from repro.engine.trace import Tracer
 from repro.errors import AllocationError, ConfigError, SimulationError
 from repro.island.config import IslandConfig
@@ -78,11 +82,21 @@ class Island:
                 self.abbs.append(abb_type)
                 self.spm_groups.append(SPMGroup(abb_type, config.spm_porting))
 
+        # Traced islands record one span per data-path leg; the network
+        # records one span per movement.
+        self._span_labels: dict[float, str] = {}
+
+        def span(suffix: str, kind: str):
+            if tracer is None:
+                return None
+            return (tracer, f"island{island_id}.{suffix}", kind, self._label)
+
         self.network: SpmDmaNetwork = build_network(
             sim,
             [group.banks for group in self.spm_groups],
             config.network,
             self.energy,
+            span("net", "spm_net"),
         )
         self.noc_in = BandwidthServer(
             sim,
@@ -140,36 +154,19 @@ class Island:
         self.abb_tracker = UtilizationTracker(
             capacity=len(self.abbs), name=f"island{island_id}.abbs"
         )
-        # Data-path routes, built once.  Traced islands record one span
-        # per leg; the DMA fault model is the DMA leg's fault hook.
-        self._span_labels: dict[float, str] = {}
-
-        def span(suffix: str, kind: str):
-            if tracer is None:
-                return None
-            return (tracer, f"island{island_id}.{suffix}", kind)
-
+        # Data-path legs around the network's, shared by every path (the
+        # SPM charges read the slot from the route).  The DMA fault model
+        # is the DMA leg's fault hook.
         dma_fault = None
         if fault_injector is not None and fault_injector.spec.dma_faults_enabled:
             dma_fault = self._dma_fault
         dma = leg(SERVE, self.dma, span("dma", "dma"), fault=dma_fault)
-        net = span("net", "spm_net")
-        self._ingress_legs = (
-            leg(SERVE, self.noc_in, span("noc_in", "noc_if")),
-            dma,
-            leg(CALL, self._net_in, net),
-            leg(END, charge=self._write_dst),
-        )
-        self._egress_legs = (
-            leg(CALL, self._net_out, net, charge=self._read_src),
-            dma,
-            leg(SERVE, self.noc_out, span("noc_out", "noc_if")),
-            DONE,
-        )
-        self._chain_legs = (
-            leg(CALL, self._net_chain, net, charge=self._read_src),
-            leg(END, charge=self._write_dst),
-        )
+        noc_in = leg(SERVE, self.noc_in, span("noc_in", "noc_if"))
+        noc_out = leg(SERVE, self.noc_out, span("noc_out", "noc_if"))
+        self._ingress_head = (noc_in, dma)
+        self._read_head = (leg(CALL, self._read_src),)
+        self._egress_tail = (dma, noc_out)
+        self._write_end = (leg(END, charge=self._write_dst),)
 
     # -------------------------------------------------------------- queries
     @property
@@ -300,39 +297,33 @@ class Island:
         retried up to ``dma_max_retries`` times, after which the
         transfer is forced through (DMA engine reset) so the simulation
         always makes forward progress.  ``route.attempt`` counts the
-        retries; -1 marks a served stall.
+        retries; -1 marks a served stall.  It is 0 again when the leg
+        proceeds: an island-to-island route crosses two DMA legs.
         """
         attempt = route.attempt
-        if attempt < 0:
-            return None
-        injector = self.fault_injector
-        outcome = injector.dma_outcome(self.island_id)
-        if outcome == faults.DMA_STALL:
-            injector.stats.dma_stalls += 1
-            route.attempt = -1
-            return injector.spec.dma_stall_cycles
-        if outcome == faults.DMA_DROP:
-            if attempt < injector.spec.dma_max_retries:
-                injector.stats.dma_retries += 1
-                route.attempt = attempt + 1
-                return injector.dma_retry_delay(attempt)
-            injector.stats.dma_forced_recoveries += 1
+        if attempt >= 0:
+            injector = self.fault_injector
+            outcome = injector.dma_outcome(self.island_id)
+            if outcome == faults.DMA_STALL:
+                injector.stats.dma_stalls += 1
+                route.attempt = -1
+                return injector.spec.dma_stall_cycles
+            if outcome == faults.DMA_DROP:
+                if attempt < injector.spec.dma_max_retries:
+                    injector.stats.dma_retries += 1
+                    route.attempt = attempt + 1
+                    return injector.dma_retry_delay(attempt)
+                injector.stats.dma_forced_recoveries += 1
+        route.attempt = 0
         return None
 
-    def _net_in(self, route: Route):
-        return self.network.dma_to_spm(route.dst, route.nbytes)
-
-    def _net_out(self, route: Route):
-        return self.network.spm_to_dma(route.src, route.nbytes)
-
-    def _net_chain(self, route: Route):
-        return self.network.chain(route.src, route.dst, route.nbytes)
-
-    def _read_src(self, route: Route) -> None:
-        self.energy.charge("spm", self.spm_groups[route.src].record_read(route.nbytes))
+    def _read_src(self, route: Route) -> None:  # a leg ending as it starts
+        group = self.spm_groups[route.src[1]]
+        self.energy.charge("spm", group.record_read(route.nbytes))
 
     def _write_dst(self, route: Route) -> None:
-        self.energy.charge("spm", self.spm_groups[route.dst].record_write(route.nbytes))
+        group = self.spm_groups[route.dst[1]]
+        self.energy.charge("spm", group.record_write(route.nbytes))
 
     def _label(self, nbytes: float) -> str:
         """Span label of a traced transfer (formatted once per size)."""
@@ -341,28 +332,34 @@ class Island:
             label = self._span_labels[nbytes] = f"{nbytes:g}B"
         return label
 
-    def ingress(self, slot: int, nbytes: float, ref: str = "") -> Event:
-        """Bring ``nbytes`` from the NoC into a slot's SPM."""
-        self._check_slot(slot)
-        label = self._label(nbytes) if self.tracer is not None else ""
-        return Route(self.sim, self._ingress_legs, nbytes, None, slot, ref, label).event
+    def ingress(self, slot: int, nbytes: float) -> tuple[Leg, ...]:
+        """The legs bringing ``nbytes`` from the NoC into a slot's SPM."""
+        self._check_size(nbytes)
+        return self._ingress_head + self.network.legs(None, slot) + self._write_end
 
-    def egress(self, slot: int, nbytes: float, ref: str = "") -> Event:
-        """Send ``nbytes`` from a slot's SPM out to the NoC."""
-        self._check_slot(slot)
-        label = self._label(nbytes) if self.tracer is not None else ""
-        return Route(self.sim, self._egress_legs, nbytes, slot, None, ref, label).event
+    def egress(self, slot: int, nbytes: float) -> tuple[Leg, ...]:
+        """The legs sending ``nbytes`` from a slot's SPM out to the NoC.
+
+        They end at the NoC interface with no final
+        :data:`~repro.engine.route.END`: the route goes on.
+        """
+        self._check_size(nbytes)
+        return self._read_head + self.network.legs(slot, None) + self._egress_tail
 
     def chain_local(
-        self, src_slot: int, dst_slot: int, nbytes: float, ref: str = ""
-    ) -> Event:
-        """Move chained data between two slots on this island."""
-        self._check_slot(src_slot)
-        self._check_slot(dst_slot)
-        label = self._label(nbytes) if self.tracer is not None else ""
-        return Route(
-            self.sim, self._chain_legs, nbytes, src_slot, dst_slot, ref, label
-        ).event
+        self, src_slot: int, dst_slot: int, nbytes: float
+    ) -> tuple[Leg, ...]:
+        """The legs moving chained data between two slots on this island."""
+        self._check_size(nbytes)
+        legs = self.network.legs(src_slot, dst_slot)
+        return self._read_head + legs + self._write_end
+
+    @staticmethod
+    def _check_size(nbytes: float) -> None:
+        if not (math.isfinite(nbytes) and nbytes >= 0):
+            raise ConfigError(
+                f"transfer size must be finite and non-negative, got {nbytes!r}"
+            )
 
     def compute(self, slot: int, invocations: int) -> Event:
         """Run ``invocations`` through an allocated slot's ABB pipeline."""

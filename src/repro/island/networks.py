@@ -14,20 +14,23 @@
   consumes ``h/L`` of the aggregate ring capacity, which captures the
   spatial reuse that makes rings scale where the proxy crossbar does not.
 
-Each movement returns its completion time when it is known at issue (one
-reserved channel), or the event of a nested :class:`~repro.engine.Route`;
-dynamic energy is charged to the island's
-:class:`~repro.power.aggregate.EnergyAccount` under ``"island_net"``.
+Each design hands its owner the legs of one movement
+(:meth:`SpmDmaNetwork.legs`, see :mod:`repro.engine.route`), which the
+island splices into its ingress, egress and chaining legs.  Dynamic
+energy is charged to the island's
+:class:`~repro.power.aggregate.EnergyAccount` under ``"island_net"``
+when a movement starts.
 """
 
 from __future__ import annotations
 
 import abc
+import functools
 import math
 import typing
 
-from repro.engine import BandwidthServer, Event, Route, Simulator
-from repro.engine.route import CALL, DONE, SERVE, WAIT, leg
+from repro.engine import BandwidthServer, Route, Simulator
+from repro.engine.route import CALL, SERVE, WAIT, Leg, leg
 from repro.errors import ConfigError
 from repro.island.config import NetworkKind, SpmDmaNetworkConfig
 from repro.power.aggregate import EnergyAccount
@@ -55,7 +58,11 @@ FLOORPLAN_MM2_PER_SLOT = 0.6
 
 
 class SpmDmaNetwork(abc.ABC):
-    """Common interface of the island-internal SPM<->DMA network."""
+    """Common interface of the island-internal SPM<->DMA network.
+
+    ``span`` — ``(tracer, actor, kind, label)`` or ``None`` — is the
+    owner's trace of the network: each movement records it once.
+    """
 
     def __init__(
         self,
@@ -63,6 +70,7 @@ class SpmDmaNetwork(abc.ABC):
         slot_banks: typing.Sequence[int],
         config: SpmDmaNetworkConfig,
         energy: EnergyAccount,
+        span: typing.Optional[tuple] = None,
     ) -> None:
         if not slot_banks:
             raise ConfigError("network needs at least one ABB slot")
@@ -72,22 +80,40 @@ class SpmDmaNetwork(abc.ABC):
         self.total_banks = sum(slot_banks)
         self.config = config
         self.energy = energy
+        self.span = span
 
     # ------------------------------------------------------------ transfers
-    # Each returns the completion time (float) or a completion event.
-    @abc.abstractmethod
-    def dma_to_spm(self, slot: int, nbytes: float) -> typing.Union[float, Event]:
-        """Move ``nbytes`` from the DMA engine into slot's SPM group."""
+    def legs(
+        self, src: typing.Optional[int], dst: typing.Optional[int]
+    ) -> tuple[Leg, ...]:
+        """The legs moving a transfer from ``src`` to ``dst``.
+
+        Endpoints are slot indices, ``None`` standing for the DMA
+        engine.  The last leg records :attr:`span`; there is no final
+        :data:`~repro.engine.route.END`, since the owner splices the
+        legs into its own route.  Movements of one shape (a crossbar's
+        DMA or chaining traversal, a ring's hop count) share one tuple,
+        built once.
+        """
+        if src is None and dst is None:
+            raise ConfigError("a network movement needs an SPM endpoint")
+        for slot in (src, dst):
+            if slot is not None and not 0 <= slot < self.n_slots:
+                raise ConfigError(
+                    f"slot {slot} out of range (0..{self.n_slots - 1})"
+                )
+        return self._path(src, dst)
 
     @abc.abstractmethod
-    def spm_to_dma(self, slot: int, nbytes: float) -> typing.Union[float, Event]:
-        """Move ``nbytes`` from slot's SPM group to the DMA engine."""
+    def _path(
+        self, src: typing.Optional[int], dst: typing.Optional[int]
+    ) -> tuple[Leg, ...]:
+        """The shared legs of one movement (endpoints already checked)."""
 
-    @abc.abstractmethod
-    def chain(
-        self, src_slot: int, dst_slot: int, nbytes: float
-    ) -> typing.Union[float, Event]:
-        """Move ``nbytes`` directly between two slots' SPM groups."""
+    def _spanned(self, *legs: Leg) -> tuple[Leg, ...]:
+        """``legs`` with :attr:`span` on the last one."""
+        op, arg, _span, charge, fault = legs[-1]
+        return legs[:-1] + (leg(op, arg, self.span, charge, fault),)
 
     # ------------------------------------------------------------ physicals
     @property
@@ -100,10 +126,6 @@ class SpmDmaNetwork(abc.ABC):
     def static_power_mw(self) -> float:
         """Leakage power of the network."""
 
-    def _check_slot(self, slot: int) -> None:
-        if not 0 <= slot < self.n_slots:
-            raise ConfigError(f"slot {slot} out of range (0..{self.n_slots - 1})")
-
 
 class ProxyCrossbarNetwork(SpmDmaNetwork):
     """Crossbar from the DMA engine to every SPM bank (the baseline).
@@ -113,8 +135,8 @@ class ProxyCrossbarNetwork(SpmDmaNetwork):
     (set via :meth:`attach_dma`), competing with memory ingress/egress.
     """
 
-    def __init__(self, sim, slot_banks, config, energy) -> None:
-        super().__init__(sim, slot_banks, config, energy)
+    def __init__(self, sim, slot_banks, config, energy, span=None) -> None:
+        super().__init__(sim, slot_banks, config, energy, span)
         self._port = BandwidthServer(
             sim,
             bytes_per_cycle=float(config.link_width_bytes),
@@ -122,37 +144,28 @@ class ProxyCrossbarNetwork(SpmDmaNetwork):
             name="proxy_xbar_dma_port",
         )
         self._dma: typing.Optional[BandwidthServer] = None
-        self._traverse_leg = leg(CALL, lambda route: self._traverse(route.nbytes))
-        self._chain_legs = (self._traverse_leg, self._traverse_leg, DONE)
+        self._traverse_leg = leg(CALL, self._traverse)
+        self._one = self._spanned(self._traverse_leg)
+        self._chain = self._spanned(self._traverse_leg, self._traverse_leg)
 
     def attach_dma(self, dma: BandwidthServer) -> None:
         """Couple the island's DMA engine into the chaining path."""
         self._dma = dma
-        self._chain_legs = (
-            self._traverse_leg, leg(SERVE, dma), self._traverse_leg, DONE
-        )
+        traverse = self._traverse_leg
+        self._chain = self._spanned(traverse, leg(SERVE, dma), traverse)
 
-    def _traverse(self, nbytes: float) -> float:
+    def _traverse(self, route: Route) -> float:
         self.energy.charge(
             "island_net",
-            crossbar_traversal_energy_nj(nbytes, targets=self.total_banks),
+            crossbar_traversal_energy_nj(route.nbytes, targets=self.total_banks),
         )
-        return self._port.reserve(nbytes)
+        return self._port.reserve(route.nbytes)
 
-    def dma_to_spm(self, slot: int, nbytes: float) -> float:
-        self._check_slot(slot)
-        return self._traverse(nbytes)
-
-    def spm_to_dma(self, slot: int, nbytes: float) -> float:
-        self._check_slot(slot)
-        return self._traverse(nbytes)
-
-    def chain(self, src_slot: int, dst_slot: int, nbytes: float) -> Event:
-        """Chaining proxies through the DMA: traverse, store-and-forward
-        through the DMA engine (when attached), traverse again."""
-        self._check_slot(src_slot)
-        self._check_slot(dst_slot)
-        return Route(self.sim, self._chain_legs, nbytes).event
+    def _path(self, src, dst):
+        """One traversal to or from the DMA; chaining proxies through
+        the DMA: traverse, store-and-forward through the DMA engine (when
+        attached), traverse again."""
+        return self._one if src is None or dst is None else self._chain
 
     @property
     def area_mm2(self) -> float:
@@ -168,8 +181,8 @@ class ProxyCrossbarNetwork(SpmDmaNetwork):
 class ChainingCrossbarNetwork(SpmDmaNetwork):
     """Full SPM-to-SPM crossbar: direct chaining, quadratic area."""
 
-    def __init__(self, sim, slot_banks, config, energy) -> None:
-        super().__init__(sim, slot_banks, config, energy)
+    def __init__(self, sim, slot_banks, config, energy, span=None) -> None:
+        super().__init__(sim, slot_banks, config, energy, span)
         width = float(config.link_width_bytes)
         # Routing through the large array costs extra cycles (Sec. 5.5).
         self._latency = 1.0 + math.ceil(math.log2(self.total_banks + 1))
@@ -185,6 +198,8 @@ class ChainingCrossbarNetwork(SpmDmaNetwork):
             latency=self._latency,
             name="chain_xbar_paths",
         )
+        self._dma_legs = self._spanned(leg(CALL, self._through_dma_port))
+        self._chain_legs = self._spanned(leg(CALL, self._through_chain_paths))
 
     def _charge(self, nbytes: float) -> None:
         self.energy.charge(
@@ -192,22 +207,18 @@ class ChainingCrossbarNetwork(SpmDmaNetwork):
             crossbar_traversal_energy_nj(nbytes, targets=self.total_banks + 1),
         )
 
-    def dma_to_spm(self, slot: int, nbytes: float) -> float:
-        self._check_slot(slot)
-        self._charge(nbytes)
-        return self._dma_port.reserve(nbytes)
+    def _through_dma_port(self, route: Route) -> float:
+        self._charge(route.nbytes)
+        return self._dma_port.reserve(route.nbytes)
 
-    def spm_to_dma(self, slot: int, nbytes: float) -> float:
-        self._check_slot(slot)
-        self._charge(nbytes)
-        return self._dma_port.reserve(nbytes)
+    def _through_chain_paths(self, route: Route) -> float:
+        self._charge(route.nbytes)
+        return self._chain_paths.reserve(route.nbytes)
 
-    def chain(self, src_slot: int, dst_slot: int, nbytes: float) -> float:
-        """Direct SPM -> SPM transfer over the parallel chaining paths."""
-        self._check_slot(src_slot)
-        self._check_slot(dst_slot)
-        self._charge(nbytes)
-        return self._chain_paths.reserve(nbytes)
+    def _path(self, src, dst):
+        """One traversal of the DMA port, or a direct SPM -> SPM
+        transfer over the parallel chaining paths."""
+        return self._dma_legs if src is None or dst is None else self._chain_legs
 
     @property
     def area_mm2(self) -> float:
@@ -233,8 +244,8 @@ class RingNetwork(SpmDmaNetwork):
     (spatial reuse), and its latency grows by one cycle per ring stop.
     """
 
-    def __init__(self, sim, slot_banks, config, energy) -> None:
-        super().__init__(sim, slot_banks, config, energy)
+    def __init__(self, sim, slot_banks, config, energy, span=None) -> None:
+        super().__init__(sim, slot_banks, config, energy, span)
         self.n_nodes = self.n_slots + 1  # +1 for the DMA stop
         width = float(config.link_width_bytes)
         self._capacity = BandwidthServer(
@@ -251,10 +262,7 @@ class RingNetwork(SpmDmaNetwork):
             width_bytes=config.link_width_bytes,
             length_mm=perimeter / self.n_nodes,
         )
-        # One traversal: fluid capacity occupancy, then hop latency.
-        # Legs per hop count, built on first use.
-        self._occupy = leg(SERVE, self._capacity)
-        self._legs: dict[int, tuple] = {}
+        self._by_hops: list[typing.Optional[tuple[Leg, ...]]] = [None] * self.n_nodes
 
     # -------------------------------------------------------------- routing
     def hops(self, src_node: int, dst_node: int) -> int:
@@ -263,18 +271,27 @@ class RingNetwork(SpmDmaNetwork):
             return 0
         return (dst_node - src_node) % self.n_nodes
 
-    def _slot_node(self, slot: int) -> int:
-        self._check_slot(slot)
-        return slot + 1
+    def _path(self, src, dst):
+        """One traversal, built once per hop count: fluid capacity
+        occupancy scaled by ``hops / N``, then the hop latency.  A
+        zero-hop move is done now, one zero-cycle wait."""
+        hops = self.hops(
+            0 if src is None else src + 1, 0 if dst is None else dst + 1
+        )
+        legs = self._by_hops[hops]
+        if legs is None:
+            if hops == 0:
+                legs = self._spanned(leg(WAIT, 0.0))
+            else:
+                legs = self._spanned(
+                    leg(CALL, functools.partial(self._occupy, hops)),
+                    leg(WAIT, RING_HOP_LATENCY * hops),
+                )
+            self._by_hops[hops] = legs
+        return legs
 
-    def _traverse(
-        self, src_node: int, dst_node: int, nbytes: float
-    ) -> typing.Union[float, Event]:
-        """Charge energy and start one traversal; a zero-hop move is done
-        now.  Occupancy of the fluid capacity scales with ``hops / N``."""
-        hops = self.hops(src_node, dst_node)
-        if hops == 0:
-            return self.sim.now
+    def _occupy(self, hops: int, route: Route) -> float:
+        nbytes = route.nbytes
         self.energy.charge(
             "island_net",
             hops
@@ -283,26 +300,7 @@ class RingNetwork(SpmDmaNetwork):
                 + self._link.transfer_energy_nj(nbytes)
             ),
         )
-        legs = self._legs.get(hops)
-        if legs is None:
-            legs = self._legs[hops] = (
-                self._occupy, leg(WAIT, RING_HOP_LATENCY * hops), DONE
-            )
-        effective = nbytes * hops / self.n_nodes
-        return Route(self.sim, legs, effective, value=nbytes).event
-
-    def dma_to_spm(self, slot: int, nbytes: float) -> typing.Union[float, Event]:
-        return self._traverse(0, self._slot_node(slot), nbytes)
-
-    def spm_to_dma(self, slot: int, nbytes: float) -> typing.Union[float, Event]:
-        return self._traverse(self._slot_node(slot), 0, nbytes)
-
-    def chain(
-        self, src_slot: int, dst_slot: int, nbytes: float
-    ) -> typing.Union[float, Event]:
-        return self._traverse(
-            self._slot_node(src_slot), self._slot_node(dst_slot), nbytes
-        )
+        return self._capacity.reserve(nbytes * hops / self.n_nodes)
 
     # ------------------------------------------------------------ physicals
     @property
@@ -324,12 +322,13 @@ def build_network(
     slot_banks: typing.Sequence[int],
     config: SpmDmaNetworkConfig,
     energy: EnergyAccount,
+    span: typing.Optional[tuple] = None,
 ) -> SpmDmaNetwork:
     """Instantiate the configured SPM<->DMA network."""
     if config.kind is NetworkKind.PROXY_CROSSBAR:
-        return ProxyCrossbarNetwork(sim, slot_banks, config, energy)
+        return ProxyCrossbarNetwork(sim, slot_banks, config, energy, span)
     if config.kind is NetworkKind.CHAINING_CROSSBAR:
-        return ChainingCrossbarNetwork(sim, slot_banks, config, energy)
+        return ChainingCrossbarNetwork(sim, slot_banks, config, energy, span)
     if config.kind is NetworkKind.RING:
-        return RingNetwork(sim, slot_banks, config, energy)
+        return RingNetwork(sim, slot_banks, config, energy, span)
     raise ConfigError(f"unknown network kind {config.kind!r}")

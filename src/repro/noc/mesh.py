@@ -11,11 +11,12 @@ behind each other.
 
 from __future__ import annotations
 
+import functools
 import math
 import typing
 
-from repro.engine import BandwidthServer, Event, Route, Simulator
-from repro.engine.route import CALL, DONE, leg
+from repro.engine import BandwidthServer, Route, Simulator
+from repro.engine.route import CALL, Leg, leg
 from repro.engine.trace import Tracer
 from repro.errors import ConfigError
 from repro.noc.topology import MeshTopology, Node
@@ -70,14 +71,9 @@ class MeshNoC:
         # multiplied per-hop router latency (see repro.faults).
         self.fault_injector = fault_injector
         self.tracer = tracer
-        # Span labels of traced transfers, formatted once per
-        # (bytes, hops) pair.
-        self._span_labels: dict[tuple[float, int], str] = {}
         self._links: dict[tuple[tuple[int, int], tuple[int, int]], BandwidthServer] = {}
-        # Route legs: one shared tuple, or per endpoint pair when traced
-        # (the span actor names the pair).
-        self._plain_legs = (leg(CALL, self._traverse), DONE)
-        self._traced_legs: dict[tuple[int, int, int, int], tuple] = {}
+        # Crossing legs by (src x, src y, dst x, dst y).
+        self._crossings: dict[tuple[int, int, int, int], Leg] = {}
         self.total_transfers = 0
         self.total_packets = 0
         self.total_byte_hops = 0.0
@@ -112,38 +108,58 @@ class MeshNoC:
         return path
 
     # ------------------------------------------------------------ transfers
-    def transfer(
-        self, src: Node, dst: Node, nbytes: float, ref: str = ""
-    ) -> Event:
-        """Send ``nbytes`` from ``src`` to ``dst``; event fires on arrival."""
+    def transfer(self, src: Node, dst: Node, nbytes: float) -> Leg:
+        """The one leg of a crossing of ``nbytes`` from ``src`` to ``dst``.
+
+        It reserves every link on the XY path at issue; arrival is when
+        the slowest link has drained the payload, plus the router
+        pipeline.  A zero-byte or zero-hop crossing arrives as it is
+        issued, with no heap entry and no span.  The leg is built once
+        per pair of stops; the caller splices it into its route.
+        """
         if nbytes < 0:
             raise ConfigError(f"transfer size must be non-negative, got {nbytes}")
+        key = (src.x, src.y, dst.x, dst.y)
+        crossing = self._crossings.get(key)
+        if crossing is None:
+            crossing = self._crossings[key] = self._crossing(src, dst)
+        return crossing
+
+    def _crossing(self, src: Node, dst: Node) -> Leg:
+        path = self.route(src, dst)
+        span = None
+        if self.tracer is not None and path:
+            hops = len(path)
+            span = (
+                self.tracer,
+                f"mesh.{src.x},{src.y}->{dst.x},{dst.y}",
+                "noc",
+                lambda nbytes: f"{nbytes:g}B/{hops}h",
+            )
+        links = tuple(self._link(a, b) for a, b in path)
+        router_cycles = ROUTER_LATENCY * len(path)
+        injector = self.fault_injector
+        degraded_hops = 0
+        if injector is not None and injector.spec.noc_degrade_fraction > 0.0:
+            degraded_hops = sum(1 for a, b in path if injector.link_degraded(a, b))
+        if degraded_hops:
+            factor = injector.spec.noc_degrade_factor
+            router_cycles += ROUTER_LATENCY * (factor - 1.0) * degraded_hops
+        cross = functools.partial(self._cross, links, router_cycles, degraded_hops)
+        return leg(CALL, cross, span)
+
+    def _cross(
+        self, links: tuple, router_cycles: float, degraded_hops: int, route: Route
+    ) -> typing.Optional[float]:
+        """The ``CALL`` function of a crossing over ``links``."""
         self.total_transfers += 1
-        if nbytes == 0 or (src.x == dst.x and src.y == dst.y):
-            # Nothing crosses a link: the transfer arrives as it is
-            # issued, with no heap entry.  Its zero charge still enters
+        nbytes = route.nbytes
+        hops = len(links)
+        if nbytes == 0 or not hops:
+            # Nothing crosses a link.  The zero charge still enters
             # "noc" in the energy breakdown, as any transfer does.
             self.energy.charge("noc", 0.0)
-            return Event(self.sim).trigger(nbytes)
-        legs = self._plain_legs
-        if self.tracer is not None:
-            key = (src.x, src.y, dst.x, dst.y)
-            legs = self._traced_legs.get(key)
-            if legs is None:
-                actor = f"mesh.{src.x},{src.y}->{dst.x},{dst.y}"
-                legs = self._traced_legs[key] = (
-                    leg(CALL, self._traverse, (self.tracer, actor, "noc")),
-                    DONE,
-                )
-        return Route(self.sim, legs, nbytes, src, dst, ref).event
-
-    def _traverse(self, route: Route) -> float:
-        """The one leg of a mesh transfer: reserve every link on the XY
-        path at issue; arrival is when the slowest link has drained the
-        payload, plus the router pipeline."""
-        src, dst, nbytes = route.src, route.dst, route.nbytes
-        path = self.route(src, dst)
-        hops = len(path)
+            return None
         wire_bytes = nbytes
         if self.segment_bytes is not None:
             payload = self.segment_bytes - PACKET_HEADER_BYTES
@@ -154,32 +170,13 @@ class MeshNoC:
         self.energy.charge(
             "noc", NOC_ENERGY_PJ_PER_BYTE_HOP * wire_bytes * hops * 1e-3
         )
-
         slowest = -1.0
-        for a, b in path:
-            done = self._link(a, b).reserve(wire_bytes)
+        for link in links:
+            done = link.reserve(wire_bytes)
             if done > slowest:
                 slowest = done
-
-        router_cycles = ROUTER_LATENCY * hops
-        injector = self.fault_injector
-        if injector is not None and injector.spec.noc_degrade_fraction > 0.0:
-            degraded_hops = sum(
-                1 for a, b in path if injector.link_degraded(a, b)
-            )
-            if degraded_hops:
-                injector.stats.noc_degraded_transfers += 1
-                router_cycles += (
-                    ROUTER_LATENCY
-                    * (injector.spec.noc_degrade_factor - 1.0)
-                    * degraded_hops
-                )
-
-        if self.tracer is not None:
-            label = self._span_labels.get((nbytes, hops))
-            if label is None:
-                label = self._span_labels[(nbytes, hops)] = f"{nbytes:g}B/{hops}h"
-            route.label = label
+        if degraded_hops:
+            self.fault_injector.stats.noc_degraded_transfers += 1
         return slowest + router_cycles
 
     # ------------------------------------------------------------- metrics

@@ -4,6 +4,9 @@
 (island count, SPM<->DMA network, porting, sharing).  :class:`SystemModel`
 wires the hardware together and provides the three system-level data
 paths the tile scheduler uses (memory<->island and island<->island).
+Each transfer is one :class:`~repro.engine.route.Route` over a flat leg
+tuple: the memory's read or write leg, the mesh's crossing leg and the
+islands' ingress and egress legs.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from repro.cmp.xeon import XEON_E5_2420
 from repro.core.allocation import AllocationPolicy, locality_then_load_balance
 from repro.core.composer import AcceleratorBlockComposer
 from repro.engine import Event, Resource, Route, Simulator, Timeout
-from repro.engine.route import CALL, DONE, leg
+from repro.engine.route import CALL, DONE, MARK, leg
 from repro.engine.trace import Tracer
 from repro.errors import ConfigError
 from repro.faults import FaultInjector, FaultSpec, FaultStats
@@ -253,14 +256,12 @@ class SystemModel:
         )
         self.energy.add_static_power(config.platform_static_mw)
 
-        # System routes.  An endpoint is a memory stream id (DRAM via
-        # its controller) or an (island index, slot) pair.
-        read, write = leg(CALL, self._read), leg(CALL, self._write)
-        egress, ingress = leg(CALL, self._egress), leg(CALL, self._ingress)
-        mesh = leg(CALL, self._mesh)
-        self._mem_to_island_legs = (read, mesh, ingress, DONE)
-        self._island_to_mem_legs = (egress, mesh, write, DONE)
-        self._island_to_island_legs = (egress, mesh, ingress, DONE)
+        # A route names its ends (island index, slot) or a memory stream
+        # id.  A memory access records its own span, so a traced memory
+        # leg only moves the span clock (the mesh span starts at its end).
+        mark = MARK if tracer is not None else None
+        self._read_legs = (leg(CALL, self._read, mark),)
+        self._write_legs = (leg(CALL, self._write, mark), DONE)
 
     # ---------------------------------------------------------------- faults
     @property
@@ -341,18 +342,15 @@ class SystemModel:
     def _write(self, route: Route) -> float:
         return self.memory.access_fast(route.nbytes, route.dst, route.ref)
 
-    def _egress(self, route: Route) -> Event:
-        island, slot = route.src
-        return self.islands[island].egress(slot, route.nbytes, route.ref)
+    def _island(self, index: int) -> Island:
+        if not 0 <= index < len(self.islands):
+            raise ConfigError(f"no island {index} in {len(self.islands)}")
+        return self.islands[index]
 
-    def _ingress(self, route: Route) -> Event:
-        island, slot = route.dst
-        return self.islands[island].ingress(slot, route.nbytes, route.ref)
-
-    def _mesh(self, route: Route) -> Event:
-        return self.noc.transfer(
-            self._node(route.src), self._node(route.dst), route.nbytes, route.ref
-        )
+    def _route(self, head, tail, nbytes: float, src, dst, ref: str) -> Event:
+        """One transfer: ``head``, the mesh crossing, then ``tail``."""
+        mesh = self.noc.transfer(self._node(src), self._node(dst), nbytes)
+        return Route(self.sim, head + (mesh,) + tail, nbytes, src, dst, ref).event
 
     def memory_to_island(
         self,
@@ -363,10 +361,10 @@ class SystemModel:
         ref: str = "",
     ) -> Event:
         """DRAM read -> mesh -> island ingress -> SPM."""
-        return Route(
-            self.sim, self._mem_to_island_legs, nbytes,
-            stream_id, (island_index, slot), ref,
-        ).event
+        ingress = self._island(island_index).ingress(slot, nbytes)
+        return self._route(
+            self._read_legs, ingress, nbytes, stream_id, (island_index, slot), ref
+        )
 
     def island_to_memory(
         self,
@@ -377,10 +375,10 @@ class SystemModel:
         ref: str = "",
     ) -> Event:
         """SPM -> island egress -> mesh -> DRAM write."""
-        return Route(
-            self.sim, self._island_to_mem_legs, nbytes,
-            (island_index, slot), stream_id, ref,
-        ).event
+        egress = self._island(island_index).egress(slot, nbytes)
+        return self._route(
+            egress, self._write_legs, nbytes, (island_index, slot), stream_id, ref
+        )
 
     def island_to_island(
         self,
@@ -391,15 +389,15 @@ class SystemModel:
         nbytes: float,
         ref: str = "",
     ) -> Event:
-        """Cross-island chaining: egress -> mesh -> ingress."""
-        if src_index == dst_index:
-            return self.islands[src_index].chain_local(
-                src_slot, dst_slot, nbytes, ref
-            )
-        return Route(
-            self.sim, self._island_to_island_legs, nbytes,
-            (src_index, src_slot), (dst_index, dst_slot), ref,
-        ).event
+        """Cross-island chaining: egress -> mesh -> ingress; within one
+        island, the island's local chaining path."""
+        src, dst = self._island(src_index), self._island(dst_index)
+        ends = (src_index, src_slot), (dst_index, dst_slot)
+        if dst is src:
+            legs = src.chain_local(src_slot, dst_slot, nbytes)
+            return Route(self.sim, legs, nbytes, *ends, ref).event
+        egress, ingress = src.egress(src_slot, nbytes), dst.ingress(dst_slot, nbytes)
+        return self._route(egress, ingress, nbytes, *ends, ref)
 
     # -------------------------------------------------------------- metrics
     @property

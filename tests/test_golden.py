@@ -14,9 +14,10 @@ without timing anything.
 import pytest
 
 from repro.arch.arc import ARCSystem
+from repro.engine import Route
 from repro.faults import parse_fault_spec
 from repro.island import NetworkKind, SpmDmaNetworkConfig
-from repro.sim import SystemConfig, run_consolidated, run_workload
+from repro.sim import SystemConfig, SystemModel, run_consolidated, run_workload
 from repro.workloads import get_workload, synthetic_workload
 
 #: ``(total_cycles, energy_nj, heap_entries, processes)``.
@@ -76,6 +77,42 @@ def test_faulted_golden_run(name, net, work_counts):
     assert result.total_cycles == pytest.approx(cycles, rel=1e-12)
     assert result.energy_nj == pytest.approx(energy, rel=1e-12)
     assert work_counts.take() == (heap_entries, processes)
+
+
+@pytest.mark.parametrize("faulted", [False, True])
+@pytest.mark.parametrize("name,net", sorted(GOLDEN))
+def test_one_route_per_transfer(name, net, faulted, monkeypatch):
+    """Every system-level transfer is one route: the island, its network
+    and the mesh hand their legs to it instead of starting routes of
+    their own."""
+    counts = {"routes": 0, "transfers": 0}
+    init = Route.__init__
+
+    def counted_init(route, *args, **kwargs):
+        counts["routes"] += 1
+        init(route, *args, **kwargs)
+
+    def counted(original):
+        def transfer(system, *args, **kwargs):
+            counts["transfers"] += 1
+            return original(system, *args, **kwargs)
+
+        return transfer
+
+    monkeypatch.setattr(Route, "__init__", counted_init)
+    for method in ("memory_to_island", "island_to_memory", "island_to_island"):
+        monkeypatch.setattr(
+            SystemModel, method, counted(getattr(SystemModel, method))
+        )
+    config = SystemConfig(
+        n_islands=3,
+        network=NETWORKS[net],
+        faults=parse_fault_spec(DMA_FAULTS if faulted else ""),
+        fault_seed=1,
+    )
+    run_workload(config, get_workload(name, tiles=4))
+    assert counts["transfers"] > 0
+    assert counts["routes"] == counts["transfers"]
 
 
 @pytest.mark.parametrize("name,lightweight", sorted(ARC_GOLDEN))

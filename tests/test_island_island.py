@@ -3,7 +3,8 @@
 import pytest
 
 from repro.abb import standard_library
-from repro.engine import Simulator
+from repro.engine import Route, Simulator
+from repro.engine.route import DONE
 from repro.core.composer import Grant
 from repro.errors import AllocationError, ConfigError, SimulationError
 from repro.island import Island, IslandConfig, NetworkKind, SpmDmaNetworkConfig, SpmPorting
@@ -20,6 +21,19 @@ def make_island(**overrides):
     config = IslandConfig(**defaults)
     island = Island(sim, island_id=0, config=config, library=standard_library(), energy=energy)
     return sim, island, energy
+
+
+def move(island, src, dst, nbytes, ref=""):
+    """Start one island data path as a route over the island's legs
+    (``None`` is the NoC interface); returns its completion event."""
+    if src is None:
+        legs = island.ingress(dst, nbytes)
+    elif dst is None:
+        legs = island.egress(src, nbytes) + (DONE,)
+    else:
+        legs = island.chain_local(src, dst, nbytes)
+    ends = [None if slot is None else (island.island_id, slot) for slot in (src, dst)]
+    return Route(island.sim, legs, nbytes, *ends, ref).event
 
 
 class TestConstruction:
@@ -227,21 +241,21 @@ class TestDataPath:
 
     def test_ingress_crosses_noc_dma_network(self):
         sim, island, energy = make_island()
-        t = self.run_event(sim, island.ingress(0, 600))
+        t = self.run_event(sim, move(island, None, 0, 600))
         # noc_in: 600/6=100 +4 lat; dma: 600/32=18.75 +1; net: 600/32=18.75 +2
         assert t == pytest.approx(100 + 4 + 18.75 + 1 + 18.75 + 2)
         assert energy.dynamic_nj.get("spm", 0) > 0
 
     def test_egress_symmetric(self):
         sim, island, _ = make_island()
-        t = self.run_event(sim, island.egress(0, 600))
+        t = self.run_event(sim, move(island, 0, None, 600))
         assert t == pytest.approx(100 + 4 + 18.75 + 1 + 18.75 + 2)
 
     def test_chain_local_avoids_noc(self):
         sim, island, _ = make_island()
-        t_chain = self.run_event(sim, island.chain_local(0, 1, 600))
+        t_chain = self.run_event(sim, move(island, 0, 1, 600))
         sim2, island2, _ = make_island()
-        t_ingress = self.run_event(sim2, island2.ingress(0, 600))
+        t_ingress = self.run_event(sim2, move(island2, None, 0, 600))
         assert t_chain < t_ingress
 
     def test_compute_uses_pipeline_model(self):
@@ -263,8 +277,8 @@ class TestDataPath:
     def test_noc_interface_is_shared_bottleneck(self):
         sim, island, _ = make_island()
         done = []
-        island.ingress(0, 600).add_callback(lambda e: done.append(sim.now))
-        island.ingress(1, 600).add_callback(lambda e: done.append(sim.now))
+        move(island, None, 0, 600).add_callback(lambda e: done.append(sim.now))
+        move(island, None, 1, 600).add_callback(lambda e: done.append(sim.now))
         sim.run()
         # Second ingress queues behind the first on the 6 B/cy NoC link.
         assert done[1] - done[0] >= 99.0

@@ -1,8 +1,13 @@
-"""Tests for the three SPM<->DMA network designs."""
+"""Tests for the three SPM<->DMA network designs.
+
+A movement is driven as one route over the network's legs
+(``net.legs(src, dst)``, ``None`` standing for the DMA engine).
+"""
 
 import pytest
 
-from repro.engine import Simulator
+from repro.engine import Route, Simulator
+from repro.engine.route import DONE
 from repro.errors import ConfigError
 from repro.island import (
     ChainingCrossbarNetwork,
@@ -23,15 +28,26 @@ def make(kind, n_slots=4, banks_per_slot=4, width=32, rings=1):
     return sim, net, energy
 
 
-def run_transfer(sim, result):
-    """Completion time of a network movement (a float or an event)."""
-    if isinstance(result, float):
-        sim.run()
-        return result
+def move(net, src, dst, nbytes):
+    """Start one network movement; returns its completion event."""
+    return Route(net.sim, net.legs(src, dst) + (DONE,), nbytes).event
+
+
+def run_transfer(sim, event):
+    """Completion time of a network movement."""
     done = []
-    result.add_callback(lambda e: done.append(sim.now))
+    event.add_callback(lambda e: done.append(sim.now))
     sim.run()
     return done[0]
+
+
+def run_all(sim, events):
+    """Completion times of movements started together, in issue order."""
+    done = [None] * len(events)
+    for index, event in enumerate(events):
+        event.add_callback(lambda e, i=index: done.__setitem__(i, sim.now))
+    sim.run()
+    return done
 
 
 class TestBuildNetwork:
@@ -53,30 +69,30 @@ class TestProxyCrossbar:
     def test_transfer_time(self):
         sim, net, _ = make(NetworkKind.PROXY_CROSSBAR, width=32)
         # 64 bytes at 32 B/cy = 2 cycles + 2 latency.
-        assert run_transfer(sim, net.dma_to_spm(0, 64)) == pytest.approx(4.0)
+        assert run_transfer(sim, move(net, None, 0, 64)) == pytest.approx(4.0)
 
     def test_chaining_costs_two_traversals(self):
         sim, net, _ = make(NetworkKind.PROXY_CROSSBAR, width=32)
-        t_mem = run_transfer(sim, net.dma_to_spm(0, 640))
+        t_mem = run_transfer(sim, move(net, None, 0, 640))
         sim2, net2, _ = make(NetworkKind.PROXY_CROSSBAR, width=32)
-        t_chain = run_transfer(sim2, net2.chain(0, 1, 640))
+        t_chain = run_transfer(sim2, move(net2, 0, 1, 640))
         assert t_chain == pytest.approx(2 * t_mem)
 
     def test_all_traffic_serializes_on_dma_port(self):
         sim, net, _ = make(NetworkKind.PROXY_CROSSBAR, width=32)
-        done = [net.dma_to_spm(0, 320), net.spm_to_dma(1, 320)]
+        done = run_all(sim, [move(net, None, 0, 320), move(net, 1, None, 320)])
         # Each occupies 10 cycles; second waits for the first.
         assert done == [12.0, 22.0]
 
     def test_energy_charged(self):
         sim, net, energy = make(NetworkKind.PROXY_CROSSBAR)
-        run_transfer(sim, net.dma_to_spm(0, 64))
+        run_transfer(sim, move(net, None, 0, 64))
         assert energy.dynamic_nj.get("island_net", 0) > 0
 
     def test_bad_slot_rejected(self):
         sim, net, _ = make(NetworkKind.PROXY_CROSSBAR, n_slots=2)
         with pytest.raises(ConfigError):
-            net.dma_to_spm(5, 64)
+            net.legs(None, 5)
 
 
 class TestChainingCrossbar:
@@ -84,8 +100,8 @@ class TestChainingCrossbar:
         """Unlike the proxy design, chaining does not double the bytes."""
         simA, proxy, _ = make(NetworkKind.PROXY_CROSSBAR, width=32)
         simB, chain, _ = make(NetworkKind.CHAINING_CROSSBAR, width=32)
-        t_proxy = run_transfer(simA, proxy.chain(0, 1, 3200))
-        t_chain = run_transfer(simB, chain.chain(0, 1, 3200))
+        t_proxy = run_transfer(simA, move(proxy, 0, 1, 3200))
+        t_chain = run_transfer(simB, move(chain, 0, 1, 3200))
         assert t_chain < t_proxy
 
     def test_large_array_latency_grows(self):
@@ -95,7 +111,10 @@ class TestChainingCrossbar:
 
     def test_chain_and_memory_paths_independent(self):
         sim, net, _ = make(NetworkKind.CHAINING_CROSSBAR, width=32)
-        done = {"mem": net.dma_to_spm(0, 3200), "chain": net.chain(1, 2, 3200)}
+        mem, chain = run_all(
+            sim, [move(net, None, 0, 3200), move(net, 1, 2, 3200)]
+        )
+        done = {"mem": mem, "chain": chain}
         # The chain path has 4x parallel width, so finishes much earlier
         # than if it had queued behind the memory transfer.
         assert done["chain"] < done["mem"]
@@ -119,21 +138,18 @@ class TestRing:
         sim, ring, _ = make(NetworkKind.RING, n_slots=4, width=32)
         # dma (node 0) -> slot 2 (node 3): 3 hops.
         # effective bytes = 320 * 3/5 = 192 -> 6 cycles at 32 B/cy; +3 hop cycles.
-        assert run_transfer(sim, ring.dma_to_spm(2, 320)) == pytest.approx(9.0)
+        assert run_transfer(sim, move(ring, None, 2, 320)) == pytest.approx(9.0)
 
     def test_zero_hop_transfer_immediate(self):
         sim, ring, _ = make(NetworkKind.RING, n_slots=4)
-        t = run_transfer(sim, ring._traverse(2, 2, 1000))
+        t = run_transfer(sim, move(ring, 1, 1, 1000))  # node 2 -> node 2
         assert t == 0.0
 
     def test_spatial_reuse_parallelism(self):
         """Disjoint short transfers beat a serialized channel."""
         sim, ring, _ = make(NetworkKind.RING, n_slots=8, width=32)
-        done = []
         # Two 1-hop transfers on opposite sides of the ring.
-        ring.chain(0, 1, 3200).add_callback(lambda e: done.append(sim.now))
-        ring.chain(4, 5, 3200).add_callback(lambda e: done.append(sim.now))
-        sim.run()
+        done = run_all(sim, [move(ring, 0, 1, 3200), move(ring, 4, 5, 3200)])
         # Each consumes 1/9 of ring capacity per byte: occupancy ~ 11.1 cy.
         # Serialized they would take ~22; fluid sharing finishes ~12.1/23.2?
         # The fluid model serializes server occupancy, so the key assertion
@@ -144,8 +160,8 @@ class TestRing:
     def test_more_rings_more_bandwidth(self):
         sim1, r1, _ = make(NetworkKind.RING, n_slots=4, width=32, rings=1)
         sim3, r3, _ = make(NetworkKind.RING, n_slots=4, width=32, rings=3)
-        t1 = run_transfer(sim1, r1.dma_to_spm(3, 32000))
-        t3 = run_transfer(sim3, r3.dma_to_spm(3, 32000))
+        t1 = run_transfer(sim1, move(r1, None, 3, 32000))
+        t3 = run_transfer(sim3, move(r3, None, 3, 32000))
         assert t3 < t1
 
     def test_2ring_16B_matches_1ring_32B_bandwidth(self):
@@ -153,8 +169,8 @@ class TestRing:
         1-ring 32-byte (equal aggregate bandwidth)."""
         sim2, r2, _ = make(NetworkKind.RING, n_slots=6, width=16, rings=2)
         sim1, r1, _ = make(NetworkKind.RING, n_slots=6, width=32, rings=1)
-        t2 = run_transfer(sim2, r2.dma_to_spm(3, 64000))
-        t1 = run_transfer(sim1, r1.dma_to_spm(3, 64000))
+        t2 = run_transfer(sim2, move(r2, None, 3, 64000))
+        t1 = run_transfer(sim1, move(r1, None, 3, 64000))
         assert t2 == pytest.approx(t1, rel=0.01)
 
     def test_ring_area_scales_with_rings_and_width(self):
@@ -166,10 +182,10 @@ class TestRing:
 
     def test_ring_energy_scales_with_hops(self):
         sim, ring, energy = make(NetworkKind.RING, n_slots=8)
-        run_transfer(sim, ring.dma_to_spm(0, 100))  # 1 hop
+        run_transfer(sim, move(ring, None, 0, 100))  # 1 hop
         e1 = energy.dynamic_nj["island_net"]
         sim2, ring2, energy2 = make(NetworkKind.RING, n_slots=8)
-        run_transfer(sim2, ring2.dma_to_spm(7, 100))  # 8 hops
+        run_transfer(sim2, move(ring2, None, 7, 100))  # 8 hops
         e8 = energy2.dynamic_nj["island_net"]
         assert e8 == pytest.approx(8 * e1)
 

@@ -3,9 +3,16 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.engine import Simulator
+from repro.engine import Route, Simulator
+from repro.engine.route import DONE
 from repro.errors import ConfigError
 from repro.noc import MeshNoC, MeshTopology, NodeKind
+
+
+def send(noc, src, dst, nbytes):
+    """Start one mesh crossing as a route over its leg; returns its
+    completion event."""
+    return Route(noc.sim, (noc.transfer(src, dst, nbytes), DONE), nbytes).event
 
 
 class TestTopology:
@@ -93,17 +100,17 @@ class TestMeshNoC:
         islands = topo.nodes_of_kind(NodeKind.ISLAND)
         near = min(islands, key=lambda n: topo.hop_distance(topo.island(0), n) or 99)
         far = max(islands, key=lambda n: topo.hop_distance(topo.island(0), n))
-        t_far = self.run_event(sim, noc.transfer(topo.island(0), far, 64))
+        t_far = self.run_event(sim, send(noc, topo.island(0), far, 64))
         sim2, topo2, noc2 = self.make()
         t_near = self.run_event(
-            sim2, noc2.transfer(topo2.island(0), topo2.island(near.index), 64)
+            sim2, send(noc2, topo2.island(0), topo2.island(near.index), 64)
         )
         assert t_far > t_near
 
     def test_zero_hop_transfer_immediate(self):
         sim, topo, noc = self.make()
         node = topo.island(0)
-        t = self.run_event(sim, noc.transfer(node, node, 1000))
+        t = self.run_event(sim, send(noc, node, node, 1000))
         assert t == 0.0
 
     def test_contended_link_serializes(self):
@@ -111,19 +118,19 @@ class TestMeshNoC:
         src = topo.island(0)
         dst_node = topo.island(1)
         done = []
-        noc.transfer(src, dst_node, 1600).add_callback(lambda e: done.append(sim.now))
-        noc.transfer(src, dst_node, 1600).add_callback(lambda e: done.append(sim.now))
+        send(noc, src, dst_node, 1600).add_callback(lambda e: done.append(sim.now))
+        send(noc, src, dst_node, 1600).add_callback(lambda e: done.append(sim.now))
         sim.run()
         assert done[1] >= done[0] + 1600 / 16.0 - 1e-9
 
     def test_energy_charged_per_byte_hop(self):
         sim, topo, noc = self.make()
-        self.run_event(sim, noc.transfer(topo.island(0), topo.memory_controller(0), 100))
+        self.run_event(sim, send(noc, topo.island(0), topo.memory_controller(0), 100))
         assert noc.energy.dynamic_nj["noc"] > 0
 
     def test_utilization_metrics(self):
         sim, topo, noc = self.make()
-        self.run_event(sim, noc.transfer(topo.island(0), topo.island(1), 1600))
+        self.run_event(sim, send(noc, topo.island(0), topo.island(1), 1600))
         assert 0 < noc.max_link_utilization(sim.now) <= 1.0
 
     def test_negative_size_rejected(self):

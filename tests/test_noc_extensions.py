@@ -7,6 +7,7 @@ from repro.errors import ConfigError
 from repro.noc import MeshNoC, MeshTopology, NodeKind
 from repro.noc.diagram import render_topology
 from repro.noc.mesh import PACKET_HEADER_BYTES
+from tests.test_noc import send
 
 
 def run_transfer(sim, event):
@@ -27,16 +28,16 @@ class TestSegmentation:
         simA, topoA, fluid = self.make(segment=None)
         simB, topoB, packets = self.make(segment=64.0)
         a, b = topoA.island(0), topoA.island(1)
-        t_fluid = run_transfer(simA, fluid.transfer(a, b, 1024))
+        t_fluid = run_transfer(simA, send(fluid, a, b, 1024))
         t_packets = run_transfer(
-            simB, packets.transfer(topoB.island(0), topoB.island(1), 1024)
+            simB, send(packets, topoB.island(0), topoB.island(1), 1024)
         )
         assert t_packets > t_fluid
 
     def test_packet_count(self):
         sim, topo, noc = self.make(segment=64.0)
         payload = 64.0 - PACKET_HEADER_BYTES
-        run_transfer(sim, noc.transfer(topo.island(0), topo.island(1), 512))
+        run_transfer(sim, send(noc, topo.island(0), topo.island(1), 512))
         import math
 
         assert noc.total_packets == math.ceil(512 / payload)
@@ -46,10 +47,10 @@ class TestSegmentation:
         larger for small messages."""
         sim, topo, noc = self.make(segment=64.0)
         src, dst = topo.island(0), topo.island(1)
-        t_small = run_transfer(sim, noc.transfer(src, dst, 32))
+        t_small = run_transfer(sim, send(noc, src, dst, 32))
         sim2, topo2, noc2 = self.make(segment=None)
         t_small_fluid = run_transfer(
-            sim2, noc2.transfer(topo2.island(0), topo2.island(1), 32)
+            sim2, send(noc2, topo2.island(0), topo2.island(1), 32)
         )
         overhead_small = t_small / t_small_fluid
         assert overhead_small > 1.0
@@ -62,7 +63,7 @@ class TestSegmentation:
 
     def test_fluid_mode_counts_no_packets(self):
         sim, topo, noc = self.make(segment=None)
-        run_transfer(sim, noc.transfer(topo.island(0), topo.island(1), 512))
+        run_transfer(sim, send(noc, topo.island(0), topo.island(1), 512))
         assert noc.total_packets == 0
 
 

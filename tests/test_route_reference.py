@@ -11,13 +11,24 @@ Hypothesis generates network shapes and overlapping transfer mixes; the
 routed island must match the reference exactly: the same completion
 time for every transfer, the same per-server accounting and the same
 fault counters.
+
+The second check covers whole system transfers, each one flat route
+spliced from the memory's, the mesh's and the islands' legs.  Its
+reference is the nested composition: a process per transfer that waits
+on a memory access, then a mesh crossing, then an island ingress or
+egress, each a route over its owner's legs, on a twin traced system.  The two must
+agree on completion times, heap entries, every server's accounting
+(mesh links and memory channels included), fault counters, the energy
+breakdown in charge order, and every span.
 """
 
 from hypothesis import example, given, settings, strategies as st
 
 import repro.faults as faults
 from repro.abb import standard_library
-from repro.engine import Simulator
+from repro.engine import Route, Simulator
+from repro.engine.route import DONE
+from repro.engine.trace import Tracer
 from repro.faults import FaultInjector, FaultSpec
 from repro.island import (
     ChainingCrossbarNetwork,
@@ -28,6 +39,8 @@ from repro.island import (
     SpmDmaNetworkConfig,
 )
 from repro.island.networks import RING_HOP_LATENCY
+from repro.sim import SystemConfig, SystemModel
+from tests.test_island_island import move
 
 
 # ----------------------------------------------------------- reference
@@ -125,11 +138,8 @@ def ref_transfer(sim, island, injector, op, a, b, nbytes):
 
 
 def routed_transfer(island, op, a, b, nbytes):
-    if op == "ingress":
-        return island.ingress(a, nbytes)
-    if op == "egress":
-        return island.egress(a, nbytes)
-    return island.chain_local(a, b, nbytes)
+    src, dst = {"ingress": (None, a), "egress": (a, None), "chain": (a, b)}[op]
+    return move(island, src, dst, nbytes)
 
 
 # -------------------------------------------------------------- driver
@@ -242,3 +252,167 @@ def test_routes_match_reference_model(network, spec, ops):
     reference = run(network, spec, ops, routed=False)
     assert routed == reference
     assert None not in routed[0]
+
+
+# ------------------------------------------------------ system transfers
+def ref_system_transfer(system, op, src, dst, nbytes, stream, ref):
+    """The nested composition of one system transfer: every owner's
+    stretch is a route over its own legs (or a memory access), waited on
+    in turn."""
+    sim, noc, topology = system.sim, system.noc, system.topology
+    mc = topology.memory_controller(stream % system.config.n_memory_controllers)
+    if op == "island_to_island" and src[0] == dst[0]:
+        return move(system.islands[src[0]], src[1], dst[1], nbytes, ref)
+
+    def crossing(a, b):
+        return Route(sim, (noc.transfer(a, b, nbytes), DONE), nbytes, ref=ref).event
+
+    def body():
+        if op == "memory_to_island":
+            yield system.memory.access(nbytes, stream, ref)
+            src_node = mc
+        else:
+            yield move(system.islands[src[0]], src[1], None, nbytes, ref)
+            src_node = topology.island(src[0])
+        if op == "island_to_memory":
+            yield crossing(src_node, mc)
+            yield system.memory.access(nbytes, stream, ref)
+        else:
+            yield crossing(src_node, topology.island(dst[0]))
+            yield move(system.islands[dst[0]], None, dst[1], nbytes, ref)
+        return nbytes
+
+    return start(sim, body())
+
+
+def routed_system_transfer(system, op, src, dst, nbytes, stream, ref):
+    if op == "memory_to_island":
+        return system.memory_to_island(*dst, nbytes, stream, ref)
+    if op == "island_to_memory":
+        return system.island_to_memory(*src, nbytes, stream, ref)
+    return system.island_to_island(*src, *dst, nbytes, ref)
+
+
+def run_system(config, ops, routed):
+    """Issue system transfers at their times on a traced system; return
+    everything the two compositions must agree on."""
+    tracer = Tracer()
+    system = SystemModel(config, tracer=tracer)
+    sim = system.sim
+    done = [None] * len(ops)
+
+    def end(island_index, slot):
+        island_index %= len(system.islands)
+        return island_index, slot % system.islands[island_index].n_slots
+
+    def issue(index, op, src, dst, nbytes, stream):
+        src, dst = end(*src), end(*dst)
+        transfer = routed_system_transfer if routed else ref_system_transfer
+        event = transfer(system, op, src, dst, nbytes, stream, f"x{index}")
+        event.add_callback(lambda e: done.__setitem__(index, (sim.now, e.value)))
+
+    for index, (op, src, dst, nbytes, stream, at) in enumerate(ops):
+        sim.timeout(at).add_callback(
+            lambda _e, args=(index, op, src, dst, nbytes, stream): issue(*args)
+        )
+    sim.run()
+
+    def accounting(server):
+        return (
+            server.busy_cycles,
+            server.total_bytes,
+            server.total_transfers,
+            server._free_at,
+        )
+
+    servers = {}
+    for island in system.islands:
+        net = island.network
+        named = {"noc_in": island.noc_in, "noc_out": island.noc_out,
+                 "dma": island.dma}
+        for name in ("_port", "_dma_port", "_chain_paths", "_capacity"):
+            if hasattr(net, name):
+                named[name] = getattr(net, name)
+        for name, server in named.items():
+            servers[(island.island_id, name)] = accounting(server)
+    for key, link in system.noc._links.items():
+        servers[key] = accounting(link)
+    for controller in system.memory.controllers:
+        servers[f"mc{controller.index}"] = accounting(controller._channel)
+    noc = system.noc
+    spans = [
+        (r.start, r.end, r.actor, r.kind, r.label, r.ref) for r in tracer.records
+    ]
+    return {
+        "done": done,
+        "heap_entries": sim._seq,
+        "servers": servers,
+        "noc": (noc.total_transfers, noc.total_byte_hops, noc.total_packets),
+        "faults": system.fault_stats,
+        "energy": list(system.energy.dynamic_nj.items()),
+        "spans": spans,
+    }
+
+
+system_configs = st.builds(
+    lambda n_islands, network, spec, seed: SystemConfig(
+        n_islands=n_islands,
+        abb_mix={"poly": 4, "div": 3, "sum": 2},
+        network=network,
+        n_memory_controllers=2,
+        faults=spec,
+        fault_seed=seed,
+    ),
+    n_islands=st.integers(2, 3),
+    network=networks,
+    spec=st.one_of(
+        fault_specs,
+        st.builds(
+            FaultSpec,
+            dma_stall_prob=st.sampled_from([0.0, 0.3]),
+            dma_drop_prob=st.sampled_from([0.2, 0.5]),
+            dma_max_retries=st.integers(0, 2),
+            noc_degrade_fraction=st.sampled_from([0.0, 0.5]),
+        ),
+    ),
+    seed=st.integers(0, 3),
+)
+ends = st.tuples(st.integers(0, 2), st.integers(0, 8))
+system_ops = st.lists(
+    st.tuples(
+        st.sampled_from(["memory_to_island", "island_to_memory", "island_to_island"]),
+        ends,
+        ends,
+        st.sampled_from([0.0, 1.0, 64.0, 600.0, 3200.0, 12345.5]),
+        st.integers(0, 5),
+        st.sampled_from([0.0, 0.0, 5.0, 40.0, 300.0]),
+    ),
+    min_size=1,
+    max_size=10,
+)
+
+
+# A zero-byte read: no mesh span, and the ingress's spans start where
+# the read ended.
+@example(
+    config=SystemConfig(n_islands=2, abb_mix={"poly": 4, "div": 3, "sum": 2}),
+    ops=[("memory_to_island", (0, 0), (1, 2), 0.0, 1, 0.0)],
+)
+# Both DMA legs of one cross-island transfer under drops and retries:
+# the ingress's DMA leg draws its own outcomes from a fresh count.
+@example(
+    config=SystemConfig(
+        n_islands=2,
+        abb_mix={"poly": 4, "div": 3, "sum": 2},
+        faults=FaultSpec(dma_stall_prob=0.3, dma_drop_prob=0.5, dma_max_retries=1),
+        fault_seed=0,
+    ),
+    ops=[("island_to_island", (0, 0), (1, 0), 600.0, 0, 0.0)] * 4,
+)
+@settings(deadline=None)
+@given(config=system_configs, ops=system_ops)
+def test_system_routes_match_nested_composition(config, ops):
+    routed = run_system(config, ops, routed=True)
+    reference = run_system(config, ops, routed=False)
+    assert routed == reference
+    assert None not in routed["done"]

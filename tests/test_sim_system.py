@@ -3,6 +3,7 @@
 import pytest
 
 from repro.abb import PAPER_ABB_MIX
+from repro.engine.trace import Tracer
 from repro.errors import ConfigError
 from repro.island import NetworkKind, SpmDmaNetworkConfig
 from repro.sim import SystemConfig, SystemModel, distribute_mix
@@ -122,3 +123,79 @@ class TestSystemModel:
     def test_platform_static_power_registered(self):
         system = SystemModel(SystemConfig(n_islands=3))
         assert system.energy.static_power_mw > SystemConfig().platform_static_mw
+
+
+BAD_TRANSFERS = [
+    # (call, args, a pattern naming the bad input in the error)
+    ("memory_to_island", (3, 0, 64, 0), "island 3"),
+    ("memory_to_island", (-1, 0, 64, 0), "island -1"),
+    ("island_to_memory", (3, 0, 64, 0), "island 3"),
+    ("island_to_island", (0, 0, 3, 0, 64), "island 3"),
+    ("island_to_island", (-1, 0, 0, 0, 64), "island -1"),
+    ("memory_to_island", (0, 99, 64, 0), "slot 99"),
+    ("island_to_memory", (1, -1, 64, 0), "slot -1"),
+    ("island_to_island", (0, 0, 0, 99, 64), "slot 99"),
+    ("island_to_island", (0, 99, 1, 0, 64), "slot 99"),
+    ("memory_to_island", (0, 0, float("nan"), 0), "size.*nan"),
+    ("memory_to_island", (0, 0, float("inf"), 0), "size.*inf"),
+    ("island_to_memory", (0, 0, -1.0, 0), r"size.*-1\.0"),
+    ("island_to_island", (0, 0, 1, 0, float("nan")), "size.*nan"),
+    ("island_to_island", (0, 0, 0, 1, -64.0), r"size.*-64\.0"),
+]
+
+
+class TestTransferInputs:
+    """A bad island, slot or size fails when the transfer is issued,
+    naming the bad input, before any leg runs."""
+
+    @pytest.mark.parametrize("call,args,named", BAD_TRANSFERS)
+    def test_bad_transfer_rejected_at_issue(self, call, args, named):
+        system = SystemModel(SystemConfig(n_islands=3))
+        with pytest.raises(ConfigError, match=named):
+            getattr(system, call)(*args)
+        # Nothing moved: no heap entry, no DRAM bytes, no energy.
+        assert system.sim._seq == 0
+        assert system.memory.total_bytes() == 0.0
+        assert system.energy.dynamic_nj == {}
+        system.sim.run()
+        assert system.sim.now == 0.0
+
+    def test_good_transfer_after_rejected_one(self):
+        """A rejected endpoint leaves nothing behind for the next call."""
+        system = SystemModel(SystemConfig(n_islands=3))
+        with pytest.raises(ConfigError):
+            system.memory_to_island(0, 99, 64, 0)
+        done = []
+        system.memory_to_island(0, 0, 64, 0).add_callback(
+            lambda e: done.append(e.value)
+        )
+        system.sim.run()
+        assert done == [64]
+
+
+class TestTracedTransfer:
+    def test_spans_follow_the_path_back_to_back(self):
+        """A traced memory-to-island transfer records one span per
+        stretch of its path, each starting where the previous ended.
+        Island spans are labelled with the bytes, the mesh span with the
+        bytes and hops."""
+        tracer = Tracer()
+        system = SystemModel(SystemConfig(n_islands=3), tracer=tracer)
+        system.memory_to_island(1, 2, 600, stream_id=0, ref="t0.a")
+        system.sim.run()
+        src = system.topology.memory_controller(0)
+        dst = system.topology.island(1)
+        hops = len(system.noc.route(src, dst))
+        spans = tracer.records
+        assert [(r.actor, r.kind, r.label) for r in spans] == [
+            ("mem.mc0", "mem", "600B"),
+            (f"mesh.{src.x},{src.y}->{dst.x},{dst.y}", "noc", f"600B/{hops}h"),
+            ("island1.noc_in", "noc_if", "600B"),
+            ("island1.dma", "dma", "600B"),
+            ("island1.net", "spm_net", "600B"),
+        ]
+        assert all(r.ref == "t0.a" for r in spans)
+        assert spans[0].start == 0.0
+        for before, after in zip(spans, spans[1:]):
+            assert after.start == before.end
+        assert spans[-1].end == system.sim.now
