@@ -183,7 +183,8 @@ class PlannedTask:
     stream), ``memory_bytes`` (operand bytes less chained bytes, never
     below zero), ``inputs`` (``(producer position, chained bytes)`` per
     incoming edge, in edge order; a position indexes
-    :attr:`TilePlan.tasks`), ``output_bytes`` and ``is_sink``."""
+    :attr:`TilePlan.tasks`), ``output_bytes``, ``is_sink`` and
+    ``successors`` (the positions of its consumers, in position order)."""
 
     task_id: str
     abb_type: str
@@ -193,6 +194,7 @@ class PlannedTask:
     inputs: tuple[tuple[int, float], ...]
     output_bytes: float
     is_sink: bool
+    successors: tuple[int, ...]
 
 
 class TilePlan:
@@ -225,6 +227,9 @@ class TilePlan:
             )
             for edge in graph.edges
         }
+        consumers: dict[str, list[int]] = {tid: [] for tid in position}
+        for edge in graph.edges:
+            consumers[edge.producer].append(position[edge.consumer])
         records = []
         invocations: dict[str, list[int]] = {}
         for index, task in enumerate(graph.tasks):
@@ -238,6 +243,7 @@ class TilePlan:
                 PlannedTask(
                     tid, task.abb_type, task.invocations, index,
                     memory, inputs, output[tid], tid in sinks,
+                    tuple(sorted(consumers[tid])),
                 )
             )
             invocations.setdefault(task.abb_type, []).append(task.invocations)

@@ -23,7 +23,7 @@ import typing
 from repro.abb.flowgraph import ABBFlowGraph, TilePlan
 from repro.abb.library import ABBLibrary, standard_library
 from repro.core.gam import GlobalAcceleratorManager
-from repro.engine import BandwidthServer, Simulator
+from repro.engine import BandwidthServer, Event, Simulator
 from repro.errors import SimulationError
 from repro.island.spm import SPMGroup
 from repro.island.config import SpmPorting
@@ -108,32 +108,56 @@ class ARCSystem:
         self.completed = 0
 
     # ------------------------------------------------------------------ run
-    def _tile(self, tile_id: int):
-        unit = yield self.gam.request()
-        link = self._links[unit]
-        # Stream inputs: DRAM and the unit's NoC link in series.
-        yield self.memory.access(self.plan.memory_read_bytes, stream_id=tile_id)
-        yield link.transfer(self.plan.memory_read_bytes)
-        # Fused pipeline.
-        yield self.sim.delay(self._tile_compute)
-        for task in self.graph.tasks:
-            self.energy.charge(
-                "abb",
-                self.library.get(task.abb_type).dynamic_energy_nj(task.invocations),
-            )
-        # Drain outputs.
-        yield link.transfer(self.plan.sink_write_bytes)
-        yield self.memory.access(self.plan.sink_write_bytes, stream_id=tile_id)
-        # The completion interrupt runs on the dispatching core before
-        # the result is consumed; the OS path costs 100X more cycles.
-        handler_cycles = self.gam.release(unit)
-        yield self.sim.delay(handler_cycles)
-        self.completed += 1
+    def _tile(self, tile_id: int) -> None:
+        """Start one tile: a chain of callbacks, each scheduled at the
+        previous step's completion time."""
+        sim, plan = self.sim, self.plan
+
+        def granted(event: Event) -> None:
+            unit = event.value
+            link = self._links[unit]
+
+            # Stream inputs: DRAM and the unit's NoC link in series.
+            def read() -> None:
+                sim.schedule(link.reserve(plan.memory_read_bytes), compute)
+
+            # Fused pipeline.
+            def compute() -> None:
+                sim.schedule(sim.now + self._tile_compute, drain)
+
+            # Drain outputs.
+            def drain() -> None:
+                for task in self.graph.tasks:
+                    self.energy.charge(
+                        "abb",
+                        self.library.get(task.abb_type).dynamic_energy_nj(
+                            task.invocations
+                        ),
+                    )
+                sim.schedule(link.reserve(plan.sink_write_bytes), write)
+
+            def write() -> None:
+                done = self.memory.access_fast(plan.sink_write_bytes, tile_id)
+                sim.schedule(done, interrupt)
+
+            # The completion interrupt runs on the dispatching core
+            # before the result is consumed; the OS path costs 100X more
+            # cycles.
+            def interrupt() -> None:
+                handler_cycles = self.gam.release(unit)
+                sim.schedule(sim.now + handler_cycles, finish)
+
+            def finish() -> None:
+                self.completed += 1
+
+            sim.schedule(self.memory.access_fast(plan.memory_read_bytes, tile_id), read)
+
+        self.gam.request().add_callback(granted)
 
     def run(self) -> SimResult:
         """Execute every tile; returns the usual result record."""
         for tile_id in range(self.workload.tiles):
-            self.sim.process(self._tile(tile_id))
+            self._tile(tile_id)
         self.sim.run()
         if self.completed != self.workload.tiles:
             raise SimulationError("ARC run did not complete all tiles")

@@ -26,12 +26,12 @@ import typing
 from dataclasses import dataclass
 
 from repro.core.allocation import AllocationPolicy, locality_then_load_balance
-from repro.engine import Event, Simulator
+from repro.engine import Simulator
 from repro.engine.stats import Histogram
 from repro.errors import AllocationError, ConfigError
 from repro.island.island import Island
 
-#: Sentinel value a :meth:`AcceleratorBlockComposer.request` event fires
+#: Sentinel value a :meth:`AcceleratorBlockComposer.request` answers
 #: with when no operational ABB of the requested type remains anywhere on
 #: the platform; the caller must run the task in software on the cores.
 SOFTWARE_FALLBACK = "software-fallback"
@@ -61,12 +61,21 @@ class Grant:
 
 @dataclass
 class _Waiter:
-    """A queued allocation request."""
+    """A queued allocation request and the callback its answer goes to."""
 
-    event: Event
+    then: typing.Callable[[object], None]
     type_name: str
     preferred: typing.Optional[int]
     requested_at: float
+    value: object = None
+
+    def resolve(self, sim: Simulator, value: object) -> None:
+        """Answer the request with ``value`` from a heap entry at now."""
+        self.value = value
+        sim.schedule(sim.now, self._fire)
+
+    def _fire(self) -> None:
+        self.then(self.value)
 
 
 class AcceleratorBlockComposer:
@@ -123,15 +132,18 @@ class AcceleratorBlockComposer:
     def request(
         self,
         type_name: str,
-        preferred_island: typing.Optional[int] = None,
-    ) -> Event:
-        """Request an ABB of ``type_name``.
+        preferred_island: typing.Optional[int],
+        then: typing.Callable[[object], None],
+    ) -> None:
+        """Request an ABB of ``type_name``; ``then`` gets the answer.
 
-        The returned event fires with a :class:`Grant` once a block has
-        been allocated; the caller must eventually :meth:`release` it.
-        If hard failures have taken every slot of the type out of
-        service, the event instead fires immediately with
-        :data:`SOFTWARE_FALLBACK` and the caller runs in software.
+        A block free now runs ``then(grant)`` inside this call;
+        otherwise the request queues FIFO and a later release runs
+        ``then(grant)`` from one heap entry.  The caller must eventually
+        :meth:`release` the :class:`Grant`.  If hard failures have taken
+        every slot of the type out of service, ``then`` gets
+        :data:`SOFTWARE_FALLBACK` from one heap entry and the caller
+        runs in software.
         """
         operational = self._operational.get(type_name)
         if operational is None:
@@ -139,23 +151,20 @@ class AcceleratorBlockComposer:
                 f"no island carries ABB type {type_name!r}; "
                 f"the platform cannot compose this graph"
             )
-        event = Event(self.sim)
         if not operational:
             self.fallback_grants += 1
-            event.succeed(SOFTWARE_FALLBACK)
-            return event
+            waiter = _Waiter(then, type_name, preferred_island, self.sim.now)
+            waiter.resolve(self.sim, SOFTWARE_FALLBACK)
+            return
         grant = self._try_allocate(type_name, preferred_island)
         if grant is not None:
             self.total_grants += 1
             self.wait_cycles.record(0.0)
-            event.succeed(grant)
-        else:
-            self.total_queued += 1
-            self._pending[type_name] += 1
-            self._waiters.append(
-                _Waiter(event, type_name, preferred_island, self.sim.now)
-            )
-        return event
+            then(grant)
+            return
+        self.total_queued += 1
+        self._pending[type_name] += 1
+        self._waiters.append(_Waiter(then, type_name, preferred_island, self.sim.now))
 
     def release(self, grant: Grant) -> None:
         """Return a granted slot; retries queued waiters in FIFO order."""
@@ -188,7 +197,7 @@ class AcceleratorBlockComposer:
                 # it forever.
                 pending[type_name] -= 1
                 self.fallback_grants += 1
-                waiter.event.succeed(SOFTWARE_FALLBACK)
+                waiter.resolve(self.sim, SOFTWARE_FALLBACK)
                 continue
             grant = self._try_allocate(type_name, waiter.preferred)
             if grant is None:
@@ -198,7 +207,7 @@ class AcceleratorBlockComposer:
             pending[type_name] -= 1
             self.total_grants += 1
             self.wait_cycles.record(self.sim.now - waiter.requested_at)
-            waiter.event.succeed(grant)
+            waiter.resolve(self.sim, grant)
         self._waiters = remaining
 
     def fail_slot(self, island_index: int, slot: int) -> None:
@@ -220,6 +229,13 @@ class AcceleratorBlockComposer:
     def queue_length(self) -> int:
         """Requests currently waiting for any type."""
         return len(self._waiters)
+
+    def stranded(self) -> list[str]:
+        """The queued requests, named (a drained run leaves none)."""
+        return [
+            f"{waiter.type_name} request queued at cycle {waiter.requested_at:g}"
+            for waiter in self._waiters
+        ]
 
     def free_count(self, type_name: str) -> int:
         """Usable slots of a type across all islands right now."""

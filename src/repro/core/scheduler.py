@@ -23,6 +23,35 @@ out of service); the scheduler then runs the task on a host core —
 operands fetched from shared memory, results written back so downstream
 consumers (hardware or software) can read them — keeping the tile's
 dataflow intact on a degraded platform.
+
+Each running task is one record whose steps are bound methods, run by
+route ends and scheduled wake-ups; no task is a process.  A tile counts
+each task's unfinished producers down and starts a consumer when its
+count reaches zero, the way data-driven hardware fires a task when its
+operands arrive.
+
+The same-time rule.  Work at one instant runs in the order it is
+issued, so where a step runs at the instant its cause happened, or one
+heap entry later, decides the order of same-time ABC requests, server
+reservations, energy charges and spans.  Inline: a root task's request
+(in :meth:`TileScheduler.run`), an immediate grant (inside
+:meth:`~repro.core.composer.AcceleratorBlockComposer.request`) and a
+tile's end (inside its last task's done hop).  One heap entry each:
+
+* the *done hop*, the one deferred step between a task's release and
+  its consumers' start.  Without it a consumer's ABC request runs
+  inside its producer's release, same-time requests are issued in
+  another order and fig. 6 makespans move;
+* the join of a task's input transfers (and of a software task's
+  spills): the compute starts after the same-instant work already
+  queued.  Without it the results hold, but same-instant spans and
+  energy charges come in another order on fig. 6 points, which
+  reorders a Perfetto export;
+* a queued request's grant, an immediate software-fallback answer and a
+  host-core grant.
+
+``tests/test_task_reference.py`` checks the rule against the process
+per task it replaced.
 """
 
 from __future__ import annotations
@@ -30,8 +59,8 @@ from __future__ import annotations
 import typing
 
 from repro.abb.flowgraph import PlannedTask, TilePlan
-from repro.core.composer import Grant, SOFTWARE_FALLBACK
-from repro.engine import AllOf, Event
+from repro.core.composer import SOFTWARE_FALLBACK
+from repro.engine import Event
 from repro.errors import SimulationError
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -74,7 +103,10 @@ class TileScheduler:
         # Maps position -> (island, slot); None marks a task that ran in
         # software (its results live in shared memory, not an SPM).
         self._placed: dict[int, typing.Optional[tuple[int, int]]] = {}
-        self._done: list[Event] = []
+        # Unfinished producers per task, and unfinished tasks.
+        self._waiting = [len(task.inputs) for task in plan.tasks]
+        self._left = len(plan.tasks)
+        self._ended = Event(system.sim)
         self.used_fallback = False
 
     @property
@@ -86,34 +118,18 @@ class TileScheduler:
 
     # ---------------------------------------------------------------- run
     def run(self) -> Event:
-        """Start the tile; returns an event firing at tile end.
+        """Start the tile; returns an event fired at tile end.
 
-        Only root tasks spawn a process up front; every downstream task
-        is spawned by a countdown callback inside its last producer's
-        done event.
+        Root tasks start now; every other task starts when its last
+        producer's done hop counts it down to zero.
         """
-        sim = self.system.sim
         tasks = self.plan.tasks
-        done = self._done = [Event(sim) for _task in tasks]
-        tile_done = AllOf(sim, done)
+        if not tasks:
+            self._ended.succeed()
         for position, task in enumerate(tasks):
             if not task.inputs:
-                sim.process(self._run_task(position))
-                continue
-            remaining = [len(task.inputs)]
-
-            def on_producer_done(
-                _event: Event,
-                position: int = position,
-                remaining: list = remaining,
-            ) -> None:
-                remaining[0] -= 1
-                if remaining[0] == 0:
-                    sim.process(self._run_task(position))
-
-            for producer, _nbytes in task.inputs:
-                done[producer].add_callback(on_producer_done)
-        return tile_done
+                _Task(self, position)
+        return self._ended
 
     # ------------------------------------------------------------- helpers
     def _preferred_island(self, task: PlannedTask) -> typing.Optional[int]:
@@ -134,7 +150,7 @@ class TileScheduler:
             )
         if not bytes_by_island:
             return None
-        return max(sorted(bytes_by_island), key=lambda i: bytes_by_island[i])
+        return max(sorted(bytes_by_island), key=bytes_by_island.__getitem__)
 
     def _trace(
         self,
@@ -167,84 +183,112 @@ class TileScheduler:
                 {"deps": deps, "tenant": self.tenant},
             )
 
-    # --------------------------------------------------------- task process
-    def _run_task(self, position: int):
-        system = self.system
-        tasks = self.plan.tasks
-        task = tasks[position]
-        tag = self._tags[position]
-        streams = self._stream_base
 
-        # 1. Producers are already done — :meth:`run` spawns this
-        # process from the last producer's completion callback.
+class _Task:
+    """One running task of a tile, as a chain of callbacks.
 
-        # 2. Allocate an ABB (may queue inside the ABC).  When every ABB
-        # of the type is out of service the ABC answers with the
-        # software-fallback sentinel instead of a grant.
-        requested_at = system.sim.now
-        grant = yield system.abc.request(
-            task.abb_type, preferred_island=self._preferred_island(task)
-        )
+    Hardware steps: ABC request -> :meth:`_granted` (input transfers)
+    -> :meth:`_gathered` -> :meth:`_compute` -> :meth:`_computed`
+    (writeback) -> :meth:`_release` -> :meth:`_done_hop`.  A task whose
+    ABB type has no hardware left takes the software steps instead:
+    :meth:`_fallback` -> :meth:`_core_granted` (spills) ->
+    :meth:`_execute` -> :meth:`_software_done` -> :meth:`_done_hop`.
+    ``pending`` counts the transfers still in flight; ``start`` is when
+    the current traced phase began.
+    """
+
+    __slots__ = (
+        "tile",
+        "position",
+        "task",
+        "tag",
+        "requested_at",
+        "grant",
+        "actor",
+        "pending",
+        "start",
+    )
+
+    def __init__(self, tile: TileScheduler, position: int) -> None:
+        self.tile = tile
+        self.position = position
+        task = self.task = tile.plan.tasks[position]
+        self.tag = tile._tags[position]
+        system = tile.system
+        self.requested_at = system.sim.now
+        system.abc.request(task.abb_type, tile._preferred_island(task), self._granted)
+
+    # ------------------------------------------------------------ hardware
+    def _granted(self, grant: object) -> None:
         if grant is SOFTWARE_FALLBACK:
-            yield from self._run_task_software(position, tag, requested_at)
+            self._fallback()
             return
-        assert isinstance(grant, Grant)
-        self._placed[position] = (grant.island_index, grant.slot)
-        island = system.islands[grant.island_index]
-        actor = (
-            f"island{grant.island_index}.slot{grant.slot}"
-            if self._tracer is not None
-            else ""
-        )
-        if system.sim.now > requested_at:
-            self._trace(requested_at, "alloc_wait", actor, tag, tag)
+        tile, task, tag = self.tile, self.task, self.tag
+        system = tile.system
+        self.grant = grant
+        island_index, slot = grant.island_index, grant.slot
+        placed = tile._placed
+        placed[self.position] = (island_index, slot)
+        if tile._tracer is not None:
+            self.actor = f"island{island_index}.slot{slot}"
+            if system.sim.now > self.requested_at:
+                tile._trace(self.requested_at, "alloc_wait", self.actor, tag, tag)
 
-        # 3. Gather operands in parallel.
-        input_events = []
+        # Gather operands in parallel; the last to land joins.
+        self.pending = len(task.inputs) + (task.memory_bytes > 0)
+        if not self.pending:
+            self._compute()
+            return
+        self.start = system.sim.now
+        streams = tile._stream_base
+        landed = self._landed
         if task.memory_bytes > 0:
-            input_events.append(
-                system.memory_to_island(
-                    grant.island_index,
-                    grant.slot,
-                    task.memory_bytes,
-                    streams + task.index,
-                    tag,
-                )
-            )
+            system.memory_to_island(
+                island_index, slot, task.memory_bytes, streams + task.index, tag
+            ).add_callback(landed)
+        tasks = tile.plan.tasks
         for producer, nbytes in task.inputs:
-            location = self._placed[producer]
+            location = placed[producer]
             if location is None:
                 # Producer ran in software; its results sit in shared
                 # memory and stream in like any memory operand.
-                input_events.append(
-                    system.memory_to_island(
-                        grant.island_index,
-                        grant.slot,
-                        nbytes,
-                        streams + tasks[producer].index,
-                        tag,
-                    )
+                transfer = system.memory_to_island(
+                    island_index, slot, nbytes, streams + tasks[producer].index, tag
                 )
-                continue
-            src_island, src_slot = location
-            input_events.append(
-                system.island_to_island(
-                    src_island, src_slot, grant.island_index, grant.slot, nbytes, tag
+            else:
+                transfer = system.island_to_island(
+                    location[0], location[1], island_index, slot, nbytes, tag
                 )
-            )
-        if input_events:
-            gather_start = system.sim.now
-            yield AllOf(system.sim, input_events)
-            self._trace(gather_start, "gather", actor, tag, tag)
+            transfer.add_callback(landed)
 
-        # 4. Compute.
-        compute_start = system.sim.now
-        yield island.compute(grant.slot, task.invocations)
-        if self._tracer is not None:
-            self._trace(
-                compute_start,
+    def _landed(self, _event: Event) -> None:
+        self.pending -= 1
+        if self.pending == 0:
+            sim = self.tile.system.sim
+            sim.schedule(sim.now, self._gathered)
+
+    def _gathered(self) -> None:
+        if self.tile._tracer is not None:
+            self.tile._trace(self.start, "gather", self.actor, self.tag, self.tag)
+        self._compute()
+
+    def _compute(self) -> None:
+        system = self.tile.system
+        grant = self.grant
+        self.start = system.sim.now
+        island = system.islands[grant.island_index]
+        done = island.compute(grant.slot, self.task.invocations)
+        system.sim.schedule(done, self._computed)
+
+    def _computed(self) -> None:
+        tile, task, grant, tag = self.tile, self.task, self.grant, self.tag
+        system = tile.system
+        if tile._tracer is not None:
+            island = system.islands[grant.island_index]
+            tile._trace(
+                self.start,
                 "compute",
-                actor,
+                self.actor,
                 tag,
                 tag,
                 {
@@ -252,26 +296,53 @@ class TileScheduler:
                     "invocations": task.invocations,
                 },
             )
+        if not task.is_sink:
+            self._release()
+            return
+        # Write back sink outputs, then release the block.
+        self.start = system.sim.now
+        system.island_to_memory(
+            grant.island_index,
+            grant.slot,
+            task.output_bytes,
+            tile._stream_base + task.index,
+            tag,
+        ).add_callback(self._written)
 
-        # 5. Write back sink outputs, then release the block.
-        if task.is_sink:
-            writeback_start = system.sim.now
-            yield system.island_to_memory(
-                grant.island_index,
-                grant.slot,
-                task.output_bytes,
-                streams + task.index,
-                tag,
-            )
-            self._trace(writeback_start, "writeback", actor, tag, tag)
-        system.abc.release(grant)
-        self._trace_task(requested_at, actor, position)
-        self.last_ref = tag
-        self._done[position].succeed(task.task_id)
+    def _written(self, _event: Event) -> None:
+        if self.tile._tracer is not None:
+            self.tile._trace(self.start, "writeback", self.actor, self.tag, self.tag)
+        self._release()
 
-    # ---------------------------------------------------- software fallback
-    def _run_task_software(self, position: int, tag: str, task_start: float):
-        """Run one task on a host core (no hardware composition exists).
+    def _release(self) -> None:
+        tile = self.tile
+        tile.system.abc.release(self.grant)
+        if tile._tracer is not None:
+            tile._trace_task(self.requested_at, self.actor, self.position)
+        self._done()
+
+    def _done(self) -> None:
+        tile = self.tile
+        tile.last_ref = self.tag
+        sim = tile.system.sim
+        sim.schedule(sim.now, self._done_hop)
+
+    def _done_hop(self) -> None:
+        """Count the tile down, then start each consumer whose count of
+        unfinished producers reaches zero."""
+        tile = self.tile
+        tile._left -= 1
+        if tile._left == 0:
+            tile._ended.trigger()
+        waiting = tile._waiting
+        for consumer in self.task.successors:
+            waiting[consumer] -= 1
+            if waiting[consumer] == 0:
+                _Task(tile, consumer)
+
+    # ------------------------------------------------------------ software
+    def _fallback(self) -> None:
+        """Run the task on a host core (no hardware composition exists).
 
         The core fetches every operand from shared memory (chained
         producers' outputs were either written back by a software
@@ -279,54 +350,67 @@ class TileScheduler:
         executes the calibrated software implementation, and writes all
         results back so any consumer can read them from DRAM.
         """
-        system = self.system
-        tasks = self.plan.tasks
-        task = tasks[position]
-        streams = self._stream_base
+        tile = self.tile
+        system = tile.system
         stats = system.fault_stats
         stats.fallback_tasks += 1
-        if not self.used_fallback:
-            self.used_fallback = True
+        if not tile.used_fallback:
+            tile.used_fallback = True
             stats.fallback_tiles += 1
-        self._placed[position] = None
+        tile._placed[self.position] = None
+        self.start = system.sim.now
+        system.fallback_cores.request().add_callback(self._core_granted)
 
-        requested_at = system.sim.now
-        yield system.fallback_cores.request()
-        if system.sim.now > requested_at:
-            self._trace(requested_at, "alloc_wait", "core.sw", tag, tag)
+    def _core_granted(self, _event: Event) -> None:
+        tile, task, tag = self.tile, self.task, self.tag
+        system = tile.system
+        if system.sim.now > self.start:
+            tile._trace(self.start, "alloc_wait", "core.sw", tag, tag)
+        # Spill chained data parked in producer SPMs to memory (after
+        # the core grant), then run the job on the core.
+        self.start = system.sim.now
+        tasks, placed = tile.plan.tasks, tile._placed
+        spills = [
+            (placed[producer], tasks[producer].index, nbytes)
+            for producer, nbytes in task.inputs
+            if placed[producer] is not None
+        ]
+        self.pending = len(spills)
+        if not spills:
+            self._execute()
+            return
+        for (src_island, src_slot), index, nbytes in spills:
+            system.island_to_memory(
+                src_island, src_slot, nbytes, tile._stream_base + index, tag
+            ).add_callback(self._spilled)
 
-        # Gather operands: spill chained data parked in producer SPMs to
-        # memory (after the core grant), then run the job on the core.
-        gather_start = system.sim.now
-        spill_events = []
+    def _spilled(self, _event: Event) -> None:
+        self.pending -= 1
+        if self.pending == 0:
+            sim = self.tile.system.sim
+            sim.schedule(sim.now, self._execute)
+
+    def _execute(self) -> None:
+        tile, task = self.tile, self.task
+        system = tile.system
         read_bytes = task.memory_bytes
-        for producer, nbytes in task.inputs:
+        for _producer, nbytes in task.inputs:
             read_bytes += nbytes
-            location = self._placed[producer]
-            if location is not None:
-                src_island, src_slot = location
-                spill_events.append(
-                    system.island_to_memory(
-                        src_island,
-                        src_slot,
-                        nbytes,
-                        streams + tasks[producer].index,
-                        tag,
-                    )
-                )
-        if spill_events:
-            yield AllOf(system.sim, spill_events)
         # Results are published to shared memory for downstream
         # consumers (or as the final output when this task is a sink).
-        yield from system.software_execute(
+        system.software_execute(
             read_bytes,
             system.fallback_model.task_cycles(task.abb_type, task.invocations),
             task.output_bytes,
-            streams + task.index,
-            tag,
-            gather_start,
+            tile._stream_base + task.index,
+            self.tag,
+            self.start,
+            self._software_done,
         )
-        system.fallback_cores.release()
-        self._trace_task(task_start, "core.sw", position)
-        self.last_ref = tag
-        self._done[position].succeed(task.task_id)
+
+    def _software_done(self) -> None:
+        tile = self.tile
+        tile.system.fallback_cores.release()
+        if tile._tracer is not None:
+            tile._trace_task(self.requested_at, "core.sw", self.position)
+        self._done()

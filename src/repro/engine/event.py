@@ -52,8 +52,8 @@ class Event:
             raise SimulationError("event already triggered")
         self._scheduled = True
         self.value = value
-        # Push directly instead of going through Simulator._schedule:
-        # "now" trivially passes _schedule's time validation, and
+        # Push directly instead of going through Simulator.schedule:
+        # "now" trivially passes schedule's time validation, and
         # succeed() runs once per non-timeout event in a simulation.
         sim = self.sim
         heappush(sim._heap, (sim.now, sim._seq, self._fire))
@@ -113,7 +113,7 @@ class Timeout(Event):
             )
         # Timeouts are allocated by the million; initializing the Event
         # slots inline skips the super().__init__ call, and the direct
-        # heap push skips Simulator._schedule — its validation reduces
+        # heap push skips Simulator.schedule — its validation reduces
         # to rejecting overflow to +inf, since delay is already checked
         # and ``now`` is finite.
         self.sim = sim
@@ -130,22 +130,3 @@ class Timeout(Event):
             )
         heappush(sim._heap, (time, sim._seq, self._fire))
         sim._seq += 1
-
-
-class PooledTimeout(Timeout):
-    """A recyclable fixed-delay event for internal hot paths.
-
-    Created via :meth:`Simulator.delay`.  The contract is strict: a
-    pooled timeout must be yielded immediately by exactly one process
-    and never retained past its firing — :class:`~.process.Process`
-    returns it to the simulator's pool the moment the generator has
-    consumed its value.  Public :meth:`Simulator.timeout` events stay
-    unpooled, so callers that hold event references are unaffected.
-    """
-
-    __slots__ = ("_fire_cb",)
-
-    def __init__(self, sim: "Simulator", delay: float, value: object = None) -> None:
-        super().__init__(sim, delay, value)
-        self._fire_cb = self._fire
-

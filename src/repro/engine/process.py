@@ -7,17 +7,15 @@ process itself is an event that fires (with the generator's return value)
 when the body completes, so processes can wait on each other.  A process
 that completes with nothing waiting on it pushes no heap entry.
 
-Resumption is allocation-free on the hot path: the bound resume method is
-created once at spawn and reused as the callback for every yielded event,
-and pooled timeouts (:meth:`Simulator.delay`) are returned to the
-simulator's pool as soon as the generator has consumed their value.
+Resumption is allocation-free: the bound resume method is created once
+at spawn and reused as the callback for every yielded event.
 """
 
 from __future__ import annotations
 
 import typing
 
-from repro.engine.event import Event, PooledTimeout
+from repro.engine.event import Event
 from repro.errors import SimulationError
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -40,25 +38,10 @@ class Process(Event):
         resume = self._resume_cb = self._resume
         # Kick the body off at the current time (not synchronously) so that
         # spawning order does not depend on the caller's position in a step.
-        sim._schedule(sim.now, resume)
+        sim.schedule(sim.now, resume)
 
-    def _resume(
-        self,
-        event: typing.Optional[Event] = None,
-        # Bound at definition time: _resume runs once per yield of every
-        # process, and the default-argument cell turns two global
-        # lookups into local loads.
-        _pooled: type = PooledTimeout,
-        _event_type: type = Event,
-    ) -> None:
-        if event is None:  # the spawn kick
-            send_value: object = None
-        else:
-            send_value = event.value
-            # Pooled timeouts are single-use by contract; recycle the
-            # instance the moment its value has been extracted.
-            if event.__class__ is _pooled:
-                self.sim._timeout_pool.append(event)
+    def _resume(self, event: typing.Optional[Event] = None) -> None:
+        send_value = None if event is None else event.value  # None: the kick
         try:
             target = self._send(send_value)
         except StopIteration as stop:
@@ -70,7 +53,7 @@ class Process(Event):
                 else:
                     self.succeed(stop.value)
             return
-        if not isinstance(target, _event_type):
+        if not isinstance(target, Event):
             self._generator.close()
             raise SimulationError(
                 f"process yielded {target!r} ({type(target).__name__}); "

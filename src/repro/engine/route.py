@@ -160,7 +160,7 @@ class Route:
         if fault is not None:
             wait = fault(self)
             if wait is not None:
-                sim._schedule(sim.now + wait, self._start)
+                sim.schedule(sim.now + wait, self._start)
                 return
         if charge is not None:
             charge(self)
@@ -177,4 +177,4 @@ class Route:
         else:
             self.event.trigger(self.nbytes)
             return
-        sim._schedule(done, self._advance_cb)
+        sim.schedule(done, self._advance_cb)

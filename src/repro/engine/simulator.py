@@ -5,7 +5,7 @@ from __future__ import annotations
 import typing
 from heapq import heappop, heappush
 
-from repro.engine.event import Event, PooledTimeout, Timeout
+from repro.engine.event import Event, Timeout
 from repro.errors import SimulationError
 
 _INF = float("inf")
@@ -20,16 +20,19 @@ class Simulator:
     deterministic.
     """
 
-    __slots__ = ("now", "_heap", "_seq", "_timeout_pool")
+    __slots__ = ("now", "_heap", "_seq")
 
     def __init__(self) -> None:
         self.now: float = 0.0
         self._heap: list[tuple[float, int, typing.Callable[[], None]]] = []
         self._seq = 0
-        # Recycled PooledTimeout instances (see Simulator.delay).
-        self._timeout_pool: list[PooledTimeout] = []
 
-    def _schedule(self, time: float, callback: typing.Callable[[], None]) -> None:
+    def schedule(self, time: float, callback: typing.Callable[[], None]) -> None:
+        """Run ``callback()`` at absolute time ``time``.
+
+        After every entry already queued for that time: entries at
+        equal times run in push order.
+        """
         # The chained comparison rejects past times, NaN (every
         # comparison involving it is false) and +/-inf in one test.
         if not (self.now <= time < _INF):
@@ -49,47 +52,12 @@ class Simulator:
         event = Event(self)
         event.value = value
         event._scheduled = True
-        self._schedule(time, event._fire)
+        self.schedule(time, event._fire)
         return event
 
     def timeout(self, delay: float, value: object = None) -> Timeout:
         """Create an event that fires ``delay`` cycles from now."""
         return Timeout(self, delay, value)
-
-    def delay(self, delay: float, value: object = None) -> PooledTimeout:
-        """A pooled fixed-delay event for internal hot paths.
-
-        Semantically identical to :meth:`timeout`, but the returned
-        event is recycled once a process consumes it, eliminating the
-        per-wait allocation.  Callers must yield it immediately and
-        never retain a reference past its firing; code that holds
-        timeout objects should use :meth:`timeout`.
-        """
-        pool = self._timeout_pool
-        if not pool:
-            return PooledTimeout(self, delay, value)
-        # Re-arm inline (same checks as Timeout.__init__): this is the
-        # single hottest allocation site in a simulation, and the extra
-        # _reinit call was measurable.
-        if not (0.0 <= delay < _INF):
-            raise SimulationError(
-                f"timeout delay must be finite and non-negative, got {delay!r}"
-            )
-        recycled = pool.pop()
-        recycled.delay = delay
-        recycled.value = value
-        recycled._triggered = False
-        recycled._scheduled = True
-        recycled._callback = None
-        time = self.now + delay
-        if time >= _INF:
-            raise SimulationError(
-                f"cannot schedule at {time!r} (now={self.now}): "
-                "times must be finite and not in the past"
-            )
-        heappush(self._heap, (time, self._seq, recycled._fire_cb))
-        self._seq += 1
-        return recycled
 
     def process(self, generator: typing.Generator) -> "Process":
         """Spawn a new process running ``generator``."""
@@ -117,7 +85,7 @@ class Simulator:
                 self.now = time
                 callback()
             return self.now
-        # The same chained comparison as _schedule: past times, NaN and
+        # The same chained comparison as schedule: past times, NaN and
         # +/-inf all fail it.
         if not (self.now <= until < _INF):
             raise SimulationError(

@@ -27,7 +27,6 @@ from repro.abb.library import ABBLibrary
 from repro.abb.types import ABBType
 from repro.engine import (
     BandwidthServer,
-    Event,
     Route,
     Simulator,
     UtilizationTracker,
@@ -201,6 +200,16 @@ class Island:
                 return slot
         return None
 
+    def held_slots(self) -> list[int]:
+        """Slots a grant still owns or that are still computing (a
+        drained run leaves none)."""
+        computing = self._computing
+        return [
+            slot
+            for slot, owner in enumerate(self._owner)
+            if owner is not None or computing[slot]
+        ]
+
     @property
     def failed_slot_count(self) -> int:
         """Number of slots taken out of service by fault injection."""
@@ -361,8 +370,10 @@ class Island:
                 f"transfer size must be finite and non-negative, got {nbytes!r}"
             )
 
-    def compute(self, slot: int, invocations: int) -> Event:
-        """Run ``invocations`` through an allocated slot's ABB pipeline."""
+    def compute(self, slot: int, invocations: int) -> float:
+        """Run ``invocations`` through an allocated slot's ABB pipeline;
+        returns the time it finishes (the caller schedules its wake-up,
+        as with :meth:`repro.mem.MemorySystem.access_fast`)."""
         self._check_slot(slot)
         if self._owner[slot] is None or self._computing[slot]:
             state = "computing" if self._computing[slot] else "unowned"
@@ -374,7 +385,7 @@ class Island:
         cycles = abb_type.compute_cycles(invocations)
         cycles *= 1.0 + self.spm_groups[slot].conflict_penalty()
         self.energy.charge("abb", abb_type.dynamic_energy_nj(invocations))
-        return self.sim.delay(cycles, invocations)
+        return self.sim.now + cycles
 
     # ------------------------------------------------------------ physicals
     def area_breakdown_mm2(self) -> dict[str, float]:

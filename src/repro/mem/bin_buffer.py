@@ -181,7 +181,7 @@ class BufferInNUCA:
             from repro.engine import AllOf
 
             yield AllOf(self.sim, events)
-            yield self.sim.delay(HOP_LATENCY_CYCLES * grant.hops)
+            yield self.sim.timeout(HOP_LATENCY_CYCLES * grant.hops)
             return nbytes
 
         return self.sim.process(proc())

@@ -201,55 +201,71 @@ def run_serve(
         if sim.now <= duration:
             state.window_completions += 1
 
-    def sw_request(state: _TenantState, tile_id: int, arrived: float):
+    def sw_request(state: _TenantState, tile_id: int, arrived: float) -> None:
         # ARC's software path: the whole flow graph runs as one job on a
         # host core.  Chained intermediates stay core-local.
         ref = f"{state.spec.name}.t{tile_id}.sw"
-        yield system.fallback_cores.request()
-        if tracer is not None and sim.now > arrived:
-            tracer.record(arrived, sim.now, "core.sw", "alloc_wait", ref, ref)
-        yield from system.software_execute(
-            state.plan.memory_read_bytes,
-            state.sw_cycles,
-            state.plan.sink_write_bytes,
-            tile_id,
-            ref,
-            sim.now,
-        )
-        system.fallback_cores.release()
-        if tracer is not None:
-            tracer.record(
-                arrived,
-                sim.now,
-                "core.sw",
-                "task",
-                ref,
-                ref,
-                {"deps": [], "tenant": state.spec.name},
-            )
-        state.sw_fallbacks += 1
-        driver.finished += 1
-        complete(state, arrived)
 
-    def tenant_stream(index: int, state: _TenantState, times: list[float]):
-        for request_index, arrival in enumerate(times):
-            yield sim.delay(arrival - sim.now)
-            state.offered += 1
-            tile_id = index * TILE_ID_STRIDE + request_index
-            decision, estimate = frontend.decide(state.plan, state.sw_cycles)
-            wait_estimates.append(estimate)
-            if decision is Decision.SHED:
-                state.shed += 1
-            elif decision is Decision.SOFTWARE:
-                driver.started += 1
-                sim.process(sw_request(state, tile_id, sim.now))
-            else:
-                driver.issue(
-                    state.plan,
-                    tile_id,
-                    partial(complete, state, sim.now),
-                    state.spec.name,
+        def core_granted(_event: object) -> None:
+            if tracer is not None and sim.now > arrived:
+                tracer.record(arrived, sim.now, "core.sw", "alloc_wait", ref, ref)
+            system.software_execute(
+                state.plan.memory_read_bytes,
+                state.sw_cycles,
+                state.plan.sink_write_bytes,
+                tile_id,
+                ref,
+                sim.now,
+                finished,
+            )
+
+        def finished() -> None:
+            system.fallback_cores.release()
+            if tracer is not None:
+                tracer.record(
+                    arrived,
+                    sim.now,
+                    "core.sw",
+                    "task",
+                    ref,
+                    ref,
+                    {"deps": [], "tenant": state.spec.name},
                 )
+            state.sw_fallbacks += 1
+            driver.finished += 1
+            complete(state, arrived)
+
+        system.fallback_cores.request().add_callback(core_granted)
+
+    def arrive(
+        index: int, state: _TenantState, times: list[float], request_index: int
+    ) -> None:
+        # One arrival of a tenant's stream; it schedules the next one
+        # after deciding this one.
+        state.offered += 1
+        tile_id = index * TILE_ID_STRIDE + request_index
+        decision, estimate = frontend.decide(state.plan, state.sw_cycles)
+        wait_estimates.append(estimate)
+        if decision is Decision.SHED:
+            state.shed += 1
+        elif decision is Decision.SOFTWARE:
+            driver.started += 1
+            sw_request(state, tile_id, sim.now)
+        else:
+            driver.issue(
+                state.plan,
+                tile_id,
+                partial(complete, state, sim.now),
+                state.spec.name,
+            )
+        request_index += 1
+        if request_index < len(times):
+            # The wake-up is ``now + gap``, which need not round to the
+            # arrival time itself.
+            sim.schedule(
+                sim.now + (times[request_index] - sim.now),
+                partial(arrive, index, state, times, request_index),
+            )
 
     for index, state in enumerate(tenants):
         times = arrival_times(
@@ -258,7 +274,7 @@ def run_serve(
             stream=f"{serve.seed}:{index}:{state.spec.name}",
         )
         if times:
-            sim.process(tenant_stream(index, state, times))
+            sim.schedule(times[0], partial(arrive, index, state, times, 0))
     shares = driver.run("serving session")
 
     drained = sim.now

@@ -35,7 +35,8 @@ class RequestDriver:
     A hardware request starts a :class:`TileScheduler` the moment it is
     issued; a callback on the tile's done event does its bookkeeping.
     ``started``/``finished`` feed the one deadlock check in :meth:`run`;
-    serve's host-core software requests bump them too.
+    serve's host-core software requests bump them too.  :meth:`run` then
+    checks that the run left nothing held.
     """
 
     def __init__(self, system: SystemModel) -> None:
@@ -89,11 +90,28 @@ class RequestDriver:
                 f"{label}: only {self.finished}/{self.started} requests "
                 f"completed — simulation deadlocked"
             )
+        self._check_released(label)
         if self.system.tracer is None:
             return {}
         from repro.obs.critpath import analyze_critical_path
 
         return analyze_critical_path(self.system.tracer, sim.now).shares()
+
+    def _check_released(self, label: str) -> None:
+        """Every request finished: no ABC request may still be queued,
+        no ABB slot held or computing, no host core in use."""
+        system = self.system
+        leaks = system.abc.stranded()
+        for island in system.islands:
+            leaks.extend(
+                f"island {island.island_id} slot {slot} never released"
+                for slot in island.held_slots()
+            )
+        cores = system.fallback_cores.in_use
+        if cores:
+            leaks.append(f"{cores} host core(s) never released")
+        if leaks:
+            raise SimulationError(f"{label}: run ended with " + "; ".join(leaks))
 
 
 def run_workload(

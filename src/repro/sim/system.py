@@ -166,6 +166,68 @@ class SystemConfig:
         return digest(self)
 
 
+class _SoftwareJob:
+    """One run of :meth:`SystemModel.software_execute`: read, compute,
+    write back, each step a callback scheduled at the previous one's
+    completion time."""
+
+    __slots__ = ("system", "cycles", "write_bytes", "stream", "ref", "start", "then")
+
+    def __init__(
+        self,
+        system: "SystemModel",
+        read_bytes: float,
+        cycles: float,
+        write_bytes: float,
+        stream: int,
+        ref: str,
+        gather_start: float,
+        then: typing.Callable[[], None],
+    ) -> None:
+        self.system = system
+        self.cycles = cycles
+        self.write_bytes = write_bytes
+        self.stream = stream
+        self.ref = ref
+        self.start = gather_start
+        self.then = then
+        if read_bytes > 0:
+            done = system.memory.access_fast(read_bytes, stream, ref)
+            system.sim.schedule(done, self._compute)
+        else:
+            self._compute()
+
+    def _span(self, kind: str) -> None:
+        tracer = self.system.tracer
+        if tracer is not None:
+            now = self.system.sim.now
+            tracer.span(self.start, now, "core.sw", kind, self.ref, self.ref)
+
+    def _compute(self) -> None:
+        sim = self.system.sim
+        if sim.now > self.start:
+            self._span("gather")
+        self.start = sim.now
+        sim.schedule(sim.now + self.cycles, self._computed)
+
+    def _computed(self) -> None:
+        system = self.system
+        system.energy.charge(
+            "sw_fallback", system.fallback_model.energy_nj(self.cycles)
+        )
+        self._span("sw_compute")
+        if self.write_bytes > 0:
+            self.start = system.sim.now
+            done = system.memory.access_fast(self.write_bytes, self.stream, self.ref)
+            system.sim.schedule(done, self._written)
+        else:
+            self.then()
+
+    def _written(self) -> None:
+        self._span("writeback")
+        self.then()
+
+
 class SystemModel:
     """A fully wired accelerator-rich system ready to execute tiles."""
 
@@ -302,29 +364,18 @@ class SystemModel:
         stream: int,
         ref: str,
         gather_start: float,
-    ):
-        """The one host-core software path (a generator to ``yield from``).
+        then: typing.Callable[[], None],
+    ) -> None:
+        """The one host-core software path; ``then()`` runs when it ends.
 
         Reads operands from shared memory, computes for ``cycles``,
         charges the energy and writes results back.  The caller holds a
         :attr:`fallback_cores` grant; its gathering began at
         ``gather_start``.
         """
-        sim, tracer = self.sim, self.tracer
-        if read_bytes > 0:
-            yield self.memory.access(read_bytes, stream, ref)
-        if tracer is not None and sim.now > gather_start:
-            tracer.span(gather_start, sim.now, "core.sw", "gather", ref, ref)
-        start = sim.now
-        yield sim.delay(cycles)
-        self.energy.charge("sw_fallback", self.fallback_model.energy_nj(cycles))
-        if tracer is not None:
-            tracer.span(start, sim.now, "core.sw", "sw_compute", ref, ref)
-        if write_bytes > 0:
-            start = sim.now
-            yield self.memory.access(write_bytes, stream, ref)
-            if tracer is not None:
-                tracer.span(start, sim.now, "core.sw", "writeback", ref, ref)
+        _SoftwareJob(
+            self, read_bytes, cycles, write_bytes, stream, ref, gather_start, then
+        )
 
     # ------------------------------------------------------------ data path
     def _mc_node(self, stream_id: int):

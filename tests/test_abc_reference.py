@@ -12,6 +12,10 @@ sharing on and off and under both policies; after every step both
 allocators must have made the same grants in the same order and report
 the same free counts, queue length and wait estimates, and the ABC's
 per-type operational count must equal a scan of the non-failed slots.
+Both answer through the request's callback, the reference by the
+contract the ABC states: a block free now inline, inside the request
+call; a queued grant and a software-fallback answer from one heap
+entry.  The log records which requests were answered inline.
 """
 
 import collections
@@ -22,7 +26,7 @@ from repro.abb import standard_library
 from repro.core import AcceleratorBlockComposer, first_fit
 from repro.core.allocation import locality_then_load_balance
 from repro.core.composer import SOFTWARE_FALLBACK, Grant
-from repro.engine import Event, Simulator
+from repro.engine import Simulator
 from repro.engine.stats import Histogram
 from repro.errors import AllocationError
 from repro.island import Island, IslandConfig
@@ -88,22 +92,25 @@ class ReferenceABC:
                 return grant
         return None
 
-    def request(self, type_name, preferred=None):
+    def _answer(self, then, value):
+        """Answer a request from one heap entry at now."""
+        self.sim.schedule(self.sim.now, lambda: then(value))
+
+    def request(self, type_name, preferred, then):
         if not any(i.slots_of_type(type_name) for i in self.islands):
             raise AllocationError(type_name)
-        event = Event(self.sim)
         if not self._type_operational(type_name):
             self.fallback_grants += 1
-            return event.succeed(SOFTWARE_FALLBACK)
+            self._answer(then, SOFTWARE_FALLBACK)
+            return
         grant = self._try_allocate(type_name, preferred)
         if grant is not None:
             self.total_grants += 1
             self.wait_cycles.record(0.0)
-            event.succeed(grant)
+            then(grant)
         else:
             self.total_queued += 1
-            self._waiters.append((event, type_name, preferred, self.sim.now))
-        return event
+            self._waiters.append((then, type_name, preferred, self.sim.now))
 
     def release(self, grant):
         self.service_cycles.record(self.sim.now - grant.granted_at)
@@ -124,13 +131,13 @@ class ReferenceABC:
             remaining = collections.deque()
             while self._waiters:
                 waiter = self._waiters.popleft()
-                event, type_name, preferred, requested_at = waiter
+                then, type_name, preferred, requested_at = waiter
                 if type_name not in operational:
                     operational[type_name] = self._type_operational(type_name)
                 if not operational[type_name]:
                     progress = True
                     self.fallback_grants += 1
-                    event.succeed(SOFTWARE_FALLBACK)
+                    self._answer(then, SOFTWARE_FALLBACK)
                     continue
                 if type_name not in free_count:
                     free_count[type_name] = self.free_count(type_name)
@@ -146,7 +153,7 @@ class ReferenceABC:
                     progress = True
                     self.total_grants += 1
                     self.wait_cycles.record(self.sim.now - requested_at)
-                    event.succeed(grant)
+                    self._answer(then, grant)
             self._waiters = remaining
 
     def queue_length(self):
@@ -188,7 +195,7 @@ class Platform:
         cls = ReferenceABC if reference else AcceleratorBlockComposer
         self.abc = cls(self.sim, self.islands, policy)
         self.held = []  # grants not yet released, in grant order
-        self.log = []  # (request id, grant or fallback), in firing order
+        self.log = []  # answers and inline markers, in firing order
         self.requests = 0
 
     def step(self, op):
@@ -198,9 +205,9 @@ class Platform:
                 return
             rid = self.requests
             self.requests += 1
-            self.abc.request(a, b).add_callback(
-                lambda event, rid=rid: self._granted(rid, event.value)
-            )
+            before = len(self.log)
+            self.abc.request(a, b, lambda value: self._granted(rid, value))
+            self.log.append(("answered inline", rid, len(self.log) > before))
         elif kind == "release" and self.held:
             grant = self.held.pop(a % len(self.held))
             self.islands[grant.island_index].compute(grant.slot, 1)

@@ -6,7 +6,7 @@ from repro.abb import standard_library
 from repro.core import AcceleratorBlockComposer, first_fit
 from repro.core.allocation import locality_then_load_balance
 from repro.core.composer import SOFTWARE_FALLBACK
-from repro.engine import Simulator
+from repro.engine import Event, Simulator
 from repro.errors import AllocationError, ConfigError
 from repro.island import Island, IslandConfig
 
@@ -26,11 +26,18 @@ def make_abc(n_islands=2, mix=None, policy=locality_then_load_balance):
     return sim, islands, AcceleratorBlockComposer(sim, islands, policy)
 
 
+def granted(sim, abc, type_name):
+    """The answer to a request, as an event a process can yield."""
+    event = Event(sim)
+    abc.request(type_name, None, event.trigger)
+    return event
+
+
 class TestRequestRelease:
     def test_immediate_grant_when_free(self):
         sim, islands, abc = make_abc()
         grants = []
-        abc.request("poly").add_callback(lambda e: grants.append(e.value))
+        abc.request("poly", None, grants.append)
         sim.run()
         assert len(grants) == 1
         grant = grants[0]
@@ -40,7 +47,7 @@ class TestRequestRelease:
     def test_release_returns_slot(self):
         sim, islands, abc = make_abc()
         grants = []
-        abc.request("poly").add_callback(lambda e: grants.append(e.value))
+        abc.request("poly", None, grants.append)
         sim.run()
         grant = grants[0]
         islands[grant.island_index].compute(grant.slot, 1)
@@ -52,7 +59,7 @@ class TestRequestRelease:
         order = []
 
         def user(tag, hold):
-            grant = yield abc.request("div")
+            grant = yield granted(sim, abc, "div")
             order.append((tag, sim.now))
             islands[grant.island_index].compute(grant.slot, 1)
             yield sim.timeout(hold)
@@ -67,12 +74,12 @@ class TestRequestRelease:
     def test_unknown_type_raises_immediately(self):
         _, _, abc = make_abc()
         with pytest.raises(AllocationError):
-            abc.request("fft")
+            abc.request("fft", None, lambda _answer: None)
 
     def test_missing_type_on_platform_raises(self):
         _, _, abc = make_abc(mix={"poly": 2})
         with pytest.raises(AllocationError):
-            abc.request("sum")
+            abc.request("sum", None, lambda _answer: None)
 
     def test_empty_islands_rejected(self):
         with pytest.raises(ConfigError):
@@ -84,7 +91,7 @@ class TestPolicies:
         sim, islands, abc = make_abc(n_islands=2, mix={"poly": 4})
         grants = []
         for _ in range(4):
-            abc.request("poly").add_callback(lambda e: grants.append(e.value))
+            abc.request("poly", None, grants.append)
         sim.run()
         used = {g.island_index for g in grants}
         assert used == {0, 1}
@@ -93,16 +100,14 @@ class TestPolicies:
         sim, islands, abc = make_abc(n_islands=2, mix={"poly": 4}, policy=first_fit)
         grants = []
         for _ in range(4):
-            abc.request("poly").add_callback(lambda e: grants.append(e.value))
+            abc.request("poly", None, grants.append)
         sim.run()
         assert all(g.island_index == 0 for g in grants)
 
     def test_locality_preference_honoured(self):
         sim, islands, abc = make_abc(n_islands=3, mix={"poly": 4})
         grants = []
-        abc.request("poly", preferred_island=2).add_callback(
-            lambda e: grants.append(e.value)
-        )
+        abc.request("poly", 2, grants.append)
         sim.run()
         assert grants[0].island_index == 2
 
@@ -120,7 +125,7 @@ class TestWaiterDrain:
         order = []
 
         def user(tag):
-            grant = yield abc.request("poly")
+            grant = yield granted(sim, abc, "poly")
             order.append(tag)
             islands[grant.island_index].compute(grant.slot, 1)
             yield sim.timeout(5)
@@ -136,7 +141,7 @@ class TestWaiterDrain:
         got = []
 
         def poly_user():
-            grant = yield abc.request("poly")
+            grant = yield granted(sim, abc, "poly")
             islands[grant.island_index].compute(grant.slot, 1)
             yield sim.timeout(50)
             abc.release(grant)
@@ -144,7 +149,7 @@ class TestWaiterDrain:
 
         def div_user():
             yield sim.timeout(1)
-            grant = yield abc.request("div")
+            grant = yield granted(sim, abc, "div")
             got.append(("div", sim.now))
             islands[grant.island_index].compute(grant.slot, 1)
             abc.release(grant)
@@ -159,7 +164,7 @@ class TestWaiterDrain:
         sim, islands, abc = make_abc(n_islands=2, mix={"poly": 2})
         assert abc.free_count("poly") == 4
         grants = []
-        abc.request("poly").add_callback(lambda e: grants.append(e.value))
+        abc.request("poly", None, grants.append)
         sim.run()
         assert abc.free_count("poly") == 3
 
@@ -174,7 +179,7 @@ class TestWaiterDrain:
         for depth in range(5):
             sim, _, abc = make_abc(n_islands=1, mix={"poly": 2})
             for _ in range(2 + depth):
-                abc.request("poly")
+                abc.request("poly", None, lambda _answer: None)
             sim.run()
             estimates.append(abc.estimate_wait("poly", service_hint=50.0))
         assert estimates == sorted(estimates)
@@ -191,7 +196,7 @@ class TestWaiterDrain:
         sim, islands, abc = make_abc(n_islands=2, mix={"poly": 1, "div": 1})
         values = []
         for _ in range(3):
-            abc.request("poly").add_callback(lambda e: values.append(e.value))
+            abc.request("poly", None, values.append)
         sim.run()
         assert len(values) == 2 and abc.queue_length() == 1
         abc.fail_slot(0, islands[0].slots_of_type("poly")[0])
@@ -200,7 +205,7 @@ class TestWaiterDrain:
         sim.run()
         assert values[2] == SOFTWARE_FALLBACK
         assert abc.queue_length() == 0
-        abc.request("poly").add_callback(lambda e: values.append(e.value))
+        abc.request("poly", None, values.append)
         sim.run()
         assert values[3] == SOFTWARE_FALLBACK
         assert abc.fallback_grants == 2
@@ -215,7 +220,7 @@ class TestWaiterDrain:
         sim, islands, abc = make_abc(n_islands=1, mix={"poly": 1})
 
         def user(hold):
-            grant = yield abc.request("poly")
+            grant = yield granted(sim, abc, "poly")
             islands[grant.island_index].compute(grant.slot, 1)
             yield sim.timeout(hold)
             abc.release(grant)

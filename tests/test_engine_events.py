@@ -142,7 +142,7 @@ def test_schedule_in_past_rejected():
     sim.timeout(5.0)
     sim.run()
     with pytest.raises(SimulationError):
-        sim._schedule(1.0, lambda: None)
+        sim.schedule(1.0, lambda: None)
 
 
 def test_event_triggered_flag():

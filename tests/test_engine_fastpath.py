@@ -3,14 +3,12 @@
 Covers the closed-form bandwidth-server reservation (against the
 event-returning transfer built on it), AllOf edge cases around triggered
 and duplicated children, non-finite time rejection in every scheduling
-entry point, the pooled-timeout recycle path, and the lazy span
-materialization of the tracer.
+entry point, and the lazy span materialization of the tracer.
 """
 
 import pytest
 
 from repro.engine import AllOf, BandwidthServer, Event, Simulator
-from repro.engine.event import PooledTimeout
 from repro.engine.trace import TraceRecord, Tracer
 from repro.errors import ConfigError, SimulationError
 
@@ -36,7 +34,7 @@ class TestTransferAnalytic:
                     if use_reserve:
                         done = server.reserve(nbytes)
                         log.append(done)
-                        yield sim.delay(done - sim.now)
+                        yield sim.timeout(done - sim.now)
                     else:
                         yield server.transfer(nbytes)
                         log.append(sim.now)
@@ -125,7 +123,7 @@ class TestNonFiniteRejection:
     def test_schedule_rejects_non_finite(self, bad):
         sim = Simulator()
         with pytest.raises(SimulationError, match="finite"):
-            sim._schedule(bad, lambda: None)
+            sim.schedule(bad, lambda: None)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
     def test_timeout_rejects_bad_delay(self, bad):
@@ -133,64 +131,12 @@ class TestNonFiniteRejection:
         with pytest.raises(SimulationError, match="finite and non-negative"):
             sim.timeout(bad)
 
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
-    def test_pooled_delay_rejects_bad_delay_fresh_and_recycled(self, bad):
-        sim = Simulator()
-        # Fresh path (empty pool) goes through PooledTimeout.__init__.
-        with pytest.raises(SimulationError, match="finite and non-negative"):
-            sim.delay(bad)
-
-        # Prime the pool: a consumed delay is recycled by Process._resume.
-        def body():
-            yield sim.delay(1.0)
-
-        sim.process(body())
-        sim.run()
-        assert sim._timeout_pool  # the recycle happened
-        # Recycled path re-arms inline and must apply the same checks.
-        with pytest.raises(SimulationError, match="finite and non-negative"):
-            sim.delay(bad)
-
     def test_timeout_overflow_to_inf_rejected(self):
         big = 1e308
         sim = Simulator()
         sim.now = big
         with pytest.raises(SimulationError, match="cannot schedule"):
             sim.timeout(big)  # now + delay overflows to +inf
-
-
-class TestPooledTimeoutRecycling:
-    def test_consumed_delay_instance_is_reused(self):
-        sim = Simulator()
-        seen = []
-
-        def body():
-            first = sim.delay(1.0)
-            seen.append(first)
-            yield first
-            second = sim.delay(1.0)
-            seen.append(second)
-            yield second
-
-        sim.process(body())
-        sim.run()
-        assert isinstance(seen[0], PooledTimeout)
-        assert seen[0] is seen[1]  # same object, re-armed from the pool
-
-    def test_public_timeout_never_pooled(self):
-        sim = Simulator()
-
-        def body():
-            held = sim.timeout(1.0, value="keep")
-            yield held
-            seen_value = held.value  # still readable after firing
-            assert seen_value == "keep"
-            yield sim.timeout(1.0)
-            assert held.value == "keep"  # not recycled out from under us
-
-        sim.process(body())
-        sim.run()
-        assert not sim._timeout_pool
 
 
 class TestLazyTracerMaterialization:

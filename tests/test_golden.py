@@ -22,18 +22,18 @@ from repro.workloads import get_workload, synthetic_workload
 
 #: ``(total_cycles, energy_nj, heap_entries, processes)``.
 GOLDEN = {
-    ("Denoise", "xbar"): (27292.04666666668, 1193246.7626134404, 404, 28),
-    ("Denoise", "ring"): (26880.30130081302, 1177464.430365832, 452, 28),
-    ("EKF-SLAM", "xbar"): (6599.813333333335, 286974.78352377407, 476, 44),
-    ("EKF-SLAM", "ring"): (4461.926991869917, 195194.66702147876, 399, 44),
+    ("Denoise", "xbar"): (27292.04666666668, 1193246.7626134404, 344, 0),
+    ("Denoise", "ring"): (26880.30130081302, 1177464.430365832, 392, 0),
+    ("EKF-SLAM", "xbar"): (6599.813333333335, 286974.78352377407, 384, 0),
+    ("EKF-SLAM", "ring"): (4461.926991869917, 195194.66702147876, 307, 0),
 }
 
 #: The same points under DMA stall and drop/retry faults.
 FAULTED_GOLDEN = {
-    ("Denoise", "xbar"): (30149.22000000001, 1316404.2154332104, 412, 28),
-    ("Denoise", "ring"): (30138.22000000001, 1317883.734559194, 460, 28),
-    ("EKF-SLAM", "xbar"): (7206.406666666668, 313121.7760632958, 477, 44),
-    ("EKF-SLAM", "ring"): (5775.260325203251, 251800.54637833213, 400, 44),
+    ("Denoise", "xbar"): (30149.22000000001, 1316404.2154332104, 352, 0),
+    ("Denoise", "ring"): (30138.22000000001, 1317883.734559194, 400, 0),
+    ("EKF-SLAM", "xbar"): (7206.406666666668, 313121.7760632958, 385, 0),
+    ("EKF-SLAM", "ring"): (5775.260325203251, 251800.54637833213, 308, 0),
 }
 DMA_FAULTS = "dma:0.15,dmadrop:0.05"
 
@@ -46,10 +46,10 @@ NETWORKS = {
 #: ARC's monolithic units under GAM arbitration, default 2 units, with
 #: lightweight and OS-path completion interrupts.
 ARC_GOLDEN = {
-    ("Denoise", True): (48140.58181818182, 7813291.374545455, 32, 4),
-    ("Denoise", False): (52100.58181818182, 8454811.374545453, 32, 4),
-    ("EKF-SLAM", True): (5439.418181818181, 882556.6254545454, 32, 4),
-    ("EKF-SLAM", False): (9399.418181818182, 1524076.6254545455, 32, 4),
+    ("Denoise", True): (48140.58181818182, 7813291.374545455, 28, 0),
+    ("Denoise", False): (52100.58181818182, 8454811.374545453, 28, 0),
+    ("EKF-SLAM", True): (5439.418181818181, 882556.6254545454, 28, 0),
+    ("EKF-SLAM", False): (9399.418181818182, 1524076.6254545455, 28, 0),
 }
 
 
@@ -142,7 +142,7 @@ def test_consolidated_golden_run(work_counts):
     assert result.workload == "Denoise + EKF-SLAM"
     assert result.total_cycles == pytest.approx(31034.80000000003, rel=1e-12)
     assert result.energy_nj == pytest.approx(1357068.9785109651, rel=1e-12)
-    assert work_counts.take() == (880, 72)
+    assert work_counts.take() == (728, 0)
 
 
 def test_consolidated_faulted_golden_run(work_counts):
@@ -166,4 +166,4 @@ def test_consolidated_faulted_golden_run(work_counts):
     assert result.fallback_tasks == 6  # the host-core path actually ran
     assert result.total_cycles == pytest.approx(13218.993333333334, rel=1e-12)
     assert result.energy_nj == pytest.approx(594468.3403892533, rel=1e-12)
-    assert work_counts.take() == (480, 42)
+    assert work_counts.take() == (406, 0)

@@ -223,8 +223,7 @@ class TestSlotChecks:
         sim, island, _ = make_island()
         island.allocate(1, "t")
         done = island.compute(1, 30)
-        sim.run()
-        assert done.triggered
+        sim.run(until=done)
         assert not island.slot_usable(1)
         assert island.busy_fraction() == pytest.approx(1 / 5)
         island.release(1, "t")
@@ -261,17 +260,17 @@ class TestDataPath:
     def test_compute_uses_pipeline_model(self):
         sim, island, _ = make_island(spm_porting=SpmPorting.DOUBLE)
         island.allocate(0, "t")
-        t = self.run_event(sim, island.compute(0, invocations=100))
+        t = island.compute(0, invocations=100)
         poly = island.abbs[0]
         assert t == pytest.approx(poly.compute_cycles(100))
 
     def test_exact_porting_adds_conflict_penalty(self):
         simA, islandA, _ = make_island(spm_porting=SpmPorting.EXACT)
         islandA.allocate(0, "t")
-        tA = self.run_event(simA, islandA.compute(0, 100))
+        tA = islandA.compute(0, 100)
         simB, islandB, _ = make_island(spm_porting=SpmPorting.DOUBLE)
         islandB.allocate(0, "t")
-        tB = self.run_event(simB, islandB.compute(0, 100))
+        tB = islandB.compute(0, 100)
         assert tA == pytest.approx(tB * 1.02)
 
     def test_noc_interface_is_shared_bottleneck(self):
@@ -318,7 +317,7 @@ class TestPhysicals:
     def test_utilization_tracking(self):
         sim, island, _ = make_island()
         island.allocate(0, "t")
-        sim._schedule(100.0, lambda: None)
+        sim.schedule(100.0, lambda: None)
         sim.run()
         assert island.average_abb_utilization(100.0) == pytest.approx(1 / 5)
         assert island.peak_abb_utilization() == pytest.approx(1 / 5)

@@ -9,6 +9,8 @@
   starts, so the window handoff is a recorded ``deps`` edge.
 * A request that never finishes is reported as a deadlock, closed and
   open loop alike.
+* A run whose requests all finished but that left a slot held, a host
+  core in use or a request queued is reported, naming what was left.
 """
 
 import dataclasses
@@ -18,12 +20,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.abb import TilePlan
+from repro.core.composer import AcceleratorBlockComposer
 from repro.core.scheduler import TileScheduler
-from repro.engine import Event, Resource
+from repro.engine import Resource
 from repro.engine.trace import Tracer
 from repro.errors import SimulationError
 from repro.faults import parse_fault_spec
-from repro.island.island import Island
 from repro.obs import analyze_critical_path
 from repro.serve import (
     AdmissionConfig,
@@ -39,7 +41,7 @@ from repro.sim import (
     run_consolidated,
     run_workload,
 )
-from repro.sim.run import TILE_ID_STRIDE
+from repro.sim.run import TILE_ID_STRIDE, RequestDriver
 from repro.workloads import synthetic_workload
 
 FAULT_SPECS = ("", "abb:0.25", "dma:0.15,dmadrop:0.05", "abb:0.25,dma:0.1,noc:0.2")
@@ -184,18 +186,18 @@ def test_walk_follows_the_tile_that_released_the_slot():
     assert tiles[-2:] == [8, 10]
 
 
-def stall_first_compute(monkeypatch):
-    """Make the first ABB compute return an event that never fires."""
-    compute = Island.compute
+def stall_first_request(monkeypatch):
+    """Make the ABC never answer the first request it gets."""
+    request = AcceleratorBlockComposer.request
     stalled = []
 
-    def stall_once(island, slot, invocations):
+    def stall_once(abc, type_name, preferred_island=None, then=None):
         if not stalled:
-            stalled.append(slot)
-            return Event(island.sim)
-        return compute(island, slot, invocations)
+            stalled.append(type_name)
+            return None
+        return request(abc, type_name, preferred_island, then)
 
-    monkeypatch.setattr(Island, "compute", stall_once)
+    monkeypatch.setattr(AcceleratorBlockComposer, "request", stall_once)
 
 
 def run_closed_loop():
@@ -222,6 +224,55 @@ def run_open_loop():
     "run", [run_closed_loop, run_open_loop], ids=["closed", "open"]
 )
 def test_unfinished_request_is_a_deadlock(run, monkeypatch):
-    stall_first_compute(monkeypatch)
+    stall_first_request(monkeypatch)
     with pytest.raises(SimulationError, match="simulation deadlocked"):
         run()
+
+
+def skip_first(monkeypatch, owner, method):
+    """Make the first call of ``owner.method`` do nothing."""
+    original = getattr(owner, method)
+    skipped = []
+
+    def skip_once(self, *args):
+        if not skipped:
+            skipped.append(args)
+            return None
+        return original(self, *args)
+
+    monkeypatch.setattr(owner, method, skip_once)
+
+
+@pytest.mark.parametrize(
+    "run", [run_closed_loop, run_open_loop], ids=["closed", "open"]
+)
+def test_skipped_release_is_reported(run, monkeypatch):
+    # Every tile still finishes: the held slot's type has another slot.
+    skip_first(monkeypatch, AcceleratorBlockComposer, "release")
+    with pytest.raises(SimulationError, match=r"island 0 slot \d+ never released"):
+        run()
+
+
+def test_skipped_core_release_is_reported(monkeypatch):
+    skip_first(monkeypatch, Resource, "release")
+    with pytest.raises(SimulationError, match=r"1 host core\(s\) never released"):
+        run_workload(
+            SystemConfig(
+                n_islands=1,
+                faults=parse_fault_spec("abb:1.0,abb_failure_window=1"),
+                fault_seed=1,
+            ),
+            synthetic_workload(depth=2, width=1, invocations=16, tiles=3),
+        )
+
+
+def test_stranded_request_is_reported():
+    system = SystemModel(SystemConfig(n_islands=1, abb_mix={"poly": 1, "sum": 1}))
+    slot = system.islands[0].first_usable("poly")
+    system.islands[0].allocate(slot, "holder")
+    system.abc.request("poly", None, lambda _answer: None)
+    with pytest.raises(SimulationError) as raised:
+        RequestDriver(system).run("held")
+    message = str(raised.value)
+    assert "poly request queued at cycle 0" in message
+    assert f"island 0 slot {slot} never released" in message

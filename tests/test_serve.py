@@ -141,9 +141,9 @@ class TestAdmission:
         )
         plan = TilePlan(RPC.build_graph(system.library), system.library)
         for _ in range(TINY_MIX["poly"]):
-            system.abc.request("poly")
+            system.abc.request("poly", None, lambda _answer: None)
         for _ in range(4):  # queue depth behind the busy slots
-            system.abc.request("poly")
+            system.abc.request("poly", None, lambda _answer: None)
         system.sim.run()
         assert system.abc.free_count("poly") == 0
         return AdmissionFrontend(system, admission), plan
