@@ -6,9 +6,18 @@ run once (``rounds=1``) — the interesting output is the regenerated
 figure data, printed next to the paper's published values.
 """
 
+import pytest
+
 #: Tiles per simulated run in the benchmark harness: enough to reach
 #: steady state, small enough that a full figure regenerates in seconds.
 BENCH_TILES = 16
+
+
+@pytest.fixture(scope="session")
+def run_memo():
+    """One result memo for the Fig. 6-10 checks: Figs. 6-10 share most
+    of their design points, so each point is simulated once a session."""
+    return {}
 
 
 def run_once(benchmark, fn, *args, **kwargs):

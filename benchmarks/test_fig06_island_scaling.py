@@ -13,8 +13,8 @@ from conftest import BENCH_TILES, run_once
 from repro.dse import fig6_series
 
 
-def test_fig06_island_scaling(benchmark):
-    series = run_once(benchmark, fig6_series, tiles=BENCH_TILES)
+def test_fig06_island_scaling(benchmark, run_memo):
+    series = run_once(benchmark, fig6_series, tiles=BENCH_TILES, memo=run_memo)
     print("\n=== Figure 6: performance vs island count (3/6/12/24) ===")
     print("    (normalized to each benchmark's 3-island crossbar baseline)")
     for label, values in sorted(series.items()):

@@ -16,8 +16,8 @@ from repro.sim.metrics import arithmetic_mean
 HEAVY_CHAINING = ["Segmentation", "Robot Localization", "EKF-SLAM"]
 
 
-def test_fig07_ring_topologies(benchmark):
-    table = run_once(benchmark, fig7_table, tiles=BENCH_TILES)
+def test_fig07_ring_topologies(benchmark, run_memo):
+    table = run_once(benchmark, fig7_table, tiles=BENCH_TILES, memo=run_memo)
     print("\n=== Figure 7: ring networks normalized to proxy crossbar ===")
     for n_islands, rows in table.items():
         print(f"    -- {n_islands} islands --")

@@ -16,15 +16,15 @@ from repro.sim.metrics import arithmetic_mean
 HEAVY_CHAINING = ["Segmentation", "Robot Localization", "EKF-SLAM"]
 
 
-def generate():
+def generate(memo):
     return (
-        fig8_table(tiles=BENCH_TILES),
-        fig7_table(tiles=BENCH_TILES),
+        fig8_table(tiles=BENCH_TILES, memo=memo),
+        fig7_table(tiles=BENCH_TILES, memo=memo),
     )
 
 
-def test_fig08_perf_per_energy(benchmark):
-    energy_table, perf_table = run_once(benchmark, generate)
+def test_fig08_perf_per_energy(benchmark, run_memo):
+    energy_table, perf_table = run_once(benchmark, generate, run_memo)
     print("\n=== Figure 8: performance per unit energy (normalized) ===")
     for n_islands, rows in energy_table.items():
         print(f"    -- {n_islands} islands --")

@@ -14,8 +14,8 @@ from repro.dse import fig9_table
 from repro.dse.report import RING_LABELS
 
 
-def test_fig09_perf_per_area(benchmark):
-    table = run_once(benchmark, fig9_table, tiles=BENCH_TILES)
+def test_fig09_perf_per_area(benchmark, run_memo):
+    table = run_once(benchmark, fig9_table, tiles=BENCH_TILES, memo=run_memo)
     print("\n=== Figure 9: performance per unit area (normalized) ===")
     for n_islands, rows in table.items():
         print(f"    -- {n_islands} islands --")

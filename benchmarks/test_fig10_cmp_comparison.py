@@ -27,8 +27,8 @@ PAPER_SPEEDUP = {name: row.speedup for name, row in claims.FIG10.items()}
 PAPER_ENERGY_GAIN = {name: row.energy_gain for name, row in claims.FIG10.items()}
 
 
-def test_fig10_cmp_comparison(benchmark):
-    table = run_once(benchmark, fig10_table, tiles=BENCH_TILES)
+def test_fig10_cmp_comparison(benchmark, run_memo):
+    table = run_once(benchmark, fig10_table, tiles=BENCH_TILES, memo=run_memo)
     print("\n=== Figure 10: best design vs 12-core Xeon E5-2420 ===")
     print(f"    {'benchmark':<20} {'speedup':>16} {'energy gain':>20}")
     for name, paper_s in PAPER_SPEEDUP.items():

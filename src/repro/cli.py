@@ -80,9 +80,9 @@ def cmd_ops(_args) -> None:
     _print(f"AES efficiency gap: {aes_efficiency_gap():,.0f}X")
 
 
-def cmd_fig6(args) -> None:
+def cmd_fig6(args, memo=None) -> None:
     """Print the Figure 6 island-scaling series."""
-    series = fig6_series(tiles=args.tiles)
+    series = fig6_series(tiles=args.tiles, memo=memo)
     _print(
         line_series(
             series,
@@ -103,33 +103,33 @@ def _print_ring_table(table, title: str) -> None:
             )
 
 
-def cmd_fig7(args) -> None:
+def cmd_fig7(args, memo=None) -> None:
     """Print the Figure 7 ring-vs-crossbar table."""
     _print_ring_table(
-        fig7_table(tiles=args.tiles),
+        fig7_table(tiles=args.tiles, memo=memo),
         "Figure 7: ring performance normalized to proxy crossbar",
     )
 
 
-def cmd_fig8(args) -> None:
+def cmd_fig8(args, memo=None) -> None:
     """Print the Figure 8 performance-per-energy table."""
     _print_ring_table(
-        fig8_table(tiles=args.tiles),
+        fig8_table(tiles=args.tiles, memo=memo),
         "Figure 8: performance per unit energy (normalized)",
     )
 
 
-def cmd_fig9(args) -> None:
+def cmd_fig9(args, memo=None) -> None:
     """Print the Figure 9 performance-per-area table."""
     _print_ring_table(
-        fig9_table(tiles=args.tiles),
+        fig9_table(tiles=args.tiles, memo=memo),
         "Figure 9: performance per unit area (normalized)",
     )
 
 
-def cmd_fig10(args) -> None:
+def cmd_fig10(args, memo=None) -> None:
     """Print the Figure 10 CMP comparison as bar charts."""
-    table = fig10_table(tiles=args.tiles)
+    table = fig10_table(tiles=args.tiles, memo=memo)
     speedups = {name: row["speedup"] for name, row in table.items()}
     _print(
         hbar_chart(
@@ -476,8 +476,10 @@ def cmd_report(args) -> None:
     for fn in (cmd_fig2, cmd_fig3, cmd_ops):
         fn(args)
         _print("")
+    # One memo across the figures: each design point is simulated once.
+    memo: dict = {}
     for fn in (cmd_fig6, cmd_fig7, cmd_fig8, cmd_fig9, cmd_fig10):
-        fn(args)
+        fn(args, memo)
         _print("")
 
 
@@ -672,6 +674,8 @@ def main(argv: typing.Optional[typing.Sequence[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "tiles", 1) < 1:
+        parser.error(f"tiles must be >= 1, got {args.tiles}")
     try:
         args.handler(args)
     except ReproError as err:

@@ -1,9 +1,10 @@
 """Design-space exploration harness.
 
-Defines the paper's design space (Section 3.2), sweeps it with the
-simulator — serially or across a process pool, backed by a persistent
-content-addressed result cache — and formats results as the series
-behind Figures 6-10.
+Defines the paper's design space (Section 3.2) and resolves its points
+through one resolver, :func:`run_points` — memo, then a persistent
+content-addressed result cache, then the simulator, serially or across
+a process pool.  The :class:`Explorer` sweeps and the Figure 6-10
+generators are projections of the results it returns.
 """
 
 from repro.dse.space import DesignSpace, design_points
@@ -13,9 +14,9 @@ from repro.dse.cache import (
     point_fingerprint,
     serve_point_fingerprint,
 )
-from repro.dse.parallel import run_points
 from repro.dse.explorer import Explorer, SweepRow
 from repro.dse.report import (
+    run_points,
     fig6_series,
     fig7_table,
     fig8_table,

@@ -1,11 +1,12 @@
 """Sweep runner with result caching and Pareto filtering.
 
 The :class:`Explorer` resolves every (design point, workload) pair
-through three layers: an in-memory memo for the current session, an
+with :func:`~repro.dse.report.run_points`, the one point resolver of
+:mod:`repro.dse`: first the explorer's in-memory session memo, then an
 optional persistent :class:`~repro.dse.cache.ResultCache` shared across
 runs, and finally the simulator itself — serially or fanned out over a
 process pool (``jobs > 1``) with deterministic, serial-identical row
-order (see :mod:`repro.dse.parallel`).
+order.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import typing
 from dataclasses import dataclass
 
 from repro.dse.cache import ResultCache
-from repro.dse.parallel import run_points
+from repro.dse.report import run_points
 from repro.dse.space import DesignSpace, design_points
 from repro.errors import ConfigError
 from repro.sim.results import SimResult
@@ -34,6 +35,10 @@ class SweepRow:
 
 class Explorer:
     """Runs workloads across a design space, caching by design point.
+
+    Each sweep is one :func:`~repro.dse.report.run_points` call that
+    shares the explorer's memo, so a point is simulated at most once
+    per explorer.
 
     Attributes:
         rows: Every observation gathered so far, in sweep order.

@@ -12,9 +12,9 @@ from __future__ import annotations
 import dataclasses
 import typing
 
+from repro.dse.report import run_points
 from repro.errors import ConfigError
 from repro.island import NetworkKind, SpmDmaNetworkConfig
-from repro.sim.run import run_workload
 from repro.sim.system import SystemConfig
 from repro.workloads.base import Workload
 
@@ -51,11 +51,10 @@ def ring_advantage(
     crossbar = config.with_network(
         SpmDmaNetworkConfig(kind=NetworkKind.PROXY_CROSSBAR)
     )
-    ringed = config.with_network(ring)
-    return (
-        run_workload(ringed, workload).performance
-        / run_workload(crossbar, workload).performance
+    (ringed, base), _ = run_points(
+        [(config.with_network(ring), workload), (crossbar, workload)]
     )
+    return ringed.performance / base.performance
 
 
 def sweep_field(

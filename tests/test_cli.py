@@ -16,6 +16,23 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
+    @pytest.mark.parametrize("tiles", ["0", "-1"])
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["fig6"], ["fig7"], ["fig8"], ["fig9"], ["fig10"], ["report"],
+            ["run", "Denoise"], ["sweep"], ["serve"], ["trace", "Denoise"],
+        ],
+        ids=lambda command: command[0],
+    )
+    def test_rejects_nonpositive_tiles_before_output(self, capsys, command, tiles):
+        with pytest.raises(SystemExit) as exit_info:
+            main([*command, "--tiles", tiles])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "tiles must be >= 1" in captured.err
+
     def test_network_aliases_cover_paper_networks(self):
         from repro.arch.presets import PAPER_NETWORKS
 
@@ -226,3 +243,23 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "Figure 10" in out
         assert "Segmentation" in out
+
+    def test_report_simulates_each_point_once_and_prints_every_figure(
+        self, capsys, monkeypatch
+    ):
+        from tests.test_dse_report import counting_run_workload
+
+        fingerprints = counting_run_workload(monkeypatch)
+        assert main(["report", "--tiles", "1"]) == 0
+        together = capsys.readouterr().out
+        # Figs. 6-10 cover 86 distinct points; each is simulated once.
+        assert len(fingerprints) == len(set(fingerprints)) == 86
+
+        separate = []
+        for command in ("fig2", "fig3", "ops"):
+            assert main([command]) == 0
+            separate.append(capsys.readouterr().out + "\n")
+        for command in ("fig6", "fig7", "fig8", "fig9", "fig10"):
+            assert main([command, "--tiles", "1"]) == 0
+            separate.append(capsys.readouterr().out + "\n")
+        assert together == "".join(separate)

@@ -1,4 +1,4 @@
-"""Tests for the parallel sweep runner and persistent-cache reuse."""
+"""Tests for the point resolver's parallel runs and persistent-cache reuse."""
 
 import json
 import os
@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from repro.dse import DesignSpace, Explorer, ResultCache
-from repro.dse.parallel import run_points
+from repro.dse.report import run_points
 from repro.errors import ConfigError
 from repro.island import NetworkKind, SpmDmaNetworkConfig
 from repro.sim.system import SystemConfig
@@ -18,16 +18,16 @@ from repro.workloads import get_workload
 #: a one-CPU host, and prints the pool size and the result reprs.
 _POOL_SCRIPT = """
 import json
-import repro.dse.parallel as parallel
+import repro.dse.report as report
 from tests.test_dse_parallel import distinct_points
 pools = []
-real_pool = parallel.ProcessPoolExecutor
+real_pool = report.ProcessPoolExecutor
 def recording_pool(max_workers):
     pools.append(max_workers)
     return real_pool(max_workers=max_workers)
-parallel.os.cpu_count = lambda: 2
-parallel.ProcessPoolExecutor = recording_pool
-results, _ = parallel.run_points(distinct_points(), jobs=2)
+report.os.cpu_count = lambda: 2
+report.ProcessPoolExecutor = recording_pool
+results, _ = report.run_points(distinct_points(), jobs=2)
 print(json.dumps({"pools": pools, "reprs": [repr(r) for r in results]}))
 """
 
@@ -143,7 +143,7 @@ class TestRunPoints:
     def test_single_cpu_runs_inline(self, monkeypatch):
         """On one CPU a multi-job sweep spawns no pool and returns the
         serial rows."""
-        import repro.dse.parallel as parallel
+        import repro.dse.report as report
 
         points = distinct_points()
         serial, _ = run_points(points, jobs=1)
@@ -151,8 +151,8 @@ class TestRunPoints:
         def no_pool(*_args, **_kwargs):
             raise AssertionError("process pool spawned on one CPU")
 
-        monkeypatch.setattr(parallel.os, "cpu_count", lambda: 1)
-        monkeypatch.setattr(parallel, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(report.os, "cpu_count", lambda: 1)
+        monkeypatch.setattr(report, "ProcessPoolExecutor", no_pool)
         inline, simulated = run_points(points, jobs=4)
         assert simulated == len(points)
         assert inline == serial

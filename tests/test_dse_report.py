@@ -20,24 +20,44 @@ from repro.dse import (
     fig10_table,
     format_table,
 )
+from repro.dse import report
+from repro.dse.cache import point_fingerprint
 from repro.dse.report import RING_LABELS
+from repro.errors import ConfigError
 from repro.workloads import PAPER_BENCHMARKS
 
 TILES = 2
 
-#: Records the order in which ``fig6_series`` calls ``_run``; the stub
-#: result keeps it free of simulation.
+#: Records, in order, the points ``fig6_series`` simulates through
+#: ``repro.dse.report.run_workload`` (the name the benchmark's fig. 6
+#: pass replaces); the stub result keeps it free of simulation.
 _RUN_ORDER_SCRIPT = """
 import json, types
 import repro.dse.report as report
+from repro.dse.cache import point_fingerprint
 calls = []
-def fake_run(name, n_islands, network_label, tiles):
-    calls.append([name, n_islands, network_label])
+def fake_run(config, workload, **kwargs):
+    fingerprint = point_fingerprint(config, workload, **kwargs)
+    calls.append([workload.name, config.n_islands, fingerprint])
     return types.SimpleNamespace(performance=1.0)
-report._run = fake_run
+report.run_workload = fake_run
 report.fig6_series(tiles=1, island_counts=(3,))
 print(json.dumps(calls))
 """
+
+
+def counting_run_workload(monkeypatch):
+    """Route ``repro.dse.report.run_workload`` through a recorder; returns
+    the list of simulated point fingerprints."""
+    real = report.run_workload
+    fingerprints = []
+
+    def counted(config, workload, **kwargs):
+        fingerprints.append(point_fingerprint(config, workload, **kwargs))
+        return real(config, workload, **kwargs)
+
+    monkeypatch.setattr(report, "run_workload", counted)
+    return fingerprints
 
 
 @pytest.fixture(scope="module")
@@ -70,6 +90,21 @@ class TestFig6:
         assert all(order == orders[0] for order in orders)
         # Baselines run first, in the plan's first-appearance order.
         assert [call[0] for call in orders[0][:2]] == ["Denoise", "EKF-SLAM"]
+        # Each distinct point is simulated exactly once: the two
+        # baselines are also the plan's 3-island crossbar points.
+        fingerprints = [call[-1] for call in orders[0]]
+        assert len(fingerprints) == len(set(fingerprints)) == 8
+
+    def test_calls_without_memo_share_nothing(self, monkeypatch):
+        fingerprints = counting_run_workload(monkeypatch)
+        fig6_series(tiles=1, island_counts=(3,))
+        fig6_series(tiles=1, island_counts=(3,))
+        assert len(fingerprints) == 16
+        assert len(set(fingerprints)) == 8
+
+    def test_rejects_no_island_counts(self):
+        with pytest.raises(ConfigError, match="island count"):
+            fig6_series(tiles=TILES, island_counts=())
 
 
 class TestRingTables:
@@ -87,6 +122,19 @@ class TestRingTables:
         f8 = fig8_table(tiles=TILES, island_counts=(3,))
         f9 = fig9_table(tiles=TILES, island_counts=(3,))
         assert set(f8[3]) == set(f9[3]) == set(PAPER_BENCHMARKS)
+
+    def test_shared_memo_simulates_each_point_once(self, monkeypatch):
+        fingerprints = counting_run_workload(monkeypatch)
+        memo = {}
+        for table in (fig7_table, fig8_table, fig9_table):
+            table(tiles=TILES, island_counts=(3,), memo=memo)
+        # One crossbar and four rings per benchmark, all run by fig. 7.
+        assert len(fingerprints) == len(memo) == 5 * len(PAPER_BENCHMARKS)
+
+    @pytest.mark.parametrize("table", [fig7_table, fig8_table, fig9_table])
+    def test_rejects_no_island_counts(self, table):
+        with pytest.raises(ConfigError, match="island count"):
+            table(tiles=TILES, island_counts=())
 
 
 class TestFig10:
