@@ -163,7 +163,7 @@ class TileScheduler:
     ) -> None:
         tracer = self._tracer
         if tracer is not None:
-            tracer.span(start, self.system.sim.now, actor, kind, label, ref, args)
+            tracer.record(start, self.system.sim.now, actor, kind, label, ref, args)
 
     def _trace_task(self, start: float, actor: str, position: int) -> None:
         """Record the task's aggregate span carrying the DAG edges."""
@@ -173,7 +173,7 @@ class TileScheduler:
             deps = [self._tags[producer] for producer, _nbytes in task.inputs]
             if not deps and self.after:
                 deps.append(self.after)
-            tracer.span(
+            tracer.record(
                 start,
                 self.system.sim.now,
                 actor,

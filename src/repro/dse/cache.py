@@ -67,11 +67,13 @@ def point_fingerprint(
     Covers everything :func:`~repro.sim.run.run_workload` consumes:
     the full system config, the workload (including its kernel IR), the
     ABB library, and the in-flight tile window; plus the model source.
+    :func:`~repro.sim.fingerprint.digest` canonicalizes the whole key in
+    one walk.
     """
     return digest(
         {
-            "config": canonical_value(config),
-            "workload": canonical_value(workload),
+            "config": config,
+            "workload": workload,
             "library": library_fingerprint(library),
             "tile_window": tile_window,
             "model": model_digest(),
@@ -95,8 +97,8 @@ def serve_point_fingerprint(
     """
     return digest(
         {
-            "config": canonical_value(config),
-            "serve": canonical_value(serve),
+            "config": config,
+            "serve": serve,
             "library": library_fingerprint(library),
             "model": model_digest(),
         }

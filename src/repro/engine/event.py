@@ -105,7 +105,7 @@ class Timeout(Event):
 
     def __init__(self, sim: "Simulator", delay: float, value: object = None) -> None:
         # One chained comparison rejects negative, NaN (all comparisons
-        # false) and infinite delays, mirroring TraceRecord's non-finite
+        # false) and infinite delays, mirroring Tracer.record's non-finite
         # span rejection.
         if not (0.0 <= delay < _INF):
             raise SimulationError(

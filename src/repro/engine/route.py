@@ -146,7 +146,7 @@ class Route:
             now = self.sim.now
             tracer = span[0]
             if tracer is not None:
-                tracer.span(
+                tracer.record(
                     self._t0, now, span[1], span[2], span[3](self.nbytes), self.ref
                 )
             self._t0 = now

@@ -23,15 +23,13 @@ from __future__ import annotations
 
 import math
 import typing
-from dataclasses import dataclass
 
 from repro.errors import ConfigError
 
 _INF = float("inf")
 
 
-@dataclass(frozen=True, init=False)
-class TraceRecord:
+class TraceRecord(typing.NamedTuple):
     """One traced span.
 
     Attributes:
@@ -55,42 +53,6 @@ class TraceRecord:
     ref: str = ""
     args: typing.Optional[typing.Mapping[str, typing.Any]] = None
 
-    def __init__(
-        self,
-        start: float,
-        end: float,
-        actor: str,
-        kind: str,
-        label: str = "",
-        ref: str = "",
-        args: typing.Optional[typing.Mapping[str, typing.Any]] = None,
-    ) -> None:
-        # One chained comparison accepts exactly the valid spans: NaN
-        # makes every comparison false, +/-inf fall outside the open
-        # bounds, and ordering is checked in the same expression.  The
-        # slow branch re-distinguishes the two failure modes for the
-        # error message.
-        if not (-_INF < start <= end < _INF):
-            if not (math.isfinite(start) and math.isfinite(end)):
-                raise ConfigError(
-                    f"span times must be finite, got [{start}, {end}]"
-                )
-            raise ConfigError(
-                f"span ends before it starts ({start} > {end})"
-            )
-        # Hand-written init: the generated frozen-dataclass __init__
-        # funnels every field through object.__setattr__, which tripled
-        # per-span cost on hot traced runs.  Writing the instance dict
-        # directly keeps mutation blocked while making creation cheap.
-        d = self.__dict__
-        d["start"] = start
-        d["end"] = end
-        d["actor"] = actor
-        d["kind"] = kind
-        d["label"] = label
-        d["ref"] = ref
-        d["args"] = args
-
     @property
     def duration(self) -> float:
         """Span length in cycles."""
@@ -100,59 +62,15 @@ class TraceRecord:
 class Tracer:
     """Collects timestamped spans during a simulation run.
 
-    Hot-path storage is a list of plain span tuples ``(start, end,
-    actor, kind, label, ref, args)``; :class:`TraceRecord` objects are
-    materialized lazily the first time :attr:`records` is read (queries,
-    exports, tests), so a traced simulation never pays per-span object
-    construction inside the event loop.  Hot recording sites (routes,
-    the tile scheduler, memory controllers) call :meth:`span`, which
-    skips validation; everything else goes through :meth:`record`.
+    :attr:`records` is the one span store: :meth:`record` appends one
+    :class:`TraceRecord` per span, and queries, exports and the
+    critical-path analyzer all read that list.
     """
 
-    __slots__ = ("_spans", "_records", "_materialized")
+    __slots__ = ("records",)
 
     def __init__(self) -> None:
-        # Raw span tuples in record order — the hot-path storage.
-        self._spans: list = []
-        # Materialized TraceRecord cache; None until .records is read.
-        self._records: typing.Optional[list] = None
-        # How many _spans entries are already in the cache.
-        self._materialized = 0
-
-    @property
-    def records(self) -> list:
-        """The spans as :class:`TraceRecord` objects.
-
-        Materialized lazily and cached: the same list object is
-        returned on every access (so appending to it works), and spans
-        recorded after an access are appended to it on the next one.
-        """
-        recs = self._records
-        spans = self._spans
-        if recs is None:
-            recs = self._records = [TraceRecord(*span) for span in spans]
-            self._materialized = len(spans)
-        elif self._materialized != len(spans):
-            recs.extend(
-                TraceRecord(*span) for span in spans[self._materialized :]
-            )
-            self._materialized = len(spans)
-        return recs
-
-    def _raw_spans(self) -> list:
-        """Span tuples for internal consumers (critical-path analysis).
-
-        Returns the hot-path tuple list directly; when records were
-        appended to :attr:`records` by hand (bypassing :meth:`record`),
-        the tuples are re-derived so nothing is missed.
-        """
-        recs = self._records
-        if recs is not None and len(recs) != self._materialized:
-            return [
-                (r.start, r.end, r.actor, r.kind, r.label, r.ref, r.args)
-                for r in self.records
-            ]
-        return self._spans
+        self.records: list[TraceRecord] = []
 
     def record(
         self,
@@ -163,40 +81,31 @@ class Tracer:
         label: str = "",
         ref: str = "",
         args: typing.Optional[typing.Mapping[str, typing.Any]] = None,
-        # Default-argument cell: record() runs once per span on traced
-        # runs, and it turns two global lookups into local loads.
+        # Default-argument cells: record() runs once per span on traced
+        # runs, and they turn global lookups into local loads.
         _inf: float = _INF,
+        _new: typing.Callable = tuple.__new__,
     ) -> None:
-        """Append one span."""
-        # The TraceRecord constructor runs only to raise its precise
-        # validation error; valid spans stay tuples until materialized.
+        """Append one span; rejects non-finite and backwards spans."""
+        # One chained comparison accepts exactly the valid spans: NaN
+        # makes every comparison false, +/-inf fall outside the open
+        # bounds, and ordering is checked in the same expression.  The
+        # slow branch re-distinguishes the two failure modes for the
+        # error message.
         if not (-_inf < start <= end < _inf):
-            TraceRecord(start, end, actor, kind, label, ref, args)
-        self._spans.append((start, end, actor, kind, label, ref, args))
-
-    def span(
-        self,
-        start: float,
-        end: float,
-        actor: str,
-        kind: str,
-        label: str = "",
-        ref: str = "",
-        args: typing.Optional[typing.Mapping[str, typing.Any]] = None,
-    ) -> None:
-        """Append one span without validation.
-
-        For simulation-side callers whose spans are valid by
-        construction: ``start`` is an earlier reading of the monotone
-        clock (or the issue time of a reservation ending at ``end``).
-        """
-        self._spans.append((start, end, actor, kind, label, ref, args))
+            if not (math.isfinite(start) and math.isfinite(end)):
+                raise ConfigError(
+                    f"span times must be finite, got [{start}, {end}]"
+                )
+            raise ConfigError(
+                f"span ends before it starts ({start} > {end})"
+            )
+        # tuple.__new__ skips the NamedTuple's Python-level __new__.
+        self.records.append(
+            _new(TraceRecord, (start, end, actor, kind, label, ref, args))
+        )
 
     # ---------------------------------------------------------------- query
-    def by_actor(self, actor: str) -> list:
-        """All spans of one actor, in record order."""
-        return [r for r in self.records if r.actor == actor]
-
     def actors(self) -> list:
         """Distinct actors, in first-seen order."""
         seen: dict[str, None] = {}
@@ -256,9 +165,8 @@ class Tracer:
         chosen = list(actors) if actors is not None else self.actors()
         label_width = max((len(a) for a in chosen), default=0) + 1
         scale = width / end
-        # One pass over the records fills every chosen actor's row; the
-        # old per-actor `by_actor` rescans made rendering O(actors x
-        # records), which dominated on serve-sized traces.
+        # One pass over the records fills every chosen actor's row, so
+        # rendering stays O(records) on serve-sized traces.
         cells_by_actor: dict[str, list] = {a: ["."] * width for a in chosen}
         for rec in self.records:
             cells = cells_by_actor.get(rec.actor)

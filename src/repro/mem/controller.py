@@ -78,7 +78,7 @@ class MemoryController:
             if label is None:
                 label = f"{nbytes:g}B"
                 self._span_labels[nbytes] = label
-            tracer.span(start, done, self._span_actor, "mem", label, ref)
+            tracer.record(start, done, self._span_actor, "mem", label, ref)
         return done
 
     def utilization(self, elapsed: float) -> float:

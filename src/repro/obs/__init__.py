@@ -6,10 +6,12 @@ one without):
 
 * :mod:`repro.obs.metrics` — a hierarchical metrics registry
   (``island0.dma.bytes``, ``abc.alloc.wait_cycles``,
-  ``serve.tenant1.shed``) built as views over ``engine.stats``, with
-  versioned JSON and Prometheus text export.
+  ``serve.tenant1.shed``) of :class:`~repro.obs.metrics.Metric` records
+  sampled from ``engine.stats`` after a run, with versioned JSON and
+  Prometheus text export.
 * :mod:`repro.obs.perfetto` — Chrome/Perfetto trace-event export of
-  :class:`~repro.engine.trace.Tracer` spans; open any run in
+  the :class:`~repro.engine.trace.TraceRecord` spans a
+  :class:`~repro.engine.trace.Tracer` holds; open any run in
   ``ui.perfetto.dev``.
 * :mod:`repro.obs.critpath` — critical-path analysis over the per-task
   span DAG, attributing the makespan to compute / SPM conflict / DMA /
@@ -28,11 +30,8 @@ from repro.obs.critpath import (
 from repro.obs.metrics import (
     HISTOGRAM_PERCENTILES,
     METRICS_SCHEMA_VERSION,
-    Counter,
-    Gauge,
-    HistogramView,
+    Metric,
     MetricsRegistry,
-    TimeWeightedGauge,
     serve_metrics,
     system_metrics,
 )
@@ -54,11 +53,8 @@ __all__ = [
     "category_cycles_by_tenant",
     "HISTOGRAM_PERCENTILES",
     "METRICS_SCHEMA_VERSION",
-    "Counter",
-    "Gauge",
-    "HistogramView",
+    "Metric",
     "MetricsRegistry",
-    "TimeWeightedGauge",
     "serve_metrics",
     "system_metrics",
     "REQUIRED_EVENT_KEYS",

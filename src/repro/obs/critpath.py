@@ -41,7 +41,7 @@ import bisect
 import typing
 from dataclasses import dataclass, field
 
-from repro.engine.trace import Tracer
+from repro.engine.trace import TraceRecord, Tracer
 from repro.errors import ConfigError
 
 #: Attribution categories, in report order.
@@ -65,8 +65,7 @@ _KIND_CATEGORY = {
 _KIND_DETAIL = {"mem": "mem", "spm_net": "spm_net"}
 
 
-@dataclass(frozen=True, init=False)
-class Segment:
+class Segment(typing.NamedTuple):
     """One attributed slice of the critical path."""
 
     start: float
@@ -75,27 +74,6 @@ class Segment:
     detail: str
     ref: str = ""
     actor: str = ""
-
-    def __init__(
-        self,
-        start: float,
-        end: float,
-        category: str,
-        detail: str,
-        ref: str = "",
-        actor: str = "",
-    ) -> None:
-        # Same hand-written-init idiom as TraceRecord: the generated
-        # frozen __init__ funnels every field through
-        # object.__setattr__, and segments are built dozens of times per
-        # attribution call on traced runs.
-        d = self.__dict__
-        d["start"] = start
-        d["end"] = end
-        d["category"] = category
-        d["detail"] = detail
-        d["ref"] = ref
-        d["actor"] = actor
 
     @property
     def duration(self) -> float:
@@ -164,23 +142,15 @@ class _Node:
         self.leaves: list = []
 
 
-# The analyzer walks the tracer's raw span tuples rather than
-# materialized TraceRecord objects — attribution runs inside every
-# traced run_workload call, and the tuple path skips one object
-# construction per span.  Tuple layout (see Tracer):
-# (start, end, actor, kind, label, ref, args).
-_START, _END, _ACTOR, _KIND, _LABEL, _REF, _ARGS = range(7)
-
-
 def _build_nodes(tracer: Tracer) -> dict[str, _Node]:
     nodes: dict[str, _Node] = {}
     get = nodes.get
     kind_category = _KIND_CATEGORY
-    for rec in tracer._raw_spans():
-        ref = rec[_REF]
+    for rec in tracer.records:
+        ref = rec.ref
         if not ref:
             continue
-        kind = rec[_KIND]
+        kind = rec.kind
         if kind == "task":
             node = get(ref)
             if node is None:
@@ -188,8 +158,8 @@ def _build_nodes(tracer: Tracer) -> dict[str, _Node]:
                 nodes[ref] = node
             elif node.defined:
                 raise ConfigError(f"duplicate task span for ref {ref!r}")
-            node.start, node.end = rec[_START], rec[_END]
-            args = rec[_ARGS]
+            node.start, node.end = rec.start, rec.end
+            args = rec.args
             deps = args.get("deps") if args else None
             node.deps = tuple(deps) if deps else ()
             node.defined = True
@@ -206,12 +176,12 @@ def _conflict_fraction(args: typing.Optional[typing.Mapping]) -> float:
     return float((args or {}).get("conflict", 0.0))
 
 
-def _emit_leaf(rec: tuple, lo: float, hi: float, out: list) -> None:
-    """Append the attributed segment(s) for one leaf span tuple."""
-    kind = rec[_KIND]
+def _emit_leaf(rec: TraceRecord, lo: float, hi: float, out: list) -> None:
+    """Append the attributed segment(s) for one leaf span."""
+    kind = rec.kind
     category = _KIND_CATEGORY[kind]
     if kind == "compute":
-        conflict = _conflict_fraction(rec[_ARGS])
+        conflict = _conflict_fraction(rec.args)
         if conflict > 0.0:
             # compute_cycles = base * (1 + conflict): the conflict share
             # of the interval is conflict / (1 + conflict).
@@ -219,16 +189,12 @@ def _emit_leaf(rec: tuple, lo: float, hi: float, out: list) -> None:
             # The walk runs backward and reverses at the end, so append
             # the later slice first to keep segments time-ordered.
             out.append(
-                Segment(
-                    split, hi, "spm_conflict", "spm_conflict", rec[_REF], rec[_ACTOR]
-                )
+                Segment(split, hi, "spm_conflict", "spm_conflict", rec.ref, rec.actor)
             )
-            out.append(
-                Segment(lo, split, "compute", "compute", rec[_REF], rec[_ACTOR])
-            )
+            out.append(Segment(lo, split, "compute", "compute", rec.ref, rec.actor))
             return
     detail = _KIND_DETAIL.get(kind, category)
-    out.append(Segment(lo, hi, category, detail, rec[_REF], rec[_ACTOR]))
+    out.append(Segment(lo, hi, category, detail, rec.ref, rec.actor))
 
 
 def _walk_node(node: _Node, t_hi: float, eps: float, out: list) -> None:
@@ -242,15 +208,10 @@ def _walk_node(node: _Node, t_hi: float, eps: float, out: list) -> None:
     actually waited on.
     """
     leaves = sorted(
-        (rec for rec in node.leaves if rec[_END] - rec[_START] > eps),
-        key=lambda rec: (
-            rec[_END],
-            rec[_END] - rec[_START],
-            rec[_KIND],
-            rec[_ACTOR],
-        ),
+        (rec for rec in node.leaves if rec.end - rec.start > eps),
+        key=lambda rec: (rec.end, rec.end - rec.start, rec.kind, rec.actor),
     )
-    ends = [rec[_END] for rec in leaves]
+    ends = [rec.end for rec in leaves]
     t = t_hi
     floor = node.start + eps
     budget = 2 * len(leaves) + 4  # safety bound; the walk is monotone
@@ -261,7 +222,7 @@ def _walk_node(node: _Node, t_hi: float, eps: float, out: list) -> None:
         chosen = None
         while index >= 0:
             candidate = leaves[index]
-            if candidate[_END] > floor and candidate[_START] < t - eps:
+            if candidate.end > floor and candidate.start < t - eps:
                 chosen = candidate
                 break
             index -= 1
@@ -270,13 +231,13 @@ def _walk_node(node: _Node, t_hi: float, eps: float, out: list) -> None:
                 Segment(node.start, t, "other", "gap", node.ref, "")
             )
             return
-        end = chosen[_END]
+        end = chosen.end
         if end < t - eps:
             out.append(
                 Segment(end, t, "other", "gap", node.ref, "")
             )
             t = end
-        lo = max(chosen[_START], node.start)
+        lo = max(chosen.start, node.start)
         _emit_leaf(chosen, lo, min(t, end), out)
         t = lo
     if t > floor:
@@ -307,16 +268,21 @@ def analyze_critical_path(
             scheduler).
         makespan: Total simulated cycles; defaults to the latest span
             end.  Time past the last span is attributed to
-            ``other/drain``.
+            ``other/drain``.  Must be finite and non-negative.
 
     Returns an :class:`AttributionReport` whose segments tile
     [0, makespan] exactly.
     """
-    nodes = _build_nodes(tracer)
     if makespan is None:
         makespan = tracer.end_time()
-    if makespan <= 0 or not nodes:
-        return AttributionReport(makespan=max(makespan, 0.0))
+    elif not (0.0 <= makespan < float("inf")):
+        # NaN fails every comparison, so it lands here too.
+        raise ConfigError(
+            f"makespan must be finite and non-negative, got {makespan!r}"
+        )
+    nodes = _build_nodes(tracer)
+    if makespan == 0 or not nodes:
+        return AttributionReport(makespan=makespan)
     eps = 1e-9 * max(1.0, makespan)
 
     segments: list[Segment] = []
@@ -374,23 +340,23 @@ def category_cycles_by_tenant(tracer: Tracer) -> dict[str, dict[str, float]]:
     from the ``tenant`` arg the scheduler stamps on task spans; refs
     with no tenant group under ``""``.
     """
-    spans = tracer._raw_spans()
+    spans = tracer.records
     tenant_of: dict[str, str] = {}
     for rec in spans:
-        if rec[_KIND] == "task":
-            tenant_of[rec[_REF]] = str((rec[_ARGS] or {}).get("tenant", ""))
+        if rec.kind == "task":
+            tenant_of[rec.ref] = str((rec.args or {}).get("tenant", ""))
     out: dict[str, dict[str, float]] = {}
     for rec in spans:
-        kind = rec[_KIND]
-        if kind not in _KIND_CATEGORY or not rec[_REF]:
+        kind = rec.kind
+        if kind not in _KIND_CATEGORY or not rec.ref:
             continue
-        tenant = tenant_of.get(rec[_REF], "")
+        tenant = tenant_of.get(rec.ref, "")
         per_tenant = out.setdefault(
             tenant, {category: 0.0 for category in CATEGORIES}
         )
-        duration = rec[_END] - rec[_START]
+        duration = rec.end - rec.start
         if kind == "compute":
-            conflict = _conflict_fraction(rec[_ARGS])
+            conflict = _conflict_fraction(rec.args)
             conflict_share = duration * conflict / (1.0 + conflict)
             per_tenant["compute"] += duration - conflict_share
             per_tenant["spm_conflict"] += conflict_share

@@ -1,12 +1,13 @@
 """Hierarchically named metrics registry with JSON and Prometheus export.
 
-The registry is a *view* layer: metrics wrap the statistics objects the
-simulation already maintains (:mod:`repro.engine.stats` counters and
-histograms, :class:`~repro.engine.stats.UtilizationTracker`,
-bandwidth-server byte totals) and sample them on demand.  Nothing is
-recorded twice and nothing runs during simulation, so an un-exported
-registry costs exactly zero — the zero-cost-when-disabled guarantee of
-the observability subsystem.
+A metric is one immutable :class:`Metric` record: a name, a kind and the
+numbers sampled from the simulation's own statistics objects
+(:mod:`repro.engine.stats` counters and histograms,
+:class:`~repro.engine.stats.UtilizationTracker`, bandwidth-server byte
+totals) when it is registered.  Registries are built after a run
+finishes and nothing runs during simulation, so metrics cost nothing
+until they are asked for — the zero-cost-when-disabled guarantee of the
+observability subsystem.
 
 Names are dot-separated hierarchies (``island0.dma.bytes``,
 ``abc.alloc.wait_cycles``, ``serve.t1.shed``); each segment is
@@ -15,8 +16,8 @@ JSON keys and Prometheus metric names (dots become underscores, with a
 ``repro_`` prefix).
 
 Exports are versioned (:data:`METRICS_SCHEMA_VERSION`) and round-trip:
-:meth:`MetricsRegistry.from_json_dict` rebuilds a registry of static
-samples from :meth:`MetricsRegistry.to_json_dict` output.
+:meth:`MetricsRegistry.from_json_dict` rebuilds a registry from
+:meth:`MetricsRegistry.to_json_dict` output.
 """
 
 from __future__ import annotations
@@ -41,12 +42,9 @@ _PROM_SANITIZE_RE = re.compile(r"[^a-zA-Z0-9_:]")
 #: Percentiles exported for histogram metrics.
 HISTOGRAM_PERCENTILES = (50.0, 95.0, 99.0)
 
-_Source = typing.Union[float, int, typing.Callable[[], float]]
-
-
 def _check_name(name: str) -> str:
-    if not name:
-        raise ConfigError("metric name must be non-empty")
+    if not isinstance(name, str) or not name:
+        raise ConfigError(f"metric name must be a non-empty string, got {name!r}")
     for segment in name.split("."):
         if not _SEGMENT_RE.match(segment):
             raise ConfigError(
@@ -56,126 +54,19 @@ def _check_name(name: str) -> str:
     return name
 
 
-def _sample_scalar(source: _Source) -> float:
-    if callable(source):
-        return float(source())
-    return float(source)
+class Metric(typing.NamedTuple):
+    """One named metric, sampled when it was registered.
 
-
-class Metric:
-    """One named metric: a kind plus a ``values()`` sampler."""
-
-    kind = "metric"
-
-    def __init__(self, name: str, help: str = "") -> None:
-        self.name = _check_name(name)
-        self.help = help
-
-    def values(self) -> dict[str, float]:
-        """Sample the metric now; keys are value-component names."""
-        raise NotImplementedError
-
-
-class Counter(Metric):
-    """A monotonically increasing total (bytes moved, grants made)."""
-
-    kind = "counter"
-
-    def __init__(self, name: str, source: _Source, help: str = "") -> None:
-        super().__init__(name, help)
-        self._source = source
-
-    def values(self) -> dict[str, float]:
-        return {"value": _sample_scalar(self._source)}
-
-
-class Gauge(Metric):
-    """An instantaneous level (utilization, queue depth, a percentile)."""
-
-    kind = "gauge"
-
-    def __init__(self, name: str, source: _Source, help: str = "") -> None:
-        super().__init__(name, help)
-        self._source = source
-
-    def values(self) -> dict[str, float]:
-        return {"value": _sample_scalar(self._source)}
-
-
-class TimeWeightedGauge(Metric):
-    """Time-weighted average + peak of a level over a run.
-
-    A view over :class:`~repro.engine.stats.UtilizationTracker`: the
-    exported ``average`` integrates the level over [0, elapsed], and
-    ``peak`` is the high-water mark.
+    ``values`` maps component names to numbers: ``value`` for counters
+    and gauges, ``average``/``peak`` for time-weighted gauges, and
+    count/mean/min/max plus the :data:`HISTOGRAM_PERCENTILES` order
+    statistics for histograms.
     """
 
-    kind = "time_weighted_gauge"
-
-    def __init__(
-        self,
-        name: str,
-        tracker: UtilizationTracker,
-        elapsed: typing.Union[float, typing.Callable[[], float]],
-        help: str = "",
-    ) -> None:
-        super().__init__(name, help)
-        self._tracker = tracker
-        self._elapsed = elapsed
-
-    def values(self) -> dict[str, float]:
-        elapsed = self._elapsed() if callable(self._elapsed) else self._elapsed
-        return {
-            "average": self._tracker.average(elapsed),
-            "peak": float(self._tracker.peak),
-        }
-
-
-class HistogramView(Metric):
-    """Distribution summary over an :class:`engine.stats.Histogram`.
-
-    Exports count/mean/min/max plus the :data:`HISTOGRAM_PERCENTILES`
-    order statistics (zeros when the histogram is empty).
-    """
-
-    kind = "histogram"
-
-    def __init__(
-        self, name: str, histogram: StatsHistogram, help: str = ""
-    ) -> None:
-        super().__init__(name, help)
-        self._histogram = histogram
-
-    def values(self) -> dict[str, float]:
-        hist = self._histogram
-        if hist.count == 0:
-            out = {"count": 0.0, "mean": 0.0, "min": 0.0, "max": 0.0}
-            for p in HISTOGRAM_PERCENTILES:
-                out[f"p{p:g}"] = 0.0
-            return out
-        out = {
-            "count": float(hist.count),
-            "mean": hist.mean,
-            "min": hist.min,
-            "max": hist.max,
-        }
-        for p in HISTOGRAM_PERCENTILES:
-            out[f"p{p:g}"] = hist.percentile(p)
-        return out
-
-
-class _StaticMetric(Metric):
-    """A metric rebuilt from serialized samples (no live source)."""
-
-    def __init__(
-        self, name: str, kind: str, values: dict[str, float], help: str = ""
-    ) -> None:
-        super().__init__(name, help)
-        self.kind = kind
-        self._values = dict(values)
-
-    def values(self) -> dict[str, float]:
-        return dict(self._values)
+    name: str
+    kind: str
+    values: dict[str, float]
+    help: str = ""
 
 
 class MetricsRegistry:
@@ -188,44 +79,52 @@ class MetricsRegistry:
         self._metrics: dict[str, Metric] = {}
 
     # --------------------------------------------------------- registration
-    def register(self, metric: Metric) -> Metric:
-        """Add one metric; duplicate names are rejected."""
-        if metric.name in self._metrics:
-            raise ConfigError(f"duplicate metric name {metric.name!r}")
-        self._metrics[metric.name] = metric
+    def add(
+        self, name: str, kind: str, values: dict[str, float], help: str = ""
+    ) -> Metric:
+        """Add one metric; bad and duplicate names are rejected."""
+        _check_name(name)
+        if name in self._metrics:
+            raise ConfigError(f"duplicate metric name {name!r}")
+        metric = self._metrics[name] = Metric(name, kind, values, help)
         return metric
 
-    def counter(self, name: str, source: _Source, help: str = "") -> Counter:
-        """Register and return a counter view."""
-        metric = Counter(name, source, help)
-        self.register(metric)
-        return metric
+    def counter(self, name: str, value: float, help: str = "") -> Metric:
+        """Add a monotonically increasing total (bytes moved, grants)."""
+        return self.add(name, "counter", {"value": float(value)}, help)
 
-    def gauge(self, name: str, source: _Source, help: str = "") -> Gauge:
-        """Register and return a gauge view."""
-        metric = Gauge(name, source, help)
-        self.register(metric)
-        return metric
+    def gauge(self, name: str, value: float, help: str = "") -> Metric:
+        """Add an instantaneous level (utilization, a percentile)."""
+        return self.add(name, "gauge", {"value": float(value)}, help)
 
     def time_weighted_gauge(
         self,
         name: str,
         tracker: UtilizationTracker,
-        elapsed: typing.Union[float, typing.Callable[[], float]],
+        elapsed: float,
         help: str = "",
-    ) -> TimeWeightedGauge:
-        """Register and return a time-weighted gauge view."""
-        metric = TimeWeightedGauge(name, tracker, elapsed, help)
-        self.register(metric)
-        return metric
+    ) -> Metric:
+        """Add a tracker's time-weighted average over [0, elapsed] and
+        its peak."""
+        values = {"average": tracker.average(elapsed), "peak": float(tracker.peak)}
+        return self.add(name, "time_weighted_gauge", values, help)
 
     def histogram(
         self, name: str, histogram: StatsHistogram, help: str = ""
-    ) -> HistogramView:
-        """Register and return a histogram view."""
-        metric = HistogramView(name, histogram, help)
-        self.register(metric)
-        return metric
+    ) -> Metric:
+        """Add a distribution summary: count/mean/min/max plus the
+        :data:`HISTOGRAM_PERCENTILES` order statistics (zeros when the
+        histogram is empty)."""
+        count = histogram.count
+        values = {
+            "count": float(count),
+            "mean": histogram.mean,
+            "min": histogram.min if count else 0.0,
+            "max": histogram.max if count else 0.0,
+        }
+        for p in HISTOGRAM_PERCENTILES:
+            values[f"p{p:g}"] = histogram.percentile(p) if count else 0.0
+        return self.add(name, "histogram", values, help)
 
     # --------------------------------------------------------------- access
     def names(self) -> list[str]:
@@ -253,7 +152,7 @@ class MetricsRegistry:
         """
         out: dict[str, float] = {}
         for name, metric in self._metrics.items():
-            values = metric.values()
+            values = metric.values
             if set(values) == {"value"}:
                 out[name] = values["value"]
             else:
@@ -271,7 +170,7 @@ class MetricsRegistry:
                     "name": metric.name,
                     "kind": metric.kind,
                     "help": metric.help,
-                    "values": metric.values(),
+                    "values": dict(metric.values),
                 }
                 for metric in self._metrics.values()
             ],
@@ -279,24 +178,40 @@ class MetricsRegistry:
 
     @classmethod
     def from_json_dict(cls, data: typing.Mapping) -> "MetricsRegistry":
-        """Rebuild a registry of static samples from a JSON snapshot."""
+        """Rebuild a registry from a JSON snapshot.
+
+        A malformed snapshot raises :class:`~repro.errors.ConfigError`
+        naming the offending entry.
+        """
         check_schema_version(
             "metrics", data.get("schema_version"), METRICS_SCHEMA_VERSION
         )
+        entries = data.get("metrics", [])
+        if not isinstance(entries, list):
+            raise ConfigError(
+                f"serialized metrics must be a list, got {type(entries).__name__}"
+            )
         registry = cls()
-        for entry in data.get("metrics", []):
+        for index, entry in enumerate(entries):
+            if not isinstance(entry, dict):
+                raise ConfigError(
+                    f"serialized metric {index} is not an object: {entry!r}"
+                )
             missing = {"name", "kind", "values"} - set(entry)
             if missing:
                 raise ConfigError(
-                    f"serialized metric missing fields: {sorted(missing)}"
+                    f"serialized metric {index} missing fields: {sorted(missing)}"
                 )
-            registry.register(
-                _StaticMetric(
-                    entry["name"],
-                    entry["kind"],
-                    {str(k): float(v) for k, v in entry["values"].items()},
-                    entry.get("help", ""),
-                )
+            values = entry["values"]
+            try:
+                values = {str(k): float(v) for k, v in values.items()}
+            except (AttributeError, TypeError, ValueError):
+                raise ConfigError(
+                    f"serialized metric {entry['name']!r} needs an object of "
+                    f"numbers as values, got {values!r}"
+                ) from None
+            registry.add(
+                entry["name"], entry["kind"], values, entry.get("help", "")
             )
         return registry
 
@@ -310,7 +225,7 @@ class MetricsRegistry:
         lines: list[str] = []
         for metric in self._metrics.values():
             base = "repro_" + _PROM_SANITIZE_RE.sub("_", metric.name)
-            values = metric.values()
+            values = metric.values
             if metric.kind == "counter":
                 lines.append(f"# HELP {base} {metric.help}".rstrip())
                 lines.append(f"# TYPE {base} counter")
@@ -332,7 +247,7 @@ class MetricsRegistry:
                 lines.append(f"{base} {values['average']:g}")
                 lines.append(f"# TYPE {base}_peak gauge")
                 lines.append(f"{base}_peak {values['peak']:g}")
-            else:  # gauge and static kinds with a single value
+            else:  # gauges and any other kind
                 lines.append(f"# HELP {base} {metric.help}".rstrip())
                 lines.append(f"# TYPE {base} gauge")
                 for component, value in sorted(values.items()):

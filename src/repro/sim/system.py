@@ -201,7 +201,7 @@ class _SoftwareJob:
         tracer = self.system.tracer
         if tracer is not None:
             now = self.system.sim.now
-            tracer.span(self.start, now, "core.sw", kind, self.ref, self.ref)
+            tracer.record(self.start, now, "core.sw", kind, self.ref, self.ref)
 
     def _compute(self) -> None:
         sim = self.system.sim

@@ -19,10 +19,11 @@ from repro.errors import ConfigError
 from repro.faults import FaultSpec
 from repro.island import NetworkKind, SpmDmaNetworkConfig, SpmPorting
 from repro.serve import ArrivalConfig, ServeConfig, make_tenants
+from repro.dse.report import RING_LABELS, _point
 from repro.sim.fingerprint import canonical_value, digest, model_digest
-from repro.sim.run import run_workload
+from repro.sim.run import DEFAULT_TILE_WINDOW, run_workload
 from repro.sim.system import SystemConfig
-from repro.workloads import get_workload, scale_workload
+from repro.workloads import PAPER_BENCHMARKS, get_workload, scale_workload
 
 #: For each SystemConfig field, a value different from the default.
 FIELD_ALTERNATES = {
@@ -130,6 +131,39 @@ class TestPointFingerprint:
         a = library_fingerprint(standard_library())
         b = library_fingerprint(standard_library())
         assert a == b
+
+
+    def test_keys_match_the_double_walk_formula(self):
+        """Canonicalizing a point's parts before digest walks them again
+        and changes nothing: the one-walk keys equal the keys written by
+        the double-walk formula, so existing cache entries stay valid."""
+        for n_islands in (3, 24):
+            for name in PAPER_BENCHMARKS:
+                for network in ("Crossbar", *RING_LABELS):
+                    config, workload = _point(name, n_islands, network, 16)
+                    assert point_fingerprint(config, workload) == digest(
+                        {
+                            "config": canonical_value(config),
+                            "workload": canonical_value(workload),
+                            "library": library_fingerprint(None),
+                            "tile_window": DEFAULT_TILE_WINDOW,
+                            "model": model_digest(),
+                        }
+                    )
+        config = SystemConfig(n_islands=6)
+        serve = ServeConfig(
+            tenants=make_tenants(
+                2, [get_workload("Denoise", tiles=4)], ArrivalConfig()
+            )
+        )
+        assert serve_point_fingerprint(config, serve) == digest(
+            {
+                "config": canonical_value(config),
+                "serve": canonical_value(serve),
+                "library": library_fingerprint(None),
+                "model": model_digest(),
+            }
+        )
 
 
 class TestModelDigest:

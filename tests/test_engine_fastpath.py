@@ -3,7 +3,7 @@
 Covers the closed-form bandwidth-server reservation (against the
 event-returning transfer built on it), AllOf edge cases around triggered
 and duplicated children, non-finite time rejection in every scheduling
-entry point, and the lazy span materialization of the tracer.
+entry point, and the tracer's one span store.
 """
 
 import pytest
@@ -140,14 +140,6 @@ class TestNonFiniteRejection:
 
 
 class TestLazyTracerMaterialization:
-    def test_records_materialized_once_and_cached(self):
-        tracer = Tracer()
-        tracer.record(0.0, 1.0, "a", "compute")
-        assert tracer._records is None  # nothing materialized yet
-        first = tracer.records
-        assert first is tracer.records  # same list object on re-access
-        assert isinstance(first[0], TraceRecord)
-
     def test_spans_recorded_after_access_appear(self):
         tracer = Tracer()
         tracer.record(0.0, 1.0, "a", "compute")
@@ -156,14 +148,6 @@ class TestLazyTracerMaterialization:
         recs = tracer.records
         assert [r.actor for r in recs] == ["a", "b"]
         assert len(tracer) == 2
-
-    def test_external_append_to_records_visible_to_raw_spans(self):
-        tracer = Tracer()
-        tracer.record(0.0, 1.0, "a", "compute")
-        tracer.records.append(TraceRecord(1.0, 2.0, "b", "mem"))
-        spans = tracer._raw_spans()
-        assert [s[2] for s in spans] == ["a", "b"]
-        assert tracer.end_time() == 2.0
 
     def test_record_validation_errors_preserved(self):
         tracer = Tracer()

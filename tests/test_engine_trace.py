@@ -16,7 +16,7 @@ class TestTraceRecord:
 
     def test_backwards_span_rejected(self):
         with pytest.raises(ConfigError):
-            TraceRecord(10.0, 5.0, "a", "compute")
+            Tracer().record(10.0, 5.0, "a", "compute")
 
     @pytest.mark.parametrize(
         "start,end",
@@ -33,7 +33,7 @@ class TestTraceRecord:
         # Regression: NaN compares False against everything, so the
         # `end < start` check alone silently admitted NaN spans.
         with pytest.raises(ConfigError):
-            TraceRecord(start, end, "a", "compute")
+            Tracer().record(start, end, "a", "compute")
 
     def test_ref_and_args_carried(self):
         rec = TraceRecord(0.0, 1.0, "a", "compute", "lbl", "t0.x", {"k": 1})
@@ -51,7 +51,7 @@ class TestTracer:
 
     def test_query_by_actor_and_kind(self):
         t = self.make_tracer()
-        assert len(t.by_actor("abb0")) == 2
+        assert len([r for r in t.records if r.actor == "abb0"]) == 2
         assert len([r for r in t.records if r.kind == "compute"]) == 2
         assert t.actors() == ["abb0", "abb1"]
 
@@ -147,7 +147,7 @@ class TestGantt:
         chart_rows = t.gantt(width=width).splitlines()[1:]
         for actor, row in zip(t.actors(), chart_rows):
             cells = ["."] * width
-            for rec in t.by_actor(actor):
+            for rec in (r for r in t.records if r.actor == actor):
                 lo = min(width - 1, int(rec.start * scale))
                 hi = min(width, max(lo + 1, int(rec.end * scale)))
                 for i in range(lo, hi):

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine.trace import Tracer
+from repro.errors import ConfigError
 from repro.obs import (
     CATEGORIES,
     analyze_critical_path,
@@ -73,6 +74,15 @@ class TestSyntheticWalk:
         assert report.cycles["other"] == pytest.approx(20.0)
         assert report.detail_cycles["drain"] == pytest.approx(20.0)
         assert sum(report.shares().values()) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize(
+        "makespan", [float("nan"), float("inf"), float("-inf"), -1.0]
+    )
+    def test_bad_makespan_rejected(self, makespan):
+        # NaN used to yield NaN shares, +inf all-zero shares that do not
+        # sum to 1, and a negative makespan silently became 0.
+        with pytest.raises(ConfigError, match="makespan"):
+            analyze_critical_path(synthetic_trace(), makespan=makespan)
 
     def test_empty_trace(self):
         report = analyze_critical_path(Tracer())

@@ -37,20 +37,13 @@ class TestNaming:
 
 
 class TestViews:
-    def test_gauge_over_callable_samples_live(self):
-        level = [0.0]
-        registry = MetricsRegistry()
-        metric = registry.gauge("queue.depth", lambda: level[0])
-        level[0] = 5.0
-        assert metric.values() == {"value": 5.0}
-
     def test_time_weighted_gauge(self):
         tracker = UtilizationTracker(capacity=4, name="abbs")
         tracker.adjust(+2, 0.0)
         tracker.adjust(-2, 10.0)
         registry = MetricsRegistry()
         metric = registry.time_weighted_gauge("abbs.busy", tracker, 20.0)
-        values = metric.values()
+        values = metric.values
         assert values["average"] == pytest.approx(1.0)  # 2 busy for half
         assert values["peak"] == 2.0
 
@@ -59,14 +52,14 @@ class TestViews:
         for value in range(1, 101):
             hist.record(float(value))
         registry = MetricsRegistry()
-        values = registry.histogram("lat", hist).values()
+        values = registry.histogram("lat", hist).values
         assert values["count"] == 100.0
         assert values["min"] == 1.0
         assert values["max"] == 100.0
         assert values["p50"] <= values["p95"] <= values["p99"]
 
     def test_empty_histogram_is_zeros(self):
-        values = MetricsRegistry().histogram("lat", Histogram("lat")).values()
+        values = MetricsRegistry().histogram("lat", Histogram("lat")).values
         assert set(values.values()) == {0.0}
 
     def test_collect_flattens(self):
@@ -115,6 +108,29 @@ class TestExport:
     def test_version_mismatch_rejected(self):
         data = self.make_registry().to_json_dict()
         data["schema_version"] = 999
+        with pytest.raises(ConfigError):
+            MetricsRegistry.from_json_dict(data)
+
+    @pytest.mark.parametrize(
+        "entry,match",
+        [
+            ({"values": [1.0]}, "'island0.dma.bytes'"),
+            ({"values": 4.0}, "'island0.dma.bytes'"),
+            ({"values": {"value": "lots"}}, "'island0.dma.bytes'"),
+            ({"values": {"value": None}}, "'island0.dma.bytes'"),
+            ({"name": 7}, "7"),
+        ],
+        ids=["list-values", "scalar-values", "text-value", "null-value", "numeric-name"],
+    )
+    def test_malformed_entry_rejected(self, entry, match):
+        data = self.make_registry().to_json_dict()
+        data["metrics"][0].update(entry)
+        with pytest.raises(ConfigError, match=match):
+            MetricsRegistry.from_json_dict(data)
+
+    @pytest.mark.parametrize("metrics", [3, [1.0]])
+    def test_malformed_metrics_list_rejected(self, metrics):
+        data = {"schema_version": METRICS_SCHEMA_VERSION, "metrics": metrics}
         with pytest.raises(ConfigError):
             MetricsRegistry.from_json_dict(data)
 

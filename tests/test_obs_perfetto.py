@@ -108,6 +108,16 @@ class TestValidation:
             validate_events([event])
 
 
+    @pytest.mark.parametrize("event", [1, "X", None, ["ph", "X"]])
+    def test_non_object_event_rejected(self, event):
+        with pytest.raises(ConfigError, match="trace event 1 is not an object"):
+            validate_events([trace_events(make_tracer())[0], event])
+
+    def test_non_list_events_rejected(self):
+        with pytest.raises(ConfigError, match="must be a list"):
+            validate_events(7)
+
+
 class TestDocumentIO:
     def test_document_shape(self):
         document = trace_document(make_tracer(), note="unit")
@@ -129,6 +139,15 @@ class TestDocumentIO:
         with open(path, "w") as handle:
             json.dump(document, handle)
         with pytest.raises(ConfigError):
+            load_trace(path)
+
+    def test_load_rejects_non_object_event(self, tmp_path):
+        path = str(tmp_path / "trace.json")
+        document = write_trace(make_tracer(), path)
+        document["traceEvents"].append(3)
+        with open(path, "w") as handle:
+            json.dump(document, handle)
+        with pytest.raises(ConfigError, match="is not an object"):
             load_trace(path)
 
     def test_traced_workload_exports_loadable_trace(self, tmp_path):

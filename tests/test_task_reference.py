@@ -53,17 +53,17 @@ def reference_software_execute(
     if read_bytes > 0:
         yield system.memory.access(read_bytes, stream, ref)
     if tracer is not None and sim.now > gather_start:
-        tracer.span(gather_start, sim.now, "core.sw", "gather", ref, ref)
+        tracer.record(gather_start, sim.now, "core.sw", "gather", ref, ref)
     start = sim.now
     yield sim.timeout(cycles)
     system.energy.charge("sw_fallback", system.fallback_model.energy_nj(cycles))
     if tracer is not None:
-        tracer.span(start, sim.now, "core.sw", "sw_compute", ref, ref)
+        tracer.record(start, sim.now, "core.sw", "sw_compute", ref, ref)
     if write_bytes > 0:
         start = sim.now
         yield system.memory.access(write_bytes, stream, ref)
         if tracer is not None:
-            tracer.span(start, sim.now, "core.sw", "writeback", ref, ref)
+            tracer.record(start, sim.now, "core.sw", "writeback", ref, ref)
 
 
 def start(sim, body):
@@ -318,7 +318,7 @@ def observed_run(config, workloads, tile_window):
         repr(result),
         by_category,
         dataclasses.asdict(system.fault_stats),
-        tracer._raw_spans(),
+        tracer.records,
     )
 
 
