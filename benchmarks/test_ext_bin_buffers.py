@@ -6,6 +6,8 @@ accelerator with data reuse served from dynamically allocated NUCA L2
 buffer space vs going to DRAM every time.
 """
 
+from functools import partial
+
 from conftest import run_once
 
 from repro.engine import Simulator
@@ -19,24 +21,39 @@ BLOCK_BYTES = 4096
 BLOCKS = 16
 
 
+def run_steps(sim: Simulator, steps, then=lambda: None) -> None:
+    """Run each step, one after another: a step issues an access and
+    returns its completion time, and the next one starts then."""
+    pending = iter(steps)
+
+    def next_step() -> None:
+        step = next(pending, None)
+        if step is None:
+            then()
+        else:
+            sim.schedule(step(), next_step)
+
+    next_step()
+
+
 def run_with_bin() -> float:
     sim = Simulator()
     topo = MeshTopology(n_islands=4)
     memory = MemorySystem(sim)
     bin_ = BufferInNUCA(sim, topo, memory, bank_buffer_bytes=64 * 1024)
 
-    def accelerator():
-        grant = yield bin_.request(0, BLOCKS * BLOCK_BYTES)
+    def accelerator(grant) -> None:
         # Cold fill from DRAM into the buffer, then reuse hits the banks.
+        steps = []
         for block in range(BLOCKS):
-            yield bin_.dram_access(BLOCK_BYTES, stream_id=block)
-            yield bin_.access(grant, BLOCK_BYTES)
+            steps.append(partial(bin_.dram_access, BLOCK_BYTES, stream_id=block))
+            steps.append(partial(bin_.access, grant, BLOCK_BYTES))
         for _repeat in range(REUSE_FACTOR - 1):
             for _block in range(BLOCKS):
-                yield bin_.access(grant, BLOCK_BYTES)
-        bin_.release(grant)
+                steps.append(partial(bin_.access, grant, BLOCK_BYTES))
+        run_steps(sim, steps, partial(bin_.release, grant))
 
-    sim.process(accelerator())
+    bin_.request(0, BLOCKS * BLOCK_BYTES, accelerator)
     sim.run()
     return sim.now
 
@@ -44,13 +61,14 @@ def run_with_bin() -> float:
 def run_without_bin() -> float:
     sim = Simulator()
     memory = MemorySystem(sim)
-
-    def accelerator():
-        for _repeat in range(REUSE_FACTOR):
-            for block in range(BLOCKS):
-                yield memory.access(BLOCK_BYTES, stream_id=block)
-
-    sim.process(accelerator())
+    run_steps(
+        sim,
+        [
+            partial(memory.access_fast, BLOCK_BYTES, stream_id=block)
+            for _repeat in range(REUSE_FACTOR)
+            for block in range(BLOCKS)
+        ],
+    )
     sim.run()
     return sim.now
 

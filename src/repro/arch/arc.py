@@ -23,7 +23,7 @@ import typing
 from repro.abb.flowgraph import ABBFlowGraph, TilePlan
 from repro.abb.library import ABBLibrary, standard_library
 from repro.core.gam import GlobalAcceleratorManager
-from repro.engine import BandwidthServer, Event, Simulator
+from repro.engine import BandwidthServer, Simulator
 from repro.errors import SimulationError
 from repro.island.spm import SPMGroup
 from repro.island.config import SpmPorting
@@ -113,8 +113,7 @@ class ARCSystem:
         previous step's completion time."""
         sim, plan = self.sim, self.plan
 
-        def granted(event: Event) -> None:
-            unit = event.value
+        def granted(unit: int) -> None:
             link = self._links[unit]
 
             # Stream inputs: DRAM and the unit's NoC link in series.
@@ -152,7 +151,7 @@ class ARCSystem:
 
             sim.schedule(self.memory.access_fast(plan.memory_read_bytes, tile_id), read)
 
-        self.gam.request().add_callback(granted)
+        self.gam.request(granted)
 
     def run(self) -> SimResult:
         """Execute every tile; returns the usual result record."""

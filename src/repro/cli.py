@@ -93,14 +93,13 @@ def cmd_fig6(args, memo=None) -> None:
 
 
 def _print_ring_table(table, title: str) -> None:
+    alias = {label: name for name, label in NETWORK_ALIASES.items()}
     _print(title)
     for n_islands, rows in table.items():
         _print(f"-- {n_islands} islands --")
         for name, row in rows.items():
-            _print(
-                f"  {name:<20} "
-                + "  ".join(f"{label.split(',')[0]}={value:4.2f}" for label, value in row.items())
-            )
+            cells = (f"{alias[label]}={value:4.2f}" for label, value in row.items())
+            _print(f"  {name:<20} " + "  ".join(cells))
 
 
 def cmd_fig7(args, memo=None) -> None:

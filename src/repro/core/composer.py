@@ -24,6 +24,7 @@ from __future__ import annotations
 import collections
 import typing
 from dataclasses import dataclass
+from functools import partial
 
 from repro.core.allocation import AllocationPolicy, locality_then_load_balance
 from repro.engine import Simulator
@@ -59,23 +60,13 @@ class Grant:
     granted_at: float = 0.0
 
 
-@dataclass
-class _Waiter:
+class _Waiter(typing.NamedTuple):
     """A queued allocation request and the callback its answer goes to."""
 
     then: typing.Callable[[object], None]
     type_name: str
     preferred: typing.Optional[int]
     requested_at: float
-    value: object = None
-
-    def resolve(self, sim: Simulator, value: object) -> None:
-        """Answer the request with ``value`` from a heap entry at now."""
-        self.value = value
-        sim.schedule(sim.now, self._fire)
-
-    def _fire(self) -> None:
-        self.then(self.value)
 
 
 class AcceleratorBlockComposer:
@@ -153,8 +144,7 @@ class AcceleratorBlockComposer:
             )
         if not operational:
             self.fallback_grants += 1
-            waiter = _Waiter(then, type_name, preferred_island, self.sim.now)
-            waiter.resolve(self.sim, SOFTWARE_FALLBACK)
+            self._answer(then, SOFTWARE_FALLBACK)
             return
         grant = self._try_allocate(type_name, preferred_island)
         if grant is not None:
@@ -197,7 +187,7 @@ class AcceleratorBlockComposer:
                 # it forever.
                 pending[type_name] -= 1
                 self.fallback_grants += 1
-                waiter.resolve(self.sim, SOFTWARE_FALLBACK)
+                self._answer(waiter.then, SOFTWARE_FALLBACK)
                 continue
             grant = self._try_allocate(type_name, waiter.preferred)
             if grant is None:
@@ -207,8 +197,12 @@ class AcceleratorBlockComposer:
             pending[type_name] -= 1
             self.total_grants += 1
             self.wait_cycles.record(self.sim.now - waiter.requested_at)
-            waiter.resolve(self.sim, grant)
+            self._answer(waiter.then, grant)
         self._waiters = remaining
+
+    def _answer(self, then: typing.Callable[[object], None], value: object) -> None:
+        """Answer a deferred request with ``value`` from a heap entry at now."""
+        self.sim.schedule(self.sim.now, partial(then, value))
 
     def fail_slot(self, island_index: int, slot: int) -> None:
         """Take a slot out of service for good (ABB hard failure).

@@ -14,11 +14,9 @@ read by the serving frontend's ``wait_threshold`` admission rule.
 
 from __future__ import annotations
 
-import collections
 from dataclasses import dataclass
 
-from repro.engine import Event, Simulator
-from repro.errors import AllocationError, ConfigError
+from repro.engine import Resource, Simulator
 
 #: Cycles for the ARC lightweight (user-level) interrupt path.
 LIGHTWEIGHT_INTERRUPT_CYCLES = 40.0
@@ -59,7 +57,7 @@ class InterruptModel:
         return self.count * self.cycles_per_interrupt
 
 
-class GlobalAcceleratorManager:
+class GlobalAcceleratorManager(Resource):
     """Hardware arbitration for a pool of identical monolithic units.
 
     Cores request a unit and receive either an immediate grant or queue
@@ -67,28 +65,13 @@ class GlobalAcceleratorManager:
     release fires a completion interrupt through :attr:`interrupts`.
     """
 
+    __slots__ = ("interrupts",)
+
     def __init__(
         self, sim: Simulator, n_units: int, lightweight_interrupts: bool = True
     ) -> None:
-        if n_units < 1:
-            raise ConfigError("GAM needs at least one accelerator unit")
-        self.sim = sim
-        # Reversed so pop() grants the lowest free unit first.
-        self._free = list(range(n_units - 1, -1, -1))
-        self._held: set[int] = set()
-        self._waiters: collections.deque[Event] = collections.deque()
+        super().__init__(sim, n_units)
         self.interrupts = InterruptModel(lightweight=lightweight_interrupts)
-
-    def request(self) -> Event:
-        """Request a unit; the event fires with the granted unit index."""
-        event = Event(self.sim)
-        if self._free:
-            unit = self._free.pop()
-            self._held.add(unit)
-            event.succeed(unit)
-        else:
-            self._waiters.append(event)
-        return event
 
     def release(self, unit: int) -> float:
         """Return ``unit``; fires the completion interrupt.
@@ -96,12 +79,5 @@ class GlobalAcceleratorManager:
         Returns the interrupt handler cost in cycles (the caller's core
         model should charge it).
         """
-        if unit not in self._held:
-            raise AllocationError(f"release of unheld accelerator unit {unit}")
-        if self._waiters:
-            # Hand the unit straight to the oldest waiter.
-            self._waiters.popleft().succeed(unit)
-        else:
-            self._held.remove(unit)
-            self._free.append(unit)
+        super().release(unit)
         return self.interrupts.record()

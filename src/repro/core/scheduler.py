@@ -24,8 +24,9 @@ operands fetched from shared memory, results written back so downstream
 consumers (hardware or software) can read them — keeping the tile's
 dataflow intact on a degraded platform.
 
-Each running task is one record whose steps are bound methods, run by
-route ends and scheduled wake-ups; no task is a process.  A tile counts
+Each running task is one record whose steps are bound methods, passed
+as ``then`` callbacks to routes, the ABC and the host-core pool or
+scheduled at completion times; no task is a process.  A tile counts
 each task's unfinished producers down and starts a consumer when its
 count reaches zero, the way data-driven hardware fires a task when its
 operands arrive.
@@ -35,8 +36,9 @@ issued, so where a step runs at the instant its cause happened, or one
 heap entry later, decides the order of same-time ABC requests, server
 reservations, energy charges and spans.  Inline: a root task's request
 (in :meth:`TileScheduler.run`), an immediate grant (inside
-:meth:`~repro.core.composer.AcceleratorBlockComposer.request`) and a
-tile's end (inside its last task's done hop).  One heap entry each:
+:meth:`~repro.core.composer.AcceleratorBlockComposer.request`), a
+transfer's landing (inside its route's last leg) and a tile's end (its
+``then()``, inside its last task's done hop).  One heap entry each:
 
 * the *done hop*, the one deferred step between a task's release and
   its consumers' start.  Without it a consumer's ABC request runs
@@ -47,8 +49,8 @@ tile's end (inside its last task's done hop).  One heap entry each:
   queued.  Without it the results hold, but same-instant spans and
   energy charges come in another order on fig. 6 points, which
   reorders a Perfetto export;
-* a queued request's grant, an immediate software-fallback answer and a
-  host-core grant.
+* a queued request's grant, an immediate software-fallback answer, a
+  host-core grant and an empty tile's end.
 
 ``tests/test_task_reference.py`` checks the rule against the process
 per task it replaced.
@@ -60,7 +62,6 @@ import typing
 
 from repro.abb.flowgraph import PlannedTask, TilePlan
 from repro.core.composer import SOFTWARE_FALLBACK
-from repro.engine import Event
 from repro.errors import SimulationError
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -106,7 +107,6 @@ class TileScheduler:
         # Unfinished producers per task, and unfinished tasks.
         self._waiting = [len(task.inputs) for task in plan.tasks]
         self._left = len(plan.tasks)
-        self._ended = Event(system.sim)
         self.used_fallback = False
 
     @property
@@ -117,19 +117,20 @@ class TileScheduler:
         return {tasks[pos].task_id: where for pos, where in self._placed.items()}
 
     # ---------------------------------------------------------------- run
-    def run(self) -> Event:
-        """Start the tile; returns an event fired at tile end.
+    def run(self, then: typing.Callable[[], None] = lambda: None) -> None:
+        """Start the tile; ``then()`` runs at tile end.
 
         Root tasks start now; every other task starts when its last
-        producer's done hop counts it down to zero.
+        producer's done hop counts it down to zero.  An empty graph ends
+        from one heap entry at now.
         """
+        self._then = then
         tasks = self.plan.tasks
         if not tasks:
-            self._ended.succeed()
+            self.system.sim.schedule(self.system.sim.now, then)
         for position, task in enumerate(tasks):
             if not task.inputs:
                 _Task(self, position)
-        return self._ended
 
     # ------------------------------------------------------------- helpers
     def _preferred_island(self, task: PlannedTask) -> typing.Optional[int]:
@@ -193,8 +194,9 @@ class _Task:
     ABB type has no hardware left takes the software steps instead:
     :meth:`_fallback` -> :meth:`_core_granted` (spills) ->
     :meth:`_execute` -> :meth:`_software_done` -> :meth:`_done_hop`.
-    ``pending`` counts the transfers still in flight; ``start`` is when
-    the current traced phase began.
+    ``grant`` is the ABC's :class:`~repro.core.composer.Grant`, or the
+    host core a software task holds; ``pending`` counts the transfers
+    still in flight; ``start`` is when the current traced phase began.
     """
 
     __slots__ = (
@@ -244,24 +246,22 @@ class _Task:
         landed = self._landed
         if task.memory_bytes > 0:
             system.memory_to_island(
-                island_index, slot, task.memory_bytes, streams + task.index, tag
-            ).add_callback(landed)
+                island_index, slot, task.memory_bytes, streams + task.index, landed, tag
+            )
         tasks = tile.plan.tasks
         for producer, nbytes in task.inputs:
             location = placed[producer]
             if location is None:
                 # Producer ran in software; its results sit in shared
                 # memory and stream in like any memory operand.
-                transfer = system.memory_to_island(
-                    island_index, slot, nbytes, streams + tasks[producer].index, tag
-                )
+                stream = streams + tasks[producer].index
+                system.memory_to_island(island_index, slot, nbytes, stream, landed, tag)
             else:
-                transfer = system.island_to_island(
-                    location[0], location[1], island_index, slot, nbytes, tag
+                system.island_to_island(
+                    location[0], location[1], island_index, slot, nbytes, landed, tag
                 )
-            transfer.add_callback(landed)
 
-    def _landed(self, _event: Event) -> None:
+    def _landed(self) -> None:
         self.pending -= 1
         if self.pending == 0:
             sim = self.tile.system.sim
@@ -306,10 +306,11 @@ class _Task:
             grant.slot,
             task.output_bytes,
             tile._stream_base + task.index,
+            self._written,
             tag,
-        ).add_callback(self._written)
+        )
 
-    def _written(self, _event: Event) -> None:
+    def _written(self) -> None:
         if self.tile._tracer is not None:
             self.tile._trace(self.start, "writeback", self.actor, self.tag, self.tag)
         self._release()
@@ -333,7 +334,7 @@ class _Task:
         tile = self.tile
         tile._left -= 1
         if tile._left == 0:
-            tile._ended.trigger()
+            tile._then()
         waiting = tile._waiting
         for consumer in self.task.successors:
             waiting[consumer] -= 1
@@ -359,9 +360,10 @@ class _Task:
             stats.fallback_tiles += 1
         tile._placed[self.position] = None
         self.start = system.sim.now
-        system.fallback_cores.request().add_callback(self._core_granted)
+        system.fallback_cores.request(self._core_granted)
 
-    def _core_granted(self, _event: Event) -> None:
+    def _core_granted(self, core: int) -> None:
+        self.grant = core
         tile, task, tag = self.tile, self.task, self.tag
         system = tile.system
         if system.sim.now > self.start:
@@ -379,12 +381,13 @@ class _Task:
         if not spills:
             self._execute()
             return
+        streams = tile._stream_base
         for (src_island, src_slot), index, nbytes in spills:
             system.island_to_memory(
-                src_island, src_slot, nbytes, tile._stream_base + index, tag
-            ).add_callback(self._spilled)
+                src_island, src_slot, nbytes, streams + index, self._spilled, tag
+            )
 
-    def _spilled(self, _event: Event) -> None:
+    def _spilled(self) -> None:
         self.pending -= 1
         if self.pending == 0:
             sim = self.tile.system.sim
@@ -410,7 +413,7 @@ class _Task:
 
     def _software_done(self) -> None:
         tile = self.tile
-        tile.system.fallback_cores.release()
+        tile.system.fallback_cores.release(self.grant)
         if tile._tracer is not None:
             tile._trace_task(self.requested_at, "core.sw", self.position)
         self._done()

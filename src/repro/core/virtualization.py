@@ -13,7 +13,6 @@ import typing
 
 from repro.abb.flowgraph import ABBFlowGraph, TilePlan
 from repro.core.scheduler import TileScheduler
-from repro.engine import Event
 from repro.errors import SimulationError
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -33,18 +32,17 @@ class VirtualAccelerator:
         self.started_at: typing.Optional[float] = None
         self.finished_at: typing.Optional[float] = None
 
-    def start(self) -> Event:
-        """Launch the composition; the event fires when the graph drains."""
+    def start(self, then: typing.Callable[[], None] = lambda: None) -> None:
+        """Launch the composition; ``then()`` runs when the graph drains."""
         if self.started_at is not None:
             raise SimulationError(f"virtual accelerator {self.va_id} already started")
         self.started_at = self.system.sim.now
-        done = self._scheduler.run()
 
-        def record(_event: Event) -> None:
+        def finished() -> None:
             self.finished_at = self.system.sim.now
+            then()
 
-        done.add_callback(record)
-        return done
+        self._scheduler.run(finished)
 
     # ------------------------------------------------------------- queries
     @property

@@ -2,19 +2,22 @@
 
 A small, dependency-free engine: a
 :class:`~repro.engine.simulator.Simulator` owns a time-ordered queue of
-callbacks and the clock.  Models run as callback chains: a
-:class:`~repro.engine.route.Route` walks a transfer's legs, and the
-tile scheduler's task records, serve arrivals and host-core jobs
-schedule their next step at the previous one's completion time.
-:class:`~repro.engine.event.Event` objects join waiters to an
-occurrence.  A :class:`~repro.engine.process.Process` runs a Python
-generator that yields events, in the style of SimPy; no run path uses
-it (the BiN extension's driver does).
+callbacks and the clock.  Model code waits one way: a ``then``
+callback, run inline where its cause completes (a
+:class:`~repro.engine.route.Route`'s end) or scheduled with
+:meth:`~repro.engine.simulator.Simulator.schedule` (a
+:class:`~repro.engine.resources.Resource` grant, a completion time).
+The same-time rule: work at one instant runs in the order it is
+issued, and only a modelled delay or a deferred grant adds a heap entry
+(see :mod:`repro.engine.route` and :mod:`repro.core.scheduler`).
+:class:`~repro.engine.event.Event`, ``AllOf`` and the SimPy-style
+generator :class:`~repro.engine.process.Process` are the engine of the
+differential reference checks; no model run allocates one.
 
 This is the substrate every timing model in the library is built on.
 """
 
-from repro.engine.event import Event, Timeout
+from repro.engine.event import Event
 from repro.engine.process import Process
 from repro.engine.route import Route
 from repro.engine.simulator import Simulator
@@ -30,6 +33,5 @@ __all__ = [
     "Resource",
     "Route",
     "Simulator",
-    "Timeout",
     "UtilizationTracker",
 ]

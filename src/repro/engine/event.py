@@ -1,16 +1,13 @@
-"""Events: the unit of synchronization in the simulation kernel."""
+"""Events: one-shot occurrences that processes and callbacks wait on."""
 
 from __future__ import annotations
 
 import typing
-from heapq import heappush
 
 from repro.errors import SimulationError
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.engine.simulator import Simulator
-
-_INF = float("inf")
 
 
 class Event:
@@ -22,14 +19,14 @@ class Event:
     immediately.  :meth:`trigger` fires it inline instead, with no heap
     entry.
 
-    Events are the most-allocated objects in a simulation (every
-    transfer, timeout and resource grant creates one), so the class is
-    ``__slots__``-based to cut per-instance memory and attribute-lookup
-    cost on the hot path, and ``_callback`` is a single slot — ``None``
-    when empty, the callable itself for the overwhelmingly common
-    one-waiter case, and a list only once a second waiter registers.
-    Lists are not callable, so ``__class__ is list`` disambiguates
-    without a separate discriminator field.
+    Model code waits through scheduled callbacks and never allocates
+    an event; events are the engine of the differential reference checks
+    (``tests/test_route_reference.py``, ``tests/test_task_reference.py``)
+    and of process-style drivers.  ``_callback`` is a single slot —
+    ``None`` when empty, the callable itself for the common one-waiter
+    case, and a list once a second waiter registers.  Lists are not
+    callable, so ``__class__ is list`` disambiguates without a separate
+    discriminator field.
     """
 
     __slots__ = ("sim", "value", "_triggered", "_scheduled", "_callback")
@@ -52,12 +49,7 @@ class Event:
             raise SimulationError("event already triggered")
         self._scheduled = True
         self.value = value
-        # Push directly instead of going through Simulator.schedule:
-        # "now" trivially passes schedule's time validation, and
-        # succeed() runs once per non-timeout event in a simulation.
-        sim = self.sim
-        heappush(sim._heap, (sim.now, sim._seq, self._fire))
-        sim._seq += 1
+        self.sim.schedule(self.sim.now, self._fire)
         return self
 
     def trigger(self, value: object = None) -> "Event":
@@ -97,36 +89,3 @@ class Event:
         else:
             self._callback = [current, callback]
 
-
-class Timeout(Event):
-    """An event that fires a fixed delay after creation."""
-
-    __slots__ = ("delay",)
-
-    def __init__(self, sim: "Simulator", delay: float, value: object = None) -> None:
-        # One chained comparison rejects negative, NaN (all comparisons
-        # false) and infinite delays, mirroring Tracer.record's non-finite
-        # span rejection.
-        if not (0.0 <= delay < _INF):
-            raise SimulationError(
-                f"timeout delay must be finite and non-negative, got {delay!r}"
-            )
-        # Timeouts are allocated by the million; initializing the Event
-        # slots inline skips the super().__init__ call, and the direct
-        # heap push skips Simulator.schedule — its validation reduces
-        # to rejecting overflow to +inf, since delay is already checked
-        # and ``now`` is finite.
-        self.sim = sim
-        self.value = value
-        self._triggered = False
-        self._scheduled = True
-        self._callback = None
-        self.delay = delay
-        time = sim.now + delay
-        if time >= _INF:
-            raise SimulationError(
-                f"cannot schedule at {time!r} (now={sim.now}): "
-                "times must be finite and not in the past"
-            )
-        heappush(sim._heap, (time, sim._seq, self._fire))
-        sim._seq += 1

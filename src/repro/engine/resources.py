@@ -1,4 +1,4 @@
-"""Shared-resource primitives: semaphores, FIFO stores and bandwidth servers.
+"""Shared-resource primitives: unit pools and bandwidth servers.
 
 These are the contention models used throughout the architecture
 simulation.  A :class:`BandwidthServer` is the workhorse: it models a link
@@ -10,55 +10,64 @@ from __future__ import annotations
 
 import collections
 import typing
+from functools import partial
 
 from repro.engine.event import Event
-from repro.errors import CapacityError, ConfigError
+from repro.errors import AllocationError, ConfigError
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.engine.simulator import Simulator
 
 
 class Resource:
-    """A counting semaphore with a FIFO wait queue.
+    """A pool of numbered units with a FIFO wait queue.
 
-    ``request()`` returns an event that fires when a slot is granted; the
-    holder must call ``release()`` exactly once per grant.
+    ``request(then)`` runs ``then(unit)`` from one heap entry at the
+    grant: at once when a unit is free, otherwise when a release hands
+    one over.  The holder returns it with ``release(unit)``.  Grants go
+    to the lowest free unit first, then to the unit released last.
     """
 
-    __slots__ = ("sim", "capacity", "in_use", "_waiters")
+    __slots__ = ("sim", "capacity", "_free", "_held", "_waiters")
 
     def __init__(self, sim: "Simulator", capacity: int = 1) -> None:
         if capacity < 1:
             raise ConfigError(f"resource capacity must be >= 1, got {capacity}")
         self.sim = sim
         self.capacity = capacity
-        self.in_use = 0
-        self._waiters: collections.deque[Event] = collections.deque()
+        # Reversed so pop() grants the lowest free unit first.
+        self._free = list(range(capacity - 1, -1, -1))
+        self._held: set[int] = set()
+        self._waiters: collections.deque = collections.deque()
+
+    @property
+    def in_use(self) -> int:
+        """Number of units held right now."""
+        return len(self._held)
 
     @property
     def available(self) -> int:
-        """Number of free slots right now."""
-        return self.capacity - self.in_use
+        """Number of free units right now."""
+        return len(self._free)
 
-    def request(self) -> Event:
-        """Return an event that fires when a slot is acquired."""
-        event = Event(self.sim)
-        if self.in_use < self.capacity:
-            self.in_use += 1
-            event.succeed(self)
+    def request(self, then: typing.Callable[[int], None]) -> None:
+        """Ask for a unit; ``then(unit)`` runs when one is granted."""
+        if self._free:
+            unit = self._free.pop()
+            self._held.add(unit)
+            self.sim.schedule(self.sim.now, partial(then, unit))
         else:
-            self._waiters.append(event)
-        return event
+            self._waiters.append(then)
 
-    def release(self) -> None:
-        """Free one slot, waking the oldest waiter if any."""
-        if self.in_use <= 0:
-            raise CapacityError("release() without a matching request()")
+    def release(self, unit: int) -> None:
+        """Return ``unit``, handing it to the oldest waiter if any."""
+        if unit not in self._held:
+            raise AllocationError(f"release of unit {unit}, which is not held")
         if self._waiters:
-            # Hand the slot directly to the next waiter; in_use is unchanged.
-            self._waiters.popleft().succeed(self)
+            self.sim.schedule(self.sim.now, partial(self._waiters.popleft(), unit))
         else:
-            self.in_use -= 1
+            self._held.remove(unit)
+            self._free.append(unit)
 
     @property
     def queue_length(self) -> int:

@@ -21,8 +21,8 @@ transfer::
   a mesh crossing) and returns its completion time, or ``None`` when
   nothing moves: the leg then ends as it starts, with no heap entry and
   no span;
-* :data:`END` — the route is done; its event fires, inline, with the
-  route's bytes.  Every leg tuple ends with one.
+* :data:`END` — the route is done; its ``then()`` runs, inline.  Every
+  leg tuple ends with one.
 
 The optional attributes apply to any leg:
 
@@ -41,12 +41,11 @@ a delay, so work at one instant runs in the order it is issued:
 
 * work that starts at time *t* starts when it is issued: a route's first
   leg runs inside the call that creates it;
-* a route's completion runs its waiters inside the leg that ends it (the
-  :data:`END` leg fires :attr:`Route.event` inline);
+* a route's completion runs inside the leg that ends it (the
+  :data:`END` leg calls the route's ``then()`` inline);
 * only a modelled delay (a :data:`SERVE` completion, a :data:`WAIT`, a
-  :data:`CALL`'s completion time, a fault hook's wait) or an
-  :meth:`Event.succeed` adds a heap entry.  Entries at equal times still
-  run in push order.
+  :data:`CALL`'s completion time, a fault hook's wait) adds a heap
+  entry.  Entries at equal times still run in push order.
 
 Heap entries: one per leg, even for a zero-cycle :data:`WAIT`, but
 none for a :data:`CALL` that returns ``None``; and one per fault-hook
@@ -56,8 +55,6 @@ wait.  None to start the route or to finish it.
 from __future__ import annotations
 
 import typing
-
-from repro.engine.event import Event
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.engine.simulator import Simulator
@@ -95,15 +92,15 @@ DONE = leg(END)
 class Route:
     """One transfer walking a shared tuple of legs.
 
-    ``nbytes`` is what :data:`SERVE` legs reserve and what :attr:`event`
-    fires with.  ``src``/``dst`` name the transfer's ends for the
+    ``then()`` runs when the route ends; ``nbytes`` is what
+    :data:`SERVE` legs reserve.  ``src``/``dst`` name the transfer's ends for the
     owners' ``CALL`` and ``charge`` functions (``(island, slot)`` pairs,
     memory stream ids); ``ref`` goes into traced spans.
     """
 
     __slots__ = (
         "sim",
-        "event",
+        "then",
         "nbytes",
         "src",
         "dst",
@@ -119,13 +116,14 @@ class Route:
         self,
         sim: "Simulator",
         legs: typing.Sequence[Leg],
+        then: typing.Callable[[], None],
         nbytes: float,
         src: typing.Any = None,
         dst: typing.Any = None,
         ref: str = "",
     ) -> None:
         self.sim = sim
-        self.event = Event(sim)
+        self.then = then
         self.nbytes = nbytes
         self.src = src
         self.dst = dst
@@ -175,6 +173,6 @@ class Route:
                 self._start()
                 return
         else:
-            self.event.trigger(self.nbytes)
+            self.then()
             return
         sim.schedule(done, self._advance_cb)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import typing
 from heapq import heappop, heappush
 
-from repro.engine.event import Event, Timeout
+from repro.engine.event import Event
 from repro.errors import SimulationError
 
 _INF = float("inf")
@@ -55,9 +55,14 @@ class Simulator:
         self.schedule(time, event._fire)
         return event
 
-    def timeout(self, delay: float, value: object = None) -> Timeout:
-        """Create an event that fires ``delay`` cycles from now."""
-        return Timeout(self, delay, value)
+    def timeout(self, delay: float, value: object = None) -> Event:
+        """An event that fires ``delay`` cycles from now with ``value``."""
+        # One chained comparison rejects negative, NaN and infinite delays.
+        if not (0.0 <= delay < _INF):
+            raise SimulationError(
+                f"timeout delay must be finite and non-negative, got {delay!r}"
+            )
+        return self.at(self.now + delay, value)
 
     def process(self, generator: typing.Generator) -> "Process":
         """Spawn a new process running ``generator``."""

@@ -14,9 +14,11 @@ used by the ``test_ext_bin_buffers`` bench to quantify the benefit.
 from __future__ import annotations
 
 import collections
+import typing
 from dataclasses import dataclass
+from functools import partial
 
-from repro.engine import BandwidthServer, Event, Simulator
+from repro.engine import BandwidthServer, Simulator
 from repro.errors import AllocationError, CapacityError, ConfigError
 from repro.mem.controller import MemorySystem
 from repro.noc.topology import MeshTopology, NodeKind
@@ -117,8 +119,9 @@ class BufferInNUCA:
         return BufferGrant(island_index, nbytes, slices, hops)
 
     # -------------------------------------------------------------- public
-    def request(self, island_index: int, nbytes: float) -> Event:
-        """Request ``nbytes`` of buffer; fires with a :class:`BufferGrant`.
+    def request(self, island_index: int, nbytes: float, then: typing.Callable) -> None:
+        """Request ``nbytes`` of buffer; ``then(grant)`` gets the
+        :class:`BufferGrant` from one heap entry at the grant.
 
         Requests exceeding total BiN capacity are rejected immediately;
         requests exceeding currently-free capacity wait FIFO.
@@ -130,15 +133,13 @@ class BufferInNUCA:
                 f"buffer request of {nbytes:.0f} B exceeds total BiN "
                 f"capacity {self.bank_capacity * len(self.bank_nodes):.0f} B"
             )
-        event = Event(self.sim)
         grant = self._try_allocate(island_index, nbytes)
         if grant is not None:
             self.total_grants += 1
-            event.succeed(grant)
+            self.sim.schedule(self.sim.now, partial(then, grant))
         else:
             self.total_denied_waits += 1
-            self._waiters.append((event, island_index, nbytes))
-        return event
+            self._waiters.append((then, island_index, nbytes))
 
     def release(self, grant: BufferGrant) -> None:
         """Return a buffer's capacity and wake eligible waiters."""
@@ -152,17 +153,18 @@ class BufferInNUCA:
         progressed = True
         while progressed and self._waiters:
             progressed = False
-            event, island_index, nbytes = self._waiters[0]
+            then, island_index, nbytes = self._waiters[0]
             granted = self._try_allocate(island_index, nbytes)
             if granted is not None:
                 self._waiters.popleft()
                 self.total_grants += 1
-                event.succeed(granted)
+                self.sim.schedule(self.sim.now, partial(then, granted))
                 progressed = True
 
     # --------------------------------------------------------------- timing
-    def access(self, grant: BufferGrant, nbytes: float) -> Event:
-        """Stream ``nbytes`` through the buffer's backing banks.
+    def access(self, grant: BufferGrant, nbytes: float) -> float:
+        """Stream ``nbytes`` through the buffer's backing banks; returns
+        the completion time.
 
         Bytes split across the grant's bank slices proportionally; the
         access completes when the slowest bank has drained, plus the
@@ -172,20 +174,13 @@ class BufferInNUCA:
             raise AllocationError("access to a released buffer")
         if nbytes < 0:
             raise ConfigError("access size must be non-negative")
-        events = []
+        drained = self.sim.now
         for bank_index, share_bytes in grant.banks:
             share = nbytes * (share_bytes / grant.nbytes)
-            events.append(self._ports[bank_index].transfer(share))
+            drained = max(drained, self._ports[bank_index].reserve(share))
+        return drained + HOP_LATENCY_CYCLES * grant.hops
 
-        def proc():
-            from repro.engine import AllOf
-
-            yield AllOf(self.sim, events)
-            yield self.sim.timeout(HOP_LATENCY_CYCLES * grant.hops)
-            return nbytes
-
-        return self.sim.process(proc())
-
-    def dram_access(self, nbytes: float, stream_id: int = 0) -> Event:
-        """The fallback path: the same bytes served from DRAM."""
-        return self.memory.access(nbytes, stream_id)
+    def dram_access(self, nbytes: float, stream_id: int = 0) -> float:
+        """The fallback path: the same bytes served from DRAM; returns
+        the completion time."""
+        return self.memory.access_fast(nbytes, stream_id)

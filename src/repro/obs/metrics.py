@@ -42,6 +42,16 @@ _PROM_SANITIZE_RE = re.compile(r"[^a-zA-Z0-9_:]")
 #: Percentiles exported for histogram metrics.
 HISTOGRAM_PERCENTILES = (50.0, 95.0, 99.0)
 
+#: The value components of each metric kind, as its registry method
+#: writes them.
+_KIND_COMPONENTS = {
+    "counter": {"value"},
+    "gauge": {"value"},
+    "time_weighted_gauge": {"average", "peak"},
+    "histogram": {"count", "mean", "min", "max"}
+    | {f"p{p:g}" for p in HISTOGRAM_PERCENTILES},
+}
+
 def _check_name(name: str) -> str:
     if not isinstance(name, str) or not name:
         raise ConfigError(f"metric name must be a non-empty string, got {name!r}")
@@ -82,10 +92,22 @@ class MetricsRegistry:
     def add(
         self, name: str, kind: str, values: dict[str, float], help: str = ""
     ) -> Metric:
-        """Add one metric; bad and duplicate names are rejected."""
+        """Add one metric; bad and duplicate names, unknown kinds and
+        values without exactly the kind's components are rejected."""
         _check_name(name)
         if name in self._metrics:
             raise ConfigError(f"duplicate metric name {name!r}")
+        components = _KIND_COMPONENTS.get(kind) if isinstance(kind, str) else None
+        if components is None:
+            raise ConfigError(
+                f"metric {name!r} has unknown kind {kind!r}; "
+                f"known: {sorted(_KIND_COMPONENTS)}"
+            )
+        if values.keys() != components:
+            raise ConfigError(
+                f"{kind} {name!r} needs values {sorted(components)}, "
+                f"got {sorted(values)}"
+            )
         metric = self._metrics[name] = Metric(name, kind, values, help)
         return metric
 
@@ -226,9 +248,9 @@ class MetricsRegistry:
         for metric in self._metrics.values():
             base = "repro_" + _PROM_SANITIZE_RE.sub("_", metric.name)
             values = metric.values
-            if metric.kind == "counter":
+            if metric.kind in ("counter", "gauge"):
                 lines.append(f"# HELP {base} {metric.help}".rstrip())
-                lines.append(f"# TYPE {base} counter")
+                lines.append(f"# TYPE {base} {metric.kind}")
                 lines.append(f"{base} {values['value']:g}")
             elif metric.kind == "histogram":
                 lines.append(f"# HELP {base} {metric.help}".rstrip())
@@ -241,18 +263,12 @@ class MetricsRegistry:
                     )
                 lines.append(f"{base}_sum {values['mean'] * values['count']:g}")
                 lines.append(f"{base}_count {values['count']:g}")
-            elif metric.kind == "time_weighted_gauge":
+            else:  # time_weighted_gauge
                 lines.append(f"# HELP {base} {metric.help}".rstrip())
                 lines.append(f"# TYPE {base} gauge")
                 lines.append(f"{base} {values['average']:g}")
                 lines.append(f"# TYPE {base}_peak gauge")
                 lines.append(f"{base}_peak {values['peak']:g}")
-            else:  # gauges and any other kind
-                lines.append(f"# HELP {base} {metric.help}".rstrip())
-                lines.append(f"# TYPE {base} gauge")
-                for component, value in sorted(values.items()):
-                    suffix = "" if component == "value" else f"_{component}"
-                    lines.append(f"{base}{suffix} {value:g}")
         return "\n".join(lines) + "\n"
 
     def save(self, path: str) -> None:

@@ -206,7 +206,7 @@ def run_serve(
         # host core.  Chained intermediates stay core-local.
         ref = f"{state.spec.name}.t{tile_id}.sw"
 
-        def core_granted(_event: object) -> None:
+        def core_granted(core: int) -> None:
             if tracer is not None and sim.now > arrived:
                 tracer.record(arrived, sim.now, "core.sw", "alloc_wait", ref, ref)
             system.software_execute(
@@ -216,11 +216,11 @@ def run_serve(
                 tile_id,
                 ref,
                 sim.now,
-                finished,
+                partial(finished, core),
             )
 
-        def finished() -> None:
-            system.fallback_cores.release()
+        def finished(core: int) -> None:
+            system.fallback_cores.release(core)
             if tracer is not None:
                 tracer.record(
                     arrived,
@@ -235,7 +235,7 @@ def run_serve(
             driver.finished += 1
             complete(state, arrived)
 
-        system.fallback_cores.request().add_callback(core_granted)
+        system.fallback_cores.request(core_granted)
 
     def arrive(
         index: int, state: _TenantState, times: list[float], request_index: int

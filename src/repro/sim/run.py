@@ -33,7 +33,7 @@ class RequestDriver:
     """Issues requests onto one system and runs it to the end.
 
     A hardware request starts a :class:`TileScheduler` the moment it is
-    issued; a callback on the tile's done event does its bookkeeping.
+    issued; the tile's end callback does its bookkeeping.
     ``started``/``finished`` feed the one deadlock check in :meth:`run`;
     serve's host-core software requests bump them too.  :meth:`run` then
     checks that the run left nothing held.
@@ -58,11 +58,11 @@ class RequestDriver:
         self.started += 1
         scheduler = TileScheduler(self.system, plan, tile_id, tenant, after)
 
-        def finish(_event: object) -> None:
+        def finish() -> None:
             self.finished += 1
             on_done(scheduler.last_ref)
 
-        scheduler.run().add_callback(finish)
+        scheduler.run(finish)
 
     def window(
         self, plan: TilePlan, first_id: int, tiles: int, size: int

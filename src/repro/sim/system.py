@@ -3,8 +3,9 @@
 :class:`SystemConfig` captures one point of the paper's design space
 (island count, SPM<->DMA network, porting, sharing).  :class:`SystemModel`
 wires the hardware together and provides the three system-level data
-paths the tile scheduler uses (memory<->island and island<->island).
-Each transfer is one :class:`~repro.engine.route.Route` over a flat leg
+paths the tile scheduler uses (memory<->island and island<->island),
+each calling its ``then()`` when the data has arrived.  Each transfer
+is one :class:`~repro.engine.route.Route` over a flat leg
 tuple: the memory's read or write leg, the mesh's crossing leg and the
 islands' ingress and egress legs.
 """
@@ -13,13 +14,14 @@ from __future__ import annotations
 
 import typing
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 from repro.abb.library import ABBLibrary, PAPER_ABB_MIX, standard_library
 from repro.cmp.fallback import SoftwareFallbackModel
 from repro.cmp.xeon import XEON_E5_2420
 from repro.core.allocation import AllocationPolicy, locality_then_load_balance
 from repro.core.composer import AcceleratorBlockComposer
-from repro.engine import Event, Resource, Route, Simulator, Timeout
+from repro.engine import Resource, Route, Simulator
 from repro.engine.route import CALL, DONE, MARK, leg
 from repro.engine.trace import Tracer
 from repro.errors import ConfigError
@@ -344,16 +346,13 @@ class SystemModel:
         plan = self.fault_injector.plan_abb_failures(
             [island.n_slots for island in self.islands]
         )
-
-        def make_callback(island_index: int, slot: int):
-            def on_fire(_event: Event) -> None:
-                self.abc.fail_slot(island_index, slot)
-                self.fault_injector.stats.failed_abbs += 1
-
-            return on_fire
-
+        sim = self.sim
         for island_index, slot, cycle in plan:
-            Timeout(self.sim, cycle).add_callback(make_callback(island_index, slot))
+            sim.schedule(sim.now + cycle, partial(self._fail_abb, island_index, slot))
+
+    def _fail_abb(self, island_index: int, slot: int) -> None:
+        self.abc.fail_slot(island_index, slot)
+        self.fault_injector.stats.failed_abbs += 1
 
     # ------------------------------------------------------ software path
     def software_execute(
@@ -370,7 +369,7 @@ class SystemModel:
 
         Reads operands from shared memory, computes for ``cycles``,
         charges the energy and writes results back.  The caller holds a
-        :attr:`fallback_cores` grant; its gathering began at
+        :attr:`fallback_cores` unit; its gathering began at
         ``gather_start``.
         """
         _SoftwareJob(
@@ -398,10 +397,10 @@ class SystemModel:
             raise ConfigError(f"no island {index} in {len(self.islands)}")
         return self.islands[index]
 
-    def _route(self, head, tail, nbytes: float, src, dst, ref: str) -> Event:
+    def _route(self, head, tail, then, nbytes: float, src, dst, ref: str) -> None:
         """One transfer: ``head``, the mesh crossing, then ``tail``."""
         mesh = self.noc.transfer(self._node(src), self._node(dst), nbytes)
-        return Route(self.sim, head + (mesh,) + tail, nbytes, src, dst, ref).event
+        Route(self.sim, head + (mesh,) + tail, then, nbytes, src, dst, ref)
 
     def memory_to_island(
         self,
@@ -409,13 +408,13 @@ class SystemModel:
         slot: int,
         nbytes: float,
         stream_id: int,
+        then: typing.Callable[[], None],
         ref: str = "",
-    ) -> Event:
+    ) -> None:
         """DRAM read -> mesh -> island ingress -> SPM."""
         ingress = self._island(island_index).ingress(slot, nbytes)
-        return self._route(
-            self._read_legs, ingress, nbytes, stream_id, (island_index, slot), ref
-        )
+        dst = (island_index, slot)
+        self._route(self._read_legs, ingress, then, nbytes, stream_id, dst, ref)
 
     def island_to_memory(
         self,
@@ -423,13 +422,13 @@ class SystemModel:
         slot: int,
         nbytes: float,
         stream_id: int,
+        then: typing.Callable[[], None],
         ref: str = "",
-    ) -> Event:
+    ) -> None:
         """SPM -> island egress -> mesh -> DRAM write."""
         egress = self._island(island_index).egress(slot, nbytes)
-        return self._route(
-            egress, self._write_legs, nbytes, (island_index, slot), stream_id, ref
-        )
+        src = (island_index, slot)
+        self._route(egress, self._write_legs, then, nbytes, src, stream_id, ref)
 
     def island_to_island(
         self,
@@ -438,17 +437,19 @@ class SystemModel:
         dst_index: int,
         dst_slot: int,
         nbytes: float,
+        then: typing.Callable[[], None],
         ref: str = "",
-    ) -> Event:
+    ) -> None:
         """Cross-island chaining: egress -> mesh -> ingress; within one
         island, the island's local chaining path."""
         src, dst = self._island(src_index), self._island(dst_index)
         ends = (src_index, src_slot), (dst_index, dst_slot)
         if dst is src:
             legs = src.chain_local(src_slot, dst_slot, nbytes)
-            return Route(self.sim, legs, nbytes, *ends, ref).event
+            Route(self.sim, legs, then, nbytes, *ends, ref)
+            return
         egress, ingress = src.egress(src_slot, nbytes), dst.ingress(dst_slot, nbytes)
-        return self._route(egress, ingress, nbytes, *ends, ref)
+        self._route(egress, ingress, then, nbytes, *ends, ref)
 
     # -------------------------------------------------------------- metrics
     @property

@@ -238,6 +238,19 @@ class TestCommands:
         assert captured.out == ""
         assert not out.exists()
 
+    def test_fig7_columns_are_labelled_by_network_alias(self, capsys):
+        assert main(["fig7", "--tiles", "1"]) == 0
+        rows = [
+            line.split()
+            for line in capsys.readouterr().out.splitlines()
+            if line.startswith("  Denoise ")
+        ]
+        assert rows
+        for row in rows:
+            labels = [cell.split("=")[0] for cell in row[1:]]
+            assert labels == ["ring1x16", "ring1x32", "ring2x32", "ring3x32"]
+            assert len(set(labels)) == 4
+
     def test_fig10_small(self, capsys):
         assert main(["fig10", "--tiles", "2"]) == 0
         out = capsys.readouterr().out

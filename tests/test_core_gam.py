@@ -11,6 +11,7 @@ from repro.core.gam import (
 )
 from repro.engine import Simulator
 from repro.errors import AllocationError, ConfigError
+from repro.sim import SystemConfig, SystemModel
 
 
 def make_gam(n_units=2, **kwargs):
@@ -21,9 +22,16 @@ def make_gam(n_units=2, **kwargs):
 def grant_now(sim, gam):
     """Request a unit and return the granted index."""
     granted = []
-    gam.request().add_callback(lambda e: granted.append(e.value))
+    gam.request(granted.append)
     sim.run()
     return granted[0]
+
+
+def requested(sim, gam):
+    """A unit request as an event firing with the unit, for processes."""
+    granted = sim.event()
+    gam.request(granted.trigger)
+    return granted
 
 
 class TestArbitration:
@@ -31,7 +39,7 @@ class TestArbitration:
         sim, gam = make_gam(2)
         grants = []
         for _ in range(3):
-            gam.request().add_callback(lambda e: grants.append(e.value))
+            gam.request(grants.append)
         sim.run()
         assert grants == [0, 1]  # the third request waits
 
@@ -40,7 +48,7 @@ class TestArbitration:
         order = []
 
         def user(tag, hold):
-            unit = yield gam.request()
+            unit = yield requested(sim, gam)
             order.append(tag)
             yield sim.timeout(hold)
             gam.release(unit)
@@ -59,7 +67,7 @@ class TestArbitration:
         held = set()
 
         def user(hold):
-            unit = yield gam.request()
+            unit = yield requested(sim, gam)
             assert 0 <= unit < n_units
             assert unit not in held
             held.add(unit)
@@ -79,7 +87,7 @@ class TestArbitration:
         grants = []
 
         def user(tag, hold):
-            unit = yield gam.request()
+            unit = yield requested(sim, gam)
             grants.append((tag, unit, sim.now))
             yield sim.timeout(hold)
             gam.release(unit)
@@ -111,6 +119,38 @@ class TestArbitration:
     def test_invalid_config_rejected(self):
         with pytest.raises(ConfigError):
             GlobalAcceleratorManager(Simulator(), 0)
+
+
+def host_cores():
+    system = SystemModel(SystemConfig(n_islands=1))
+    return system.sim, system.fallback_cores
+
+
+#: The two unit pools of the model: ARC's GAM and the host cores.
+POOLS = {"gam": make_gam, "fallback_cores": host_cores}
+
+
+class TestOneUnitPool:
+    @pytest.mark.parametrize("pool", sorted(POOLS))
+    def test_unit_released_twice_raises(self, pool):
+        """A holder that releases its unit twice fails at the second
+        release, even while another unit is held."""
+        sim, units = POOLS[pool]()
+        granted = []
+        units.request(granted.append)
+        units.request(granted.append)
+        sim.run()
+        assert granted == [0, 1]
+        units.release(granted[0])
+        with pytest.raises(AllocationError):
+            units.release(granted[0])
+        assert units.in_use == 1
+
+    @pytest.mark.parametrize("pool", sorted(POOLS))
+    def test_unit_never_granted_cannot_be_released(self, pool):
+        _, units = POOLS[pool]()
+        with pytest.raises(AllocationError):
+            units.release(0)
 
 
 class TestInterrupts:

@@ -33,9 +33,12 @@ class TestTileScheduler:
         system = make_system()
         g = ABBFlowGraph("one")
         g.add_task("a", "poly", 16)
-        done = TileScheduler(system, TilePlan(g, system.library), tile_id=0).run()
+        ends = []
+        TileScheduler(system, TilePlan(g, system.library), tile_id=0).run(
+            lambda: ends.append(system.sim.now)
+        )
         system.sim.run()
-        assert done.triggered
+        assert ends == [system.sim.now]
         assert system.sim.now > 0
 
     def test_chain_completes_and_records_locations(self):
@@ -51,9 +54,10 @@ class TestTileScheduler:
         system = make_system()
         g = chain_graph(system.library, n=2)
         sched = TileScheduler(system, TilePlan(g, system.library), tile_id=0)
-        done = sched.run()
+        ends = []
+        sched.run(lambda: ends.append(system.sim.now))
         system.sim.run()
-        assert done.triggered
+        assert ends
         # Each task was granted one ABB and released it once.
         abc = system.abc
         assert abc.total_grants == abc.service_cycles.count == 2
@@ -72,9 +76,11 @@ class TestTileScheduler:
         system = make_system(mix={"poly": 2, "div": 1, "sqrt": 1})
         g = chain_graph(system.library, n=3)
         plan = TilePlan(g, system.library)
-        events = [TileScheduler(system, plan, tile_id=t).run() for t in range(4)]
+        ends = []
+        for t in range(4):
+            TileScheduler(system, plan, tile_id=t).run(lambda t=t: ends.append(t))
         system.sim.run()
-        assert all(e.triggered for e in events)
+        assert sorted(ends) == [0, 1, 2, 3]
 
     def test_memory_traffic_accounted(self):
         system = make_system()

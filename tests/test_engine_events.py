@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.engine import BandwidthServer, Event, Route, Simulator, Timeout
+from repro.engine import BandwidthServer, Event, Route, Simulator
 from repro.engine.route import DONE, SERVE, leg
 from repro.errors import SimulationError
 
@@ -95,8 +95,7 @@ def test_same_instant_routes_served_in_issue_order():
 
     def issue(_event):
         for tag, nbytes in (("first", 10.0), ("second", 4.0)):
-            route = Route(sim, legs, nbytes)
-            route.event.add_callback(lambda e, tag=tag: done.setdefault(tag, sim.now))
+            Route(sim, legs, lambda tag=tag: done.setdefault(tag, sim.now), nbytes)
 
     sim.timeout(5.0).add_callback(issue)
     sim.run()
@@ -134,7 +133,7 @@ def test_callback_added_after_trigger_runs_immediately():
 def test_negative_delay_rejected():
     sim = Simulator()
     with pytest.raises(SimulationError):
-        Timeout(sim, -1.0)
+        sim.timeout(-1.0)
 
 
 def test_schedule_in_past_rejected():
@@ -155,14 +154,13 @@ def test_event_triggered_flag():
 
 
 def test_hot_path_classes_are_slotted():
-    """Event-loop objects are allocated per transfer/grant; they must
-    stay ``__slots__``-based (no per-instance ``__dict__``)."""
+    """Engine objects stay ``__slots__``-based (no per-instance
+    ``__dict__``)."""
     from repro.engine import AllOf, Resource
 
     sim = Simulator()
     instances = [
         sim.event(),
-        sim.timeout(1.0),
         sim.process(x for x in []),
         Resource(sim),
         AllOf(sim, []),

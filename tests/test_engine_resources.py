@@ -3,7 +3,14 @@
 import pytest
 
 from repro.engine import AllOf, BandwidthServer, Resource, Simulator
-from repro.errors import CapacityError, ConfigError
+from repro.errors import AllocationError, ConfigError
+
+
+def requested(sim, res):
+    """A unit request as an event firing with the unit, for processes."""
+    granted = sim.event()
+    res.request(granted.trigger)
+    return granted
 
 
 class TestResource:
@@ -11,8 +18,8 @@ class TestResource:
         sim = Simulator()
         res = Resource(sim, capacity=2)
         grants = []
-        res.request().add_callback(lambda e: grants.append(sim.now))
-        res.request().add_callback(lambda e: grants.append(sim.now))
+        res.request(lambda unit: grants.append(sim.now))
+        res.request(lambda unit: grants.append(sim.now))
         sim.run()
         assert grants == [0.0, 0.0]
         assert res.available == 0
@@ -23,10 +30,10 @@ class TestResource:
         order = []
 
         def holder(tag, hold):
-            yield res.request()
+            unit = yield requested(sim, res)
             order.append(("got", tag, sim.now))
             yield sim.timeout(hold)
-            res.release()
+            res.release(unit)
 
         sim.process(holder("a", 5.0))
         sim.process(holder("b", 10.0))
@@ -40,10 +47,10 @@ class TestResource:
         order = []
 
         def holder(tag):
-            yield res.request()
+            unit = yield requested(sim, res)
             order.append(tag)
             yield sim.timeout(1.0)
-            res.release()
+            res.release(unit)
 
         for tag in ["a", "b", "c", "d"]:
             sim.process(holder(tag))
@@ -53,8 +60,8 @@ class TestResource:
     def test_release_without_request_raises(self):
         sim = Simulator()
         res = Resource(sim)
-        with pytest.raises(CapacityError):
-            res.release()
+        with pytest.raises(AllocationError):
+            res.release(0)
 
     def test_zero_capacity_rejected(self):
         sim = Simulator()
@@ -64,9 +71,8 @@ class TestResource:
     def test_queue_length(self):
         sim = Simulator()
         res = Resource(sim, capacity=1)
-        res.request()
-        res.request()
-        res.request()
+        for _ in range(3):
+            res.request(lambda unit: None)
         sim.run()
         assert res.queue_length == 2
 

@@ -14,9 +14,17 @@ without timing anything.
 import pytest
 
 from repro.arch.arc import ARCSystem
-from repro.engine import Route
+from repro.dse.report import fig6_series
+from repro.engine import Event, Route
 from repro.faults import parse_fault_spec
 from repro.island import NetworkKind, SpmDmaNetworkConfig
+from repro.serve import (
+    AdmissionConfig,
+    ArrivalConfig,
+    ServeConfig,
+    TenantSpec,
+    run_serve,
+)
 from repro.sim import SystemConfig, SystemModel, run_consolidated, run_workload
 from repro.workloads import get_workload, synthetic_workload
 
@@ -167,3 +175,64 @@ def test_consolidated_faulted_golden_run(work_counts):
     assert result.total_cycles == pytest.approx(13218.993333333334, rel=1e-12)
     assert result.energy_nj == pytest.approx(594468.3403892533, rel=1e-12)
     assert work_counts.take() == (406, 0)
+
+
+def _all_software_run():
+    """Every ABB fails at cycle < 1, so all of EKF-SLAM runs on the
+    host cores."""
+    config = SystemConfig(
+        n_islands=1,
+        faults=parse_fault_spec("abb:1.0,abb_failure_window=1"),
+        fault_seed=1,
+    )
+    result = run_workload(config, get_workload("EKF-SLAM", tiles=3))
+    assert result.fallback_tasks == 30
+    return result
+
+
+def _serve_run():
+    arrival = ArrivalConfig(rate_per_mcycle=40.0, seed=1)
+    tenants = tuple(
+        TenantSpec(f"t{index}", get_workload("Denoise", tiles=4), arrival)
+        for index in range(2)
+    )
+    serve = ServeConfig(
+        tenants=tenants,
+        admission=AdmissionConfig(policy="wait_threshold"),
+        duration_cycles=300_000.0,
+        seed=1,
+    )
+    return run_serve(SystemConfig(n_islands=1), serve)
+
+
+#: One run of each model path: the fig. 6 sweep (routes, tiles, ABC),
+#: ABB failures with DMA faults, the host-core software path, an
+#: open-loop serve session and ARC's GAM.
+MODEL_RUNS = {
+    "fig6": lambda: fig6_series(tiles=16),
+    "faulted": lambda: run_workload(
+        SystemConfig(
+            n_islands=6, faults=parse_fault_spec("abb:0.25,dma:0.1"), fault_seed=1
+        ),
+        get_workload("EKF-SLAM", tiles=16),
+    ),
+    "all_software": _all_software_run,
+    "serve": _serve_run,
+    "arc": lambda: ARCSystem(get_workload("Denoise", tiles=16)).run(),
+}
+
+
+@pytest.mark.parametrize("run", sorted(MODEL_RUNS))
+def test_no_model_run_allocates_an_event(run, monkeypatch):
+    """Model code waits through scheduled ``then`` callbacks: no route,
+    tile, grant or ABB failure allocates an :class:`Event`."""
+    allocated = []
+    init = Event.__init__
+
+    def counted_init(event, sim):
+        allocated.append(type(event).__name__)
+        init(event, sim)
+
+    monkeypatch.setattr(Event, "__init__", counted_init)
+    MODEL_RUNS[run]()
+    assert allocated == []

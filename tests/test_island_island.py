@@ -1,5 +1,7 @@
 """Tests for the island assembly: allocation, data paths, area/power."""
 
+from functools import partial
+
 import pytest
 
 from repro.abb import standard_library
@@ -33,7 +35,9 @@ def move(island, src, dst, nbytes, ref=""):
     else:
         legs = island.chain_local(src, dst, nbytes)
     ends = [None if slot is None else (island.island_id, slot) for slot in (src, dst)]
-    return Route(island.sim, legs, nbytes, *ends, ref).event
+    done = island.sim.event()
+    Route(island.sim, legs, partial(done.trigger, nbytes), nbytes, *ends, ref)
+    return done
 
 
 class TestConstruction:

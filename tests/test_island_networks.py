@@ -4,6 +4,8 @@ A movement is driven as one route over the network's legs
 (``net.legs(src, dst)``, ``None`` standing for the DMA engine).
 """
 
+from functools import partial
+
 import pytest
 
 from repro.engine import Route, Simulator
@@ -30,7 +32,9 @@ def make(kind, n_slots=4, banks_per_slot=4, width=32, rings=1):
 
 def move(net, src, dst, nbytes):
     """Start one network movement; returns its completion event."""
-    return Route(net.sim, net.legs(src, dst) + (DONE,), nbytes).event
+    done = net.sim.event()
+    Route(net.sim, net.legs(src, dst) + (DONE,), partial(done.trigger, nbytes), nbytes)
+    return done
 
 
 def run_transfer(sim, event):

@@ -1,5 +1,7 @@
 """Tests for mesh topology and NoC timing."""
 
+from functools import partial
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -12,7 +14,10 @@ from repro.noc import MeshNoC, MeshTopology, NodeKind
 def send(noc, src, dst, nbytes):
     """Start one mesh crossing as a route over its leg; returns its
     completion event."""
-    return Route(noc.sim, (noc.transfer(src, dst, nbytes), DONE), nbytes).event
+    done = noc.sim.event()
+    legs = (noc.transfer(src, dst, nbytes), DONE)
+    Route(noc.sim, legs, partial(done.trigger, nbytes), nbytes)
+    return done
 
 
 class TestTopology:

@@ -128,6 +128,35 @@ class TestExport:
         with pytest.raises(ConfigError, match=match):
             MetricsRegistry.from_json_dict(data)
 
+    @pytest.mark.parametrize(
+        "index,entry,match",
+        [
+            (0, {"values": {"x": 1}}, "counter 'island0.dma.bytes' needs values"),
+            (0, {"values": {}}, "counter 'island0.dma.bytes' needs values"),
+            (1, {"values": {"value": 1, "peak": 2}}, "gauge 'mem.mc0.utilization'"),
+            (2, {"values": {"count": 3, "mean": 2}}, "histogram 'abc.alloc.wait"),
+            (3, {"values": {"average": 0.25}}, "time_weighted_gauge 'island0.abb"),
+            (0, {"kind": "bogus"}, "'island0.dma.bytes' has unknown kind 'bogus'"),
+            (0, {"kind": ["counter"]}, "'island0.dma.bytes' has unknown kind"),
+        ],
+        ids=[
+            "counter-other-component",
+            "counter-no-component",
+            "gauge-extra-component",
+            "histogram-missing-components",
+            "time-weighted-gauge-no-peak",
+            "unknown-kind",
+            "non-string-kind",
+        ],
+    )
+    def test_kind_and_components_checked(self, index, entry, match):
+        """Only the four kinds load, each with exactly its registry
+        method's components, so every loaded registry exports."""
+        data = self.make_registry().to_json_dict()
+        data["metrics"][index].update(entry)
+        with pytest.raises(ConfigError, match=match):
+            MetricsRegistry.from_json_dict(data)
+
     @pytest.mark.parametrize("metrics", [3, [1.0]])
     def test_malformed_metrics_list_rejected(self, metrics):
         data = {"schema_version": METRICS_SCHEMA_VERSION, "metrics": metrics}

@@ -56,9 +56,13 @@ def reference_run(config, workloads, tile_window):
         window = Resource(sim, capacity=tile_window)
 
         def tile_process(tile_id, plan=plan, window=window, app=app):
-            yield window.request()
-            yield TileScheduler(system, plan, tile_id + app * TILE_ID_STRIDE).run()
-            window.release()
+            granted, ended = sim.event(), sim.event()
+            window.request(granted.trigger)
+            slot = yield granted
+            scheduler = TileScheduler(system, plan, tile_id + app * TILE_ID_STRIDE)
+            scheduler.run(ended.trigger)
+            yield ended
+            window.release(slot)
 
         for tile_id in range(workload.tiles):
             sim.process(tile_process(tile_id))

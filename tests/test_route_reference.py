@@ -22,6 +22,8 @@ agree on completion times, heap entries, every server's accounting
 breakdown in charge order, and every span.
 """
 
+from functools import partial
+
 from hypothesis import example, given, settings, strategies as st
 
 import repro.faults as faults
@@ -265,7 +267,10 @@ def ref_system_transfer(system, op, src, dst, nbytes, stream, ref):
         return move(system.islands[src[0]], src[1], dst[1], nbytes, ref)
 
     def crossing(a, b):
-        return Route(sim, (noc.transfer(a, b, nbytes), DONE), nbytes, ref=ref).event
+        crossed = sim.event()
+        legs = (noc.transfer(a, b, nbytes), DONE)
+        Route(sim, legs, partial(crossed.trigger, nbytes), nbytes, ref=ref)
+        return crossed
 
     def body():
         if op == "memory_to_island":
@@ -286,11 +291,15 @@ def ref_system_transfer(system, op, src, dst, nbytes, stream, ref):
 
 
 def routed_system_transfer(system, op, src, dst, nbytes, stream, ref):
+    done = system.sim.event()
+    then = partial(done.trigger, nbytes)
     if op == "memory_to_island":
-        return system.memory_to_island(*dst, nbytes, stream, ref)
-    if op == "island_to_memory":
-        return system.island_to_memory(*src, nbytes, stream, ref)
-    return system.island_to_island(*src, *dst, nbytes, ref)
+        system.memory_to_island(*dst, nbytes, stream, then, ref)
+    elif op == "island_to_memory":
+        system.island_to_memory(*src, nbytes, stream, then, ref)
+    else:
+        system.island_to_island(*src, *dst, nbytes, then, ref)
+    return done
 
 
 def run_system(config, ops, routed):

@@ -74,12 +74,12 @@ class TestSystemModel:
     def test_data_paths_complete(self):
         system = SystemModel(SystemConfig(n_islands=3))
         done = []
-        system.memory_to_island(0, 0, 640, stream_id=0).add_callback(
-            lambda e: done.append(("in", system.sim.now))
+        system.memory_to_island(
+            0, 0, 640, stream_id=0, then=lambda: done.append(("in", system.sim.now))
         )
         system.sim.run()
-        system.island_to_memory(0, 0, 640, stream_id=1).add_callback(
-            lambda e: done.append(("out", system.sim.now))
+        system.island_to_memory(
+            0, 0, 640, stream_id=1, then=lambda: done.append(("out", system.sim.now))
         )
         system.sim.run()
         assert [tag for tag, _ in done] == ["in", "out"]
@@ -90,9 +90,7 @@ class TestSystemModel:
         system = SystemModel(SystemConfig(n_islands=3))
         before = system.noc.total_transfers
         done = []
-        system.island_to_island(0, 0, 0, 1, 640).add_callback(
-            lambda e: done.append(system.sim.now)
-        )
+        system.island_to_island(0, 0, 0, 1, 640, lambda: done.append(system.sim.now))
         system.sim.run()
         assert done
         assert system.noc.total_transfers == before  # no mesh crossing
@@ -100,7 +98,7 @@ class TestSystemModel:
     def test_cross_island_chain_uses_noc(self):
         system = SystemModel(SystemConfig(n_islands=3))
         before = system.noc.total_transfers
-        system.island_to_island(0, 0, 1, 0, 640)
+        system.island_to_island(0, 0, 1, 0, 640, lambda: None)
         system.sim.run()
         assert system.noc.total_transfers > before
 
@@ -152,7 +150,7 @@ class TestTransferInputs:
     def test_bad_transfer_rejected_at_issue(self, call, args, named):
         system = SystemModel(SystemConfig(n_islands=3))
         with pytest.raises(ConfigError, match=named):
-            getattr(system, call)(*args)
+            getattr(system, call)(*args, lambda: None)
         # Nothing moved: no heap entry, no DRAM bytes, no energy.
         assert system.sim._seq == 0
         assert system.memory.total_bytes() == 0.0
@@ -164,10 +162,10 @@ class TestTransferInputs:
         """A rejected endpoint leaves nothing behind for the next call."""
         system = SystemModel(SystemConfig(n_islands=3))
         with pytest.raises(ConfigError):
-            system.memory_to_island(0, 99, 64, 0)
+            system.memory_to_island(0, 99, 64, 0, lambda: None)
         done = []
-        system.memory_to_island(0, 0, 64, 0).add_callback(
-            lambda e: done.append(e.value)
+        system.memory_to_island(
+            0, 0, 64, 0, lambda: done.append(system.memory.total_bytes())
         )
         system.sim.run()
         assert done == [64]
@@ -181,7 +179,7 @@ class TestTracedTransfer:
         bytes and hops."""
         tracer = Tracer()
         system = SystemModel(SystemConfig(n_islands=3), tracer=tracer)
-        system.memory_to_island(1, 2, 600, stream_id=0, ref="t0.a")
+        system.memory_to_island(1, 2, 600, stream_id=0, then=lambda: None, ref="t0.a")
         system.sim.run()
         src = system.topology.memory_controller(0)
         dst = system.topology.island(1)

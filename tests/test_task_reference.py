@@ -103,7 +103,7 @@ class ReferenceTileScheduler(TileScheduler):
 
     PARENT_RULE = False
 
-    def run(self):
+    def run(self, then):
         sim = self.system.sim
         tasks = self.plan.tasks
         done = self._done_events = [Event(sim) for _task in tasks]
@@ -129,7 +129,20 @@ class ReferenceTileScheduler(TileScheduler):
 
             for producer, _nbytes in task.inputs:
                 done[producer].add_callback(on_producer_done)
-        return tile_done
+        tile_done.add_callback(lambda _event: then())
+
+    def _transfer(self, call, *args, ref):
+        """Issue a system transfer; its route's end fires the returned
+        event inline."""
+        landed = Event(self.system.sim)
+        call(*args, landed.trigger, ref)
+        return landed
+
+    def _core(self):
+        """A host-core request as an event firing with the core."""
+        granted = Event(self.system.sim)
+        self.system.fallback_cores.request(granted.trigger)
+        return granted
 
     def _request(self, task):
         """The ABC's answer as an event.  Under the parent's rule an
@@ -172,31 +185,39 @@ class ReferenceTileScheduler(TileScheduler):
         input_events = []
         if task.memory_bytes > 0:
             input_events.append(
-                system.memory_to_island(
+                self._transfer(
+                    system.memory_to_island,
                     grant.island_index,
                     grant.slot,
                     task.memory_bytes,
                     streams + task.index,
-                    tag,
+                    ref=tag,
                 )
             )
         for producer, nbytes in task.inputs:
             location = self._placed[producer]
             if location is None:
                 input_events.append(
-                    system.memory_to_island(
+                    self._transfer(
+                        system.memory_to_island,
                         grant.island_index,
                         grant.slot,
                         nbytes,
                         streams + tasks[producer].index,
-                        tag,
+                        ref=tag,
                     )
                 )
                 continue
             src_island, src_slot = location
             input_events.append(
-                system.island_to_island(
-                    src_island, src_slot, grant.island_index, grant.slot, nbytes, tag
+                self._transfer(
+                    system.island_to_island,
+                    src_island,
+                    src_slot,
+                    grant.island_index,
+                    grant.slot,
+                    nbytes,
+                    ref=tag,
                 )
             )
         if input_events:
@@ -219,12 +240,13 @@ class ReferenceTileScheduler(TileScheduler):
             )
         if task.is_sink:
             writeback_start = system.sim.now
-            yield system.island_to_memory(
+            yield self._transfer(
+                system.island_to_memory,
                 grant.island_index,
                 grant.slot,
                 task.output_bytes,
                 streams + task.index,
-                tag,
+                ref=tag,
             )
             self._trace(writeback_start, "writeback", actor, tag, tag)
         system.abc.release(grant)
@@ -244,7 +266,7 @@ class ReferenceTileScheduler(TileScheduler):
             stats.fallback_tiles += 1
         self._placed[position] = None
         requested_at = system.sim.now
-        yield system.fallback_cores.request()
+        core = yield self._core()
         if system.sim.now > requested_at:
             self._trace(requested_at, "alloc_wait", "core.sw", tag, tag)
         gather_start = system.sim.now
@@ -256,12 +278,13 @@ class ReferenceTileScheduler(TileScheduler):
             if location is not None:
                 src_island, src_slot = location
                 spill_events.append(
-                    system.island_to_memory(
+                    self._transfer(
+                        system.island_to_memory,
                         src_island,
                         src_slot,
                         nbytes,
                         streams + tasks[producer].index,
-                        tag,
+                        ref=tag,
                     )
                 )
         if spill_events:
@@ -275,7 +298,7 @@ class ReferenceTileScheduler(TileScheduler):
             tag,
             gather_start,
         )
-        system.fallback_cores.release()
+        system.fallback_cores.release(core)
         self._trace_task(task_start, "core.sw", position)
         self.last_ref = tag
         self._done_events[position].succeed(task.task_id)
