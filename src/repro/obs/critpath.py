@@ -129,22 +129,25 @@ class AttributionReport:
 
 
 class _Node:
-    """One task of the span DAG under reconstruction."""
+    """One task of the span DAG: its task span and its leaf spans."""
 
-    __slots__ = ("ref", "start", "end", "deps", "defined", "leaves")
+    __slots__ = ("ref", "start", "end", "deps", "leaves")
 
-    def __init__(self, ref: str) -> None:
-        self.ref = ref
-        self.start = 0.0
-        self.end = 0.0
-        self.deps: tuple = ()
-        self.defined = False
-        self.leaves: list = []
+    def __init__(self, task: TraceRecord, leaves: list) -> None:
+        self.ref = task.ref
+        self.start = task.start
+        self.end = task.end
+        deps = task.args.get("deps") if task.args else None
+        self.deps: tuple = tuple(deps) if deps else ()
+        self.leaves = leaves
 
 
 def _build_nodes(tracer: Tracer) -> dict[str, _Node]:
-    nodes: dict[str, _Node] = {}
-    get = nodes.get
+    """One pass groups task spans and leaf spans by ref; only refs with
+    a task span become nodes.  Node order is free: every ``max`` over
+    nodes breaks ties on ``ref``."""
+    tasks: dict[str, TraceRecord] = {}
+    leaves_of: dict[str, list] = {}
     kind_category = _KIND_CATEGORY
     for rec in tracer.records:
         ref = rec.ref
@@ -152,24 +155,19 @@ def _build_nodes(tracer: Tracer) -> dict[str, _Node]:
             continue
         kind = rec.kind
         if kind == "task":
-            node = get(ref)
-            if node is None:
-                node = _Node(ref)
-                nodes[ref] = node
-            elif node.defined:
+            if ref in tasks:
                 raise ConfigError(f"duplicate task span for ref {ref!r}")
-            node.start, node.end = rec.start, rec.end
-            args = rec.args
-            deps = args.get("deps") if args else None
-            node.deps = tuple(deps) if deps else ()
-            node.defined = True
+            tasks[ref] = rec
         elif kind in kind_category:
-            node = get(ref)
-            if node is None:
-                node = _Node(ref)
-                nodes[ref] = node
-            node.leaves.append(rec)
-    return {ref: node for ref, node in nodes.items() if node.defined}
+            group = leaves_of.get(ref)
+            if group is None:
+                leaves_of[ref] = [rec]
+            else:
+                group.append(rec)
+    return {
+        ref: _Node(task, leaves_of.get(ref, []))
+        for ref, task in tasks.items()
+    }
 
 
 def _conflict_fraction(args: typing.Optional[typing.Mapping]) -> float:

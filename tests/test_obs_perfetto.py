@@ -1,10 +1,13 @@
 """Tests for Chrome/Perfetto trace-event export."""
 
+import hashlib
 import json
+import math
 
 import pytest
 
-from repro.engine.trace import Tracer
+from repro.arch.presets import PAPER_NETWORKS
+from repro.engine.trace import Tracer, TraceRecord
 from repro.errors import ConfigError
 from repro.obs import (
     REQUIRED_EVENT_KEYS,
@@ -16,7 +19,16 @@ from repro.obs import (
     write_trace,
 )
 from repro.sim import SystemConfig, run_workload
-from repro.workloads import denoise
+from repro.workloads import denoise, get_workload
+
+#: SHA-256 of the document ``repro trace EKF-SLAM --tiles 8`` writes: an
+#: export change that moves one byte of a real trace shows here.
+EKF_SLAM_TRACE_SHA256 = (
+    "baa778d0ca10d1ab24919589a2474c059c944eaae28d9c3d816e2a8da0a9746c"
+)
+
+#: A valid complete event to mutate.
+GOOD_EVENT = dict(ph="X", ts=0.0, dur=1.0, pid=1, tid=1, name="x", args={})
 
 
 def make_tracer():
@@ -82,6 +94,34 @@ class TestTraceEvents:
         meta_b = [e for e in b if e["ph"] == "M"]
         assert meta_a == meta_b
 
+    @pytest.mark.parametrize(
+        "start,end,kind,message",
+        [
+            (-1.0, 2.0, "k", "trace event 2 has negative ts: -1.0"),
+            (1.0, 0.5, "k", "trace event 2 has negative dur: -0.5"),
+            (math.nan, 1.0, "k", "trace event 2 has non-finite ts: nan"),
+            (0.0, math.inf, "k", "trace event 2 has non-finite dur: inf"),
+            (0.0, 1.0, "", "trace event 2 has an empty name"),
+        ],
+    )
+    def test_each_event_is_checked_as_it_is_built(self, start, end, kind, message):
+        # Records appended directly skip Tracer.record's own checks.
+        tracer = Tracer()
+        tracer.records.append(TraceRecord(start, end, "a", kind))
+        with pytest.raises(ConfigError) as built:
+            trace_events(tracer)
+        assert str(built.value) == message
+        with pytest.raises(ConfigError) as documented:
+            trace_document(tracer)
+        assert str(documented.value) == message
+
+    def test_bool_timestamp_rejected(self):
+        # Tracer.record accepts True as a start; JSON would carry `true`.
+        tracer = Tracer()
+        tracer.record(True, 3, "a", "k")
+        with pytest.raises(ConfigError, match="trace event 2 has non-finite ts: True"):
+            trace_document(tracer)
+
 
 class TestValidation:
     def test_valid_events_pass(self):
@@ -106,6 +146,38 @@ class TestValidation:
         event = dict(ph="X", ts=0.0, dur=1.0, pid=1, tid=1, name="", args={})
         with pytest.raises(ConfigError):
             validate_events([event])
+
+    @pytest.mark.parametrize(
+        "changes,message",
+        [
+            ({"ts": True, "dur": False}, "trace event 0 has non-finite ts: True"),
+            ({"dur": True}, "trace event 0 has non-finite dur: True"),
+        ],
+    )
+    def test_bool_times_rejected(self, changes, message):
+        with pytest.raises(ConfigError) as raised:
+            validate_events([{**GOOD_EVENT, **changes}])
+        assert str(raised.value) == message
+
+    @pytest.mark.parametrize("phase", ["B", "E", "C", "x", None])
+    def test_unsupported_phase_named(self, phase):
+        meta = trace_events(make_tracer())[0]
+        with pytest.raises(ConfigError) as raised:
+            validate_events([meta, {"ph": phase}])
+        assert str(raised.value) == f"trace event 1 has unsupported phase {phase!r}"
+
+    def test_missing_phase_is_a_missing_key(self):
+        event = {key: value for key, value in GOOD_EVENT.items() if key != "ph"}
+        with pytest.raises(ConfigError, match=r"trace event 0 missing keys \['ph'\]"):
+            validate_events([event])
+
+    def test_number_subclass_times_pass(self):
+        # The fast check takes exact int/float only; subclasses other
+        # than bool pass through the slow check.
+        class Cycles(float):
+            pass
+
+        validate_events([{**GOOD_EVENT, "ts": Cycles(2.0), "dur": Cycles(0.0)}])
 
 
     @pytest.mark.parametrize("event", [1, "X", None, ["ph", "X"]])
@@ -149,6 +221,17 @@ class TestDocumentIO:
             json.dump(document, handle)
         with pytest.raises(ConfigError, match="is not an object"):
             load_trace(path)
+
+    def test_real_trace_is_byte_identical(self, tmp_path):
+        # What `repro trace EKF-SLAM --tiles 8 --out t8.json` writes.
+        config = SystemConfig(n_islands=3, network=PAPER_NETWORKS["Crossbar"])
+        workload = get_workload("EKF-SLAM", tiles=8)
+        tracer = Tracer()
+        run_workload(config, workload, tracer=tracer)
+        path = tmp_path / "t8.json"
+        write_trace(tracer, str(path), note=f"{workload.name} on {config.label()}")
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == EKF_SLAM_TRACE_SHA256
 
     def test_traced_workload_exports_loadable_trace(self, tmp_path):
         tracer = Tracer()
