@@ -405,7 +405,8 @@ def cmd_serve(args) -> None:
 def cmd_trace(args) -> None:
     """Trace one run, export Perfetto JSON, and print the bottlenecks."""
     from repro.engine.trace import Tracer
-    from repro.obs import analyze_critical_path, write_trace
+    from repro.obs import write_trace
+    from repro.sim.run import simulate
 
     if args.top < 0:
         raise ConfigError(f"--top must be non-negative, got {args.top}")
@@ -415,7 +416,7 @@ def cmd_trace(args) -> None:
     )
     workload = get_workload(args.workload, tiles=args.tiles)
     tracer = Tracer()
-    result = run_workload(config, workload, tracer=tracer)
+    report = simulate(config, [workload], tracer=tracer)[1]
     write_trace(
         tracer, args.out, note=f"{workload.name} on {config.label()}"
     )
@@ -424,7 +425,6 @@ def cmd_trace(args) -> None:
         f"-> {args.out} (open in ui.perfetto.dev)"
     )
     _print("")
-    report = analyze_critical_path(tracer, makespan=result.total_cycles)
     _print("critical-path attribution:")
     _print(report.format_table())
     _print("")

@@ -92,9 +92,14 @@ class AcceleratorBlockComposer:
         # Operational (non-failed, free or busy) slots per type across
         # all islands, kept by :meth:`fail_slot`.  A type with no key
         # exists nowhere; a count of zero means every slot of it failed.
-        self._operational: collections.Counter[str] = collections.Counter(
-            abb_type.name for island in self.islands for abb_type in island.abbs
-        )
+        # The islands that carry each type, in index order: the slot
+        # layout is fixed, so a request scans only these.
+        self._operational: collections.Counter[str] = collections.Counter()
+        self._carriers: dict[str, list[int]] = {}
+        for index, island in enumerate(self.islands):
+            for type_name in island.usable_counts:
+                self._operational[type_name] += len(island.slots_of_type(type_name))
+                self._carriers.setdefault(type_name, []).append(index)
         self.wait_cycles = Histogram("abc.wait")
         self.service_cycles = Histogram("abc.service")
         self.total_grants = 0
@@ -105,10 +110,9 @@ class AcceleratorBlockComposer:
     def _try_allocate(
         self, type_name: str, preferred: typing.Optional[int]
     ) -> typing.Optional[Grant]:
+        usable = self._usable_counts
         candidates = [
-            index
-            for index, counts in enumerate(self._usable_counts)
-            if counts.get(type_name)
+            index for index in self._carriers[type_name] if usable[index][type_name]
         ]
         if not candidates:
             return None

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import os
 import typing
-from concurrent.futures import ProcessPoolExecutor
 
 from repro.arch.presets import PAPER_NETWORKS, best_paper_config
 from repro.cmp import compare_to_cmp, xeon_e5405, xeon_e5_2420
@@ -99,7 +98,11 @@ def run_points(
     # More workers than CPUs only adds process overhead.
     workers = min(jobs, len(tasks), os.cpu_count() or 1)
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # Imported here: the pool machinery costs every fresh interpreter
+        # tens of milliseconds, and only a multi-worker sweep uses it.
+        import concurrent.futures
+
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_simulate, tasks))
     else:
         outcomes = [_simulate(task) for task in tasks]

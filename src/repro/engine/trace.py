@@ -21,12 +21,30 @@ subsystem (:mod:`repro.obs`):
 
 from __future__ import annotations
 
-import math
+import sys
 import typing
 
 from repro.errors import ConfigError
 
-_INF = float("inf")
+#: Exact span-time types :meth:`Tracer.record`'s fast check accepts;
+#: ``bool`` is an ``int`` subclass but no time.
+_TIME_TYPES = frozenset((int, float))
+
+#: Largest finite float, the bound on span times.
+_MAX = sys.float_info.max
+
+
+def _check_times(start: typing.Any, end: typing.Any) -> None:
+    """Raise for the first rule a span's times break, in argument order."""
+    for value in (start, end):
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ConfigError(f"span times must be int or float, got {value!r}")
+        if not -_MAX <= value <= _MAX:
+            if isinstance(value, int):  # too long to print, maybe
+                value = f"a {value.bit_length()}-bit int, beyond float range"
+            raise ConfigError(f"span times must be finite, got {value}")
+    if start > end:
+        raise ConfigError(f"span ends before it starts ({start} > {end})")
 
 
 class TraceRecord(typing.NamedTuple):
@@ -83,23 +101,23 @@ class Tracer:
         args: typing.Optional[typing.Mapping[str, typing.Any]] = None,
         # Default-argument cells: record() runs once per span on traced
         # runs, and they turn global lookups into local loads.
-        _inf: float = _INF,
+        _types: frozenset = _TIME_TYPES,
+        _max: float = _MAX,
         _new: typing.Callable = tuple.__new__,
     ) -> None:
-        """Append one span; rejects non-finite and backwards spans."""
-        # One chained comparison accepts exactly the valid spans: NaN
-        # makes every comparison false, +/-inf fall outside the open
-        # bounds, and ordering is checked in the same expression.  The
-        # slow branch re-distinguishes the two failure modes for the
-        # error message.
-        if not (-_inf < start <= end < _inf):
-            if not (math.isfinite(start) and math.isfinite(end)):
-                raise ConfigError(
-                    f"span times must be finite, got [{start}, {end}]"
-                )
-            raise ConfigError(
-                f"span ends before it starts ({start} > {end})"
-            )
+        """Append one span; rejects non-numeric (``bool`` included),
+        non-finite, beyond-float-range and backwards spans."""
+        # An exact type test, then one chained comparison: NaN makes
+        # every comparison false, infinities and ints too large for a
+        # float fall outside the bounds, and ordering is checked in the
+        # same expression.  The slow branch names the broken rule, or
+        # passes a number subclass that keeps them all.
+        if not (
+            start.__class__ in _types
+            and end.__class__ in _types
+            and -_max <= start <= end <= _max
+        ):
+            _check_times(start, end)
         # tuple.__new__ skips the NamedTuple's Python-level __new__.
         self.records.append(
             _new(TraceRecord, (start, end, actor, kind, label, ref, args))

@@ -30,6 +30,7 @@ draw comes from streams derived solely from the seed.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import random
 import typing
@@ -313,9 +314,14 @@ class FaultInjector:
         Decided by a stable per-link hash of the seed so the answer does
         not depend on the (lazy) order in which links are first used.
         """
-        if self.spec.noc_degrade_fraction <= 0.0:
-            return False
-        return (
-            _stable_fraction(self.seed, "noc", src, dst)
-            < self.spec.noc_degrade_fraction
-        )
+        fraction = self.spec.noc_degrade_fraction
+        return fraction > 0.0 and _link_degraded(self.seed, fraction, src, dst)
+
+
+@functools.lru_cache(maxsize=4096)
+def _link_degraded(
+    seed: int, fraction: float, src: typing.Tuple[int, int], dst: typing.Tuple[int, int]
+) -> bool:
+    """The draw behind :meth:`FaultInjector.link_degraded`, hashed once
+    per process for each ``(seed, fraction, link)``."""
+    return _stable_fraction(seed, "noc", src, dst) < fraction

@@ -19,6 +19,7 @@ release — is checked here.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import typing
 
@@ -49,6 +50,35 @@ NOC_INTERFACE_AREA_MM2 = 0.20
 #: Latency of the island's NoC interface (buffering/serialization), cycles.
 NOC_INTERFACE_LATENCY = 4.0
 
+#: The config fields a shape key holds besides the mix.
+_SHAPE_FIELDS = tuple(
+    f.name for f in dataclasses.fields(IslandConfig) if f.name != "abb_mix"
+)
+
+
+class _IslandShape:
+    """What every island of one shape shares, read-only: the slot layout
+    and the physicals, which the first island of the shape computes from
+    its parts (:meth:`Island._physicals`)."""
+
+    __slots__ = ("abbs", "types", "slots_by_type", "physicals")
+
+    def __init__(self, mix: tuple, types: tuple[ABBType, ...]) -> None:
+        self.abbs = tuple(
+            abb_type for abb_type, (_, count) in zip(types, mix) for _ in range(count)
+        )
+        self.types = [abb_type.name for abb_type in self.abbs]
+        self.slots_by_type: dict[str, list[int]] = {}
+        for index, name in enumerate(self.types):
+            self.slots_by_type.setdefault(name, []).append(index)
+        self.physicals: typing.Optional[tuple[dict[str, float], float, float]] = None
+
+
+#: Island shapes by key (see ``Island.__init__``), cleared at
+#: ``_SHAPES_MAX`` entries so the memo stays bounded.
+_SHAPES: dict[tuple, _IslandShape] = {}
+_SHAPES_MAX = 256
+
 
 class Island:
     """One ABB island instance inside a simulated system."""
@@ -71,15 +101,23 @@ class Island:
         self.energy = energy if energy is not None else EnergyAccount()
         self.tracer = tracer
 
+        # Everything fixed by the shape (the config, its mix as a sorted
+        # tuple and the frozen ABB types the mix names) is built once per
+        # process.  Never keyed by identity: each run builds its library.
+        mix = tuple(sorted(config.abb_mix.items()))
+        types = tuple(library.get(type_name) for type_name, _ in mix)
+        key = (mix, types) + tuple(getattr(config, name) for name in _SHAPE_FIELDS)
+        shape = _SHAPES.get(key)
+        if shape is None:
+            if len(_SHAPES) >= _SHAPES_MAX:
+                _SHAPES.clear()
+            shape = _SHAPES[key] = _IslandShape(mix, types)
+
         # Slots: one ABB + one SPM group per slot, laid out in a fixed
         # physical order (types interleaved as given by the mix).
-        self.abbs: list[ABBType] = []
-        self.spm_groups: list[SPMGroup] = []
-        for type_name in sorted(config.abb_mix):
-            abb_type = library.get(type_name)
-            for _ in range(config.abb_mix[type_name]):
-                self.abbs.append(abb_type)
-                self.spm_groups.append(SPMGroup(abb_type, config.spm_porting))
+        self.abbs: list[ABBType] = list(shape.abbs)
+        porting = config.spm_porting
+        self.spm_groups = [SPMGroup(abb_type, porting) for abb_type in shape.abbs]
 
         # Traced islands record one span per data-path leg; the network
         # records one span per movement.
@@ -121,6 +159,10 @@ class Island:
         if attach is not None:
             attach(self.dma)
 
+        if shape.physicals is None:
+            shape.physicals = self._physicals()
+        self._breakdown, self.area_mm2, self.static_power_mw = shape.physicals
+
         # Sharing lockout bookkeeping (Sec. 5.1): count of neighbours that
         # currently borrow this slot's banks.
         self._neighbor_locks = [0] * len(self.abbs)
@@ -135,13 +177,11 @@ class Island:
         self._computing = [False] * len(self.abbs)
         # Allocation state, kept by allocate, release and fail_slot
         # instead of recounted per query (the ABC reads it on every
-        # request): the slot layout is fixed after construction, so the
-        # per-type slot lists are built once; a usable flag per slot; the
+        # request): the per-type slot lists and slot type names come
+        # with the shape (shared, read-only); a usable flag per slot; the
         # busy count.
-        self._slots_by_type: dict[str, list[int]] = {}
-        for index, abb_type in enumerate(self.abbs):
-            self._slots_by_type.setdefault(abb_type.name, []).append(index)
-        self._types = [abb_type.name for abb_type in self.abbs]
+        self._slots_by_type = shape.slots_by_type
+        self._types = shape.types
         self._usable = [True] * len(self.abbs)
         #: Usable slots per ABB type (see :meth:`slot_usable`); maintained,
         #: read-only for callers.
@@ -176,8 +216,9 @@ class Island:
     def slots_of_type(self, type_name: str) -> list[int]:
         """Slot indices whose ABB is of ``type_name``.
 
-        The layout is fixed at construction, so this returns the
-        precomputed list — callers must not mutate it.
+        The layout is fixed by the island's shape, so this returns the
+        list every island of that shape shares — callers must not
+        mutate it.
         """
         slots = self._slots_by_type.get(type_name)
         return slots if slots is not None else []
@@ -388,8 +429,18 @@ class Island:
         return self.sim.now + cycles
 
     # ------------------------------------------------------------ physicals
+    #: Total island area, mm^2, and leakage, mW (ABBs + SPM + networks +
+    #: fixed blocks): attributes set from the shape's physicals.
+    area_mm2: float
+    static_power_mw: float
+
     def area_breakdown_mm2(self) -> dict[str, float]:
         """Area of every island component (Section 5.7 accounting)."""
+        return dict(self._breakdown)
+
+    def _physicals(self) -> tuple[dict[str, float], float, float]:
+        """Area breakdown, total area and leakage, summed over the parts
+        (what the shape memo holds for every island of this shape)."""
         abb_area = sum(abb_type.area_mm2 for abb_type in self.abbs)
         spm_area = sum(group.area_mm2 for group in self.spm_groups)
         sharing_factor = 3 if self.config.spm_sharing else 1
@@ -401,7 +452,7 @@ class Island:
             )
             for group in self.spm_groups
         )
-        return {
+        breakdown = {
             "abbs": abb_area,
             "spm": spm_area,
             "abb_spm_crossbar": abb_spm_xbar,
@@ -409,27 +460,18 @@ class Island:
             "dma": DMA_ENGINE_AREA_MM2,
             "noc_interface": NOC_INTERFACE_AREA_MM2,
         }
-
-    @property
-    def area_mm2(self) -> float:
-        """Total island area."""
-        return sum(self.area_breakdown_mm2().values())
-
-    @property
-    def static_power_mw(self) -> float:
-        """Total island leakage: ABBs + SPM + networks + fixed blocks."""
         abb_static = sum(abb_type.static_power_mw for abb_type in self.abbs)
         spm_static = sum(group.static_power_mw for group in self.spm_groups)
-        breakdown = self.area_breakdown_mm2()
         fixed_area = (
             breakdown["abb_spm_crossbar"] + breakdown["dma"] + breakdown["noc_interface"]
         )
-        return (
+        static_power = (
             abb_static
             + spm_static
             + self.network.static_power_mw
             + STATIC_MW_PER_MM2 * fixed_area
         )
+        return breakdown, sum(breakdown.values()), static_power
 
     def average_abb_utilization(self, elapsed: float) -> float:
         """Time-weighted average fraction of busy ABBs."""

@@ -38,8 +38,8 @@ from repro.power.orion import (
     LinkModel,
     RouterModel,
     crossbar_area_mm2,
+    crossbar_pj_per_byte,
     crossbar_static_power_mw,
-    crossbar_traversal_energy_nj,
 )
 
 #: Fixed latency of one crossbar traversal (arbitration + wires), cycles.
@@ -144,6 +144,7 @@ class ProxyCrossbarNetwork(SpmDmaNetwork):
             name="proxy_xbar_dma_port",
         )
         self._dma: typing.Optional[BandwidthServer] = None
+        self._pj_per_byte = crossbar_pj_per_byte(self.total_banks)
         self._traverse_leg = leg(CALL, self._traverse)
         self._one = self._spanned(self._traverse_leg)
         self._chain = self._spanned(self._traverse_leg, self._traverse_leg)
@@ -155,11 +156,9 @@ class ProxyCrossbarNetwork(SpmDmaNetwork):
         self._chain = self._spanned(traverse, leg(SERVE, dma), traverse)
 
     def _traverse(self, route: Route) -> float:
-        self.energy.charge(
-            "island_net",
-            crossbar_traversal_energy_nj(route.nbytes, targets=self.total_banks),
-        )
-        return self._port.reserve(route.nbytes)
+        nbytes = route.nbytes
+        self.energy.charge("island_net", self._pj_per_byte * nbytes * 1e-3)
+        return self._port.reserve(nbytes)
 
     def _path(self, src, dst):
         """One traversal to or from the DMA; chaining proxies through
@@ -198,14 +197,12 @@ class ChainingCrossbarNetwork(SpmDmaNetwork):
             latency=self._latency,
             name="chain_xbar_paths",
         )
+        self._pj_per_byte = crossbar_pj_per_byte(self.total_banks + 1)
         self._dma_legs = self._spanned(leg(CALL, self._through_dma_port))
         self._chain_legs = self._spanned(leg(CALL, self._through_chain_paths))
 
     def _charge(self, nbytes: float) -> None:
-        self.energy.charge(
-            "island_net",
-            crossbar_traversal_energy_nj(nbytes, targets=self.total_banks + 1),
-        )
+        self.energy.charge("island_net", self._pj_per_byte * nbytes * 1e-3)
 
     def _through_dma_port(self, route: Route) -> float:
         self._charge(route.nbytes)

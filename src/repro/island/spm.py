@@ -10,6 +10,8 @@ and leakage for every extra port.
 
 from __future__ import annotations
 
+import functools
+
 from repro.abb.types import ABBType
 from repro.island.config import SpmPorting
 from repro.power.spm_model import SPMModel
@@ -17,6 +19,10 @@ from repro.power.spm_model import SPMModel
 #: Fraction of compute time lost to residual bank conflicts with exact
 #: porting (software data layout removes almost all conflicts, Sec. 5.4).
 EXACT_PORTING_CONFLICT_PENALTY = 0.02
+
+#: One immutable bank model per ``(bank_bytes, ports)``, shared by every
+#: group with banks of that shape.
+_shared_model = functools.lru_cache(maxsize=64)(SPMModel)
 
 
 class SPMGroup:
@@ -27,9 +33,7 @@ class SPMGroup:
         self.porting = porting
         self.banks = abb_type.spm_banks_min
         self.ports_per_bank = porting.value
-        self._model = SPMModel(
-            bank_bytes=abb_type.spm_bank_bytes, ports=self.ports_per_bank
-        )
+        self._model = _shared_model(abb_type.spm_bank_bytes, self.ports_per_bank)
         self.bytes_read = 0.0
         self.bytes_written = 0.0
 

@@ -79,33 +79,10 @@ class MeshNoC:
         self.total_byte_hops = 0.0
 
     # ---------------------------------------------------------------- links
-    def _link(
-        self, src: tuple[int, int], dst: tuple[int, int]
-    ) -> BandwidthServer:
-        key = (src, dst)
-        if key not in self._links:
-            self._links[key] = BandwidthServer(
-                self.sim,
-                bytes_per_cycle=self.link_bytes_per_cycle,
-                latency=0.0,
-                name=f"link{src}->{dst}",
-            )
-        return self._links[key]
-
     @staticmethod
     def route(src: Node, dst: Node) -> list[tuple[tuple[int, int], tuple[int, int]]]:
         """XY route: walk X first, then Y.  Returns the directed link list."""
-        path = []
-        x, y = src.x, src.y
-        while x != dst.x:
-            nxt = x + (1 if dst.x > x else -1)
-            path.append(((x, y), (nxt, y)))
-            x = nxt
-        while y != dst.y:
-            nxt = y + (1 if dst.y > y else -1)
-            path.append(((x, y), (x, nxt)))
-            y = nxt
-        return path
+        return [link for link, _name in _xy_path(src.x, src.y, dst.x, dst.y)]
 
     # ------------------------------------------------------------ transfers
     def transfer(self, src: Node, dst: Node, nbytes: float) -> Leg:
@@ -126,7 +103,7 @@ class MeshNoC:
         return crossing
 
     def _crossing(self, src: Node, dst: Node) -> Leg:
-        path = self.route(src, dst)
+        path = _xy_path(src.x, src.y, dst.x, dst.y)
         span = None
         if self.tracer is not None and path:
             hops = len(path)
@@ -136,12 +113,26 @@ class MeshNoC:
                 "noc",
                 lambda nbytes: f"{nbytes:g}B/{hops}h",
             )
-        links = tuple(self._link(a, b) for a, b in path)
+        # Each link's server is made on the first crossing that uses it.
+        servers = []
+        for link, name in path:
+            server = self._links.get(link)
+            if server is None:
+                server = self._links[link] = BandwidthServer(
+                    self.sim,
+                    bytes_per_cycle=self.link_bytes_per_cycle,
+                    latency=0.0,
+                    name=name,
+                )
+            servers.append(server)
+        links = tuple(servers)
         router_cycles = ROUTER_LATENCY * len(path)
         injector = self.fault_injector
         degraded_hops = 0
         if injector is not None and injector.spec.noc_degrade_fraction > 0.0:
-            degraded_hops = sum(1 for a, b in path if injector.link_degraded(a, b))
+            degraded_hops = sum(
+                1 for link, _name in path if injector.link_degraded(*link)
+            )
         if degraded_hops:
             factor = injector.spec.noc_degrade_factor
             router_cycles += ROUTER_LATENCY * (factor - 1.0) * degraded_hops
@@ -185,3 +176,23 @@ class MeshNoC:
         if not self._links:
             return 0.0
         return max(link.utilization(elapsed) for link in self._links.values())
+
+
+@functools.lru_cache(maxsize=4096)
+def _xy_path(
+    x: int, y: int, dst_x: int, dst_y: int
+) -> tuple[tuple[tuple[tuple[int, int], tuple[int, int]], str], ...]:
+    """The XY path between two mesh stops: each directed link
+    ``(from, to)`` with the name of its server.  A pure function of the
+    coordinates, so each path is walked once per process, whatever mesh
+    it lies on."""
+    path = []
+    while x != dst_x:
+        nxt = x + (1 if dst_x > x else -1)
+        path.append(((x, y), (nxt, y)))
+        x = nxt
+    while y != dst_y:
+        nxt = y + (1 if dst_y > y else -1)
+        path.append(((x, y), (x, nxt)))
+        y = nxt
+    return tuple(((a, b), f"link{a}->{b}") for a, b in path)

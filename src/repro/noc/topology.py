@@ -11,6 +11,7 @@ slots — interleaved so island traffic spreads across the mesh.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -69,74 +70,20 @@ class MeshTopology:
         self.n_l2_banks = n_l2_banks
         self.n_memory_controllers = n_memory_controllers
 
-        total = n_islands + n_cores + n_l2_banks + n_memory_controllers
-        self.width = max(2, math.ceil(math.sqrt(total)))
-        self.height = max(2, math.ceil(total / self.width))
-
-        self.nodes: list[Node] = []
-        self._by_name: dict[str, Node] = {}
-        self._place()
-
-    # -------------------------------------------------------------- placing
-    def _coords(self) -> list[tuple[int, int]]:
-        return [(x, y) for y in range(self.height) for x in range(self.width)]
-
-    def _place(self) -> None:
-        available = self._coords()
-
-        def take(coord: tuple[int, int]) -> tuple[int, int]:
-            available.remove(coord)
-            return coord
-
-        def add(kind: NodeKind, index: int, coord: tuple[int, int]) -> None:
-            node = Node(kind, index, coord[0], coord[1])
-            self.nodes.append(node)
-            self._by_name[node.name] = node
-
-        # Memory controllers at the chip edge, corners first (Fig. 4).
-        corners = [
-            (0, 0),
-            (self.width - 1, 0),
-            (0, self.height - 1),
-            (self.width - 1, self.height - 1),
-        ]
-        edges = [c for c in self._coords() if self._is_edge(c)]
-        mc_spots = corners + [c for c in edges if c not in corners]
-        for i in range(self.n_memory_controllers):
-            add(NodeKind.MEMORY_CONTROLLER, i, take(mc_spots[i]))
-
-        # Cores and L2 banks at central positions.
-        center = ((self.width - 1) / 2.0, (self.height - 1) / 2.0)
-        by_centrality = sorted(
-            available,
-            key=lambda c: (abs(c[0] - center[0]) + abs(c[1] - center[1]), c),
+        self.width, self.height, nodes, self._index = _placement(
+            n_islands, n_cores, n_l2_banks, n_memory_controllers
         )
-        central = list(by_centrality)
-        for i in range(self.n_cores):
-            add(NodeKind.CORE, i, take(central.pop(0)))
-        for i in range(self.n_l2_banks):
-            add(NodeKind.L2_BANK, i, take(central.pop(0)))
-
-        # Islands fill the remaining slots in scan order.
-        for i in range(self.n_islands):
-            if not available:
-                raise ConfigError(
-                    "mesh too small for requested component counts"
-                )
-            add(NodeKind.ISLAND, i, take(available[0]))
-
-    def _is_edge(self, coord: tuple[int, int]) -> bool:
-        x, y = coord
-        return x in (0, self.width - 1) or y in (0, self.height - 1)
+        self.nodes: list[Node] = list(nodes)
 
     # -------------------------------------------------------------- lookups
     def node(self, kind: NodeKind, index: int) -> Node:
-        """Look up a node by kind and index."""
-        name = f"{kind.value}{index}"
+        """The node of ``kind`` numbered ``index``, found by the pair
+        itself (no name is formatted); raises :class:`ConfigError` when
+        the mesh has no such node."""
         try:
-            return self._by_name[name]
+            return self._index[kind, index]
         except KeyError:
-            raise ConfigError(f"no such node {name!r}") from None
+            raise ConfigError(f"no such node '{kind.value}{index}'") from None
 
     def island(self, index: int) -> Node:
         """The mesh stop of island ``index``."""
@@ -155,3 +102,50 @@ class MeshTopology:
     def hop_distance(self, a: Node, b: Node) -> int:
         """Manhattan (XY-routed) hop count between two stops."""
         return abs(a.x - b.x) + abs(a.y - b.y)
+
+
+@functools.lru_cache(maxsize=64)
+def _placement(
+    n_islands: int, n_cores: int, n_l2_banks: int, n_memory_controllers: int
+) -> tuple[int, int, tuple[Node, ...], dict[tuple[NodeKind, int], Node]]:
+    """Grid size, nodes and ``(kind, index)`` index of one mesh shape.
+
+    A pure function of the four counts (nodes are frozen), so each shape
+    is placed once per process and shared, read-only, by every
+    :class:`MeshTopology` of that shape.
+    """
+    total = n_islands + n_cores + n_l2_banks + n_memory_controllers
+    width = max(2, math.ceil(math.sqrt(total)))
+    height = max(2, math.ceil(total / width))
+    coords = [(x, y) for y in range(height) for x in range(width)]
+    available = list(coords)
+    nodes: list[Node] = []
+
+    def add(kind: NodeKind, index: int, coord: tuple[int, int]) -> None:
+        available.remove(coord)
+        nodes.append(Node(kind, index, coord[0], coord[1]))
+
+    # Memory controllers at the chip edge, corners first (Fig. 4).
+    corners = [(0, 0), (width - 1, 0), (0, height - 1), (width - 1, height - 1)]
+    edges = [(x, y) for x, y in coords if x in (0, width - 1) or y in (0, height - 1)]
+    mc_spots = corners + [c for c in edges if c not in corners]
+    for i in range(n_memory_controllers):
+        add(NodeKind.MEMORY_CONTROLLER, i, mc_spots[i])
+
+    # Cores and L2 banks at central positions.
+    center = ((width - 1) / 2.0, (height - 1) / 2.0)
+    central = sorted(
+        available,
+        key=lambda c: (abs(c[0] - center[0]) + abs(c[1] - center[1]), c),
+    )
+    for i in range(n_cores):
+        add(NodeKind.CORE, i, central.pop(0))
+    for i in range(n_l2_banks):
+        add(NodeKind.L2_BANK, i, central.pop(0))
+
+    # Islands fill the remaining slots in scan order.
+    for i in range(n_islands):
+        if not available:
+            raise ConfigError("mesh too small for requested component counts")
+        add(NodeKind.ISLAND, i, available[0])
+    return width, height, tuple(nodes), {(n.kind, n.index): n for n in nodes}

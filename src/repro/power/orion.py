@@ -127,15 +127,21 @@ def crossbar_area_mm2(requestors: int, targets: int, width_bytes: int) -> float:
     return XBAR_AREA_PER_PORT2_BYTE * requestors * targets * width_bytes
 
 
-def crossbar_traversal_energy_nj(nbytes: float, targets: int) -> float:
-    """Dynamic energy to move ``nbytes`` through a crossbar, nJ.
+def crossbar_pj_per_byte(targets: int) -> float:
+    """Traversal energy per byte of a crossbar, pJ.
 
     Wire length across the array grows with the number of target ports,
-    so per-byte energy scales with sqrt(targets).
+    so per-byte energy scales with sqrt(targets).  A crossbar's port
+    count is fixed, so its owner computes this once.
     """
     if targets < 1:
         raise ConfigError("crossbar needs at least one target")
-    return XBAR_ENERGY_BASE_PJ_PER_BYTE * (targets ** 0.5) * nbytes * 1e-3
+    return XBAR_ENERGY_BASE_PJ_PER_BYTE * (targets ** 0.5)
+
+
+def crossbar_traversal_energy_nj(nbytes: float, targets: int) -> float:
+    """Dynamic energy to move ``nbytes`` through a crossbar, nJ."""
+    return crossbar_pj_per_byte(targets) * nbytes * 1e-3
 
 
 def crossbar_static_power_mw(requestors: int, targets: int, width_bytes: int) -> float:

@@ -49,6 +49,15 @@ class SPMModel:
             raise ConfigError(f"bank size must be positive, got {self.bank_bytes}")
         if self.ports < 1:
             raise ConfigError(f"bank needs >= 1 port, got {self.ports}")
+        # Access energy per byte, pJ: a function of the frozen fields, so
+        # it is computed once per model, not once per access.
+        kib = self.bank_bytes / KIB
+        object.__setattr__(
+            self,
+            "_per_byte_pj",
+            SPM_ACCESS_PJ_PER_BYTE_1KIB
+            * (max(kib, 1.0) ** SPM_ENERGY_CAPACITY_EXPONENT),
+        )
 
     @property
     def area_mm2(self) -> float:
@@ -61,11 +70,7 @@ class SPMModel:
         """Dynamic energy to read or write ``nbytes``, nJ."""
         if nbytes < 0:
             raise ConfigError(f"access size must be non-negative, got {nbytes}")
-        kib = self.bank_bytes / KIB
-        per_byte_pj = SPM_ACCESS_PJ_PER_BYTE_1KIB * (
-            max(kib, 1.0) ** SPM_ENERGY_CAPACITY_EXPONENT
-        )
-        return per_byte_pj * nbytes * 1e-3
+        return self._per_byte_pj * nbytes * 1e-3
 
     @property
     def static_power_mw(self) -> float:

@@ -275,7 +275,7 @@ def run_serve(
         )
         if times:
             sim.schedule(times[0], partial(arrive, index, state, times, 0))
-    shares = driver.run("serving session")
+    report = driver.run("serving session")
 
     drained = sim.now
     tenant_rows = []
@@ -299,10 +299,11 @@ def run_serve(
         )
     aggregate = latency_summary(all_latencies)
     elapsed = max(drained, 1.0)
-    extras = {f"attr.{category}": share for category, share in shares.items()}
-    if tracer is not None:
+    extras = {}
+    if report is not None:
         from repro.obs.critpath import category_cycles_by_tenant
 
+        extras = {f"attr.{c}": share for c, share in report.shares().items()}
         for tenant, cycles in sorted(category_cycles_by_tenant(tracer).items()):
             for category, value in cycles.items():
                 extras[f"busy.{tenant or 'none'}.{category}"] = value

@@ -21,6 +21,9 @@ from repro.sim.results import SimResult
 from repro.sim.system import SystemConfig, SystemModel
 from repro.workloads.base import Workload
 
+if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.obs.critpath import AttributionReport
+
 #: Default number of tiles concurrently in flight.
 DEFAULT_TILE_WINDOW = 8
 
@@ -81,8 +84,9 @@ class RequestDriver:
         for _ in range(size):
             issue_next()
 
-    def run(self, label: str) -> dict[str, float]:
-        """Run to the end; returns a traced run's critical-path shares."""
+    def run(self, label: str) -> typing.Optional["AttributionReport"]:
+        """Run to the end; returns a traced run's critical-path report
+        (``None`` when the system has no tracer)."""
         sim = self.system.sim
         sim.run()
         if self.finished != self.started:
@@ -92,10 +96,10 @@ class RequestDriver:
             )
         self._check_released(label)
         if self.system.tracer is None:
-            return {}
+            return None
         from repro.obs.critpath import analyze_critical_path
 
-        return analyze_critical_path(self.system.tracer, sim.now).shares()
+        return analyze_critical_path(self.system.tracer, sim.now)
 
     def _check_released(self, label: str) -> None:
         """Every request finished: no ABC request may still be queued,
@@ -150,6 +154,20 @@ def run_consolidated(
     arbitrating.  Each workload gets its own in-flight window; the
     result aggregates all tiles under a combined label.
     """
+    return simulate(config, workloads, tile_window, library, tracer, allow_fabric)[0]
+
+
+def simulate(
+    config: SystemConfig,
+    workloads: typing.Sequence[Workload],
+    tile_window: int = DEFAULT_TILE_WINDOW,
+    library: typing.Optional[ABBLibrary] = None,
+    tracer: typing.Optional[Tracer] = None,
+    allow_fabric: bool = False,
+) -> tuple[SimResult, typing.Optional["AttributionReport"]]:
+    """:func:`run_consolidated`, plus the critical-path report the
+    result's ``attribution`` shares come from (``None`` untraced), so a
+    caller that prints it does not walk the span DAG a second time."""
     if not workloads:
         raise ConfigError("need at least one workload to consolidate")
     if tile_window < 1:
@@ -161,12 +179,12 @@ def run_consolidated(
         plan = TilePlan(graph, system.library)
         driver.window(plan, app_index * TILE_ID_STRIDE, workload.tiles, tile_window)
     label = " + ".join(w.name for w in workloads)
-    attribution = driver.run(label)
+    report = driver.run(label)
     elapsed = system.sim.now
     degradation = system.fault_stats
-    return SimResult(
+    result = SimResult(
         workload=label,
-        attribution=attribution,
+        attribution=report.shares() if report is not None else {},
         config_label=config.label(),
         tiles=sum(w.tiles for w in workloads),
         total_cycles=elapsed,
@@ -183,3 +201,4 @@ def run_consolidated(
         fallback_tasks=degradation.fallback_tasks,
         fallback_tiles=degradation.fallback_tiles,
     )
+    return result, report

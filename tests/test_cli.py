@@ -238,6 +238,26 @@ class TestCommands:
         assert captured.out == ""
         assert not out.exists()
 
+    def test_trace_walks_the_span_dag_once(self, capsys, monkeypatch, tmp_path):
+        # The run's own critical-path report is the one the CLI prints.
+        import repro.obs
+        import repro.obs.critpath as critpath
+
+        calls = []
+        real = critpath.analyze_critical_path
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        for module in (critpath, repro.obs):
+            monkeypatch.setattr(module, "analyze_critical_path", counting)
+        out = tmp_path / "trace.json"
+        assert main(["trace", "Denoise", "--tiles", "2", "--out", str(out)]) == 0
+        assert len(calls) == 1
+        printed = capsys.readouterr().out
+        assert "critical-path attribution:\nmakespan " in printed
+
     def test_fig7_columns_are_labelled_by_network_alias(self, capsys):
         assert main(["fig7", "--tiles", "1"]) == 0
         rows = [

@@ -17,16 +17,17 @@ from repro.workloads import get_workload
 #: Resolves :func:`distinct_points` on a two-worker pool, forced even on
 #: a one-CPU host, and prints the pool size and the result reprs.
 _POOL_SCRIPT = """
+import concurrent.futures
 import json
 import repro.dse.report as report
 from tests.test_dse_parallel import distinct_points
 pools = []
-real_pool = report.ProcessPoolExecutor
+real_pool = concurrent.futures.ProcessPoolExecutor
 def recording_pool(max_workers):
     pools.append(max_workers)
     return real_pool(max_workers=max_workers)
 report.os.cpu_count = lambda: 2
-report.ProcessPoolExecutor = recording_pool
+concurrent.futures.ProcessPoolExecutor = recording_pool
 results, _ = report.run_points(distinct_points(), jobs=2)
 print(json.dumps({"pools": pools, "reprs": [repr(r) for r in results]}))
 """
@@ -152,10 +153,26 @@ class TestRunPoints:
             raise AssertionError("process pool spawned on one CPU")
 
         monkeypatch.setattr(report.os, "cpu_count", lambda: 1)
-        monkeypatch.setattr(report, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
         inline, simulated = run_points(points, jobs=4)
         assert simulated == len(points)
         assert inline == serial
+
+    def test_import_loads_no_pool_machinery(self):
+        """Only a multi-worker sweep loads the process pool, so a fresh
+        interpreter that imports the DSE layer does not pay for it."""
+        root = os.path.join(os.path.dirname(__file__), os.pardir)
+        env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+        script = (
+            "import sys, repro.dse\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.split('.')[0] in ('multiprocessing', 'concurrent')))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env, capture_output=True, text=True, check=True,
+        ).stdout
+        assert out.strip() == "[]"
 
     def test_pool_workers_match_inline_across_hash_seeds(self):
         root = os.path.join(os.path.dirname(__file__), os.pardir)

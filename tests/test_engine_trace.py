@@ -35,6 +35,40 @@ class TestTraceRecord:
         with pytest.raises(ConfigError):
             Tracer().record(start, end, "a", "compute")
 
+    @pytest.mark.parametrize(
+        "start,end", [(True, 3), (0, True), (False, False), ("0", 1.0), (None, 1.0)]
+    )
+    def test_non_number_time_rejected_at_record(self, start, end):
+        # A bool is an int subclass, but no time: it used to fail only
+        # at export.
+        tracer = Tracer()
+        with pytest.raises(ConfigError, match="span times must be int or float"):
+            tracer.record(start, end, "a", "k")
+        assert not tracer.records
+
+    @pytest.mark.parametrize(
+        "start,end",
+        [(10**400, 10**400), (0, 10**400), (-(10**400), 0), (0, 2**1024)],
+        ids=["both", "end", "negative start", "2**1024 end"],
+    )
+    def test_time_beyond_float_range_rejected_at_record(self, start, end):
+        # Such an int used to reach the export, whose check raised a
+        # bare OverflowError.
+        tracer = Tracer()
+        with pytest.raises(ConfigError, match="beyond float range"):
+            tracer.record(start, end, "a", "k")
+        assert not tracer.records
+
+    def test_largest_times_and_number_subclasses_accepted(self):
+        class Cycles(float):
+            pass
+
+        tracer = Tracer()
+        tracer.record(0, 2**1023, "a", "k")
+        tracer.record(Cycles(1.0), Cycles(2.0), "a", "k")
+        tracer.record(-1.5, 1.7976931348623157e308, "a", "k")
+        assert len(tracer.records) == 3
+
     def test_ref_and_args_carried(self):
         rec = TraceRecord(0.0, 1.0, "a", "compute", "lbl", "t0.x", {"k": 1})
         assert rec.ref == "t0.x"

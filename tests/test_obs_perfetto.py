@@ -116,9 +116,12 @@ class TestTraceEvents:
         assert str(documented.value) == message
 
     def test_bool_timestamp_rejected(self):
-        # Tracer.record accepts True as a start; JSON would carry `true`.
+        # Tracer.record refuses True as a start; a record appended
+        # directly still fails at export, where JSON would carry `true`.
+        with pytest.raises(ConfigError, match="must be int or float, got True"):
+            Tracer().record(True, 3, "a", "k")
         tracer = Tracer()
-        tracer.record(True, 3, "a", "k")
+        tracer.records.append(TraceRecord(True, 3, "a", "k"))
         with pytest.raises(ConfigError, match="trace event 2 has non-finite ts: True"):
             trace_document(tracer)
 
