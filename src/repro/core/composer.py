@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import collections
 import typing
-from dataclasses import dataclass
 from functools import partial
 
 from repro.core.allocation import AllocationPolicy, locality_then_load_balance
@@ -38,13 +37,13 @@ from repro.island.island import Island
 SOFTWARE_FALLBACK = "software-fallback"
 
 
-@dataclass(frozen=True)
-class Grant:
+class Grant(typing.NamedTuple):
     """An allocated ABB slot, returned by :meth:`ABC.request`.
 
     The grant itself is the slot's owner on its island, compared by
     identity: two grants of one slot at one instant are equal but never
-    the same object.
+    the same object.  A named tuple: a request makes one, and a tuple is
+    the cheapest record to build.
 
     Attributes:
         island_index: Which island the block sits on.
@@ -166,7 +165,8 @@ class AcceleratorBlockComposer:
             raise ConfigError(f"island index {grant.island_index} out of range")
         self.service_cycles.record(self.sim.now - grant.granted_at)
         self.islands[grant.island_index].release(grant.slot, grant)
-        self._drain_waiters()
+        if self._waiters:
+            self._drain_waiters()
 
     def _drain_waiters(self) -> None:
         # One FIFO pass grants every waiter that can be served now.  A

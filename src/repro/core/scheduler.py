@@ -122,12 +122,14 @@ class TileScheduler:
 
         Root tasks start now; every other task starts when its last
         producer's done hop counts it down to zero.  An empty graph ends
-        from one heap entry at now.
+        from one heap entry at now.  The tile drops ``then`` as it calls
+        it, so a ``then`` that holds the tile leaves no reference cycle.
         """
-        self._then = then
         tasks = self.plan.tasks
         if not tasks:
             self.system.sim.schedule(self.system.sim.now, then)
+            return
+        self._then = then
         for position, task in enumerate(tasks):
             if not task.inputs:
                 _Task(self, position)
@@ -334,7 +336,8 @@ class _Task:
         tile = self.tile
         tile._left -= 1
         if tile._left == 0:
-            tile._then()
+            then, tile._then = tile._then, None
+            then()
         waiting = tile._waiting
         for consumer in self.task.successors:
             waiting[consumer] -= 1

@@ -18,6 +18,8 @@ from repro.errors import AllocationError, ConfigError
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.engine.simulator import Simulator
 
+_INF = float("inf")
+
 
 class Resource:
     """A pool of numbered units with a FIFO wait queue.
@@ -119,8 +121,11 @@ class BandwidthServer:
         FIFO queueing behind earlier transfers included, so the time is
         exact under contention; nothing is scheduled.
         """
-        if nbytes < 0:
-            raise ConfigError(f"transfer size must be non-negative, got {nbytes}")
+        # One chained comparison rejects negative, NaN and infinite sizes.
+        if not (0.0 <= nbytes < _INF):
+            raise ConfigError(
+                f"transfer size must be finite and non-negative, got {nbytes!r}"
+            )
         now = self.sim.now
         free_at = self._free_at
         start = now if now > free_at else free_at

@@ -49,7 +49,13 @@ a delay, so work at one instant runs in the order it is issued:
 
 Heap entries: one per leg, even for a zero-cycle :data:`WAIT`, but
 none for a :data:`CALL` that returns ``None``; and one per fault-hook
-wait.  None to start the route or to finish it.
+wait.  None to start the route or to finish it.  Each entry holds a
+bound method made as it is pushed, since the route keeps no callable of
+itself: the heap entries are unchanged, and a finished route is freed
+by reference count instead of waiting in a cycle for the garbage
+collector.  Legs follow the same rule: a leg holds the parts it uses (a
+server, an energy account, a counters record), never a bound method of
+the owner that caches it.
 """
 
 from __future__ import annotations
@@ -109,7 +115,6 @@ class Route:
         "_legs",
         "_index",
         "_t0",
-        "_advance_cb",
     )
 
     def __init__(
@@ -128,51 +133,57 @@ class Route:
         self.src = src
         self.dst = dst
         self.ref = ref
-        #: Fault-hook state of the current leg (see ``Island._dma_fault``).
+        #: Fault-hook state of the current leg (see ``FaultInjector.dma_fault``).
         self.attempt = 0
         self._legs = legs
         self._index = 0
         self._t0 = sim.now
-        self._advance_cb = self._advance
-        self._start()
+        self._advance(False)
 
-    def _advance(self) -> None:
-        """End the current leg (recording its span), start the next."""
-        index = self._index
-        span = self._legs[index][2]
-        if span is not None:
-            now = self.sim.now
-            tracer = span[0]
-            if tracer is not None:
-                tracer.record(
-                    self._t0, now, span[1], span[2], span[3](self.nbytes), self.ref
-                )
-            self._t0 = now
-        self._index = index + 1
-        self._start()
-
-    def _start(self) -> None:
-        """Start the current leg (again, after a fault hook's wait)."""
+    def _advance(self, ended: bool = True) -> None:
+        """Run the route on: end the current leg first when ``ended``
+        (recording its span), then start legs until one waits (a
+        :data:`CALL` that ends as it starts goes on in this loop)."""
         sim = self.sim
-        op, arg, _span, charge, fault = self._legs[self._index]
-        if fault is not None:
-            wait = fault(self)
-            if wait is not None:
-                sim.schedule(sim.now + wait, self._start)
+        legs = self._legs
+        index = self._index
+        if ended:
+            span = legs[index][2]
+            if span is not None:
+                now = sim.now
+                tracer = span[0]
+                if tracer is not None:
+                    tracer.record(
+                        self._t0, now, span[1], span[2], span[3](self.nbytes), self.ref
+                    )
+                self._t0 = now
+            index += 1
+        while True:
+            op, arg, _span, charge, fault = legs[index]
+            if fault is not None:
+                self._index = index
+                wait = fault(self)
+                if wait is not None:
+                    sim.schedule(sim.now + wait, self._restart)
+                    return
+            if charge is not None:
+                charge(self)
+            if op == SERVE:
+                done = arg.reserve(self.nbytes)
+            elif op == WAIT:
+                done = sim.now + arg
+            elif op == CALL:
+                done = arg(self)
+                if done is None:
+                    index += 1
+                    continue
+            else:
+                self.then()
                 return
-        if charge is not None:
-            charge(self)
-        if op == SERVE:
-            done = arg.reserve(self.nbytes)
-        elif op == WAIT:
-            done = sim.now + arg
-        elif op == CALL:
-            done = arg(self)
-            if done is None:
-                self._index += 1
-                self._start()
-                return
-        else:
-            self.then()
+            self._index = index
+            sim.schedule(done, self._advance)
             return
-        sim.schedule(done, self._advance_cb)
+
+    def _restart(self) -> None:
+        """Start the current leg again, after a fault hook's wait."""
+        self._advance(False)

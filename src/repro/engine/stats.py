@@ -32,8 +32,11 @@ class Histogram:
         """Add one observation (running-mean update)."""
         self.count += 1
         self._mean += (value - self._mean) / self.count
-        self.min = min(self.min, value)
-        self.max = max(self.max, value)
+        # What min() and max() keep: the old bound unless strictly passed.
+        if value < self.min:
+            self.min = value
+        if value > self.max:
+            self.max = value
         self._samples.append(value)
         self._sorted_cache = None
 
@@ -91,7 +94,8 @@ class UtilizationTracker:
         self._area += self._level * (now - self._last_time)
         self._level = level
         self._last_time = now
-        self.peak = max(self.peak, level)
+        if level > self.peak:
+            self.peak = level
 
     def adjust(self, delta: float, now: float) -> None:
         """Shift the level by ``delta`` at time ``now``."""

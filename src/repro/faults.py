@@ -38,6 +38,9 @@ from dataclasses import dataclass, field, fields, replace
 
 from repro.errors import ConfigError
 
+if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.engine.route import Route
+
 __all__ = [
     "FaultSpec",
     "FaultStats",
@@ -297,6 +300,34 @@ class FaultInjector:
         if draw < self.spec.dma_drop_prob + self.spec.dma_stall_prob:
             return DMA_STALL
         return DMA_OK
+
+    def dma_fault(self, island_id: int, route: "Route") -> typing.Optional[float]:
+        """Fault hook of an island's DMA leg: cycles to wait before
+        (re)trying, or ``None`` to proceed.
+
+        Each attempt draws an outcome: a *stall* delays the transfer
+        once; a *drop* costs a timeout plus exponential backoff and is
+        retried up to ``dma_max_retries`` times, after which the
+        transfer is forced through (DMA engine reset) so the simulation
+        always makes forward progress.  ``route.attempt`` counts the
+        retries; -1 marks a served stall.  It is 0 again when the leg
+        proceeds: an island-to-island route crosses two DMA legs.
+        """
+        attempt = route.attempt
+        if attempt >= 0:
+            outcome = self.dma_outcome(island_id)
+            if outcome == DMA_STALL:
+                self.stats.dma_stalls += 1
+                route.attempt = -1
+                return self.spec.dma_stall_cycles
+            if outcome == DMA_DROP:
+                if attempt < self.spec.dma_max_retries:
+                    self.stats.dma_retries += 1
+                    route.attempt = attempt + 1
+                    return self.dma_retry_delay(attempt)
+                self.stats.dma_forced_recoveries += 1
+        route.attempt = 0
+        return None
 
     def dma_retry_delay(self, attempt: int) -> float:
         """Timeout plus exponential backoff for retry ``attempt`` (0-based)."""

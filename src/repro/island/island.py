@@ -20,8 +20,8 @@ release — is checked here.
 from __future__ import annotations
 
 import dataclasses
-import math
 import typing
+from functools import lru_cache, partial
 
 import repro.faults as faults
 from repro.abb.library import ABBLibrary
@@ -35,9 +35,9 @@ from repro.engine import (
 from repro.engine.route import CALL, END, SERVE, Leg, leg
 from repro.engine.trace import Tracer
 from repro.errors import AllocationError, ConfigError, SimulationError
-from repro.island.config import IslandConfig
+from repro.island.config import IslandConfig, SpmPorting
 from repro.island.networks import SpmDmaNetwork, build_network
-from repro.island.spm import SPMGroup
+from repro.island.spm import SPMGroup, SpmBanks
 from repro.power.aggregate import EnergyAccount
 from repro.power.orion import STATIC_MW_PER_MM2, crossbar_area_mm2
 
@@ -50,6 +50,8 @@ NOC_INTERFACE_AREA_MM2 = 0.20
 #: Latency of the island's NoC interface (buffering/serialization), cycles.
 NOC_INTERFACE_LATENCY = 4.0
 
+_INF = float("inf")
+
 #: The config fields a shape key holds besides the mix.
 _SHAPE_FIELDS = tuple(
     f.name for f in dataclasses.fields(IslandConfig) if f.name != "abb_mix"
@@ -61,17 +63,44 @@ class _IslandShape:
     and the physicals, which the first island of the shape computes from
     its parts (:meth:`Island._physicals`)."""
 
-    __slots__ = ("abbs", "types", "slots_by_type", "physicals")
+    __slots__ = ("abbs", "spm", "types", "slots_by_type", "physicals")
 
-    def __init__(self, mix: tuple, types: tuple[ABBType, ...]) -> None:
+    def __init__(
+        self, mix: tuple, types: tuple[ABBType, ...], porting: SpmPorting
+    ) -> None:
         self.abbs = tuple(
             abb_type for abb_type, (_, count) in zip(types, mix) for _ in range(count)
         )
+        banks = {abb_type: SpmBanks.of(abb_type, porting) for abb_type in types}
+        self.spm = tuple(banks[abb_type] for abb_type in self.abbs)
         self.types = [abb_type.name for abb_type in self.abbs]
         self.slots_by_type: dict[str, list[int]] = {}
         for index, name in enumerate(self.types):
             self.slots_by_type.setdefault(name, []).append(index)
         self.physicals: typing.Optional[tuple[dict[str, float], float, float]] = None
+
+
+class _SpmEnds:
+    """The SPM end of an island's routes: a read or write charges the
+    slot's group (named by the route) and the energy account."""
+
+    __slots__ = ("groups", "energy")
+
+    def __init__(self, groups: list[SPMGroup], energy: EnergyAccount) -> None:
+        self.groups = groups
+        self.energy = energy
+
+    def read(self, route: Route) -> None:  # a leg ending as it starts
+        group = self.groups[route.src[1]]
+        self.energy.charge("spm", group.record_read(route.nbytes))
+
+    def write(self, route: Route) -> None:
+        group = self.groups[route.dst[1]]
+        self.energy.charge("spm", group.record_write(route.nbytes))
+
+
+#: Span label of a traced transfer of a size, formatted once per size.
+_size_label = lru_cache(maxsize=4096)("{:g}B".format)
 
 
 #: Island shapes by key (see ``Island.__init__``), cleared at
@@ -111,22 +140,19 @@ class Island:
         if shape is None:
             if len(_SHAPES) >= _SHAPES_MAX:
                 _SHAPES.clear()
-            shape = _SHAPES[key] = _IslandShape(mix, types)
+            shape = _SHAPES[key] = _IslandShape(mix, types, config.spm_porting)
 
         # Slots: one ABB + one SPM group per slot, laid out in a fixed
         # physical order (types interleaved as given by the mix).
         self.abbs: list[ABBType] = list(shape.abbs)
-        porting = config.spm_porting
-        self.spm_groups = [SPMGroup(abb_type, porting) for abb_type in shape.abbs]
+        self.spm_groups = [SPMGroup.of(spec) for spec in shape.spm]
 
         # Traced islands record one span per data-path leg; the network
         # records one span per movement.
-        self._span_labels: dict[float, str] = {}
-
         def span(suffix: str, kind: str):
             if tracer is None:
                 return None
-            return (tracer, f"island{island_id}.{suffix}", kind, self._label)
+            return (tracer, f"island{island_id}.{suffix}", kind, _size_label)
 
         self.network: SpmDmaNetwork = build_network(
             sim,
@@ -195,17 +221,19 @@ class Island:
         )
         # Data-path legs around the network's, shared by every path (the
         # SPM charges read the slot from the route).  The DMA fault model
-        # is the DMA leg's fault hook.
+        # is the DMA leg's fault hook.  The legs hold the parts they use,
+        # never the island, which caches them.
         dma_fault = None
         if fault_injector is not None and fault_injector.spec.dma_faults_enabled:
-            dma_fault = self._dma_fault
+            dma_fault = partial(fault_injector.dma_fault, island_id)
         dma = leg(SERVE, self.dma, span("dma", "dma"), fault=dma_fault)
         noc_in = leg(SERVE, self.noc_in, span("noc_in", "noc_if"))
         noc_out = leg(SERVE, self.noc_out, span("noc_out", "noc_if"))
+        spm = _SpmEnds(self.spm_groups, self.energy)
         self._ingress_head = (noc_in, dma)
-        self._read_head = (leg(CALL, self._read_src),)
+        self._read_head = (leg(CALL, spm.read),)
         self._egress_tail = (dma, noc_out)
-        self._write_end = (leg(END, charge=self._write_dst),)
+        self._write_end = (leg(END, charge=spm.write),)
 
     # -------------------------------------------------------------- queries
     @property
@@ -335,53 +363,10 @@ class Island:
         return [n for n in (slot - 1, slot + 1) if 0 <= n < len(self.abbs)]
 
     def _check_slot(self, slot: int) -> None:
-        if not 0 <= slot < len(self.abbs):
+        if not 0 <= slot < self._slot_count:
             raise ConfigError(f"slot {slot} out of range")
 
     # ------------------------------------------------------------ data path
-    def _dma_fault(self, route: Route) -> typing.Optional[float]:
-        """Fault hook of the DMA leg: cycles to wait before (re)trying.
-
-        Each attempt draws an outcome: a *stall* delays the transfer
-        once; a *drop* costs a timeout plus exponential backoff and is
-        retried up to ``dma_max_retries`` times, after which the
-        transfer is forced through (DMA engine reset) so the simulation
-        always makes forward progress.  ``route.attempt`` counts the
-        retries; -1 marks a served stall.  It is 0 again when the leg
-        proceeds: an island-to-island route crosses two DMA legs.
-        """
-        attempt = route.attempt
-        if attempt >= 0:
-            injector = self.fault_injector
-            outcome = injector.dma_outcome(self.island_id)
-            if outcome == faults.DMA_STALL:
-                injector.stats.dma_stalls += 1
-                route.attempt = -1
-                return injector.spec.dma_stall_cycles
-            if outcome == faults.DMA_DROP:
-                if attempt < injector.spec.dma_max_retries:
-                    injector.stats.dma_retries += 1
-                    route.attempt = attempt + 1
-                    return injector.dma_retry_delay(attempt)
-                injector.stats.dma_forced_recoveries += 1
-        route.attempt = 0
-        return None
-
-    def _read_src(self, route: Route) -> None:  # a leg ending as it starts
-        group = self.spm_groups[route.src[1]]
-        self.energy.charge("spm", group.record_read(route.nbytes))
-
-    def _write_dst(self, route: Route) -> None:
-        group = self.spm_groups[route.dst[1]]
-        self.energy.charge("spm", group.record_write(route.nbytes))
-
-    def _label(self, nbytes: float) -> str:
-        """Span label of a traced transfer (formatted once per size)."""
-        label = self._span_labels.get(nbytes)
-        if label is None:
-            label = self._span_labels[nbytes] = f"{nbytes:g}B"
-        return label
-
     def ingress(self, slot: int, nbytes: float) -> tuple[Leg, ...]:
         """The legs bringing ``nbytes`` from the NoC into a slot's SPM."""
         self._check_size(nbytes)
@@ -406,7 +391,7 @@ class Island:
 
     @staticmethod
     def _check_size(nbytes: float) -> None:
-        if not (math.isfinite(nbytes) and nbytes >= 0):
+        if not (0.0 <= nbytes < _INF):
             raise ConfigError(
                 f"transfer size must be finite and non-negative, got {nbytes!r}"
             )

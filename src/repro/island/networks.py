@@ -57,6 +57,26 @@ CHAINING_XBAR_PARALLEL_PATHS = 4
 FLOORPLAN_MM2_PER_SLOT = 0.6
 
 
+class _Port:
+    """A crossbar port's ``CALL``: charge the traversal's energy, then
+    reserve the port.  A network's cached legs hold this, not the
+    network."""
+
+    __slots__ = ("server", "energy", "pj_per_byte")
+
+    def __init__(
+        self, server: BandwidthServer, energy: EnergyAccount, pj_per_byte: float
+    ) -> None:
+        self.server = server
+        self.energy = energy
+        self.pj_per_byte = pj_per_byte
+
+    def traverse(self, route: Route) -> float:
+        nbytes = route.nbytes
+        self.energy.charge("island_net", self.pj_per_byte * nbytes * 1e-3)
+        return self.server.reserve(nbytes)
+
+
 class SpmDmaNetwork(abc.ABC):
     """Common interface of the island-internal SPM<->DMA network.
 
@@ -144,8 +164,8 @@ class ProxyCrossbarNetwork(SpmDmaNetwork):
             name="proxy_xbar_dma_port",
         )
         self._dma: typing.Optional[BandwidthServer] = None
-        self._pj_per_byte = crossbar_pj_per_byte(self.total_banks)
-        self._traverse_leg = leg(CALL, self._traverse)
+        port = _Port(self._port, energy, crossbar_pj_per_byte(self.total_banks))
+        self._traverse_leg = leg(CALL, port.traverse)
         self._one = self._spanned(self._traverse_leg)
         self._chain = self._spanned(self._traverse_leg, self._traverse_leg)
 
@@ -154,11 +174,6 @@ class ProxyCrossbarNetwork(SpmDmaNetwork):
         self._dma = dma
         traverse = self._traverse_leg
         self._chain = self._spanned(traverse, leg(SERVE, dma), traverse)
-
-    def _traverse(self, route: Route) -> float:
-        nbytes = route.nbytes
-        self.energy.charge("island_net", self._pj_per_byte * nbytes * 1e-3)
-        return self._port.reserve(nbytes)
 
     def _path(self, src, dst):
         """One traversal to or from the DMA; chaining proxies through
@@ -197,20 +212,11 @@ class ChainingCrossbarNetwork(SpmDmaNetwork):
             latency=self._latency,
             name="chain_xbar_paths",
         )
-        self._pj_per_byte = crossbar_pj_per_byte(self.total_banks + 1)
-        self._dma_legs = self._spanned(leg(CALL, self._through_dma_port))
-        self._chain_legs = self._spanned(leg(CALL, self._through_chain_paths))
-
-    def _charge(self, nbytes: float) -> None:
-        self.energy.charge("island_net", self._pj_per_byte * nbytes * 1e-3)
-
-    def _through_dma_port(self, route: Route) -> float:
-        self._charge(route.nbytes)
-        return self._dma_port.reserve(route.nbytes)
-
-    def _through_chain_paths(self, route: Route) -> float:
-        self._charge(route.nbytes)
-        return self._chain_paths.reserve(route.nbytes)
+        pj_per_byte = crossbar_pj_per_byte(self.total_banks + 1)
+        dma_port = _Port(self._dma_port, energy, pj_per_byte)
+        chain_paths = _Port(self._chain_paths, energy, pj_per_byte)
+        self._dma_legs = self._spanned(leg(CALL, dma_port.traverse))
+        self._chain_legs = self._spanned(leg(CALL, chain_paths.traverse))
 
     def _path(self, src, dst):
         """One traversal of the DMA port, or a direct SPM -> SPM
@@ -280,24 +286,20 @@ class RingNetwork(SpmDmaNetwork):
             if hops == 0:
                 legs = self._spanned(leg(WAIT, 0.0))
             else:
+                occupy = functools.partial(
+                    _occupy,
+                    self._capacity,
+                    self.energy,
+                    self._router,
+                    self._link,
+                    self.n_nodes,
+                    hops,
+                )
                 legs = self._spanned(
-                    leg(CALL, functools.partial(self._occupy, hops)),
-                    leg(WAIT, RING_HOP_LATENCY * hops),
+                    leg(CALL, occupy), leg(WAIT, RING_HOP_LATENCY * hops)
                 )
             self._by_hops[hops] = legs
         return legs
-
-    def _occupy(self, hops: int, route: Route) -> float:
-        nbytes = route.nbytes
-        self.energy.charge(
-            "island_net",
-            hops
-            * (
-                self._router.hop_energy_nj(nbytes)
-                + self._link.transfer_energy_nj(nbytes)
-            ),
-        )
-        return self._capacity.reserve(nbytes * hops / self.n_nodes)
 
     # ------------------------------------------------------------ physicals
     @property
@@ -312,6 +314,25 @@ class RingNetwork(SpmDmaNetwork):
             self.n_nodes * self._router.static_power_mw
             + self.n_nodes * self.config.rings * self._link.static_power_mw
         )
+
+
+def _occupy(
+    capacity: BandwidthServer,
+    energy: EnergyAccount,
+    router: RouterModel,
+    link: LinkModel,
+    n_nodes: int,
+    hops: int,
+    route: Route,
+) -> float:
+    """The ``CALL`` of a ``hops``-link ring movement: charge the hops'
+    energy, then occupy ``hops / n_nodes`` of the ring capacity."""
+    nbytes = route.nbytes
+    energy.charge(
+        "island_net",
+        hops * (router.hop_energy_nj(nbytes) + link.transfer_energy_nj(nbytes)),
+    )
+    return capacity.reserve(nbytes * hops / n_nodes)
 
 
 def build_network(

@@ -11,6 +11,8 @@ and leakage for every extra port.
 from __future__ import annotations
 
 import functools
+import typing
+from operator import attrgetter
 
 from repro.abb.types import ABBType
 from repro.island.config import SpmPorting
@@ -25,43 +27,86 @@ EXACT_PORTING_CONFLICT_PENALTY = 0.02
 _shared_model = functools.lru_cache(maxsize=64)(SPMModel)
 
 
+class SpmBanks(typing.NamedTuple):
+    """What one slot kind's SPM banks are, shared by every group of that
+    kind: the ABB type and porting, bank count, ports per bank, bank
+    model and conflict penalty."""
+
+    abb_type: ABBType
+    porting: SpmPorting
+    banks: int
+    ports_per_bank: int
+    model: SPMModel
+    conflict_penalty: float
+
+    @classmethod
+    def of(cls, abb_type: ABBType, porting: SpmPorting) -> "SpmBanks":
+        """The banks of an ``abb_type`` slot under ``porting``."""
+        ports = porting.value
+        return cls(
+            abb_type,
+            porting,
+            abb_type.spm_banks_min,
+            ports,
+            _shared_model(abb_type.spm_bank_bytes, ports),
+            EXACT_PORTING_CONFLICT_PENALTY if porting is SpmPorting.EXACT else 0.0,
+        )
+
+
 class SPMGroup:
-    """The SPM banks dedicated to one ABB slot."""
+    """The SPM banks dedicated to one ABB slot.
+
+    The banks are a shared :class:`SpmBanks`; a group adds only its byte
+    counters.  An island takes its slots' banks from its shape
+    (:meth:`of`), so a build makes no enum or model lookups.
+    """
+
+    __slots__ = ("spec", "bytes_read", "bytes_written")
 
     def __init__(self, abb_type: ABBType, porting: SpmPorting) -> None:
-        self.abb_type = abb_type
-        self.porting = porting
-        self.banks = abb_type.spm_banks_min
-        self.ports_per_bank = porting.value
-        self._model = _shared_model(abb_type.spm_bank_bytes, self.ports_per_bank)
+        self.spec = SpmBanks.of(abb_type, porting)
         self.bytes_read = 0.0
         self.bytes_written = 0.0
+
+    @classmethod
+    def of(cls, spec: SpmBanks) -> "SPMGroup":
+        """A group of ``spec``'s banks, its counters at zero."""
+        group = object.__new__(cls)
+        group.spec = spec
+        group.bytes_read = 0.0
+        group.bytes_written = 0.0
+        return group
+
+    # The banks' fixed fields, read through from the shared spec.
+    abb_type = property(attrgetter("spec.abb_type"))
+    porting = property(attrgetter("spec.porting"))
+    banks = property(attrgetter("spec.banks"))
+    ports_per_bank = property(attrgetter("spec.ports_per_bank"))
+    _model = property(attrgetter("spec.model"))
 
     # --------------------------------------------------------------- timing
     def conflict_penalty(self) -> float:
         """Multiplicative compute-time penalty from bank conflicts."""
-        if self.porting is SpmPorting.EXACT:
-            return EXACT_PORTING_CONFLICT_PENALTY
-        return 0.0
+        return self.spec.conflict_penalty
 
     # --------------------------------------------------------------- energy
     def record_write(self, nbytes: float) -> float:
         """Account a write of ``nbytes``; returns dynamic energy in nJ."""
         self.bytes_written += nbytes
-        return self._model.access_energy_nj(nbytes)
+        return self.spec.model.access_energy_nj(nbytes)
 
     def record_read(self, nbytes: float) -> float:
         """Account a read of ``nbytes``; returns dynamic energy in nJ."""
         self.bytes_read += nbytes
-        return self._model.access_energy_nj(nbytes)
+        return self.spec.model.access_energy_nj(nbytes)
 
     # ----------------------------------------------------------- physicals
     @property
     def area_mm2(self) -> float:
         """Total silicon area of the group's banks."""
-        return self.banks * self._model.area_mm2
+        return self.spec.banks * self.spec.model.area_mm2
 
     @property
     def static_power_mw(self) -> float:
         """Total leakage of the group's banks."""
-        return self.banks * self._model.static_power_mw
+        return self.spec.banks * self.spec.model.static_power_mw

@@ -14,6 +14,7 @@ from __future__ import annotations
 import functools
 import math
 import typing
+from operator import attrgetter
 
 from repro.engine import BandwidthServer, Route, Simulator
 from repro.engine.route import CALL, Leg, leg
@@ -33,6 +34,8 @@ NOC_ENERGY_PJ_PER_BYTE_HOP = 1.1
 
 #: Header/flow-control overhead per packet when segmentation is on.
 PACKET_HEADER_BYTES = 8.0
+
+_INF = float("inf")
 
 
 class MeshNoC:
@@ -72,11 +75,20 @@ class MeshNoC:
         self.fault_injector = fault_injector
         self.tracer = tracer
         self._links: dict[tuple[tuple[int, int], tuple[int, int]], BandwidthServer] = {}
-        # Crossing legs by (src x, src y, dst x, dst y).
+        # Crossing legs by (src x, src y, dst x, dst y); they call into
+        # the traffic record, not the NoC.
         self._crossings: dict[tuple[int, int, int, int], Leg] = {}
-        self.total_transfers = 0
-        self.total_packets = 0
-        self.total_byte_hops = 0.0
+        self._traffic = _Traffic(
+            self.energy,
+            segment_bytes,
+            fault_injector.stats if fault_injector is not None else None,
+        )
+
+    #: Crossings (zero-byte and zero-hop ones too), packets (segmented
+    #: NoCs only) and wire bytes times hops so far.
+    total_transfers = property(attrgetter("_traffic.transfers"))
+    total_packets = property(attrgetter("_traffic.packets"))
+    total_byte_hops = property(attrgetter("_traffic.byte_hops"))
 
     # ---------------------------------------------------------------- links
     @staticmethod
@@ -94,8 +106,10 @@ class MeshNoC:
         issued, with no heap entry and no span.  The leg is built once
         per pair of stops; the caller splices it into its route.
         """
-        if nbytes < 0:
-            raise ConfigError(f"transfer size must be non-negative, got {nbytes}")
+        if not (0.0 <= nbytes < _INF):
+            raise ConfigError(
+                f"transfer size must be finite and non-negative, got {nbytes!r}"
+            )
         key = (src.x, src.y, dst.x, dst.y)
         crossing = self._crossings.get(key)
         if crossing is None:
@@ -136,14 +150,45 @@ class MeshNoC:
         if degraded_hops:
             factor = injector.spec.noc_degrade_factor
             router_cycles += ROUTER_LATENCY * (factor - 1.0) * degraded_hops
-        cross = functools.partial(self._cross, links, router_cycles, degraded_hops)
+        cross = functools.partial(
+            self._traffic.cross, links, router_cycles, degraded_hops
+        )
         return leg(CALL, cross, span)
 
-    def _cross(
+    # ------------------------------------------------------------- metrics
+    def max_link_utilization(self, elapsed: float) -> float:
+        """Busy fraction of the most loaded link (the hotspot)."""
+        if not self._links:
+            return 0.0
+        return max(link.utilization(elapsed) for link in self._links.values())
+
+
+class _Traffic:
+    """What a crossing's ``CALL`` touches: the NoC's traffic counters,
+    its energy account, its packet size and the fault counters."""
+
+    __slots__ = (
+        "energy", "segment_bytes", "fault_stats", "transfers", "packets", "byte_hops"
+    )
+
+    def __init__(
+        self,
+        energy: EnergyAccount,
+        segment_bytes: typing.Optional[float],
+        fault_stats: typing.Any,
+    ) -> None:
+        self.energy = energy
+        self.segment_bytes = segment_bytes
+        self.fault_stats = fault_stats
+        self.transfers = 0
+        self.packets = 0
+        self.byte_hops = 0.0
+
+    def cross(
         self, links: tuple, router_cycles: float, degraded_hops: int, route: Route
     ) -> typing.Optional[float]:
         """The ``CALL`` function of a crossing over ``links``."""
-        self.total_transfers += 1
+        self.transfers += 1
         nbytes = route.nbytes
         hops = len(links)
         if nbytes == 0 or not hops:
@@ -156,8 +201,8 @@ class MeshNoC:
             payload = self.segment_bytes - PACKET_HEADER_BYTES
             packets = math.ceil(nbytes / payload)
             wire_bytes = nbytes + packets * PACKET_HEADER_BYTES
-            self.total_packets += packets
-        self.total_byte_hops += wire_bytes * hops
+            self.packets += packets
+        self.byte_hops += wire_bytes * hops
         self.energy.charge(
             "noc", NOC_ENERGY_PJ_PER_BYTE_HOP * wire_bytes * hops * 1e-3
         )
@@ -167,15 +212,8 @@ class MeshNoC:
             if done > slowest:
                 slowest = done
         if degraded_hops:
-            self.fault_injector.stats.noc_degraded_transfers += 1
+            self.fault_stats.noc_degraded_transfers += 1
         return slowest + router_cycles
-
-    # ------------------------------------------------------------- metrics
-    def max_link_utilization(self, elapsed: float) -> float:
-        """Busy fraction of the most loaded link (the hotspot)."""
-        if not self._links:
-            return 0.0
-        return max(link.utilization(elapsed) for link in self._links.values())
 
 
 @functools.lru_cache(maxsize=4096)

@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 from repro.errors import ConfigError
 from repro.units import Clock, ACCEL_CLOCK
 
+_INF = float("inf")
+
 
 @dataclass
 class EnergyAccount:
@@ -27,8 +29,11 @@ class EnergyAccount:
 
     def charge(self, category: str, energy_nj: float) -> None:
         """Add ``energy_nj`` of dynamic energy under ``category``."""
-        if energy_nj < 0:
-            raise ConfigError(f"energy must be non-negative, got {energy_nj}")
+        # One chained comparison rejects negative, NaN and infinite energy.
+        if not (0.0 <= energy_nj < _INF):
+            raise ConfigError(
+                f"energy must be finite and non-negative, got {energy_nj!r}"
+            )
         self.dynamic_nj[category] = self.dynamic_nj.get(category, 0.0) + energy_nj
 
     def add_static_power(self, power_mw: float) -> None:

@@ -25,6 +25,7 @@ from functools import partial
 
 from repro.abb.flowgraph import TilePlan
 from repro.abb.library import ABBLibrary
+from repro.engine.simulator import Simulator
 from repro.engine.trace import Tracer
 from repro.errors import ConfigError
 from repro.serve.arrivals import MEGACYCLE, ArrivalConfig, arrival_times
@@ -158,6 +159,25 @@ def estimate_saturation(
     return 1.0 / inverse
 
 
+def _arrive(
+    sim: Simulator,
+    admit: typing.Callable[[int], None],
+    times: list[float],
+    request_index: int,
+) -> None:
+    """One arrival of a tenant's stream: ``admit`` decides it, then the
+    next is scheduled (from here, so no closure schedules itself)."""
+    admit(request_index)
+    request_index += 1
+    if request_index < len(times):
+        # The wake-up is ``now + gap``, which need not round to the
+        # arrival time itself.
+        sim.schedule(
+            sim.now + (times[request_index] - sim.now),
+            partial(_arrive, sim, admit, times, request_index),
+        )
+
+
 def run_serve(
     config: SystemConfig,
     serve: ServeConfig,
@@ -237,11 +257,8 @@ def run_serve(
 
         system.fallback_cores.request(core_granted)
 
-    def arrive(
-        index: int, state: _TenantState, times: list[float], request_index: int
-    ) -> None:
-        # One arrival of a tenant's stream; it schedules the next one
-        # after deciding this one.
+    def admit(index: int, state: _TenantState, request_index: int) -> None:
+        # One arrival of a tenant's stream: hardware, software or shed.
         state.offered += 1
         tile_id = index * TILE_ID_STRIDE + request_index
         decision, estimate = frontend.decide(state.plan, state.sw_cycles)
@@ -258,14 +275,6 @@ def run_serve(
                 partial(complete, state, sim.now),
                 state.spec.name,
             )
-        request_index += 1
-        if request_index < len(times):
-            # The wake-up is ``now + gap``, which need not round to the
-            # arrival time itself.
-            sim.schedule(
-                sim.now + (times[request_index] - sim.now),
-                partial(arrive, index, state, times, request_index),
-            )
 
     for index, state in enumerate(tenants):
         times = arrival_times(
@@ -274,7 +283,8 @@ def run_serve(
             stream=f"{serve.seed}:{index}:{state.spec.name}",
         )
         if times:
-            sim.schedule(times[0], partial(arrive, index, state, times, 0))
+            admit_one = partial(admit, index, state)
+            sim.schedule(times[0], partial(_arrive, sim, admit_one, times, 0))
     report = driver.run("serving session")
 
     drained = sim.now

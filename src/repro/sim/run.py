@@ -11,6 +11,7 @@ each admitted request at its arrival.
 from __future__ import annotations
 
 import typing
+from functools import partial
 
 from repro.abb.flowgraph import TilePlan
 from repro.abb.library import ABBLibrary
@@ -73,16 +74,17 @@ class RequestDriver:
         """Issue ``tiles`` tiles, ``size`` in flight: each finished tile
         issues the next and hands it its last-completed task's ref, so
         the window handoff is a recorded dependency."""
-        issued = [0]
-
-        def issue_next(after: str = "") -> None:
-            tile = issued[0]
-            if tile < tiles:
-                issued[0] = tile + 1
-                self.issue(plan, first_id + tile, issue_next, after=after)
-
+        tile_ids = iter(range(first_id, first_id + tiles))
         for _ in range(size):
-            issue_next()
+            self._issue_next(plan, tile_ids)
+
+    def _issue_next(self, plan: TilePlan, tile_ids, after: str = "") -> None:
+        """Issue the window's next tile, if any; its end issues the one
+        after (through a new partial, so no callback holds itself)."""
+        tile_id = next(tile_ids, None)
+        if tile_id is not None:
+            on_done = partial(self._issue_next, plan, tile_ids)
+            self.issue(plan, tile_id, on_done, after=after)
 
     def run(self, label: str) -> typing.Optional["AttributionReport"]:
         """Run to the end; returns a traced run's critical-path report

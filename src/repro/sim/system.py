@@ -230,6 +230,14 @@ class _SoftwareJob:
         self.then()
 
 
+def _read(memory: MemorySystem, route: Route) -> float:
+    return memory.access_fast(route.nbytes, route.src, route.ref)
+
+
+def _write(memory: MemorySystem, route: Route) -> float:
+    return memory.access_fast(route.nbytes, route.dst, route.ref)
+
+
 class SystemModel:
     """A fully wired accelerator-rich system ready to execute tiles."""
 
@@ -324,8 +332,8 @@ class SystemModel:
         # id.  A memory access records its own span, so a traced memory
         # leg only moves the span clock (the mesh span starts at its end).
         mark = MARK if tracer is not None else None
-        self._read_legs = (leg(CALL, self._read, mark),)
-        self._write_legs = (leg(CALL, self._write, mark), DONE)
+        self._read_legs = (leg(CALL, partial(_read, self.memory), mark),)
+        self._write_legs = (leg(CALL, partial(_write, self.memory), mark), DONE)
 
     # ---------------------------------------------------------------- faults
     @property
@@ -385,12 +393,6 @@ class SystemModel:
         if end.__class__ is tuple:
             return self.topology.island(end[0])
         return self._mc_node(end)
-
-    def _read(self, route: Route) -> float:
-        return self.memory.access_fast(route.nbytes, route.src, route.ref)
-
-    def _write(self, route: Route) -> float:
-        return self.memory.access_fast(route.nbytes, route.dst, route.ref)
 
     def _island(self, index: int) -> Island:
         if not 0 <= index < len(self.islands):

@@ -140,6 +140,16 @@ class TestBandwidthServer:
         with pytest.raises(ConfigError):
             link.transfer(-5)
 
+    @pytest.mark.parametrize("size", [float("nan"), float("inf")])
+    def test_nan_and_infinite_sizes_rejected(self, size):
+        # A NaN reservation would leave the server's free time NaN, and
+        # with it every later reservation on the server.
+        link = BandwidthServer(Simulator(), bytes_per_cycle=1.0)
+        with pytest.raises(ConfigError, match="finite and non-negative"):
+            link.reserve(size)
+        assert link.reserve(4.0) == 4.0
+        assert (link.total_bytes, link.total_transfers) == (4.0, 1)
+
 
 class TestAllOf:
     def test_waits_for_all_children(self):

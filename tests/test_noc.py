@@ -143,6 +143,12 @@ class TestMeshNoC:
         with pytest.raises(ConfigError):
             noc.transfer(topo.island(0), topo.island(1), -1)
 
+    @pytest.mark.parametrize("size", [float("nan"), float("inf")])
+    def test_nan_and_infinite_sizes_rejected(self, size):
+        sim, topo, noc = self.make()
+        with pytest.raises(ConfigError, match="finite and non-negative"):
+            noc.transfer(topo.island(0), topo.island(1), size)
+
     @given(st.integers(1, 20), st.integers(1, 20))
     def test_route_always_reaches_destination(self, i, j):
         topo = MeshTopology(n_islands=24)

@@ -40,6 +40,14 @@ class TestEnergyAccount:
         with pytest.raises(ConfigError):
             EnergyAccount().charge("x", -1.0)
 
+    @pytest.mark.parametrize("energy", [float("nan"), float("inf")])
+    def test_nan_and_infinite_charges_rejected(self, energy):
+        acct = EnergyAccount()
+        acct.charge("x", 1.0)
+        with pytest.raises(ConfigError, match="finite and non-negative"):
+            acct.charge("x", energy)
+        assert acct.dynamic_nj == {"x": 1.0}
+
     def test_negative_power_rejected(self):
         with pytest.raises(ConfigError):
             EnergyAccount().add_static_power(-1.0)
