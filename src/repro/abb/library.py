@@ -114,6 +114,12 @@ class ABBLibrary:
     def __init__(self) -> None:
         self._types: dict[str, ABBType] = {}
 
+    def copy(self) -> "ABBLibrary":
+        """A new library of the same (immutable) types, to extend alone."""
+        library = ABBLibrary()
+        library._types.update(self._types)
+        return library
+
     def register(self, abb_type: ABBType) -> None:
         """Add a type; re-registering a name is an error."""
         if abb_type.name in self._types:

@@ -2,7 +2,9 @@
 
 A policy picks the island for a new task from the candidates: the
 islands that hold a usable slot of the task's ABB type right now, in
-index order.  The ABC allocates that island's lowest-index usable slot.
+index order.  It sees every island's busy fraction (allocated slots over
+slots, by island index), which the ABC keeps current.  The ABC
+allocates the chosen island's lowest-index usable slot.
 The paper's ABC does locality-aware placement with load balancing;
 ``first_fit`` is the no-balancing alternative for the load-balancing
 ablation.
@@ -14,19 +16,16 @@ import typing
 
 from repro.errors import AllocationError
 
-if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.island.island import Island
-
-#: A policy maps (islands, candidate indices, preferred_island_id) to the
-#: index of the chosen candidate.
+#: A policy maps (busy fractions by island, candidate indices,
+#: preferred_island_id) to the index of the chosen candidate.
 AllocationPolicy = typing.Callable[
-    [typing.Sequence["Island"], typing.Sequence[int], typing.Optional[int]], int
+    [typing.Sequence[float], typing.Sequence[int], typing.Optional[int]], int
 ]
 
 
-def _require_islands(islands: typing.Sequence["Island"]) -> None:
+def _require_islands(busy: typing.Sequence[float]) -> None:
     """Reject the degenerate empty platform with a clear error."""
-    if not islands:
+    if not busy:
         raise AllocationError(
             "allocation policy invoked with an empty island list; "
             "the platform has no islands to place work on"
@@ -34,7 +33,7 @@ def _require_islands(islands: typing.Sequence["Island"]) -> None:
 
 
 def locality_then_load_balance(
-    islands: typing.Sequence["Island"],
+    busy: typing.Sequence[float],
     candidates: typing.Sequence[int],
     preferred: typing.Optional[int],
 ) -> int:
@@ -45,17 +44,17 @@ def locality_then_load_balance(
     candidate does, the lower index breaking ties, so work spreads
     across islands.
     """
-    _require_islands(islands)
+    _require_islands(busy)
     if preferred in candidates:
         return preferred
-    return min(candidates, key=lambda i: islands[i].busy_fraction())
+    return min(candidates, key=busy.__getitem__)
 
 
 def first_fit(
-    islands: typing.Sequence["Island"],
+    busy: typing.Sequence[float],
     candidates: typing.Sequence[int],
     preferred: typing.Optional[int],
 ) -> int:
     """No load balancing: always the lowest-index candidate."""
-    _require_islands(islands)
+    _require_islands(busy)
     return candidates[0]

@@ -84,6 +84,9 @@ class AcceleratorBlockComposer:
         self.policy = policy
         # Each island's usable-slot counts by type, read on every request.
         self._usable_counts = [island.usable_counts for island in self.islands]
+        # Each island's busy fraction, what the policy balances load on:
+        # set after every allocate and release, which only the ABC makes.
+        self._busy = [island.busy_fraction() for island in self.islands]
         self._waiters: collections.deque[_Waiter] = collections.deque()
         # Queued requests per type, kept on enqueue, grant and fallback
         # (estimate_wait reads it on every admission decision).
@@ -115,11 +118,12 @@ class AcceleratorBlockComposer:
         ]
         if not candidates:
             return None
-        index = self.policy(self.islands, candidates, preferred)
+        index = self.policy(self._busy, candidates, preferred)
         island = self.islands[index]
         slot = island.first_usable(type_name)
         grant = Grant(index, slot, type_name, self.sim.now)
         island.allocate(slot, grant)
+        self._busy[index] = island.busy_fraction()
         return grant
 
     # --------------------------------------------------------------- public
@@ -164,7 +168,9 @@ class AcceleratorBlockComposer:
         if not 0 <= grant.island_index < len(self.islands):
             raise ConfigError(f"island index {grant.island_index} out of range")
         self.service_cycles.record(self.sim.now - grant.granted_at)
-        self.islands[grant.island_index].release(grant.slot, grant)
+        island = self.islands[grant.island_index]
+        island.release(grant.slot, grant)
+        self._busy[grant.island_index] = island.busy_fraction()
         if self._waiters:
             self._drain_waiters()
 

@@ -294,7 +294,7 @@ class _Task:
                 tag,
                 tag,
                 {
-                    "conflict": island.spm_groups[grant.slot].conflict_penalty(),
+                    "conflict": island.shape.spm[grant.slot].conflict_penalty,
                     "invocations": task.invocations,
                 },
             )

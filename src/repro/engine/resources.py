@@ -93,6 +93,11 @@ class BandwidthServer:
     reported after a run.
     """
 
+    __slots__ = (
+        "sim", "bytes_per_cycle", "latency", "name", "_free_at", "busy_cycles",
+        "total_bytes", "total_transfers",
+    )
+
     def __init__(
         self,
         sim: "Simulator",
@@ -100,11 +105,11 @@ class BandwidthServer:
         latency: float = 0.0,
         name: str = "",
     ) -> None:
-        if bytes_per_cycle <= 0:
+        if not bytes_per_cycle > 0:  # NaN too
             raise ConfigError(
                 f"bandwidth must be positive, got {bytes_per_cycle} (server {name!r})"
             )
-        if latency < 0:
+        if not latency >= 0:
             raise ConfigError(f"latency must be non-negative, got {latency}")
         self.sim = sim
         self.bytes_per_cycle = bytes_per_cycle

@@ -21,10 +21,15 @@ subsystem (:mod:`repro.obs`):
 
 from __future__ import annotations
 
+import functools
 import sys
 import typing
 
 from repro.errors import ConfigError
+
+#: Span label of a traced transfer of ``nbytes``, e.g. ``"64B"``,
+#: formatted once per size for every owner that labels spans by size.
+size_label = functools.lru_cache(maxsize=4096)("{:g}B".format)
 
 #: Exact span-time types :meth:`Tracer.record`'s fast check accepts;
 #: ``bool`` is an ``int`` subclass but no time.

@@ -30,7 +30,6 @@ draw comes from streams derived solely from the seed.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import random
 import typing
@@ -346,13 +345,7 @@ class FaultInjector:
         not depend on the (lazy) order in which links are first used.
         """
         fraction = self.spec.noc_degrade_fraction
-        return fraction > 0.0 and _link_degraded(self.seed, fraction, src, dst)
+        if fraction <= 0.0:
+            return False
+        return _stable_fraction(self.seed, "noc", src, dst) < fraction
 
-
-@functools.lru_cache(maxsize=4096)
-def _link_degraded(
-    seed: int, fraction: float, src: typing.Tuple[int, int], dst: typing.Tuple[int, int]
-) -> bool:
-    """The draw behind :meth:`FaultInjector.link_degraded`, hashed once
-    per process for each ``(seed, fraction, link)``."""
-    return _stable_fraction(seed, "noc", src, dst) < fraction

@@ -19,9 +19,8 @@ release — is checked here.
 
 from __future__ import annotations
 
-import dataclasses
 import typing
-from functools import lru_cache, partial
+from functools import partial
 
 import repro.faults as faults
 from repro.abb.library import ABBLibrary
@@ -33,9 +32,9 @@ from repro.engine import (
     UtilizationTracker,
 )
 from repro.engine.route import CALL, END, SERVE, Leg, leg
-from repro.engine.trace import Tracer
+from repro.engine.trace import Tracer, size_label
 from repro.errors import AllocationError, ConfigError, SimulationError
-from repro.island.config import IslandConfig, SpmPorting
+from repro.island.config import IslandConfig
 from repro.island.networks import SpmDmaNetwork, build_network
 from repro.island.spm import SPMGroup, SpmBanks
 from repro.power.aggregate import EnergyAccount
@@ -52,32 +51,72 @@ NOC_INTERFACE_LATENCY = 4.0
 
 _INF = float("inf")
 
-#: The config fields a shape key holds besides the mix.
-_SHAPE_FIELDS = tuple(
-    f.name for f in dataclasses.fields(IslandConfig) if f.name != "abb_mix"
-)
 
+class IslandShape:
+    """What an island config and an ABB library fix, read-only and shared
+    by every island built from them: the slot layout (types interleaved
+    in name order), each slot's SPM banks, and the physicals summed over
+    the parts (Section 5.7 accounting).  A platform builds one per
+    distinct island mix (see :mod:`repro.sim.platform`)."""
 
-class _IslandShape:
-    """What every island of one shape shares, read-only: the slot layout
-    and the physicals, which the first island of the shape computes from
-    its parts (:meth:`Island._physicals`)."""
+    __slots__ = (
+        "config", "abbs", "spm", "banks", "types", "slots_by_type", "slot_counts",
+        "breakdown", "area_mm2", "static_power_mw",
+    )
 
-    __slots__ = ("abbs", "spm", "types", "slots_by_type", "physicals")
-
-    def __init__(
-        self, mix: tuple, types: tuple[ABBType, ...], porting: SpmPorting
-    ) -> None:
+    def __init__(self, config: IslandConfig, library: ABBLibrary) -> None:
+        library.validate_mix(config.abb_mix)
+        self.config = config
+        mix = sorted(config.abb_mix.items())
+        types = [library.get(type_name) for type_name, _ in mix]
         self.abbs = tuple(
             abb_type for abb_type, (_, count) in zip(types, mix) for _ in range(count)
         )
-        banks = {abb_type: SpmBanks.of(abb_type, porting) for abb_type in types}
-        self.spm = tuple(banks[abb_type] for abb_type in self.abbs)
+        banks = [SpmBanks.of(abb_type, config.spm_porting) for abb_type in types]
+        self.spm = tuple(
+            spec for spec, (_, count) in zip(banks, mix) for _ in range(count)
+        )
+        self.banks = tuple(spec.banks for spec in self.spm)
         self.types = [abb_type.name for abb_type in self.abbs]
         self.slots_by_type: dict[str, list[int]] = {}
         for index, name in enumerate(self.types):
             self.slots_by_type.setdefault(name, []).append(index)
-        self.physicals: typing.Optional[tuple[dict[str, float], float, float]] = None
+        self.slot_counts = {name: len(s) for name, s in self.slots_by_type.items()}
+        self.breakdown, self.area_mm2, self.static_power_mw = self._physicals()
+
+    def _physicals(self) -> tuple[dict[str, float], float, float]:
+        """Area breakdown, total area and leakage, summed over the parts;
+        the network's come from a probe built once per shape."""
+        config = self.config
+        network = build_network(
+            Simulator(), self.banks, config.network, EnergyAccount()
+        )
+        sharing_factor = 3 if config.spm_sharing else 1
+        breakdown = {
+            "abbs": sum(abb_type.area_mm2 for abb_type in self.abbs),
+            "spm": sum(spec.area_mm2 for spec in self.spm),
+            "abb_spm_crossbar": sum(
+                crossbar_area_mm2(
+                    1, sharing_factor * spec.banks, config.abb_spm_width_bytes
+                )
+                for spec in self.spm
+            ),
+            "spm_dma_network": network.area_mm2,
+            "dma": DMA_ENGINE_AREA_MM2,
+            "noc_interface": NOC_INTERFACE_AREA_MM2,
+        }
+        abb_static = sum(abb_type.static_power_mw for abb_type in self.abbs)
+        spm_static = sum(spec.static_power_mw for spec in self.spm)
+        fixed_area = (
+            breakdown["abb_spm_crossbar"] + breakdown["dma"] + breakdown["noc_interface"]
+        )
+        static_power = (
+            abb_static
+            + spm_static
+            + network.static_power_mw
+            + STATIC_MW_PER_MM2 * fixed_area
+        )
+        return breakdown, sum(breakdown.values()), static_power
 
 
 class _SpmEnds:
@@ -99,64 +138,46 @@ class _SpmEnds:
         self.energy.charge("spm", group.record_write(route.nbytes))
 
 
-#: Span label of a traced transfer of a size, formatted once per size.
-_size_label = lru_cache(maxsize=4096)("{:g}B".format)
-
-
-#: Island shapes by key (see ``Island.__init__``), cleared at
-#: ``_SHAPES_MAX`` entries so the memo stays bounded.
-_SHAPES: dict[tuple, _IslandShape] = {}
-_SHAPES_MAX = 256
-
-
 class Island:
-    """One ABB island instance inside a simulated system."""
+    """One ABB island instance inside a simulated system.
+
+    ``shape`` is what the island's config and ABB library fix; the
+    island itself allocates only per-run state: servers, network, SPM
+    byte counters, occupancy and the utilization tracker.
+    """
 
     def __init__(
         self,
         sim: Simulator,
         island_id: int,
-        config: IslandConfig,
-        library: ABBLibrary,
+        shape: IslandShape,
         energy: typing.Optional[EnergyAccount] = None,
         fault_injector: typing.Optional["faults.FaultInjector"] = None,
         tracer: typing.Optional[Tracer] = None,
     ) -> None:
-        library.validate_mix(config.abb_mix)
         self.sim = sim
         self.island_id = island_id
-        self.config = config
-        self.library = library
+        self.config = config = shape.config
+        self.shape = shape
         self.energy = energy if energy is not None else EnergyAccount()
         self.tracer = tracer
-
-        # Everything fixed by the shape (the config, its mix as a sorted
-        # tuple and the frozen ABB types the mix names) is built once per
-        # process.  Never keyed by identity: each run builds its library.
-        mix = tuple(sorted(config.abb_mix.items()))
-        types = tuple(library.get(type_name) for type_name, _ in mix)
-        key = (mix, types) + tuple(getattr(config, name) for name in _SHAPE_FIELDS)
-        shape = _SHAPES.get(key)
-        if shape is None:
-            if len(_SHAPES) >= _SHAPES_MAX:
-                _SHAPES.clear()
-            shape = _SHAPES[key] = _IslandShape(mix, types, config.spm_porting)
 
         # Slots: one ABB + one SPM group per slot, laid out in a fixed
         # physical order (types interleaved as given by the mix).
         self.abbs: list[ABBType] = list(shape.abbs)
         self.spm_groups = [SPMGroup.of(spec) for spec in shape.spm]
+        n_slots = len(self.abbs)
 
         # Traced islands record one span per data-path leg; the network
         # records one span per movement.
         def span(suffix: str, kind: str):
             if tracer is None:
                 return None
-            return (tracer, f"island{island_id}.{suffix}", kind, _size_label)
+            return (tracer, f"island{island_id}.{suffix}", kind, size_label)
 
         self.network: SpmDmaNetwork = build_network(
             sim,
-            [group.banks for group in self.spm_groups],
+            shape.banks,
             config.network,
             self.energy,
             span("net", "spm_net"),
@@ -184,23 +205,21 @@ class Island:
         attach = getattr(self.network, "attach_dma", None)
         if attach is not None:
             attach(self.dma)
-
-        if shape.physicals is None:
-            shape.physicals = self._physicals()
-        self._breakdown, self.area_mm2, self.static_power_mw = shape.physicals
+        self.area_mm2 = shape.area_mm2
+        self.static_power_mw = shape.static_power_mw
 
         # Sharing lockout bookkeeping (Sec. 5.1): count of neighbours that
         # currently borrow this slot's banks.
-        self._neighbor_locks = [0] * len(self.abbs)
+        self._neighbor_locks = [0] * n_slots
         # Fault state: a failed slot is permanently out of service for
         # *new* allocations; an in-flight task drains and releases
         # normally (fail-stop after drain).
         self.fault_injector = fault_injector
-        self._failed = [False] * len(self.abbs)
+        self._failed = [False] * n_slots
         # Occupancy: each slot's owner (the grant that holds it, compared
         # by identity) and whether its task has started computing.
-        self._owner: list[object] = [None] * len(self.abbs)
-        self._computing = [False] * len(self.abbs)
+        self._owner: list[object] = [None] * n_slots
+        self._computing = [False] * n_slots
         # Allocation state, kept by allocate, release and fail_slot
         # instead of recounted per query (the ABC reads it on every
         # request): the per-type slot lists and slot type names come
@@ -208,16 +227,14 @@ class Island:
         # busy count.
         self._slots_by_type = shape.slots_by_type
         self._types = shape.types
-        self._usable = [True] * len(self.abbs)
+        self._usable = [True] * n_slots
         #: Usable slots per ABB type (see :meth:`slot_usable`); maintained,
         #: read-only for callers.
-        self.usable_counts: dict[str, int] = {
-            name: len(slots) for name, slots in self._slots_by_type.items()
-        }
-        self._slot_count = len(self.abbs)
+        self.usable_counts: dict[str, int] = dict(shape.slot_counts)
+        self._slot_count = n_slots
         self._busy_slots = 0
         self.abb_tracker = UtilizationTracker(
-            capacity=len(self.abbs), name=f"island{island_id}.abbs"
+            capacity=n_slots, name=f"island{island_id}.abbs"
         )
         # Data-path legs around the network's, shared by every path (the
         # SPM charges read the slot from the route).  The DMA fault model
@@ -409,7 +426,7 @@ class Island:
         self._computing[slot] = True
         abb_type = self.abbs[slot]
         cycles = abb_type.compute_cycles(invocations)
-        cycles *= 1.0 + self.spm_groups[slot].conflict_penalty()
+        cycles *= 1.0 + self.shape.spm[slot].conflict_penalty
         self.energy.charge("abb", abb_type.dynamic_energy_nj(invocations))
         return self.sim.now + cycles
 
@@ -421,42 +438,7 @@ class Island:
 
     def area_breakdown_mm2(self) -> dict[str, float]:
         """Area of every island component (Section 5.7 accounting)."""
-        return dict(self._breakdown)
-
-    def _physicals(self) -> tuple[dict[str, float], float, float]:
-        """Area breakdown, total area and leakage, summed over the parts
-        (what the shape memo holds for every island of this shape)."""
-        abb_area = sum(abb_type.area_mm2 for abb_type in self.abbs)
-        spm_area = sum(group.area_mm2 for group in self.spm_groups)
-        sharing_factor = 3 if self.config.spm_sharing else 1
-        abb_spm_xbar = sum(
-            crossbar_area_mm2(
-                1,
-                sharing_factor * group.banks,
-                self.config.abb_spm_width_bytes,
-            )
-            for group in self.spm_groups
-        )
-        breakdown = {
-            "abbs": abb_area,
-            "spm": spm_area,
-            "abb_spm_crossbar": abb_spm_xbar,
-            "spm_dma_network": self.network.area_mm2,
-            "dma": DMA_ENGINE_AREA_MM2,
-            "noc_interface": NOC_INTERFACE_AREA_MM2,
-        }
-        abb_static = sum(abb_type.static_power_mw for abb_type in self.abbs)
-        spm_static = sum(group.static_power_mw for group in self.spm_groups)
-        fixed_area = (
-            breakdown["abb_spm_crossbar"] + breakdown["dma"] + breakdown["noc_interface"]
-        )
-        static_power = (
-            abb_static
-            + spm_static
-            + self.network.static_power_mw
-            + STATIC_MW_PER_MM2 * fixed_area
-        )
-        return breakdown, sum(breakdown.values()), static_power
+        return dict(self.shape.breakdown)
 
     def average_abb_utilization(self, elapsed: float) -> float:
         """Time-weighted average fraction of busy ABBs."""

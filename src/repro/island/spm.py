@@ -10,7 +10,6 @@ and leakage for every extra port.
 
 from __future__ import annotations
 
-import functools
 import typing
 from operator import attrgetter
 
@@ -21,10 +20,6 @@ from repro.power.spm_model import SPMModel
 #: Fraction of compute time lost to residual bank conflicts with exact
 #: porting (software data layout removes almost all conflicts, Sec. 5.4).
 EXACT_PORTING_CONFLICT_PENALTY = 0.02
-
-#: One immutable bank model per ``(bank_bytes, ports)``, shared by every
-#: group with banks of that shape.
-_shared_model = functools.lru_cache(maxsize=64)(SPMModel)
 
 
 class SpmBanks(typing.NamedTuple):
@@ -48,9 +43,19 @@ class SpmBanks(typing.NamedTuple):
             porting,
             abb_type.spm_banks_min,
             ports,
-            _shared_model(abb_type.spm_bank_bytes, ports),
+            SPMModel(abb_type.spm_bank_bytes, ports),
             EXACT_PORTING_CONFLICT_PENALTY if porting is SpmPorting.EXACT else 0.0,
         )
+
+    @property
+    def area_mm2(self) -> float:
+        """Total silicon area of the banks."""
+        return self.banks * self.model.area_mm2
+
+    @property
+    def static_power_mw(self) -> float:
+        """Total leakage of the banks."""
+        return self.banks * self.model.static_power_mw
 
 
 class SPMGroup:
@@ -77,12 +82,15 @@ class SPMGroup:
         group.bytes_written = 0.0
         return group
 
-    # The banks' fixed fields, read through from the shared spec.
+    # The banks' fixed fields and physicals, read through from the
+    # shared spec.
     abb_type = property(attrgetter("spec.abb_type"))
     porting = property(attrgetter("spec.porting"))
     banks = property(attrgetter("spec.banks"))
     ports_per_bank = property(attrgetter("spec.ports_per_bank"))
     _model = property(attrgetter("spec.model"))
+    area_mm2 = property(attrgetter("spec.area_mm2"))
+    static_power_mw = property(attrgetter("spec.static_power_mw"))
 
     # --------------------------------------------------------------- timing
     def conflict_penalty(self) -> float:
@@ -99,14 +107,3 @@ class SPMGroup:
         """Account a read of ``nbytes``; returns dynamic energy in nJ."""
         self.bytes_read += nbytes
         return self.spec.model.access_energy_nj(nbytes)
-
-    # ----------------------------------------------------------- physicals
-    @property
-    def area_mm2(self) -> float:
-        """Total silicon area of the group's banks."""
-        return self.spec.banks * self.spec.model.area_mm2
-
-    @property
-    def static_power_mw(self) -> float:
-        """Total leakage of the group's banks."""
-        return self.spec.banks * self.spec.model.static_power_mw

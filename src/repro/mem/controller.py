@@ -12,7 +12,7 @@ from __future__ import annotations
 import typing
 
 from repro.engine import BandwidthServer, Event, Simulator
-from repro.engine.trace import Tracer
+from repro.engine.trace import Tracer, size_label
 from repro.errors import ConfigError
 from repro.mem.dram import DRAM_ENERGY_PJ_PER_BYTE
 from repro.power.aggregate import EnergyAccount
@@ -48,9 +48,6 @@ class MemoryController:
         self.energy = energy if energy is not None else EnergyAccount()
         self.tracer = tracer
         self._span_actor = f"mem.mc{index}"
-        # Byte-count labels repeat per tile shape; formatting them once
-        # keeps tracing cheap on hot paths.
-        self._span_labels: dict[float, str] = {}
         self._channel = BandwidthServer(
             sim,
             bytes_per_cycle=gbps_to_bytes_per_cycle(bandwidth_gbps, ACCEL_CLOCK),
@@ -74,11 +71,7 @@ class MemoryController:
         done = channel.reserve(nbytes)
         tracer = self.tracer
         if tracer is not None:
-            label = self._span_labels.get(nbytes)
-            if label is None:
-                label = f"{nbytes:g}B"
-                self._span_labels[nbytes] = label
-            tracer.record(start, done, self._span_actor, "mem", label, ref)
+            tracer.record(start, done, self._span_actor, "mem", size_label(nbytes), ref)
         return done
 
     def utilization(self, elapsed: float) -> float:

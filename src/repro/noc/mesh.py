@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 import typing
 from operator import attrgetter
 
@@ -47,12 +48,19 @@ class MeshNoC:
     (64-byte) or half-block (32-byte) granularity — each paying a header
     overhead, which exposes the Section 5.3 effect that narrow channels
     waste width on packetization.
+
+    ``crossings`` holds what each pair of stops' crossing fixes, filled
+    on first use (see :meth:`transfer`): its degraded hop count, then
+    its links' server names, in one flat tuple.  A platform passes the
+    one dict every run on it shares, since the paths and the link-fault
+    draws are functions of its config.
     """
 
     def __init__(
         self,
         sim: Simulator,
         topology: MeshTopology,
+        crossings: dict[int, tuple],
         link_bytes_per_cycle: float = DEFAULT_LINK_BYTES_PER_CYCLE,
         energy: typing.Optional[EnergyAccount] = None,
         segment_bytes: typing.Optional[float] = None,
@@ -74,10 +82,14 @@ class MeshNoC:
         # multiplied per-hop router latency (see repro.faults).
         self.fault_injector = fault_injector
         self.tracer = tracer
-        self._links: dict[tuple[tuple[int, int], tuple[int, int]], BandwidthServer] = {}
-        # Crossing legs by (src x, src y, dst x, dst y); they call into
-        # the traffic record, not the NoC.
-        self._crossings: dict[tuple[int, int, int, int], Leg] = {}
+        # This run's link servers, by name; the platform's crossings.
+        self._links: dict[str, BandwidthServer] = {}
+        self._fixed = crossings
+        # This run's crossing legs by the same key (the pair of stops as
+        # one int); they call into the traffic record, not the NoC.
+        self._crossings: dict[int, Leg] = {}
+        self._width = topology.width
+        self._stops = topology.width * topology.height
         self._traffic = _Traffic(
             self.energy,
             segment_bytes,
@@ -94,7 +106,7 @@ class MeshNoC:
     @staticmethod
     def route(src: Node, dst: Node) -> list[tuple[tuple[int, int], tuple[int, int]]]:
         """XY route: walk X first, then Y.  Returns the directed link list."""
-        return [link for link, _name in _xy_path(src.x, src.y, dst.x, dst.y)]
+        return xy_path(src.x, src.y, dst.x, dst.y)
 
     # ------------------------------------------------------------ transfers
     def transfer(self, src: Node, dst: Node, nbytes: float) -> Leg:
@@ -104,20 +116,32 @@ class MeshNoC:
         the slowest link has drained the payload, plus the router
         pipeline.  A zero-byte or zero-hop crossing arrives as it is
         issued, with no heap entry and no span.  The leg is built once
-        per pair of stops; the caller splices it into its route.
+        per pair of stops per run; the path's link names and degraded
+        hop count once per pair in ``crossings``.  The caller splices the
+        leg into its route.
         """
         if not (0.0 <= nbytes < _INF):
             raise ConfigError(
                 f"transfer size must be finite and non-negative, got {nbytes!r}"
             )
-        key = (src.x, src.y, dst.x, dst.y)
+        width = self._width
+        key = (src.y * width + src.x) * self._stops + dst.y * width + dst.x
         crossing = self._crossings.get(key)
         if crossing is None:
-            crossing = self._crossings[key] = self._crossing(src, dst)
+            crossing = self._crossings[key] = self._crossing(key, src, dst)
         return crossing
 
-    def _crossing(self, src: Node, dst: Node) -> Leg:
-        path = _xy_path(src.x, src.y, dst.x, dst.y)
+    def _crossing(self, key: int, src: Node, dst: Node) -> Leg:
+        injector = self.fault_injector
+        fixed = self._fixed.get(key)
+        if fixed is None:
+            steps = xy_path(src.x, src.y, dst.x, dst.y)
+            degraded = 0
+            if injector is not None:
+                degraded = sum(injector.link_degraded(*step) for step in steps)
+            names = (sys.intern(f"link{a}->{b}") for a, b in steps)
+            fixed = self._fixed[key] = (degraded, *names)
+        degraded_hops, *path = fixed
         span = None
         if self.tracer is not None and path:
             hops = len(path)
@@ -127,31 +151,25 @@ class MeshNoC:
                 "noc",
                 lambda nbytes: f"{nbytes:g}B/{hops}h",
             )
-        # Each link's server is made on the first crossing that uses it.
+        # Each link's server is made on the run's first crossing of it.
+        links = self._links
         servers = []
-        for link, name in path:
-            server = self._links.get(link)
+        for name in path:
+            server = links.get(name)
             if server is None:
-                server = self._links[link] = BandwidthServer(
+                server = links[name] = BandwidthServer(
                     self.sim,
                     bytes_per_cycle=self.link_bytes_per_cycle,
                     latency=0.0,
                     name=name,
                 )
             servers.append(server)
-        links = tuple(servers)
         router_cycles = ROUTER_LATENCY * len(path)
-        injector = self.fault_injector
-        degraded_hops = 0
-        if injector is not None and injector.spec.noc_degrade_fraction > 0.0:
-            degraded_hops = sum(
-                1 for link, _name in path if injector.link_degraded(*link)
-            )
         if degraded_hops:
             factor = injector.spec.noc_degrade_factor
             router_cycles += ROUTER_LATENCY * (factor - 1.0) * degraded_hops
         cross = functools.partial(
-            self._traffic.cross, links, router_cycles, degraded_hops
+            self._traffic.cross, tuple(servers), router_cycles, degraded_hops
         )
         return leg(CALL, cross, span)
 
@@ -216,14 +234,11 @@ class _Traffic:
         return slowest + router_cycles
 
 
-@functools.lru_cache(maxsize=4096)
-def _xy_path(
+def xy_path(
     x: int, y: int, dst_x: int, dst_y: int
-) -> tuple[tuple[tuple[tuple[int, int], tuple[int, int]], str], ...]:
+) -> list[tuple[tuple[int, int], tuple[int, int]]]:
     """The XY path between two mesh stops: each directed link
-    ``(from, to)`` with the name of its server.  A pure function of the
-    coordinates, so each path is walked once per process, whatever mesh
-    it lies on."""
+    ``(from, to)``, X first, then Y."""
     path = []
     while x != dst_x:
         nxt = x + (1 if dst_x > x else -1)
@@ -233,4 +248,4 @@ def _xy_path(
         nxt = y + (1 if dst_y > y else -1)
         path.append(((x, y), (x, nxt)))
         y = nxt
-    return tuple(((a, b), f"link{a}->{b}") for a, b in path)
+    return path

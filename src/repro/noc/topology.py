@@ -11,7 +11,6 @@ slots — interleaved so island traffic spreads across the mesh.
 from __future__ import annotations
 
 import enum
-import functools
 import math
 from dataclasses import dataclass
 
@@ -70,10 +69,41 @@ class MeshTopology:
         self.n_l2_banks = n_l2_banks
         self.n_memory_controllers = n_memory_controllers
 
-        self.width, self.height, nodes, self._index = _placement(
-            n_islands, n_cores, n_l2_banks, n_memory_controllers
+        total = n_islands + n_cores + n_l2_banks + n_memory_controllers
+        self.width = width = max(2, math.ceil(math.sqrt(total)))
+        self.height = height = max(2, math.ceil(total / width))
+        coords = [(x, y) for y in range(height) for x in range(width)]
+        available = list(coords)
+        self.nodes: list[Node] = []
+
+        def add(kind: NodeKind, index: int, coord: tuple[int, int]) -> None:
+            available.remove(coord)
+            self.nodes.append(Node(kind, index, coord[0], coord[1]))
+
+        # Memory controllers at the chip edge, corners first (Fig. 4).
+        corners = [(0, 0), (width - 1, 0), (0, height - 1), (width - 1, height - 1)]
+        edges = [c for c in coords if c[0] in (0, width - 1) or c[1] in (0, height - 1)]
+        mc_spots = corners + [c for c in edges if c not in corners]
+        for i in range(n_memory_controllers):
+            add(NodeKind.MEMORY_CONTROLLER, i, mc_spots[i])
+
+        # Cores and L2 banks at central positions.
+        center = ((width - 1) / 2.0, (height - 1) / 2.0)
+        central = sorted(
+            available,
+            key=lambda c: (abs(c[0] - center[0]) + abs(c[1] - center[1]), c),
         )
-        self.nodes: list[Node] = list(nodes)
+        for i in range(n_cores):
+            add(NodeKind.CORE, i, central.pop(0))
+        for i in range(n_l2_banks):
+            add(NodeKind.L2_BANK, i, central.pop(0))
+
+        # Islands fill the remaining slots in scan order.
+        for i in range(n_islands):
+            if not available:
+                raise ConfigError("mesh too small for requested component counts")
+            add(NodeKind.ISLAND, i, available[0])
+        self._index = {(node.kind, node.index): node for node in self.nodes}
 
     # -------------------------------------------------------------- lookups
     def node(self, kind: NodeKind, index: int) -> Node:
@@ -102,50 +132,3 @@ class MeshTopology:
     def hop_distance(self, a: Node, b: Node) -> int:
         """Manhattan (XY-routed) hop count between two stops."""
         return abs(a.x - b.x) + abs(a.y - b.y)
-
-
-@functools.lru_cache(maxsize=64)
-def _placement(
-    n_islands: int, n_cores: int, n_l2_banks: int, n_memory_controllers: int
-) -> tuple[int, int, tuple[Node, ...], dict[tuple[NodeKind, int], Node]]:
-    """Grid size, nodes and ``(kind, index)`` index of one mesh shape.
-
-    A pure function of the four counts (nodes are frozen), so each shape
-    is placed once per process and shared, read-only, by every
-    :class:`MeshTopology` of that shape.
-    """
-    total = n_islands + n_cores + n_l2_banks + n_memory_controllers
-    width = max(2, math.ceil(math.sqrt(total)))
-    height = max(2, math.ceil(total / width))
-    coords = [(x, y) for y in range(height) for x in range(width)]
-    available = list(coords)
-    nodes: list[Node] = []
-
-    def add(kind: NodeKind, index: int, coord: tuple[int, int]) -> None:
-        available.remove(coord)
-        nodes.append(Node(kind, index, coord[0], coord[1]))
-
-    # Memory controllers at the chip edge, corners first (Fig. 4).
-    corners = [(0, 0), (width - 1, 0), (0, height - 1), (width - 1, height - 1)]
-    edges = [(x, y) for x, y in coords if x in (0, width - 1) or y in (0, height - 1)]
-    mc_spots = corners + [c for c in edges if c not in corners]
-    for i in range(n_memory_controllers):
-        add(NodeKind.MEMORY_CONTROLLER, i, mc_spots[i])
-
-    # Cores and L2 banks at central positions.
-    center = ((width - 1) / 2.0, (height - 1) / 2.0)
-    central = sorted(
-        available,
-        key=lambda c: (abs(c[0] - center[0]) + abs(c[1] - center[1]), c),
-    )
-    for i in range(n_cores):
-        add(NodeKind.CORE, i, central.pop(0))
-    for i in range(n_l2_banks):
-        add(NodeKind.L2_BANK, i, central.pop(0))
-
-    # Islands fill the remaining slots in scan order.
-    for i in range(n_islands):
-        if not available:
-            raise ConfigError("mesh too small for requested component counts")
-        add(NodeKind.ISLAND, i, available[0])
-    return width, height, tuple(nodes), {(n.kind, n.index): n for n in nodes}

@@ -16,7 +16,7 @@ import typing
 from dataclasses import dataclass, field, replace
 from functools import partial
 
-from repro.abb.library import ABBLibrary, PAPER_ABB_MIX, standard_library
+from repro.abb.library import ABBLibrary, PAPER_ABB_MIX
 from repro.cmp.fallback import SoftwareFallbackModel
 from repro.cmp.xeon import XEON_E5_2420
 from repro.core.allocation import AllocationPolicy, locality_then_load_balance
@@ -26,72 +26,32 @@ from repro.engine.route import CALL, DONE, MARK, leg
 from repro.engine.trace import Tracer
 from repro.errors import ConfigError
 from repro.faults import FaultInjector, FaultSpec, FaultStats
-from repro.island import Island, IslandConfig, SpmDmaNetworkConfig, SpmPorting
+from repro.island import Island, SpmDmaNetworkConfig, SpmPorting
 from repro.mem import MemorySystem
-from repro.noc import MeshNoC, MeshTopology
+from repro.noc import MeshNoC
 from repro.power import EnergyAccount
+from repro.sim.platform import platform_for
 
-#: Leakage charged per mesh router, mW (the mesh itself).
-MESH_ROUTER_STATIC_MW = 0.4
+_INF = float("inf")
 
+#: Numeric config fields: ``(name, whether an int, least value, whether
+#: the least is excluded)``.  Counts are ints, never bools; rates,
+#: latencies and powers are finite ints or floats.
+_BOUNDS = (
+    ("n_islands", True, 1, False),
+    ("n_memory_controllers", True, 1, False),
+    ("n_cores", True, 1, False),
+    ("n_l2_banks", True, 0, False),
+    ("fault_seed", True, -_INF, False),
+    ("noc_link_bytes_per_cycle", False, 0.0, True),
+    ("mesh_link_bytes_per_cycle", False, 0.0, True),
+    ("mc_bandwidth_gbps", False, 0.0, True),
+    ("mc_latency_cycles", False, 0.0, False),
+    ("platform_static_mw", False, 0.0, False),
+)
 
-def distribute_mix(
-    total_mix: typing.Mapping[str, int],
-    n_islands: int,
-    strategy: str = "uniform",
-) -> list[dict[str, int]]:
-    """Split a system-wide ABB mix across islands.
-
-    ``"uniform"`` (the paper's Section 4 choice): every type spread
-    evenly, remainders rotated so island sizes differ by at most one ABB
-    per type.  ``"clustered"``: islands filled type by type, producing
-    type-pure islands — the ablation alternative, which concentrates
-    each type's traffic on a few NoC interfaces.
-    """
-    if n_islands < 1:
-        raise ConfigError("need at least one island")
-    if strategy not in ("uniform", "clustered"):
-        raise ConfigError(f"unknown distribution strategy {strategy!r}")
-    per_island: list[dict[str, int]] = [dict() for _ in range(n_islands)]
-    if strategy == "uniform":
-        offset = 0  # rotate each type's remainder so island totals stay even
-        for type_name in sorted(total_mix):
-            count = total_mix[type_name]
-            if count < 0:
-                raise ConfigError(f"negative count for {type_name!r}")
-            base, extra = divmod(count, n_islands)
-            for i in range(n_islands):
-                share = base + (1 if (i - offset) % n_islands < extra else 0)
-                if share:
-                    per_island[i][type_name] = share
-            offset += extra
-    else:
-        total = sum(total_mix.values())
-        if any(count < 0 for count in total_mix.values()):
-            raise ConfigError("negative count in mix")
-        per_size, remainder = divmod(total, n_islands)
-        sizes = [per_size + (1 if i < remainder else 0) for i in range(n_islands)]
-        island_index = 0
-        room = sizes[0]
-        for type_name in sorted(total_mix):
-            remaining = total_mix[type_name]
-            while remaining > 0:
-                if room == 0:
-                    island_index += 1
-                    room = sizes[island_index]
-                take = min(remaining, room)
-                per_island[island_index][type_name] = (
-                    per_island[island_index].get(type_name, 0) + take
-                )
-                remaining -= take
-                room -= take
-    empties = [i for i, mix in enumerate(per_island) if not mix]
-    if empties:
-        raise ConfigError(
-            f"mix {dict(total_mix)} leaves islands {empties} empty at "
-            f"{n_islands} islands"
-        )
-    return per_island
+#: The host-core model software fallback runs on (stateless).
+FALLBACK_MODEL = SoftwareFallbackModel(core=XEON_E5_2420)
 
 
 @dataclass(frozen=True)
@@ -136,8 +96,20 @@ class SystemConfig:
     fault_seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.n_islands < 1:
-            raise ConfigError("need at least one island")
+        for name, count, least, strict in _BOUNDS:
+            value = getattr(self, name)
+            if (
+                value.__class__ is bool
+                or not isinstance(value, int if count else (int, float))
+                or not least <= value < _INF
+                or (strict and value == least)
+            ):
+                kind = "an int" if count else "finite"
+                bound = "" if least == -_INF else f" {'>' if strict else '>='} {least}"
+                raise ConfigError(f"{name} must be {kind}{bound}, got {value!r}")
+        for type_name, count in self.abb_mix.items():
+            if count.__class__ is bool or not isinstance(count, int) or count < 0:
+                raise ConfigError(f"ABB count {type_name!r} must be an int >= 0")
         if sum(self.abb_mix.values()) < self.n_islands:
             raise ConfigError("fewer ABBs than islands")
 
@@ -239,7 +211,13 @@ def _write(memory: MemorySystem, route: Route) -> float:
 
 
 class SystemModel:
-    """A fully wired accelerator-rich system ready to execute tiles."""
+    """A fully wired accelerator-rich system ready to execute tiles.
+
+    What the config fixes is its shared, read-only
+    :class:`~repro.sim.platform.Platform` (:attr:`platform`, and the
+    :attr:`topology` and each island's ``shape`` it holds); the system
+    itself is one run's mutable state.
+    """
 
     def __init__(
         self,
@@ -248,10 +226,15 @@ class SystemModel:
         library: typing.Optional[ABBLibrary] = None,
         tracer: typing.Optional["Tracer"] = None,
     ) -> None:
+        # What the config fixes comes from its platform, built once per
+        # config; everything below is this run's own mutable state.
+        platform = self.platform = platform_for(config, library)
         self.config = config
-        self.sim = sim if sim is not None else Simulator()
-        self.library = library if library is not None else standard_library()
-        self.energy = EnergyAccount()
+        self.sim = sim = sim if sim is not None else Simulator()
+        # A run may register types into its library (CAMEL's fabric), so
+        # it gets its own copy of the platform's, never the shared one.
+        self.library = library if library is not None else platform.library.copy()
+        self.energy = energy = EnergyAccount()
         self.tracer = tracer
 
         # Fault layer: only instantiated when a fault model is active, so
@@ -262,71 +245,49 @@ class SystemModel:
             if config.faults.enabled
             else None
         )
+        injector = self.fault_injector
         self._clean_fault_stats = FaultStats()
 
-        per_island_mix = distribute_mix(
-            config.abb_mix, config.n_islands, config.distribution
-        )
-        self.islands: list[Island] = []
-        for i, mix in enumerate(per_island_mix):
-            island_config = IslandConfig(
-                abb_mix=mix,
-                network=config.network,
-                spm_porting=config.spm_porting,
-                spm_sharing=config.spm_sharing,
-                noc_link_bytes_per_cycle=config.noc_link_bytes_per_cycle,
-            )
-            self.islands.append(
-                Island(
-                    self.sim,
-                    i,
-                    island_config,
-                    self.library,
-                    self.energy,
-                    fault_injector=self.fault_injector,
-                    tracer=tracer,
-                )
-            )
-
-        self.topology = MeshTopology(
-            n_islands=config.n_islands,
-            n_cores=config.n_cores,
-            n_l2_banks=config.n_l2_banks,
-            n_memory_controllers=config.n_memory_controllers,
-        )
+        self.islands: list[Island] = [
+            Island(sim, i, shape, energy, injector, tracer)
+            for i, shape in enumerate(platform.islands)
+        ]
+        self.topology = platform.topology
+        self._island_nodes = platform.island_nodes
+        self._mc_nodes = platform.mc_nodes
         self.noc = MeshNoC(
-            self.sim,
+            sim,
             self.topology,
+            platform.crossings,
             link_bytes_per_cycle=config.mesh_link_bytes_per_cycle,
-            energy=self.energy,
-            fault_injector=self.fault_injector,
+            energy=energy,
+            fault_injector=injector,
             tracer=tracer,
         )
         self.memory = MemorySystem(
-            self.sim,
+            sim,
             n_controllers=config.n_memory_controllers,
             bandwidth_gbps=config.mc_bandwidth_gbps,
             latency_cycles=config.mc_latency_cycles,
-            energy=self.energy,
+            energy=energy,
             tracer=tracer,
         )
-        self.abc = AcceleratorBlockComposer(self.sim, self.islands, config.policy)
+        self.abc = AcceleratorBlockComposer(sim, self.islands, config.policy)
 
         # Software-fallback path: host cores that absorb tasks whose ABB
         # type has no surviving hardware (ARC's wait-time-feedback
         # decision, forced by hard failure).  The pool is inert unless a
         # fallback actually occurs.
-        self.fallback_cores = Resource(self.sim, capacity=config.n_cores)
-        self.fallback_model = SoftwareFallbackModel(core=XEON_E5_2420)
-        if self.fault_injector is not None:
-            self._arm_abb_failures()
-
-        for island in self.islands:
-            self.energy.add_static_power(island.static_power_mw)
-        self.energy.add_static_power(
-            MESH_ROUTER_STATIC_MW * len(self.topology.nodes)
-        )
-        self.energy.add_static_power(config.platform_static_mw)
+        self.fallback_cores = Resource(sim, capacity=config.n_cores)
+        self.fallback_model = FALLBACK_MODEL
+        # The planned ABB hard failures, each through
+        # :meth:`AcceleratorBlockComposer.fail_slot`: the slot leaves
+        # service (an in-flight task drains first) and queued requests
+        # for a type with no surviving hardware resolve to software
+        # fallback instead of deadlocking.
+        for island_index, slot, cycle in platform.abb_failures:
+            sim.schedule(sim.now + cycle, partial(self._fail_abb, island_index, slot))
+        energy.add_static_power(platform.static_power_mw)
 
         # A route names its ends (island index, slot) or a memory stream
         # id.  A memory access records its own span, so a traced memory
@@ -342,21 +303,6 @@ class SystemModel:
         if self.fault_injector is not None:
             return self.fault_injector.stats
         return self._clean_fault_stats
-
-    def _arm_abb_failures(self) -> None:
-        """Schedule the planned ABB hard failures on the simulator.
-
-        Each failure goes through :meth:`AcceleratorBlockComposer.fail_slot`:
-        the slot leaves service (an in-flight task drains first) and
-        queued requests for a type with no surviving hardware resolve to
-        software fallback instead of deadlocking.
-        """
-        plan = self.fault_injector.plan_abb_failures(
-            [island.n_slots for island in self.islands]
-        )
-        sim = self.sim
-        for island_index, slot, cycle in plan:
-            sim.schedule(sim.now + cycle, partial(self._fail_abb, island_index, slot))
 
     def _fail_abb(self, island_index: int, slot: int) -> None:
         self.abc.fail_slot(island_index, slot)
@@ -385,14 +331,13 @@ class SystemModel:
         )
 
     # ------------------------------------------------------------ data path
-    def _mc_node(self, stream_id: int):
-        index = stream_id % self.config.n_memory_controllers
-        return self.topology.memory_controller(index)
-
     def _node(self, end):
+        """The mesh stop of a route end: an island's (checked by the
+        caller), or the memory controller a stream id interleaves to."""
         if end.__class__ is tuple:
-            return self.topology.island(end[0])
-        return self._mc_node(end)
+            return self._island_nodes[end[0]]
+        nodes = self._mc_nodes
+        return nodes[end % len(nodes)]
 
     def _island(self, index: int) -> Island:
         if not 0 <= index < len(self.islands):

@@ -30,6 +30,7 @@ from repro.engine import Simulator
 from repro.engine.stats import Histogram
 from repro.errors import AllocationError
 from repro.island import Island, IslandConfig
+from repro.island.island import IslandShape
 
 TYPES = ("poly", "div", "sum")
 
@@ -188,7 +189,9 @@ class Platform:
         self.islands = [
             Island(
                 self.sim, index,
-                IslandConfig(abb_mix=dict(mix), spm_sharing=sharing), library,
+                IslandShape(
+                    IslandConfig(abb_mix=dict(mix), spm_sharing=sharing), library
+                ),
             )
             for index, mix in enumerate(mixes)
         ]

@@ -1,32 +1,34 @@
-"""Differential check: per-shape build memos against plain references.
+"""Differential check: a warm platform against a cold build.
 
-A system build reuses what its shape fixes: island physicals and slot
-layout, shared SPM bank models, mesh placement, XY link paths and NoC
-link-degradation draws.  The references below are the code those memos
-replaced, run fresh on every call.  Hypothesis draws island configs,
-meshes and fault seeds; each memoized answer must equal its reference.
-Libraries that share type names but not numbers must never share an
-entry, and no run may see state left in a memo by another run.
+A system build takes what its config fixes from a cached
+:class:`~repro.sim.platform.Platform`: island slot layouts, SPM banks
+and physicals, mesh placement, each crossing's links and
+link-degradation draws, and the ABB failure plan.  The references below
+are plain code run fresh on every call, and every run on a warm
+platform must match a run on a platform built cold: the same result,
+heap entries, energy charges in order and spans.  Libraries that share
+type names but not numbers must never share a platform, and the key
+must change with every config field.
 """
 
+import dataclasses
+import gc
 import math
+import types
 from dataclasses import replace
+from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
 
-import repro.island.island as island_module
+import repro.sim.platform as platform_module
 from repro.abb import standard_library
 from repro.abb.library import ABBLibrary
-from repro.engine import Simulator
+from repro.compiler.pf_mapping import PF_ABB_TYPE_NAME, register_fabric
+from repro.engine import BandwidthServer, Simulator
+from repro.engine.trace import Tracer
 from repro.errors import ConfigError
-from repro.faults import (
-    FaultInjector,
-    FaultSpec,
-    _link_degraded,
-    _stable_fraction,
-    parse_fault_spec,
-)
+from repro.faults import FaultInjector, FaultSpec, _stable_fraction, parse_fault_spec
 from repro.island import (
     Island,
     IslandConfig,
@@ -34,15 +36,28 @@ from repro.island import (
     SpmDmaNetworkConfig,
     SpmPorting,
 )
-from repro.island.island import DMA_ENGINE_AREA_MM2, NOC_INTERFACE_AREA_MM2
-from repro.island.spm import SPMGroup, _shared_model
+from repro.island.island import (
+    DMA_ENGINE_AREA_MM2,
+    NOC_INTERFACE_AREA_MM2,
+    IslandShape,
+)
+from repro.island.spm import SPMGroup
 from repro.noc import MeshNoC, MeshTopology
-from repro.noc.mesh import _xy_path
-from repro.noc.topology import Node, NodeKind, _placement
+from repro.noc.mesh import xy_path
+from repro.noc.topology import Node, NodeKind
+from repro.power import EnergyAccount
 from repro.power.orion import STATIC_MW_PER_MM2, crossbar_area_mm2
 from repro.power.spm_model import SPMModel
-from repro.sim import SystemConfig, run_workload
-from repro.workloads import get_workload
+from repro.sim import SystemConfig, SystemModel, run_workload
+from repro.sim.platform import (
+    MESH_ROUTER_STATIC_MW,
+    clear_platforms,
+    platform_for,
+    platform_key,
+)
+from repro.sim.run import simulate
+from repro.workloads import get_workload, synthetic_workload
+from tests.test_dse_cache import FIELD_ALTERNATES
 
 
 # ----------------------------------------------------------- references
@@ -141,7 +156,7 @@ def reference_degraded(seed, fraction, src, dst):
     return fraction > 0.0 and _stable_fraction(seed, "noc", src, dst) < fraction
 
 
-def scaled_library(area_scale=1.0, power_scale=1.0):
+def scaled_library(area_scale=1.0, power_scale=1.0, energy_scale=1.0):
     """The standard types under their own names, with scaled physicals."""
     library = ABBLibrary()
     for abb_type in standard_library():
@@ -150,6 +165,8 @@ def scaled_library(area_scale=1.0, power_scale=1.0):
                 abb_type,
                 area_mm2=abb_type.area_mm2 * area_scale,
                 static_power_mw=abb_type.static_power_mw * power_scale,
+                energy_per_invocation_nj=abb_type.energy_per_invocation_nj
+                * energy_scale,
             )
         )
     return library
@@ -180,6 +197,45 @@ def island_configs(draw):
     )
 
 
+#: Small mixes, every type present so any synthetic graph composes.
+MIXES = (
+    {"poly": 6, "div": 3, "sqrt": 2, "pow": 2, "sum": 2},
+    {"sum": 2, "pow": 1, "sqrt": 1, "div": 2, "poly": 4},
+)
+FAULT_SPECS = ("", "abb:0.25", "dma:0.15,dmadrop:0.05", "abb:0.25,dma:0.1,noc:0.3")
+
+
+@st.composite
+def system_configs(draw):
+    return SystemConfig(
+        n_islands=draw(st.integers(1, 5)),
+        abb_mix=dict(draw(st.sampled_from(MIXES))),
+        network=draw(network_configs()),
+        spm_porting=draw(st.sampled_from(list(SpmPorting))),
+        spm_sharing=draw(st.booleans()),
+        noc_link_bytes_per_cycle=draw(st.sampled_from([4.0, 6.0])),
+        mesh_link_bytes_per_cycle=draw(st.sampled_from([8.0, 16.0])),
+        n_memory_controllers=draw(st.integers(1, 4)),
+        distribution=draw(st.sampled_from(["uniform", "clustered"])),
+        faults=parse_fault_spec(draw(st.sampled_from(FAULT_SPECS))),
+        fault_seed=draw(st.integers(0, 3)),
+    )
+
+
+#: Libraries sharing the standard type names, told apart by numbers.
+LIBRARIES = (
+    lambda: None,
+    standard_library,
+    lambda: scaled_library(area_scale=2.0),
+    lambda: scaled_library(power_scale=3.0, energy_scale=0.5),
+)
+libraries = st.sampled_from(LIBRARIES).map(lambda make: make())
+
+
+def make_island(config, library, island_id=0):
+    return Island(Simulator(), island_id, IslandShape(config, library))
+
+
 def assert_matches_reference(island, library):
     assert island.abbs == reference_slots(island.config, library)
     assert island.area_breakdown_mm2() == reference_area_breakdown(island)
@@ -191,46 +247,160 @@ def assert_matches_reference(island, library):
         assert island.usable_counts[name] == len(slots)
 
 
+def observe(config, library, workload):
+    """Everything a run shows: its result, heap entries, energy charges
+    in order and spans."""
+    sims, charges = [], []
+    run, charge = Simulator.run, EnergyAccount.charge
+
+    def counted_run(sim, *args, **kwargs):
+        sims.append(sim)
+        return run(sim, *args, **kwargs)
+
+    def recorded_charge(account, category, energy_nj):
+        charges.append((category, energy_nj))
+        return charge(account, category, energy_nj)
+
+    tracer = Tracer()
+    with mock.patch.object(Simulator, "run", counted_run), mock.patch.object(
+        EnergyAccount, "charge", recorded_charge
+    ):
+        result, _report = simulate(config, [workload], library=library, tracer=tracer)
+    return repr(result), [sim._seq for sim in sims], charges, list(tracer.records)
+
+
+# ------------------------------------------------------- cold against warm
+@given(
+    system_configs(),
+    system_configs(),
+    libraries,
+    libraries,
+    st.integers(1, 3),
+    st.integers(1, 2),
+    st.integers(1, 4),
+)
+def test_warm_platform_runs_like_a_cold_build(
+    config, other_config, library, other, depth, width, tiles
+):
+    workload = synthetic_workload(
+        depth=depth, width=width, invocations=16, tiles=tiles
+    )
+    points = [(config, library), (config, other), (other_config, other)]
+    cold = []
+    for point in points:
+        clear_platforms()
+        cold.append(observe(*point, workload))
+    # Every point again on a warm cache, each run after the others: a
+    # library sharing the type names, or another config, must never
+    # answer for this one.
+    for _ in range(2):
+        assert [observe(*point, workload) for point in points] == cold
+
+
+@given(system_configs())
+def test_static_power_is_summed_in_charge_order(config):
+    # One leakage charge per island, then the mesh routers, then the
+    # platform: the order each run once charged them, so the float.
+    system = SystemModel(config)
+    reference = EnergyAccount()
+    for island in system.islands:
+        reference.add_static_power(island.static_power_mw)
+    reference.add_static_power(MESH_ROUTER_STATIC_MW * len(system.topology.nodes))
+    reference.add_static_power(config.platform_static_mw)
+    assert system.energy.static_power_mw == reference.static_power_mw
+
+
+def test_every_config_field_changes_the_platform_key():
+    base = SystemConfig()
+    fields = {f.name for f in dataclasses.fields(SystemConfig)}
+    assert fields == set(FIELD_ALTERNATES)
+    keys = {platform_key(base)}
+    for name, alternate in FIELD_ALTERNATES.items():
+        keys.add(platform_key(dataclasses.replace(base, **{name: alternate})))
+    assert len(keys) == len(fields) + 1
+    # The library's content is part of the key; its identity is not.
+    assert platform_key(base, standard_library()) == platform_key(
+        base, standard_library()
+    )
+    assert platform_key(base, standard_library()) != platform_key(
+        base, scaled_library(power_scale=2.0)
+    )
+
+
+def test_platform_holds_no_per_run_object():
+    config = SystemConfig(
+        n_islands=6, faults=parse_fault_spec("abb:0.25,dma:0.1,noc:0.3"), fault_seed=1
+    )
+    clear_platforms()
+    run_workload(config, get_workload("EKF-SLAM", tiles=4), tracer=Tracer())
+    platform = platform_for(config)
+    assert platform.crossings  # the run filled in its crossings
+    per_run = (Simulator, BandwidthServer, EnergyAccount, Tracer, SystemModel, Island)
+    seen, stack = set(), [platform]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (type, types.ModuleType)):
+            continue
+        seen.add(id(obj))
+        assert not isinstance(obj, per_run), f"platform reaches a {type(obj)}"
+        if not callable(obj):  # a function reaches its module's globals
+            stack.extend(gc.get_referents(obj))
+
+
 # ---------------------------------------------------------------- islands
 @given(island_configs(), st.floats(0.5, 2.0), st.floats(0.5, 2.0))
 def test_island_physicals_match_reference(config, area_scale, power_scale):
-    # The second island of a shape reads the memo the first one filled.
     for library in (standard_library(), standard_library()):
-        assert_matches_reference(Island(Simulator(), 0, config, library), library)
+        assert_matches_reference(make_island(config, library), library)
     scaled = scaled_library(area_scale, power_scale)
-    assert_matches_reference(Island(Simulator(), 1, config, scaled), scaled)
+    assert_matches_reference(make_island(config, scaled, 1), scaled)
 
 
 def test_libraries_sharing_type_names_never_share_an_entry():
     config = IslandConfig(abb_mix={"poly": 3, "div": 2})
-    base = Island(Simulator(), 0, config, standard_library())
-    bigger = Island(Simulator(), 0, config, scaled_library(area_scale=2.0))
-    leakier = Island(Simulator(), 0, config, scaled_library(power_scale=2.0))
+    base = make_island(config, standard_library())
+    bigger = make_island(config, scaled_library(area_scale=2.0))
+    leakier = make_island(config, scaled_library(power_scale=2.0))
     assert bigger.area_breakdown_mm2()["abbs"] == 2 * base.area_breakdown_mm2()["abbs"]
     assert bigger.static_power_mw == base.static_power_mw
     assert leakier.area_mm2 == base.area_mm2
     assert leakier.static_power_mw > base.static_power_mw
     for island in (base, bigger, leakier):
         assert island.static_power_mw == reference_static_power(island)
+    # Nor do their platforms.
+    system = SystemConfig(n_islands=2)
+    standard = platform_for(system, standard_library())
+    scaled = platform_for(system, scaled_library(area_scale=2.0))
+    assert scaled is not standard
+    assert scaled.islands[0].area_mm2 > standard.islands[0].area_mm2
 
 
 def test_area_breakdown_is_a_copy():
     config = IslandConfig(abb_mix={"sum": 2})
-    island = Island(Simulator(), 0, config, standard_library())
+    island = make_island(config, standard_library())
     island.area_breakdown_mm2()["abbs"] = -1.0
-    again = Island(Simulator(), 1, config, standard_library())
-    assert again.area_breakdown_mm2() == reference_area_breakdown(again)
+    assert island.area_breakdown_mm2() == reference_area_breakdown(island)
+    system = SystemModel(SystemConfig(n_islands=3))
+    system.area_breakdown_mm2()["abbs"] = -1.0
+    again = SystemModel(SystemConfig(n_islands=3))
+    assert again.islands[0].area_breakdown_mm2() == reference_area_breakdown(
+        again.islands[0]
+    )
 
 
 def test_spm_groups_share_one_model_per_bank_shape():
     poly = standard_library().get("poly")
     a, b = SPMGroup(poly, SpmPorting.EXACT), SPMGroup(poly, SpmPorting.EXACT)
-    assert a._model is b._model
-    assert a._model == SPMModel(poly.spm_bank_bytes, 1)
+    assert a._model == b._model == SPMModel(poly.spm_bank_bytes, 1)
     assert SPMGroup(poly, SpmPorting.DOUBLE)._model.ports == 2
     # Each group keeps its own byte counters.
     a.record_read(64)
     assert (a.bytes_read, b.bytes_read) == (64, 0.0)
+    # An island's slots of one type share their banks, model included.
+    config = IslandConfig(abb_mix={"poly": 3})
+    island = make_island(config, standard_library())
+    first, *rest = island.spm_groups
+    assert all(group.spec is first.spec for group in rest)
 
 
 @given(st.integers(1, 1 << 16), st.integers(1, 3), st.floats(0.0, 1e6))
@@ -250,19 +420,20 @@ MESH_SHAPES = st.tuples(
 @given(MESH_SHAPES, st.data())
 def test_mesh_placement_and_routes_match_reference(shape, data):
     width, height, nodes = reference_placement(*shape)
-    for _ in range(2):  # the second topology of a shape reads the memo
-        topology = MeshTopology(*shape)
-        assert (topology.width, topology.height) == (width, height)
-        assert topology.nodes == nodes
-        for node in nodes:
-            assert topology.node(node.kind, node.index) is not None
-            assert topology.node(node.kind, node.index) == node
+    topology = MeshTopology(*shape)
+    assert (topology.width, topology.height) == (width, height)
+    assert topology.nodes == nodes
+    for node in nodes:
+        assert topology.node(node.kind, node.index) == node
     src, dst = data.draw(st.sampled_from(nodes)), data.draw(st.sampled_from(nodes))
     expected = reference_route(src, dst)
     assert MeshNoC.route(src, dst) == expected
-    path = _xy_path(src.x, src.y, dst.x, dst.y)
-    assert [link for link, _ in path] == expected
-    assert [name for _, name in path] == [f"link{a}->{b}" for a, b in expected]
+    assert xy_path(src.x, src.y, dst.x, dst.y) == expected
+    crossings = {}
+    MeshNoC(Simulator(), topology, crossings).transfer(src, dst, 64.0)
+    assert list(crossings.values()) == [
+        (0, *(f"link{a}->{b}" for a, b in expected))
+    ]
 
 
 def test_topology_node_rejects_missing_nodes():
@@ -290,17 +461,73 @@ def test_link_degradation_matches_reference(seed, fraction, src, dst):
     injector = FaultInjector(FaultSpec(noc_degrade_fraction=fraction), seed)
     expected = reference_degraded(seed, fraction, src, dst)
     assert injector.link_degraded(src, dst) is expected
-    assert injector.link_degraded(src, dst) is expected  # a memo hit
+    assert injector.link_degraded(src, dst) is expected
 
 
+@given(
+    MESH_SHAPES,
+    st.integers(0, 10**6),
+    st.floats(0.0, 1.0),
+    st.lists(st.tuples(st.integers(0, 999), st.integers(0, 999)), max_size=8),
+)
+def test_crossings_match_reference(shape, seed, fraction, picks):
+    topology = MeshTopology(*shape)
+    nodes = topology.nodes
+    injector = FaultInjector(FaultSpec(noc_degrade_fraction=fraction), seed)
+    crossings, expected = {}, {}
+    for _ in range(2):  # the second run reads the crossings the first made
+        noc = MeshNoC(Simulator(), topology, crossings, fault_injector=injector)
+        for i, j in picks:
+            src, dst = nodes[i % len(nodes)], nodes[j % len(nodes)]
+            noc.transfer(src, dst, 64.0)
+            links = reference_route(src, dst)
+            expected[src, dst] = (
+                sum(reference_degraded(seed, fraction, a, b) for a, b in links),
+                *(f"link{a}->{b}" for a, b in links),
+            )
+        assert len(crossings) == len(expected)
+        assert set(crossings.values()) == set(expected.values())
+
+
+# ---------------------------------------------------------------- library
+def test_a_run_extends_only_its_own_library():
+    config = SystemConfig(n_islands=2)
+    clear_platforms()
+    system = SystemModel(config)
+    platform = platform_for(config)
+    register_fabric(system.library)  # what CAMEL does to a run's library
+    assert PF_ABB_TYPE_NAME in system.library
+    assert PF_ABB_TYPE_NAME not in platform.library
+    again = SystemModel(config)
+    assert again.platform is platform
+    assert PF_ABB_TYPE_NAME not in again.library
+    # The types themselves are the platform's: no run rebuilds them.
+    assert list(again.library) == list(platform.library)
+    assert all(a is b for a, b in zip(again.library, platform.library))
+    # A library the caller passes is used as it is.
+    library = standard_library()
+    assert SystemModel(config, library=library).library is library
+
+
+# ------------------------------------------------------------ cache bound
 def test_memos_are_bounded():
-    limit = island_module._SHAPES_MAX
-    for rate in range(1, limit + 10):
-        config = IslandConfig(abb_mix={"sum": 1}, noc_link_bytes_per_cycle=float(rate))
-        Island(Simulator(), 0, config, standard_library())
-        assert len(island_module._SHAPES) <= limit
-    for memo in (_placement, _xy_path, _link_degraded, _shared_model):
-        assert memo.cache_info().maxsize is not None
+    clear_platforms()
+    limit = platform_module.PLATFORM_CACHE_SIZE
+    configs = [
+        SystemConfig(n_islands=1, abb_mix={"sum": 1}, platform_static_mw=float(power))
+        for power in range(limit + 10)
+    ]
+    first = platform_for(configs[0])
+    for config in configs[1:limit]:
+        platform_for(config)
+    assert platform_for(configs[0]) is first  # a hit; now the most recent
+    for config in configs[limit:]:
+        platform_for(config)
+        assert len(platform_module._PLATFORMS) <= limit
+    assert platform_for(configs[0]) is first  # used last, so kept
+    assert platform_key(configs[1]) not in platform_module._PLATFORMS  # evicted
+    clear_platforms()
+    assert not platform_module._PLATFORMS
 
 
 # ---------------------------------------------------------- no leaked state
@@ -316,10 +543,9 @@ CONFIG_B = SystemConfig(
 
 
 def test_runs_in_any_order_are_identical(work_counts):
-    # Start cold, so the first run fills every memo and the others read.
-    island_module._SHAPES.clear()
-    for memo in (_placement, _xy_path, _link_degraded, _shared_model):
-        memo.cache_clear()
+    # Start cold, so the first run of each config builds its platform
+    # and the second reads it.
+    clear_platforms()
     workload = get_workload("EKF-SLAM", tiles=4)
     outcomes = []
     for config in (CONFIG_A, CONFIG_B, CONFIG_A, CONFIG_B):

@@ -9,13 +9,14 @@ from repro.core.composer import SOFTWARE_FALLBACK
 from repro.engine import Event, Simulator
 from repro.errors import AllocationError, ConfigError
 from repro.island import Island, IslandConfig
+from repro.island.island import IslandShape
 
 
 def make_islands(sim, n_islands=2, mix=None):
     mix = mix or {"poly": 2, "div": 1}
     lib = standard_library()
     return [
-        Island(sim, i, IslandConfig(abb_mix=dict(mix)), lib)
+        Island(sim, i, IslandShape(IslandConfig(abb_mix=dict(mix)), lib))
         for i in range(n_islands)
     ]
 

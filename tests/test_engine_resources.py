@@ -134,6 +134,14 @@ class TestBandwidthServer:
         with pytest.raises(ConfigError):
             BandwidthServer(sim, bytes_per_cycle=0.0)
 
+    def test_nan_rate_and_latency_rejected(self):
+        # ``nan <= 0`` is false: a NaN rate would make every completion
+        # time NaN instead of failing here.
+        with pytest.raises(ConfigError, match="bandwidth must be positive"):
+            BandwidthServer(Simulator(), bytes_per_cycle=float("nan"))
+        with pytest.raises(ConfigError, match="latency must be non-negative"):
+            BandwidthServer(Simulator(), bytes_per_cycle=1.0, latency=float("nan"))
+
     def test_negative_size_rejected(self):
         sim = Simulator()
         link = BandwidthServer(sim, bytes_per_cycle=1.0)

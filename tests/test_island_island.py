@@ -10,6 +10,7 @@ from repro.engine.route import DONE
 from repro.core.composer import Grant
 from repro.errors import AllocationError, ConfigError, SimulationError
 from repro.island import Island, IslandConfig, NetworkKind, SpmDmaNetworkConfig, SpmPorting
+from repro.island.island import IslandShape
 from repro.power import EnergyAccount
 
 SMALL_MIX = {"poly": 3, "div": 1, "sum": 1}
@@ -21,7 +22,8 @@ def make_island(**overrides):
     defaults = dict(abb_mix=dict(SMALL_MIX))
     defaults.update(overrides)
     config = IslandConfig(**defaults)
-    island = Island(sim, island_id=0, config=config, library=standard_library(), energy=energy)
+    shape = IslandShape(config, standard_library())
+    island = Island(sim, island_id=0, shape=shape, energy=energy)
     return sim, island, energy
 
 

@@ -3,7 +3,7 @@
 Every object a run allocates (routes, tasks, grants, legs, the system
 itself) is freed by reference count when the run returns: no object
 keeps a callable that refers back to it.  Each case below runs once to
-warm the per-shape memos and lazy imports, then again with the
+warm the platform cache and lazy imports, then again with the
 collector disabled; a collection afterwards must find nothing
 unreachable.  The failure message names the types left behind.
 """

@@ -73,7 +73,7 @@ class TestMeshNoC:
     def make(self, n_islands=4, link_bw=16.0):
         sim = Simulator()
         topo = MeshTopology(n_islands=n_islands)
-        noc = MeshNoC(sim, topo, link_bytes_per_cycle=link_bw)
+        noc = MeshNoC(sim, topo, {}, link_bytes_per_cycle=link_bw)
         return sim, topo, noc
 
     def run_event(self, sim, event):

@@ -21,7 +21,7 @@ class TestSegmentation:
     def make(self, segment=None):
         sim = Simulator()
         topo = MeshTopology(n_islands=4)
-        noc = MeshNoC(sim, topo, segment_bytes=segment)
+        noc = MeshNoC(sim, topo, {}, segment_bytes=segment)
         return sim, topo, noc
 
     def test_segmented_transfer_pays_header_overhead(self):
@@ -59,7 +59,7 @@ class TestSegmentation:
         sim = Simulator()
         topo = MeshTopology(n_islands=2)
         with pytest.raises(ConfigError):
-            MeshNoC(sim, topo, segment_bytes=8.0)
+            MeshNoC(sim, topo, {}, segment_bytes=8.0)
 
     def test_fluid_mode_counts_no_packets(self):
         sim, topo, noc = self.make(segment=None)

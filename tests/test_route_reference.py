@@ -40,6 +40,7 @@ from repro.island import (
     RingNetwork,
     SpmDmaNetworkConfig,
 )
+from repro.island.island import IslandShape
 from repro.island.networks import RING_HOP_LATENCY
 from repro.sim import SystemConfig, SystemModel
 from tests.test_island_island import move
@@ -156,8 +157,9 @@ def run(network, spec, ops, routed):
     island = Island(
         sim,
         island_id=0,
-        config=IslandConfig(abb_mix=dict(MIX), network=network),
-        library=standard_library(),
+        shape=IslandShape(
+            IslandConfig(abb_mix=dict(MIX), network=network), standard_library()
+        ),
         fault_injector=injector if routed else None,
     )
     done = [None] * len(ops)

@@ -65,6 +65,90 @@ class TestSystemConfig:
             SystemConfig(n_islands=200)  # fewer ABBs than islands
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+class TestSystemConfigBoundary:
+    """Bad rates, latencies, powers and counts fail when the config is
+    made, with a ConfigError naming the field, not mid-run."""
+
+    def test_nan_platform_power_rejected(self):
+        # It used to run and return energy_nj NaN.
+        with pytest.raises(ConfigError, match="platform_static_mw must be finite"):
+            SystemConfig(platform_static_mw=NAN)
+
+    def test_nan_mesh_link_rate_rejected(self):
+        # It used to fail mid-run: "cannot schedule at 5.0 (now=1818.4)".
+        with pytest.raises(ConfigError, match="mesh_link_bytes_per_cycle"):
+            SystemConfig(mesh_link_bytes_per_cycle=NAN)
+
+    @pytest.mark.parametrize(
+        "name", ["noc_link_bytes_per_cycle", "mc_bandwidth_gbps", "mc_latency_cycles"]
+    )
+    def test_nan_interface_and_memory_rejected(self, name):
+        # They used to fail mid-run: "cannot schedule at nan".
+        with pytest.raises(ConfigError, match=f"{name} must be finite"):
+            SystemConfig(**{name: NAN})
+
+    def test_infinite_mesh_link_rate_rejected(self):
+        # It used to run, every crossing free of occupancy.
+        with pytest.raises(ConfigError, match="mesh_link_bytes_per_cycle"):
+            SystemConfig(mesh_link_bytes_per_cycle=INF)
+
+    def test_bool_island_count_rejected(self):
+        # It used to run as one island.
+        with pytest.raises(ConfigError, match="n_islands must be an int >= 1, got True"):
+            SystemConfig(n_islands=True)
+
+    def test_fractional_island_count_rejected(self):
+        # It used to raise a TypeError from range().
+        with pytest.raises(ConfigError, match="n_islands must be an int >= 1, got 2.5"):
+            SystemConfig(n_islands=2.5)
+
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            {"mesh_link_bytes_per_cycle": 0.0},
+            {"mc_bandwidth_gbps": -1.0},
+            {"mc_latency_cycles": -INF},
+            {"platform_static_mw": "43000"},
+            {"noc_link_bytes_per_cycle": True},
+            {"n_cores": 0},
+            {"n_memory_controllers": 0},
+            {"n_l2_banks": -1},
+            {"fault_seed": False},
+            {"abb_mix": {"poly": True, "sum": 8}},
+            {"abb_mix": {"poly": 2.0, "sum": 8}},
+        ],
+    )
+    def test_other_bad_values_rejected(self, changes):
+        with pytest.raises(ConfigError):
+            SystemConfig(**changes)
+
+    def test_zero_latency_and_power_accepted(self):
+        config = SystemConfig(mc_latency_cycles=0, platform_static_mw=0.0)
+        assert SystemModel(config).energy.static_power_mw > 0
+
+    def test_fingerprints_of_valid_configs_unchanged(self):
+        # Validation adds no field: these are the digests from before it.
+        from repro.faults import parse_fault_spec
+        from tests.test_dse_cache import FIELD_ALTERNATES
+
+        ring = SpmDmaNetworkConfig(NetworkKind.RING, 32, 2)
+        faulted = SystemConfig(
+            n_islands=24,
+            network=ring,
+            faults=parse_fault_spec("abb:0.25,dma:0.1,noc:0.2"),
+            fault_seed=3,
+            mc_latency_cycles=0.0,
+        )
+        assert [
+            SystemConfig().fingerprint()[:16],
+            SystemConfig(**FIELD_ALTERNATES).fingerprint()[:16],
+            faulted.fingerprint()[:16],
+        ] == ["ed87b0c044bc02c4", "134630ea83cbde1e", "fff410fb0d3d016a"]
+
+
 class TestSystemModel:
     def test_builds_all_islands(self):
         system = SystemModel(SystemConfig(n_islands=6))
