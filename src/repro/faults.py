@@ -37,6 +37,8 @@ from dataclasses import dataclass, field, fields, replace
 
 from repro.errors import ConfigError
 
+_INF = float("inf")
+
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.engine.route import Route
 
@@ -117,16 +119,16 @@ class FaultSpec:
             raise ConfigError(
                 "dma_stall_prob + dma_drop_prob must not exceed 1"
             )
-        if self.abb_failure_window <= 0:
-            raise ConfigError("abb_failure_window must be positive")
-        if self.dma_stall_cycles < 0 or self.dma_timeout_cycles < 0:
-            raise ConfigError("DMA fault delays must be non-negative")
+        # Chained comparisons reject NaN and infinities with the rest.
+        if not 0 < self.abb_failure_window < _INF:
+            raise ConfigError("abb_failure_window must be positive and finite")
+        for name in ("dma_stall_cycles", "dma_timeout_cycles", "dma_backoff_base"):
+            if not 0 <= getattr(self, name) < _INF:
+                raise ConfigError(f"{name} must be non-negative and finite")
         if self.dma_max_retries < 0:
             raise ConfigError("dma_max_retries must be non-negative")
-        if self.dma_backoff_base < 0:
-            raise ConfigError("dma_backoff_base must be non-negative")
-        if self.noc_degrade_factor < 1.0:
-            raise ConfigError("noc_degrade_factor must be >= 1")
+        if not 1.0 <= self.noc_degrade_factor < _INF:
+            raise ConfigError("noc_degrade_factor must be >= 1 and finite")
 
     # -------------------------------------------------------------- queries
     @property

@@ -5,7 +5,10 @@ groups, a DMA engine, a pair of internal networks (ABB<->SPM and
 SPM<->DMA) and one NoC interface.  This package provides the three
 SPM<->DMA network designs evaluated in the paper (proxy crossbar,
 chaining-optimized crossbar, k-ring), the SPM porting/sharing options, and
-the island assembly with its area/energy breakdown.
+the island assembly with its area/energy breakdown.  Each part is split
+once into what its shape fixes, shared read-only by every island built
+from it (``IslandShape``, ``NetworkShape``, ``SPMGroup``), and what a
+run changes (``Island``, ``SpmDmaNetwork``, the island's ``SpmEnd``).
 """
 
 from repro.island.config import (
@@ -15,24 +18,15 @@ from repro.island.config import (
     SpmPorting,
 )
 from repro.island.spm import SPMGroup
-from repro.island.networks import (
-    ChainingCrossbarNetwork,
-    ProxyCrossbarNetwork,
-    RingNetwork,
-    SpmDmaNetwork,
-    build_network,
-)
+from repro.island.networks import NetworkShape, SpmDmaNetwork
 from repro.island.island import Island
 
 __all__ = [
-    "ChainingCrossbarNetwork",
     "Island",
     "IslandConfig",
     "NetworkKind",
-    "ProxyCrossbarNetwork",
-    "RingNetwork",
+    "NetworkShape",
     "SpmDmaNetwork",
     "SpmDmaNetworkConfig",
     "SpmPorting",
-    "build_network",
 ]

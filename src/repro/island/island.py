@@ -35,8 +35,8 @@ from repro.engine.route import CALL, END, SERVE, Leg, leg
 from repro.engine.trace import Tracer, size_label
 from repro.errors import AllocationError, ConfigError, SimulationError
 from repro.island.config import IslandConfig
-from repro.island.networks import SpmDmaNetwork, build_network
-from repro.island.spm import SPMGroup, SpmBanks
+from repro.island.networks import NetworkShape, SpmDmaNetwork
+from repro.island.spm import SPMGroup
 from repro.power.aggregate import EnergyAccount
 from repro.power.orion import STATIC_MW_PER_MM2, crossbar_area_mm2
 
@@ -55,12 +55,13 @@ _INF = float("inf")
 class IslandShape:
     """What an island config and an ABB library fix, read-only and shared
     by every island built from them: the slot layout (types interleaved
-    in name order), each slot's SPM banks, and the physicals summed over
-    the parts (Section 5.7 accounting).  A platform builds one per
-    distinct island mix (see :mod:`repro.sim.platform`)."""
+    in name order), each slot's SPM banks, the SPM<->DMA network's shape,
+    and the physicals summed over the parts (Section 5.7 accounting).  A
+    platform builds one per distinct island mix (see
+    :mod:`repro.sim.platform`)."""
 
     __slots__ = (
-        "config", "abbs", "spm", "banks", "types", "slots_by_type", "slot_counts",
+        "config", "abbs", "spm", "network", "types", "slots_by_type", "slot_counts",
         "breakdown", "area_mm2", "static_power_mw",
     )
 
@@ -72,11 +73,13 @@ class IslandShape:
         self.abbs = tuple(
             abb_type for abb_type, (_, count) in zip(types, mix) for _ in range(count)
         )
-        banks = [SpmBanks.of(abb_type, config.spm_porting) for abb_type in types]
+        groups = [SPMGroup(abb_type, config.spm_porting) for abb_type in types]
         self.spm = tuple(
-            spec for spec, (_, count) in zip(banks, mix) for _ in range(count)
+            group for group, (_, count) in zip(groups, mix) for _ in range(count)
         )
-        self.banks = tuple(spec.banks for spec in self.spm)
+        self.network = NetworkShape(
+            [group.banks for group in self.spm], config.network
+        )
         self.types = [abb_type.name for abb_type in self.abbs]
         self.slots_by_type: dict[str, list[int]] = {}
         for index, name in enumerate(self.types):
@@ -85,28 +88,24 @@ class IslandShape:
         self.breakdown, self.area_mm2, self.static_power_mw = self._physicals()
 
     def _physicals(self) -> tuple[dict[str, float], float, float]:
-        """Area breakdown, total area and leakage, summed over the parts;
-        the network's come from a probe built once per shape."""
-        config = self.config
-        network = build_network(
-            Simulator(), self.banks, config.network, EnergyAccount()
-        )
+        """Area breakdown, total area and leakage, summed over the parts."""
+        config, network = self.config, self.network
         sharing_factor = 3 if config.spm_sharing else 1
         breakdown = {
             "abbs": sum(abb_type.area_mm2 for abb_type in self.abbs),
-            "spm": sum(spec.area_mm2 for spec in self.spm),
+            "spm": sum(group.area_mm2 for group in self.spm),
             "abb_spm_crossbar": sum(
                 crossbar_area_mm2(
-                    1, sharing_factor * spec.banks, config.abb_spm_width_bytes
+                    1, sharing_factor * group.banks, config.abb_spm_width_bytes
                 )
-                for spec in self.spm
+                for group in self.spm
             ),
             "spm_dma_network": network.area_mm2,
             "dma": DMA_ENGINE_AREA_MM2,
             "noc_interface": NOC_INTERFACE_AREA_MM2,
         }
         abb_static = sum(abb_type.static_power_mw for abb_type in self.abbs)
-        spm_static = sum(spec.static_power_mw for spec in self.spm)
+        spm_static = sum(group.static_power_mw for group in self.spm)
         fixed_area = (
             breakdown["abb_spm_crossbar"] + breakdown["dma"] + breakdown["noc_interface"]
         )
@@ -119,31 +118,41 @@ class IslandShape:
         return breakdown, sum(breakdown.values()), static_power
 
 
-class _SpmEnds:
-    """The SPM end of an island's routes: a read or write charges the
-    slot's group (named by the route) and the energy account."""
+class SpmEnd:
+    """The SPM end of an island's routes: a read or write counts the
+    slot's bytes (the route names the slot) and charges its banks'
+    access energy to the energy account."""
 
-    __slots__ = ("groups", "energy")
+    __slots__ = ("groups", "energy", "bytes_read", "bytes_written")
 
-    def __init__(self, groups: list[SPMGroup], energy: EnergyAccount) -> None:
+    def __init__(self, groups: tuple[SPMGroup, ...], energy: EnergyAccount) -> None:
         self.groups = groups
         self.energy = energy
+        #: Bytes read from and written to each slot's banks.
+        self.bytes_read = [0.0] * len(groups)
+        self.bytes_written = [0.0] * len(groups)
 
-    def read(self, route: Route) -> None:  # a leg ending as it starts
-        group = self.groups[route.src[1]]
-        self.energy.charge("spm", group.record_read(route.nbytes))
+    def read(self, route: Route) -> None:
+        """A route's SPM read: a leg ending as it starts."""
+        slot = route.src[1]
+        nbytes = route.nbytes
+        self.bytes_read[slot] += nbytes
+        self.energy.charge("spm", self.groups[slot].model.access_energy_nj(nbytes))
 
     def write(self, route: Route) -> None:
-        group = self.groups[route.dst[1]]
-        self.energy.charge("spm", group.record_write(route.nbytes))
+        """A route's SPM write: the charge of its ``END``."""
+        slot = route.dst[1]
+        nbytes = route.nbytes
+        self.bytes_written[slot] += nbytes
+        self.energy.charge("spm", self.groups[slot].model.access_energy_nj(nbytes))
 
 
 class Island:
     """One ABB island instance inside a simulated system.
 
     ``shape`` is what the island's config and ABB library fix; the
-    island itself allocates only per-run state: servers, network, SPM
-    byte counters, occupancy and the utilization tracker.
+    island itself allocates only per-run state: servers, network legs,
+    its SPM end's byte counters, occupancy and the utilization tracker.
     """
 
     def __init__(
@@ -162,10 +171,9 @@ class Island:
         self.energy = energy if energy is not None else EnergyAccount()
         self.tracer = tracer
 
-        # Slots: one ABB + one SPM group per slot, laid out in a fixed
-        # physical order (types interleaved as given by the mix).
+        # Slots: one ABB per slot, laid out in a fixed physical order
+        # (types interleaved in name order); the shape holds their SPM.
         self.abbs: list[ABBType] = list(shape.abbs)
-        self.spm_groups = [SPMGroup.of(spec) for spec in shape.spm]
         n_slots = len(self.abbs)
 
         # Traced islands record one span per data-path leg; the network
@@ -175,13 +183,6 @@ class Island:
                 return None
             return (tracer, f"island{island_id}.{suffix}", kind, size_label)
 
-        self.network: SpmDmaNetwork = build_network(
-            sim,
-            shape.banks,
-            config.network,
-            self.energy,
-            span("net", "spm_net"),
-        )
         self.noc_in = BandwidthServer(
             sim,
             bytes_per_cycle=config.noc_link_bytes_per_cycle,
@@ -201,10 +202,10 @@ class Island:
             name=f"island{island_id}.dma",
         )
         # The proxy crossbar chains store-and-forward through the DMA
-        # engine; couple them so chaining competes with memory traffic.
-        attach = getattr(self.network, "attach_dma", None)
-        if attach is not None:
-            attach(self.dma)
+        # engine, so chaining competes with memory traffic.
+        self.network = SpmDmaNetwork(
+            sim, shape.network, self.dma, self.energy, span("net", "spm_net")
+        )
         self.area_mm2 = shape.area_mm2
         self.static_power_mw = shape.static_power_mw
 
@@ -246,7 +247,7 @@ class Island:
         dma = leg(SERVE, self.dma, span("dma", "dma"), fault=dma_fault)
         noc_in = leg(SERVE, self.noc_in, span("noc_in", "noc_if"))
         noc_out = leg(SERVE, self.noc_out, span("noc_out", "noc_if"))
-        spm = _SpmEnds(self.spm_groups, self.energy)
+        spm = self.spm = SpmEnd(shape.spm, self.energy)
         self._ingress_head = (noc_in, dma)
         self._read_head = (leg(CALL, spm.read),)
         self._egress_tail = (dma, noc_out)

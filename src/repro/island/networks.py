@@ -1,33 +1,35 @@
 """The three SPM<->DMA network designs evaluated in the paper.
 
-* :class:`ProxyCrossbarNetwork` — a crossbar connecting the DMA engine to
-  every SPM bank.  Chaining data must pass SPM -> DMA -> SPM (two
-  traversals of the single DMA port), which is why the paper calls it the
-  *proxy* design and why it collapses under heavy chaining.
-* :class:`ChainingCrossbarNetwork` — a full crossbar connecting all SPM
-  banks to each other and to the DMA.  Chaining is a single direct
-  traversal, but the port-product area is quadratic in island size
-  (Section 5.2: >99 % of a 40-ABB island).
-* :class:`RingNetwork` — 1-3 unidirectional rings of 16/32-byte links with
-  a ring stop per ABB slot plus one for the DMA (Figure 5).  Bandwidth is
-  modeled fluidly: a transfer spanning ``h`` of the ring's ``L`` links
-  consumes ``h/L`` of the aggregate ring capacity, which captures the
-  spatial reuse that makes rings scale where the proxy crossbar does not.
+* proxy crossbar — a crossbar connecting the DMA engine to every SPM
+  bank.  Chaining data must pass SPM -> DMA -> SPM (two traversals of
+  the single DMA port), which is why the paper calls it the *proxy*
+  design and why it collapses under heavy chaining.
+* chaining-optimized crossbar — a full crossbar connecting all SPM banks
+  to each other and to the DMA.  Chaining is a single direct traversal,
+  but the port-product area is quadratic in island size (Section 5.2:
+  >99 % of a 40-ABB island).
+* ring — 1-3 unidirectional rings of 16/32-byte links with a ring stop
+  per ABB slot plus one for the DMA (Figure 5).  Bandwidth is modeled
+  fluidly: a transfer spanning ``h`` of the ring's ``L`` links consumes
+  ``h/L`` of the aggregate ring capacity, which captures the spatial
+  reuse that makes rings scale where the proxy crossbar does not.
 
-Each design hands its owner the legs of one movement
-(:meth:`SpmDmaNetwork.legs`, see :mod:`repro.engine.route`), which the
-island splices into its ingress, egress and chaining legs.  Dynamic
-energy is charged to the island's
+What the slots' bank counts and the :class:`SpmDmaNetworkConfig` fix —
+area, leakage, a crossbar's pJ/byte and latency, a ring's router, link
+and node count — is a :class:`NetworkShape`, closed-form and held by the
+island's shape.  A run's :class:`SpmDmaNetwork` adds only its servers
+and the legs of each movement (:meth:`SpmDmaNetwork.legs`, see
+:mod:`repro.engine.route`), which the island splices into its ingress,
+egress and chaining legs.  Dynamic energy is charged to the island's
 :class:`~repro.power.aggregate.EnergyAccount` under ``"island_net"``
 when a movement starts.
 """
 
 from __future__ import annotations
 
-import abc
-import functools
 import math
 import typing
+from functools import partial
 
 from repro.engine import BandwidthServer, Route, Simulator
 from repro.engine.route import CALL, SERVE, WAIT, Leg, leg
@@ -57,52 +59,115 @@ CHAINING_XBAR_PARALLEL_PATHS = 4
 FLOORPLAN_MM2_PER_SLOT = 0.6
 
 
-class _Port:
-    """A crossbar port's ``CALL``: charge the traversal's energy, then
-    reserve the port.  A network's cached legs hold this, not the
-    network."""
+class NetworkShape:
+    """What a network config and the slots' bank counts fix, read-only
+    and shared by every island of one shape.
 
-    __slots__ = ("server", "energy", "pj_per_byte")
+    ``n_nodes`` counts the ring stops (one per slot plus the DMA's);
+    ``latency`` and ``pj_per_byte`` are a crossbar's per traversal (a
+    ring's latency is per hop, :data:`RING_HOP_LATENCY`), ``router`` and
+    ``link`` a ring's models.
+    """
+
+    __slots__ = (
+        "config", "n_slots", "n_nodes", "latency", "pj_per_byte", "router", "link",
+        "area_mm2", "static_power_mw",
+    )
 
     def __init__(
-        self, server: BandwidthServer, energy: EnergyAccount, pj_per_byte: float
+        self, slot_banks: typing.Sequence[int], config: SpmDmaNetworkConfig
     ) -> None:
-        self.server = server
-        self.energy = energy
-        self.pj_per_byte = pj_per_byte
+        if not slot_banks:
+            raise ConfigError("network needs at least one ABB slot")
+        self.config = config
+        self.n_slots = len(slot_banks)
+        self.n_nodes = self.n_slots + 1  # +1 for the DMA stop
+        total_banks = sum(slot_banks)
+        width = config.link_width_bytes
+        self.router = self.link = None
+        if config.kind is NetworkKind.RING:
+            self.latency, self.pj_per_byte = 0.0, 0.0
+            router = self.router = RouterModel(width_bytes=width, rings=config.rings)
+            perimeter = 4.0 * math.sqrt(FLOORPLAN_MM2_PER_SLOT * self.n_slots)
+            link = self.link = LinkModel(
+                width_bytes=width, length_mm=perimeter / self.n_nodes
+            )
+            n, rings = self.n_nodes, config.rings
+            self.area_mm2 = n * router.area_mm2 + n * rings * link.area_mm2
+            self.static_power_mw = (
+                n * router.static_power_mw + n * rings * link.static_power_mw
+            )
+            return
+        if config.kind is NetworkKind.PROXY_CROSSBAR:
+            self.latency = CROSSBAR_TRAVERSAL_LATENCY
+            ports = (1, total_banks)
+        else:  # all banks talk to all banks plus the DMA port
+            # Routing through the large array costs extra cycles (Sec. 5.5).
+            self.latency = 1.0 + math.ceil(math.log2(total_banks + 1))
+            ports = (total_banks, total_banks + 1)
+        self.pj_per_byte = crossbar_pj_per_byte(ports[1])
+        self.area_mm2 = crossbar_area_mm2(*ports, width)
+        self.static_power_mw = crossbar_static_power_mw(*ports, width)
 
-    def traverse(self, route: Route) -> float:
-        nbytes = route.nbytes
-        self.energy.charge("island_net", self.pj_per_byte * nbytes * 1e-3)
-        return self.server.reserve(nbytes)
+    def hops(self, src_node: int, dst_node: int) -> int:
+        """Ring links from ``src_node`` to ``dst_node`` (unidirectional;
+        the DMA engine is node 0, slot ``i`` node ``i + 1``)."""
+        return (dst_node - src_node) % self.n_nodes
 
 
-class SpmDmaNetwork(abc.ABC):
-    """Common interface of the island-internal SPM<->DMA network.
+class SpmDmaNetwork:
+    """One run's SPM<->DMA network: the servers of a :class:`NetworkShape`
+    and the legs of each movement.
 
-    ``span`` — ``(tracer, actor, kind, label)`` or ``None`` — is the
-    owner's trace of the network: each movement records it once.
+    ``port`` carries every DMA movement: a crossbar's DMA port, or the
+    rings' fluid capacity.  The chaining crossbar chains over ``paths``,
+    its parallel direct SPM->SPM paths; the proxy crossbar chains
+    store-and-forward through the island's ``dma`` engine, so chaining
+    competes with memory ingress and egress.  ``span`` — ``(tracer,
+    actor, kind, label)`` or ``None`` — is the owner's trace of the
+    network: each movement records it once.
     """
+
+    __slots__ = (
+        "shape", "port", "paths", "span", "_energy", "_dma_legs", "_chain_legs",
+        "_by_hops",
+    )
 
     def __init__(
         self,
         sim: Simulator,
-        slot_banks: typing.Sequence[int],
-        config: SpmDmaNetworkConfig,
+        shape: NetworkShape,
+        dma: BandwidthServer,
         energy: EnergyAccount,
         span: typing.Optional[tuple] = None,
     ) -> None:
-        if not slot_banks:
-            raise ConfigError("network needs at least one ABB slot")
-        self.sim = sim
-        self.slot_banks = list(slot_banks)
-        self.n_slots = len(slot_banks)
-        self.total_banks = sum(slot_banks)
-        self.config = config
-        self.energy = energy
+        config = shape.config
+        width = float(config.link_width_bytes)
+        self.shape = shape
         self.span = span
+        self._energy = energy
+        self.paths = None
+        self._by_hops: typing.Optional[list] = None
+        port = self.port = BandwidthServer(
+            sim, width * config.rings, shape.latency, config.kind.value
+        )
+        if config.kind is NetworkKind.RING:
+            self._by_hops = [None] * shape.n_nodes
+            return
+        traverse = leg(CALL, partial(_traverse, port, energy, shape.pj_per_byte))
+        if config.kind is NetworkKind.PROXY_CROSSBAR:
+            chain = (traverse, leg(SERVE, dma), traverse)
+        else:
+            paths = self.paths = BandwidthServer(
+                sim,
+                width * CHAINING_XBAR_PARALLEL_PATHS,
+                shape.latency,
+                "chaining_crossbar_paths",
+            )
+            chain = (leg(CALL, partial(_traverse, paths, energy, shape.pj_per_byte)),)
+        self._dma_legs = self._spanned((traverse,))
+        self._chain_legs = self._spanned(chain)
 
-    # ------------------------------------------------------------ transfers
     def legs(
         self, src: typing.Optional[int], dst: typing.Optional[int]
     ) -> tuple[Leg, ...]:
@@ -117,203 +182,48 @@ class SpmDmaNetwork(abc.ABC):
         """
         if src is None and dst is None:
             raise ConfigError("a network movement needs an SPM endpoint")
+        n_slots = self.shape.n_slots
         for slot in (src, dst):
-            if slot is not None and not 0 <= slot < self.n_slots:
-                raise ConfigError(
-                    f"slot {slot} out of range (0..{self.n_slots - 1})"
+            if slot is not None and not 0 <= slot < n_slots:
+                raise ConfigError(f"slot {slot} out of range (0..{n_slots - 1})")
+        by_hops = self._by_hops
+        if by_hops is None:
+            return self._dma_legs if src is None or dst is None else self._chain_legs
+        # A ring traversal: fluid capacity occupancy scaled by
+        # ``hops / N``, then the hop latency.  A zero-hop move is done
+        # now, one zero-cycle wait.
+        shape = self.shape
+        hops = shape.hops(0 if src is None else src + 1, 0 if dst is None else dst + 1)
+        legs = by_hops[hops]
+        if legs is None:
+            if hops == 0:
+                legs = self._spanned((leg(WAIT, 0.0),))
+            else:
+                occupy = partial(
+                    _occupy, self.port, self._energy, shape.router, shape.link,
+                    shape.n_nodes, hops,
                 )
-        return self._path(src, dst)
+                legs = self._spanned(
+                    (leg(CALL, occupy), leg(WAIT, RING_HOP_LATENCY * hops))
+                )
+            by_hops[hops] = legs
+        return legs
 
-    @abc.abstractmethod
-    def _path(
-        self, src: typing.Optional[int], dst: typing.Optional[int]
-    ) -> tuple[Leg, ...]:
-        """The shared legs of one movement (endpoints already checked)."""
-
-    def _spanned(self, *legs: Leg) -> tuple[Leg, ...]:
+    def _spanned(self, legs: tuple[Leg, ...]) -> tuple[Leg, ...]:
         """``legs`` with :attr:`span` on the last one."""
         op, arg, _span, charge, fault = legs[-1]
         return legs[:-1] + (leg(op, arg, self.span, charge, fault),)
 
-    # ------------------------------------------------------------ physicals
-    @property
-    @abc.abstractmethod
-    def area_mm2(self) -> float:
-        """Silicon area of the network."""
 
-    @property
-    @abc.abstractmethod
-    def static_power_mw(self) -> float:
-        """Leakage power of the network."""
-
-
-class ProxyCrossbarNetwork(SpmDmaNetwork):
-    """Crossbar from the DMA engine to every SPM bank (the baseline).
-
-    Chaining is store-and-forward through the DMA engine, so each chained
-    stream traverses the crossbar twice *and* occupies the DMA engine
-    (set via :meth:`attach_dma`), competing with memory ingress/egress.
-    """
-
-    def __init__(self, sim, slot_banks, config, energy, span=None) -> None:
-        super().__init__(sim, slot_banks, config, energy, span)
-        self._port = BandwidthServer(
-            sim,
-            bytes_per_cycle=float(config.link_width_bytes),
-            latency=CROSSBAR_TRAVERSAL_LATENCY,
-            name="proxy_xbar_dma_port",
-        )
-        self._dma: typing.Optional[BandwidthServer] = None
-        port = _Port(self._port, energy, crossbar_pj_per_byte(self.total_banks))
-        self._traverse_leg = leg(CALL, port.traverse)
-        self._one = self._spanned(self._traverse_leg)
-        self._chain = self._spanned(self._traverse_leg, self._traverse_leg)
-
-    def attach_dma(self, dma: BandwidthServer) -> None:
-        """Couple the island's DMA engine into the chaining path."""
-        self._dma = dma
-        traverse = self._traverse_leg
-        self._chain = self._spanned(traverse, leg(SERVE, dma), traverse)
-
-    def _path(self, src, dst):
-        """One traversal to or from the DMA; chaining proxies through
-        the DMA: traverse, store-and-forward through the DMA engine (when
-        attached), traverse again."""
-        return self._one if src is None or dst is None else self._chain
-
-    @property
-    def area_mm2(self) -> float:
-        return crossbar_area_mm2(1, self.total_banks, self.config.link_width_bytes)
-
-    @property
-    def static_power_mw(self) -> float:
-        return crossbar_static_power_mw(
-            1, self.total_banks, self.config.link_width_bytes
-        )
-
-
-class ChainingCrossbarNetwork(SpmDmaNetwork):
-    """Full SPM-to-SPM crossbar: direct chaining, quadratic area."""
-
-    def __init__(self, sim, slot_banks, config, energy, span=None) -> None:
-        super().__init__(sim, slot_banks, config, energy, span)
-        width = float(config.link_width_bytes)
-        # Routing through the large array costs extra cycles (Sec. 5.5).
-        self._latency = 1.0 + math.ceil(math.log2(self.total_banks + 1))
-        self._dma_port = BandwidthServer(
-            sim,
-            bytes_per_cycle=width,
-            latency=self._latency,
-            name="chain_xbar_dma_port",
-        )
-        self._chain_paths = BandwidthServer(
-            sim,
-            bytes_per_cycle=width * CHAINING_XBAR_PARALLEL_PATHS,
-            latency=self._latency,
-            name="chain_xbar_paths",
-        )
-        pj_per_byte = crossbar_pj_per_byte(self.total_banks + 1)
-        dma_port = _Port(self._dma_port, energy, pj_per_byte)
-        chain_paths = _Port(self._chain_paths, energy, pj_per_byte)
-        self._dma_legs = self._spanned(leg(CALL, dma_port.traverse))
-        self._chain_legs = self._spanned(leg(CALL, chain_paths.traverse))
-
-    def _path(self, src, dst):
-        """One traversal of the DMA port, or a direct SPM -> SPM
-        transfer over the parallel chaining paths."""
-        return self._dma_legs if src is None or dst is None else self._chain_legs
-
-    @property
-    def area_mm2(self) -> float:
-        # All banks talk to all banks plus the DMA port.
-        return crossbar_area_mm2(
-            self.total_banks, self.total_banks + 1, self.config.link_width_bytes
-        )
-
-    @property
-    def static_power_mw(self) -> float:
-        return crossbar_static_power_mw(
-            self.total_banks, self.total_banks + 1, self.config.link_width_bytes
-        )
-
-
-class RingNetwork(SpmDmaNetwork):
-    """1-3 unidirectional rings with a stop per ABB slot plus the DMA.
-
-    The DMA engine sits at ring position 0; ABB slot ``i`` at position
-    ``i + 1``.  A transfer from position ``s`` to ``d`` crosses
-    ``(d - s) mod N`` links; its occupancy of the fluid ring capacity is
-    scaled by ``hops / N`` so that disjoint transfers proceed in parallel
-    (spatial reuse), and its latency grows by one cycle per ring stop.
-    """
-
-    def __init__(self, sim, slot_banks, config, energy, span=None) -> None:
-        super().__init__(sim, slot_banks, config, energy, span)
-        self.n_nodes = self.n_slots + 1  # +1 for the DMA stop
-        width = float(config.link_width_bytes)
-        self._capacity = BandwidthServer(
-            sim,
-            bytes_per_cycle=width * config.rings,
-            latency=0.0,
-            name="ring_capacity",
-        )
-        self._router = RouterModel(
-            width_bytes=config.link_width_bytes, rings=config.rings
-        )
-        perimeter = 4.0 * math.sqrt(FLOORPLAN_MM2_PER_SLOT * self.n_slots)
-        self._link = LinkModel(
-            width_bytes=config.link_width_bytes,
-            length_mm=perimeter / self.n_nodes,
-        )
-        self._by_hops: list[typing.Optional[tuple[Leg, ...]]] = [None] * self.n_nodes
-
-    # -------------------------------------------------------------- routing
-    def hops(self, src_node: int, dst_node: int) -> int:
-        """Link count from ``src_node`` to ``dst_node`` (unidirectional)."""
-        if src_node == dst_node:
-            return 0
-        return (dst_node - src_node) % self.n_nodes
-
-    def _path(self, src, dst):
-        """One traversal, built once per hop count: fluid capacity
-        occupancy scaled by ``hops / N``, then the hop latency.  A
-        zero-hop move is done now, one zero-cycle wait."""
-        hops = self.hops(
-            0 if src is None else src + 1, 0 if dst is None else dst + 1
-        )
-        legs = self._by_hops[hops]
-        if legs is None:
-            if hops == 0:
-                legs = self._spanned(leg(WAIT, 0.0))
-            else:
-                occupy = functools.partial(
-                    _occupy,
-                    self._capacity,
-                    self.energy,
-                    self._router,
-                    self._link,
-                    self.n_nodes,
-                    hops,
-                )
-                legs = self._spanned(
-                    leg(CALL, occupy), leg(WAIT, RING_HOP_LATENCY * hops)
-                )
-            self._by_hops[hops] = legs
-        return legs
-
-    # ------------------------------------------------------------ physicals
-    @property
-    def area_mm2(self) -> float:
-        routers = self.n_nodes * self._router.area_mm2
-        links = self.n_nodes * self.config.rings * self._link.area_mm2
-        return routers + links
-
-    @property
-    def static_power_mw(self) -> float:
-        return (
-            self.n_nodes * self._router.static_power_mw
-            + self.n_nodes * self.config.rings * self._link.static_power_mw
-        )
+def _traverse(
+    server: BandwidthServer, energy: EnergyAccount, pj_per_byte: float, route: Route
+) -> float:
+    """The ``CALL`` of a crossbar traversal: charge its energy, then
+    reserve the port.  A network's cached legs hold this, not the
+    network."""
+    nbytes = route.nbytes
+    energy.charge("island_net", pj_per_byte * nbytes * 1e-3)
+    return server.reserve(nbytes)
 
 
 def _occupy(
@@ -333,20 +243,3 @@ def _occupy(
         hops * (router.hop_energy_nj(nbytes) + link.transfer_energy_nj(nbytes)),
     )
     return capacity.reserve(nbytes * hops / n_nodes)
-
-
-def build_network(
-    sim: Simulator,
-    slot_banks: typing.Sequence[int],
-    config: SpmDmaNetworkConfig,
-    energy: EnergyAccount,
-    span: typing.Optional[tuple] = None,
-) -> SpmDmaNetwork:
-    """Instantiate the configured SPM<->DMA network."""
-    if config.kind is NetworkKind.PROXY_CROSSBAR:
-        return ProxyCrossbarNetwork(sim, slot_banks, config, energy, span)
-    if config.kind is NetworkKind.CHAINING_CROSSBAR:
-        return ChainingCrossbarNetwork(sim, slot_banks, config, energy, span)
-    if config.kind is NetworkKind.RING:
-        return RingNetwork(sim, slot_banks, config, energy, span)
-    raise ConfigError(f"unknown network kind {config.kind!r}")

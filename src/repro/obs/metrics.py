@@ -311,11 +311,11 @@ def system_metrics(
         registry.counter(f"{prefix}.noc_out.bytes", island.noc_out.total_bytes)
         registry.counter(
             f"{prefix}.spm.bytes_read",
-            sum(group.bytes_read for group in island.spm_groups),
+            sum(island.spm.bytes_read),
         )
         registry.counter(
             f"{prefix}.spm.bytes_written",
-            sum(group.bytes_written for group in island.spm_groups),
+            sum(island.spm.bytes_written),
         )
         registry.gauge(
             f"{prefix}.failed_slots", float(island.failed_slot_count)

@@ -139,11 +139,6 @@ def crossbar_pj_per_byte(targets: int) -> float:
     return XBAR_ENERGY_BASE_PJ_PER_BYTE * (targets ** 0.5)
 
 
-def crossbar_traversal_energy_nj(nbytes: float, targets: int) -> float:
-    """Dynamic energy to move ``nbytes`` through a crossbar, nJ."""
-    return crossbar_pj_per_byte(targets) * nbytes * 1e-3
-
-
 def crossbar_static_power_mw(requestors: int, targets: int, width_bytes: int) -> float:
     """Leakage power of a crossbar, mW."""
     return STATIC_MW_PER_MM2 * crossbar_area_mm2(requestors, targets, width_bytes)

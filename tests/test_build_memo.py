@@ -11,6 +11,7 @@ type names but not numbers must never share a platform, and the key
 must change with every config field.
 """
 
+import contextlib
 import dataclasses
 import gc
 import math
@@ -46,7 +47,14 @@ from repro.noc import MeshNoC, MeshTopology
 from repro.noc.mesh import xy_path
 from repro.noc.topology import Node, NodeKind
 from repro.power import EnergyAccount
-from repro.power.orion import STATIC_MW_PER_MM2, crossbar_area_mm2
+from repro.island.networks import FLOORPLAN_MM2_PER_SLOT
+from repro.power.orion import (
+    STATIC_MW_PER_MM2,
+    LinkModel,
+    RouterModel,
+    crossbar_area_mm2,
+    crossbar_static_power_mw,
+)
 from repro.power.spm_model import SPMModel
 from repro.sim import SystemConfig, SystemModel, run_workload
 from repro.sim.platform import (
@@ -58,25 +66,55 @@ from repro.sim.platform import (
 from repro.sim.run import simulate
 from repro.workloads import get_workload, synthetic_workload
 from tests.test_dse_cache import FIELD_ALTERNATES
+from tests.test_island_island import move
 
 
 # ----------------------------------------------------------- references
+def reference_spm(island):
+    """Each slot's SPM banks: bank count and bank model."""
+    ports = island.config.spm_porting.value
+    return [
+        (abb_type.spm_banks_min, SPMModel(abb_type.spm_bank_bytes, ports))
+        for abb_type in island.abbs
+    ]
+
+
+def reference_network(island):
+    """The SPM<->DMA network's area and leakage, from the Orion formulas."""
+    network = island.config.network
+    banks = [count for count, _ in reference_spm(island)]
+    total, width, rings = sum(banks), network.link_width_bytes, network.rings
+    if network.kind is NetworkKind.RING:
+        nodes = len(banks) + 1
+        router = RouterModel(width, rings)
+        perimeter = 4.0 * math.sqrt(FLOORPLAN_MM2_PER_SLOT * len(banks))
+        link = LinkModel(width, perimeter / nodes)
+        return (
+            nodes * router.area_mm2 + nodes * rings * link.area_mm2,
+            nodes * router.static_power_mw + nodes * rings * link.static_power_mw,
+        )
+    if network.kind is NetworkKind.PROXY_CROSSBAR:
+        ports = (1, total)
+    else:
+        ports = (total, total + 1)
+    return crossbar_area_mm2(*ports, width), crossbar_static_power_mw(*ports, width)
+
+
 def reference_area_breakdown(island):
     """Section 5.7 accounting, summed over the island's parts."""
     abb_area = sum(abb_type.area_mm2 for abb_type in island.abbs)
-    spm_area = sum(group.area_mm2 for group in island.spm_groups)
+    spm = reference_spm(island)
+    spm_area = sum(banks * model.area_mm2 for banks, model in spm)
     sharing_factor = 3 if island.config.spm_sharing else 1
     abb_spm_xbar = sum(
-        crossbar_area_mm2(
-            1, sharing_factor * group.banks, island.config.abb_spm_width_bytes
-        )
-        for group in island.spm_groups
+        crossbar_area_mm2(1, sharing_factor * banks, island.config.abb_spm_width_bytes)
+        for banks, _ in spm
     )
     return {
         "abbs": abb_area,
         "spm": spm_area,
         "abb_spm_crossbar": abb_spm_xbar,
-        "spm_dma_network": island.network.area_mm2,
+        "spm_dma_network": reference_network(island)[0],
         "dma": DMA_ENGINE_AREA_MM2,
         "noc_interface": NOC_INTERFACE_AREA_MM2,
     }
@@ -84,7 +122,9 @@ def reference_area_breakdown(island):
 
 def reference_static_power(island):
     abb_static = sum(abb_type.static_power_mw for abb_type in island.abbs)
-    spm_static = sum(group.static_power_mw for group in island.spm_groups)
+    spm_static = sum(
+        banks * model.static_power_mw for banks, model in reference_spm(island)
+    )
     breakdown = reference_area_breakdown(island)
     fixed_area = (
         breakdown["abb_spm_crossbar"] + breakdown["dma"] + breakdown["noc_interface"]
@@ -92,7 +132,7 @@ def reference_static_power(island):
     return (
         abb_static
         + spm_static
-        + island.network.static_power_mw
+        + reference_network(island)[1]
         + STATIC_MW_PER_MM2 * fixed_area
     )
 
@@ -391,16 +431,37 @@ def test_area_breakdown_is_a_copy():
 def test_spm_groups_share_one_model_per_bank_shape():
     poly = standard_library().get("poly")
     a, b = SPMGroup(poly, SpmPorting.EXACT), SPMGroup(poly, SpmPorting.EXACT)
-    assert a._model == b._model == SPMModel(poly.spm_bank_bytes, 1)
-    assert SPMGroup(poly, SpmPorting.DOUBLE)._model.ports == 2
-    # Each group keeps its own byte counters.
-    a.record_read(64)
-    assert (a.bytes_read, b.bytes_read) == (64, 0.0)
-    # An island's slots of one type share their banks, model included.
+    assert a.model == b.model == SPMModel(poly.spm_bank_bytes, 1)
+    assert SPMGroup(poly, SpmPorting.DOUBLE).model.ports == 2
+    # An island's slots of one type share one group, model included.
     config = IslandConfig(abb_mix={"poly": 3})
-    island = make_island(config, standard_library())
-    first, *rest = island.spm_groups
-    assert all(group.spec is first.spec for group in rest)
+    shape = IslandShape(config, standard_library())
+    first, *rest = shape.spm
+    assert all(group is first for group in rest)
+    # Each island of the shape keeps its own byte counters.
+    one, other = Island(Simulator(), 0, shape), Island(Simulator(), 1, shape)
+    move(one, 0, None, 64)
+    one.sim.run()
+    assert (one.spm.bytes_read, other.spm.bytes_read) == ([64, 0.0, 0.0], [0.0] * 3)
+
+
+@pytest.mark.parametrize("kind", list(NetworkKind))
+def test_island_shape_builds_no_run_object(kind):
+    """A shape's physicals are closed-form: building one makes no
+    simulator, energy account or server."""
+    rings = 2 if kind is NetworkKind.RING else 1
+    config = IslandConfig(
+        abb_mix={"poly": 3, "div": 2}, network=SpmDmaNetworkConfig(kind, 32, rings)
+    )
+    library = standard_library()
+    run_objects = (Simulator, EnergyAccount, BandwidthServer)
+    with contextlib.ExitStack() as stack:
+        for cls in run_objects:
+            stack.enter_context(
+                mock.patch.object(cls, "__init__", side_effect=AssertionError(cls))
+            )
+        shape = IslandShape(config, library)
+    assert shape.network.area_mm2 == reference_network(make_island(config, library))[0]
 
 
 @given(st.integers(1, 1 << 16), st.integers(1, 3), st.floats(0.0, 1e6))

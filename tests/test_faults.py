@@ -1,5 +1,7 @@
 """Unit tests for the fault-injection subsystem (repro.faults)."""
 
+import math
+
 import pytest
 
 from repro.errors import ConfigError
@@ -43,6 +45,23 @@ class TestFaultSpec:
     def test_validation(self, kwargs):
         with pytest.raises(ConfigError):
             FaultSpec(**kwargs)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "abb_failure_window",
+            "dma_stall_cycles",
+            "dma_timeout_cycles",
+            "dma_backoff_base",
+            "noc_degrade_factor",
+        ],
+    )
+    def test_non_finite_delays_and_factors_rejected(self, name, value):
+        """A NaN or infinite delay would otherwise fail mid-run, when the
+        first fault is scheduled; the spec rejects it at the boundary."""
+        with pytest.raises(ConfigError, match=name):
+            FaultSpec(**{name: value})
 
     def test_label_round_trips_through_parse(self):
         spec = FaultSpec(

@@ -1,6 +1,8 @@
 """Tests for the three SPM<->DMA network designs.
 
-A movement is driven as one route over the network's legs
+A network's shape (:class:`NetworkShape`) is built from bank counts and
+a config alone; a run's network (:class:`SpmDmaNetwork`) adds its
+servers.  A movement is driven as one route over the network's legs
 (``net.legs(src, dst)``, ``None`` standing for the DMA engine).
 """
 
@@ -8,32 +10,36 @@ from functools import partial
 
 import pytest
 
-from repro.engine import Route, Simulator
+from repro.engine import BandwidthServer, Route, Simulator
 from repro.engine.route import DONE
 from repro.errors import ConfigError
 from repro.island import (
-    ChainingCrossbarNetwork,
     NetworkKind,
-    ProxyCrossbarNetwork,
-    RingNetwork,
+    NetworkShape,
+    SpmDmaNetwork,
     SpmDmaNetworkConfig,
-    build_network,
 )
 from repro.power import EnergyAccount
 
+#: The DMA engine's rate and latency: by default one that takes no time,
+#: so a proxy chain costs exactly its two port traversals.
+INSTANT_DMA = (float("inf"), 0.0)
 
-def make(kind, n_slots=4, banks_per_slot=4, width=32, rings=1):
+
+def make(kind, n_slots=4, banks_per_slot=4, width=32, rings=1, dma=INSTANT_DMA):
     sim = Simulator()
     energy = EnergyAccount()
     cfg = SpmDmaNetworkConfig(kind=kind, link_width_bytes=width, rings=rings)
-    net = build_network(sim, [banks_per_slot] * n_slots, cfg, energy)
+    shape = NetworkShape([banks_per_slot] * n_slots, cfg)
+    net = SpmDmaNetwork(sim, shape, BandwidthServer(sim, *dma), energy)
     return sim, net, energy
 
 
 def move(net, src, dst, nbytes):
     """Start one network movement; returns its completion event."""
-    done = net.sim.event()
-    Route(net.sim, net.legs(src, dst) + (DONE,), partial(done.trigger, nbytes), nbytes)
+    sim = net.port.sim
+    done = sim.event()
+    Route(sim, net.legs(src, dst) + (DONE,), partial(done.trigger, nbytes), nbytes)
     return done
 
 
@@ -59,14 +65,17 @@ class TestBuildNetwork:
         _, proxy, _ = make(NetworkKind.PROXY_CROSSBAR)
         _, chain, _ = make(NetworkKind.CHAINING_CROSSBAR)
         _, ring, _ = make(NetworkKind.RING)
-        assert isinstance(proxy, ProxyCrossbarNetwork)
-        assert isinstance(chain, ChainingCrossbarNetwork)
-        assert isinstance(ring, RingNetwork)
+        # Only the chaining crossbar has parallel chaining paths; only a
+        # ring has routers and links.
+        assert proxy.paths is None and ring.paths is None
+        assert chain.paths is not None
+        assert ring.shape.router is not None and ring.shape.link is not None
+        assert proxy.shape.router is None and chain.shape.router is None
+        assert proxy.shape.latency == 2.0 and ring.shape.latency == 0.0
 
     def test_empty_slots_rejected(self):
-        sim = Simulator()
         with pytest.raises(ConfigError):
-            build_network(sim, [], SpmDmaNetworkConfig(), EnergyAccount())
+            NetworkShape([], SpmDmaNetworkConfig())
 
 
 class TestProxyCrossbar:
@@ -81,6 +90,11 @@ class TestProxyCrossbar:
         sim2, net2, _ = make(NetworkKind.PROXY_CROSSBAR, width=32)
         t_chain = run_transfer(sim2, move(net2, 0, 1, 640))
         assert t_chain == pytest.approx(2 * t_mem)
+
+    def test_chaining_stores_and_forwards_through_the_dma(self):
+        sim, net, _ = make(NetworkKind.PROXY_CROSSBAR, width=32, dma=(32.0, 1.0))
+        # Traverse (20 + 2), the DMA engine (20 + 1), traverse (20 + 2).
+        assert run_transfer(sim, move(net, 0, 1, 640)) == pytest.approx(65.0)
 
     def test_all_traffic_serializes_on_dma_port(self):
         sim, net, _ = make(NetworkKind.PROXY_CROSSBAR, width=32)
@@ -111,7 +125,7 @@ class TestChainingCrossbar:
     def test_large_array_latency_grows(self):
         _, small, _ = make(NetworkKind.CHAINING_CROSSBAR, n_slots=2, banks_per_slot=2)
         _, big, _ = make(NetworkKind.CHAINING_CROSSBAR, n_slots=40, banks_per_slot=4)
-        assert big._latency > small._latency
+        assert big.shape.latency > small.shape.latency
 
     def test_chain_and_memory_paths_independent(self):
         sim, net, _ = make(NetworkKind.CHAINING_CROSSBAR, width=32)
@@ -128,15 +142,15 @@ class TestChainingCrossbar:
         _, small, _ = make(NetworkKind.CHAINING_CROSSBAR, n_slots=5)
         _, big, _ = make(NetworkKind.CHAINING_CROSSBAR, n_slots=40)
         # 8x the slots -> ~64x the area.
-        assert big.area_mm2 / small.area_mm2 > 50
+        assert big.shape.area_mm2 / small.shape.area_mm2 > 50
 
 
 class TestRing:
     def test_hop_count_unidirectional(self):
         _, ring, _ = make(NetworkKind.RING, n_slots=4)  # 5 nodes
-        assert ring.hops(0, 1) == 1
-        assert ring.hops(1, 0) == 4  # must go all the way round
-        assert ring.hops(3, 3) == 0
+        assert ring.shape.hops(0, 1) == 1
+        assert ring.shape.hops(1, 0) == 4  # must go all the way round
+        assert ring.shape.hops(3, 3) == 0
 
     def test_transfer_includes_hop_latency(self):
         sim, ring, _ = make(NetworkKind.RING, n_slots=4, width=32)
@@ -181,8 +195,8 @@ class TestRing:
         _, r1, _ = make(NetworkKind.RING, width=16, rings=1)
         _, r2, _ = make(NetworkKind.RING, width=32, rings=1)
         _, r3, _ = make(NetworkKind.RING, width=16, rings=3)
-        assert r2.area_mm2 > r1.area_mm2
-        assert r3.area_mm2 > r1.area_mm2
+        assert r2.shape.area_mm2 > r1.shape.area_mm2
+        assert r3.shape.area_mm2 > r1.shape.area_mm2
 
     def test_ring_energy_scales_with_hops(self):
         sim, ring, energy = make(NetworkKind.RING, n_slots=8)
@@ -198,19 +212,10 @@ class TestAreaOrdering:
     def test_paper_area_ordering_for_large_islands(self):
         """chaining crossbar >> proxy crossbar > rings, at 40 ABBs."""
         mix_banks = [4] * 26 + [2] * 11 + [4] * 3  # ~40-ABB island
-        sim = Simulator()
-        energy = EnergyAccount()
-        proxy = build_network(
-            sim, mix_banks, SpmDmaNetworkConfig(NetworkKind.PROXY_CROSSBAR), energy
+        proxy = NetworkShape(mix_banks, SpmDmaNetworkConfig(NetworkKind.PROXY_CROSSBAR))
+        chain = NetworkShape(
+            mix_banks, SpmDmaNetworkConfig(NetworkKind.CHAINING_CROSSBAR)
         )
-        chain = build_network(
-            sim, mix_banks, SpmDmaNetworkConfig(NetworkKind.CHAINING_CROSSBAR), energy
-        )
-        ring = build_network(
-            sim,
-            mix_banks,
-            SpmDmaNetworkConfig(NetworkKind.RING, rings=2),
-            energy,
-        )
+        ring = NetworkShape(mix_banks, SpmDmaNetworkConfig(NetworkKind.RING, rings=2))
         assert chain.area_mm2 > 10 * proxy.area_mm2
         assert proxy.area_mm2 > ring.area_mm2

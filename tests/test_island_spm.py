@@ -1,10 +1,11 @@
-"""Tests for per-ABB SPM groups."""
+"""Tests for per-ABB SPM groups and the island's SPM end."""
 
 import pytest
 
 from repro.abb import standard_library
 from repro.island import SpmPorting
 from repro.island.spm import EXACT_PORTING_CONFLICT_PENALTY, SPMGroup
+from tests.test_island_island import make_island, move
 
 
 @pytest.fixture
@@ -15,12 +16,12 @@ def poly():
 class TestPorting:
     def test_exact_porting_has_small_conflict_penalty(self, poly):
         group = SPMGroup(poly, SpmPorting.EXACT)
-        assert group.conflict_penalty() == EXACT_PORTING_CONFLICT_PENALTY
-        assert group.conflict_penalty() <= 0.05  # "very little, if at all"
+        assert group.conflict_penalty == EXACT_PORTING_CONFLICT_PENALTY
+        assert group.conflict_penalty <= 0.05  # "very little, if at all"
 
     def test_double_porting_removes_conflicts(self, poly):
         group = SPMGroup(poly, SpmPorting.DOUBLE)
-        assert group.conflict_penalty() == 0.0
+        assert group.conflict_penalty == 0.0
 
     def test_double_porting_costs_area_and_power(self, poly):
         exact = SPMGroup(poly, SpmPorting.EXACT)
@@ -34,14 +35,22 @@ class TestPorting:
 
 
 class TestAccounting:
-    def test_reads_and_writes_tracked(self, poly):
-        group = SPMGroup(poly, SpmPorting.EXACT)
-        e1 = group.record_write(100)
-        e2 = group.record_read(50)
-        assert group.bytes_written == 100
-        assert group.bytes_read == 50
+    def test_reads_and_writes_tracked(self):
+        """The island's SPM end counts each slot's bytes and charges
+        their access energy."""
+        sim, island, energy = make_island(abb_mix={"poly": 3})
+        move(island, None, 1, 100)
+        sim.run()
+        e1 = energy.dynamic_nj["spm"]
+        move(island, 2, None, 50)
+        sim.run()
+        e2 = energy.dynamic_nj["spm"] - e1
+        assert island.spm.bytes_written == [0.0, 100, 0.0]
+        assert island.spm.bytes_read == [0.0, 0.0, 50]
         assert e1 > 0 and e2 > 0
 
     def test_energy_proportional_to_bytes(self, poly):
-        group = SPMGroup(poly, SpmPorting.EXACT)
-        assert group.record_read(200) == pytest.approx(2 * group.record_read(100))
+        model = SPMGroup(poly, SpmPorting.EXACT).model
+        assert model.access_energy_nj(200) == pytest.approx(
+            2 * model.access_energy_nj(100)
+        )

@@ -8,8 +8,8 @@ from repro.power.orion import (
     LinkModel,
     RouterModel,
     crossbar_area_mm2,
+    crossbar_pj_per_byte,
     crossbar_static_power_mw,
-    crossbar_traversal_energy_nj,
 )
 from repro.power.spm_model import SPMModel
 
@@ -76,8 +76,8 @@ class TestCrossbarModel:
         assert shared / private == pytest.approx(3.0)
 
     def test_traversal_energy_grows_with_targets(self):
-        small = crossbar_traversal_energy_nj(100, targets=4)
-        big = crossbar_traversal_energy_nj(100, targets=144)
+        small = crossbar_pj_per_byte(targets=4)
+        big = crossbar_pj_per_byte(targets=144)
         assert big == pytest.approx(6 * small)
 
     def test_static_power_proportional_to_area(self):
@@ -88,7 +88,7 @@ class TestCrossbarModel:
         with pytest.raises(ConfigError):
             crossbar_area_mm2(0, 4, 16)
         with pytest.raises(ConfigError):
-            crossbar_traversal_energy_nj(10, targets=0)
+            crossbar_pj_per_byte(targets=0)
 
     @given(st.integers(1, 64), st.integers(1, 256), st.integers(1, 64))
     def test_area_always_positive(self, r, t, w):

@@ -8,9 +8,7 @@ from hypothesis import given, settings, strategies as st
 from repro.abb import ABBFlowGraph, PAPER_ABB_MIX, TilePlan, standard_library
 from repro.core import TileScheduler
 from repro.engine import BandwidthServer, Simulator
-from repro.island import NetworkKind, SpmDmaNetworkConfig
-from repro.island.networks import RingNetwork
-from repro.power import EnergyAccount
+from repro.island import NetworkKind, NetworkShape, SpmDmaNetworkConfig
 from repro.sim import SystemConfig, SystemModel, distribute_mix
 
 
@@ -74,13 +72,7 @@ class TestBandwidthServerProperties:
 class TestRingProperties:
     @given(st.integers(2, 40), st.integers(0, 60), st.integers(0, 60))
     def test_hop_count_bounds(self, n_slots, a, b):
-        sim = Simulator()
-        ring = RingNetwork(
-            sim,
-            [2] * n_slots,
-            SpmDmaNetworkConfig(NetworkKind.RING, 32, 1),
-            EnergyAccount(),
-        )
+        ring = NetworkShape([2] * n_slots, SpmDmaNetworkConfig(NetworkKind.RING, 32, 1))
         src = a % ring.n_nodes
         dst = b % ring.n_nodes
         hops = ring.hops(src, dst)

@@ -32,14 +32,7 @@ from repro.engine import Route, Simulator
 from repro.engine.route import DONE
 from repro.engine.trace import Tracer
 from repro.faults import FaultInjector, FaultSpec
-from repro.island import (
-    ChainingCrossbarNetwork,
-    Island,
-    IslandConfig,
-    NetworkKind,
-    RingNetwork,
-    SpmDmaNetworkConfig,
-)
+from repro.island import Island, IslandConfig, NetworkKind, SpmDmaNetworkConfig
 from repro.island.island import IslandShape
 from repro.island.networks import RING_HOP_LATENCY
 from repro.sim import SystemConfig, SystemModel
@@ -64,32 +57,32 @@ def start(sim, body):
     return done
 
 
-def ref_network(sim, net, src_slot, dst_slot, nbytes):
+def ref_network(sim, island, src_slot, dst_slot, nbytes):
     """One island-network movement; ``None`` is the DMA engine."""
-    if isinstance(net, RingNetwork):
+    net = island.network
+    kind = net.shape.config.kind
+    if kind is NetworkKind.RING:
         src = 0 if src_slot is None else src_slot + 1
         dst = 0 if dst_slot is None else dst_slot + 1
-        hops = net.hops(src, dst)
+        hops = net.shape.hops(src, dst)
         if hops == 0:
             return sim.event().succeed(nbytes)
 
         def traversal():
-            yield net._capacity.transfer(nbytes * hops / net.n_nodes)
+            yield net.port.transfer(nbytes * hops / net.shape.n_nodes)
             yield sim.timeout(RING_HOP_LATENCY * hops)
             return nbytes
 
         return start(sim, traversal())
-    if isinstance(net, ChainingCrossbarNetwork):
-        if src_slot is None or dst_slot is None:
-            return net._dma_port.transfer(nbytes)
-        return net._chain_paths.transfer(nbytes)
     if src_slot is None or dst_slot is None:
-        return net._port.transfer(nbytes)
+        return net.port.transfer(nbytes)
+    if kind is NetworkKind.CHAINING_CROSSBAR:
+        return net.paths.transfer(nbytes)
 
     def proxy_chain():  # store-and-forward through the DMA engine
-        yield net._port.transfer(nbytes)
-        yield net._dma.transfer(nbytes)
-        yield net._port.transfer(nbytes)
+        yield net.port.transfer(nbytes)
+        yield island.dma.transfer(nbytes)
+        yield net.port.transfer(nbytes)
         return nbytes
 
     return start(sim, proxy_chain())
@@ -118,22 +111,20 @@ def ref_dma(sim, island, injector, nbytes):
 
 
 def ref_transfer(sim, island, injector, op, a, b, nbytes):
-    net = island.network
-
     def ingress():
         yield island.noc_in.transfer(nbytes)
         yield from ref_dma(sim, island, injector, nbytes)
-        yield ref_network(sim, net, None, a, nbytes)
+        yield ref_network(sim, island, None, a, nbytes)
         return nbytes
 
     def egress():
-        yield ref_network(sim, net, a, None, nbytes)
+        yield ref_network(sim, island, a, None, nbytes)
         yield from ref_dma(sim, island, injector, nbytes)
         yield island.noc_out.transfer(nbytes)
         return nbytes
 
     def chain_local():
-        yield ref_network(sim, net, a, b, nbytes)
+        yield ref_network(sim, island, a, b, nbytes)
         return nbytes
 
     body = {"ingress": ingress, "egress": egress, "chain": chain_local}[op]
@@ -177,11 +168,9 @@ def run(network, spec, ops, routed):
         )
     sim.run()
     net = island.network
-    servers = [island.noc_in, island.noc_out, island.dma] + [
-        getattr(net, name)
-        for name in ("_port", "_dma_port", "_chain_paths", "_capacity")
-        if hasattr(net, name)
-    ]
+    servers = [island.noc_in, island.noc_out, island.dma, net.port] + (
+        [] if net.paths is None else [net.paths]
+    )
     accounting = [
         (s.busy_cycles, s.total_bytes, s.total_transfers, s._free_at)
         for s in servers
@@ -340,10 +329,9 @@ def run_system(config, ops, routed):
     for island in system.islands:
         net = island.network
         named = {"noc_in": island.noc_in, "noc_out": island.noc_out,
-                 "dma": island.dma}
-        for name in ("_port", "_dma_port", "_chain_paths", "_capacity"):
-            if hasattr(net, name):
-                named[name] = getattr(net, name)
+                 "dma": island.dma, "port": net.port}
+        if net.paths is not None:
+            named["paths"] = net.paths
         for name, server in named.items():
             servers[(island.island_id, name)] = accounting(server)
     for key, link in system.noc._links.items():

@@ -234,7 +234,7 @@ class ReferenceTileScheduler(TileScheduler):
                 tag,
                 tag,
                 {
-                    "conflict": island.spm_groups[grant.slot].conflict_penalty(),
+                    "conflict": island.shape.spm[grant.slot].conflict_penalty,
                     "invocations": task.invocations,
                 },
             )
