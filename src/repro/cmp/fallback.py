@@ -18,58 +18,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.cmp.cpu import CoreModel
-from repro.errors import ConfigError
-from repro.workloads.base import SOFTWARE_CYCLES_PER_INVOCATION
-
-#: Per-invocation software cost assumed for ABB types without a
-#: calibrated entry in :data:`SOFTWARE_CYCLES_PER_INVOCATION`.
-DEFAULT_SOFTWARE_CYCLES_PER_INVOCATION = 100.0
 
 
 @dataclass(frozen=True)
 class SoftwareFallbackModel:
-    """Prices running one flow-graph task on a host core.
+    """Prices fallback work on a host core: its cycles come from
+    :func:`~repro.workloads.base.software_task_cycles` (one task) or
+    :func:`~repro.workloads.base.software_cycles_estimate` (serve's
+    whole-graph software path), its energy from the core's power.
 
     Attributes:
         core: The host core executing fallback work.
-        cycles_per_invocation: Calibrated software cost table by ABB
-            type (defaults to the shared workload table).
     """
 
     core: CoreModel
-    cycles_per_invocation: dict = None  # type: ignore[assignment]
-
-    def __post_init__(self) -> None:
-        if self.cycles_per_invocation is None:
-            object.__setattr__(
-                self,
-                "cycles_per_invocation",
-                dict(SOFTWARE_CYCLES_PER_INVOCATION),
-            )
-
-    def task_cycles(self, abb_type: str, invocations: int) -> float:
-        """Core cycles to run ``invocations`` of one ABB type in software."""
-        if invocations < 0:
-            raise ConfigError("invocations must be non-negative")
-        per_invocation = self.cycles_per_invocation.get(
-            abb_type, DEFAULT_SOFTWARE_CYCLES_PER_INVOCATION
-        )
-        return invocations * per_invocation
-
-    def graph_cycles(self, graph) -> float:
-        """Core cycles to run one whole flow-graph instance in software.
-
-        Tasks run sequentially on one core (no chaining, no parallel
-        slots), which is the cost a request pays when the serving
-        frontend's wait-threshold policy sends it down the software
-        path — and therefore also the natural default admission bound:
-        queue for hardware only while the predicted wait still beats
-        doing the work on the core.
-        """
-        return sum(
-            self.task_cycles(task.abb_type, task.invocations)
-            for task in graph.tasks
-        )
 
     def energy_nj(self, cycles: float) -> float:
         """Energy one core burns over ``cycles`` of fallback execution."""

@@ -31,29 +31,10 @@ each task's unfinished producers down and starts a consumer when its
 count reaches zero, the way data-driven hardware fires a task when its
 operands arrive.
 
-The same-time rule.  Work at one instant runs in the order it is
-issued, so where a step runs at the instant its cause happened, or one
-heap entry later, decides the order of same-time ABC requests, server
-reservations, energy charges and spans.  Inline: a root task's request
-(in :meth:`TileScheduler.run`), an immediate grant (inside
-:meth:`~repro.core.composer.AcceleratorBlockComposer.request`), a
-transfer's landing (inside its route's last leg) and a tile's end (its
-``then()``, inside its last task's done hop).  One heap entry each:
-
-* the *done hop*, the one deferred step between a task's release and
-  its consumers' start.  Without it a consumer's ABC request runs
-  inside its producer's release, same-time requests are issued in
-  another order and fig. 6 makespans move;
-* the join of a task's input transfers (and of a software task's
-  spills): the compute starts after the same-instant work already
-  queued.  Without it the results hold, but same-instant spans and
-  energy charges come in another order on fig. 6 points, which
-  reorders a Perfetto export;
-* a queued request's grant, an immediate software-fallback answer, a
-  host-core grant and an empty tile's end.
-
-``tests/test_task_reference.py`` checks the rule against the process
-per task it replaced.
+The same-time rule: work at one instant runs in issue order, and only
+a modelled delay or a deferred grant adds a heap entry (contracts in
+:mod:`repro.engine.route`).  ``tests/test_task_reference.py`` checks it
+against a process per task.
 """
 
 from __future__ import annotations
@@ -63,6 +44,7 @@ import typing
 from repro.abb.flowgraph import PlannedTask, TilePlan
 from repro.core.composer import SOFTWARE_FALLBACK
 from repro.errors import SimulationError
+from repro.workloads.base import software_task_cycles
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.system import SystemModel
@@ -121,9 +103,10 @@ class TileScheduler:
         """Start the tile; ``then()`` runs at tile end.
 
         Root tasks start now; every other task starts when its last
-        producer's done hop counts it down to zero.  An empty graph ends
-        from one heap entry at now.  The tile drops ``then`` as it calls
-        it, so a ``then`` that holds the tile leaves no reference cycle.
+        producer's completion counts it down to zero.  An empty graph
+        ends from one heap entry at now.  The tile drops ``then`` as it
+        calls it, so a ``then`` that holds the tile leaves no reference
+        cycle.
         """
         tasks = self.plan.tasks
         if not tasks:
@@ -191,11 +174,12 @@ class _Task:
     """One running task of a tile, as a chain of callbacks.
 
     Hardware steps: ABC request -> :meth:`_granted` (input transfers)
-    -> :meth:`_gathered` -> :meth:`_compute` -> :meth:`_computed`
-    (writeback) -> :meth:`_release` -> :meth:`_done_hop`.  A task whose
+    -> :meth:`_landed` -> :meth:`_compute` -> :meth:`_computed`
+    (writeback) -> :meth:`_release` -> :meth:`_done`.  A task whose
     ABB type has no hardware left takes the software steps instead:
     :meth:`_fallback` -> :meth:`_core_granted` (spills) ->
-    :meth:`_execute` -> :meth:`_software_done` -> :meth:`_done_hop`.
+    :meth:`_spilled` -> :meth:`_execute` -> :meth:`_software_done` ->
+    :meth:`_done`.
     ``grant`` is the ABC's :class:`~repro.core.composer.Grant`, or the
     host core a software task holds; ``pending`` counts the transfers
     still in flight; ``start`` is when the current traced phase began.
@@ -266,13 +250,9 @@ class _Task:
     def _landed(self) -> None:
         self.pending -= 1
         if self.pending == 0:
-            sim = self.tile.system.sim
-            sim.schedule(sim.now, self._gathered)
-
-    def _gathered(self) -> None:
-        if self.tile._tracer is not None:
-            self.tile._trace(self.start, "gather", self.actor, self.tag, self.tag)
-        self._compute()
+            if self.tile._tracer is not None:
+                self.tile._trace(self.start, "gather", self.actor, self.tag, self.tag)
+            self._compute()
 
     def _compute(self) -> None:
         system = self.tile.system
@@ -325,15 +305,10 @@ class _Task:
         self._done()
 
     def _done(self) -> None:
-        tile = self.tile
-        tile.last_ref = self.tag
-        sim = tile.system.sim
-        sim.schedule(sim.now, self._done_hop)
-
-    def _done_hop(self) -> None:
         """Count the tile down, then start each consumer whose count of
         unfinished producers reaches zero."""
         tile = self.tile
+        tile.last_ref = self.tag
         tile._left -= 1
         if tile._left == 0:
             then, tile._then = tile._then, None
@@ -393,8 +368,7 @@ class _Task:
     def _spilled(self) -> None:
         self.pending -= 1
         if self.pending == 0:
-            sim = self.tile.system.sim
-            sim.schedule(sim.now, self._execute)
+            self._execute()
 
     def _execute(self) -> None:
         tile, task = self.tile, self.task
@@ -406,7 +380,7 @@ class _Task:
         # consumers (or as the final output when this task is a sink).
         system.software_execute(
             read_bytes,
-            system.fallback_model.task_cycles(task.abb_type, task.invocations),
+            software_task_cycles(task.abb_type, task.invocations),
             task.output_bytes,
             tile._stream_base + task.index,
             self.tag,

@@ -7,9 +7,9 @@ callback, run inline where its cause completes (a
 :class:`~repro.engine.route.Route`'s end) or scheduled with
 :meth:`~repro.engine.simulator.Simulator.schedule` (a
 :class:`~repro.engine.resources.Resource` grant, a completion time).
-The same-time rule: work at one instant runs in the order it is
-issued, and only a modelled delay or a deferred grant adds a heap entry
-(see :mod:`repro.engine.route` and :mod:`repro.core.scheduler`).
+The same-time rule: work at one instant runs in issue order, and only
+a modelled delay or a deferred grant adds a heap entry (see the
+contract list in :mod:`repro.engine.route`).
 :class:`~repro.engine.event.Event`, ``AllOf`` and the SimPy-style
 generator :class:`~repro.engine.process.Process` are the engine of the
 differential reference checks; no model run allocates one.

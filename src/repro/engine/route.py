@@ -36,26 +36,31 @@ The optional attributes apply to any leg:
   ``charge``; a float return means "wait that many cycles, then start
   the leg again" (DMA stall and drop/retry), ``None`` lets it proceed.
 
-The same-time rule.  Routes add a heap entry only where the model has
-a delay, so work at one instant runs in the order it is issued:
+The same-time rule: work at one instant runs in issue order, and only a
+modelled delay or a deferred grant adds a heap entry.  Contracts, each
+pinned by the named test under ``tests/``:
 
-* work that starts at time *t* starts when it is issued: a route's first
-  leg runs inside the call that creates it;
-* a route's completion runs inside the leg that ends it (the
-  :data:`END` leg calls the route's ``then()`` inline);
-* only a modelled delay (a :data:`SERVE` completion, a :data:`WAIT`, a
-  :data:`CALL`'s completion time, a fault hook's wait) adds a heap
-  entry.  Entries at equal times still run in push order.
+* a release at a :class:`~repro.engine.resources.Resource` or the ABC
+  hands its unit to the oldest waiter from one heap entry
+  (``test_release_hands_off_from_one_heap_entry``,
+  ``test_release_grants_waiter_from_one_heap_entry``);
+* a route's first leg runs inside the call that creates it, its
+  :data:`END` inside its last leg
+  (``test_same_instant_routes_served_in_issue_order``,
+  ``test_route_end_runs_inside_its_last_leg``);
+* equal-time entries run in push order
+  (``test_equal_time_events_fire_in_insertion_order``).
 
-Heap entries: one per leg, even for a zero-cycle :data:`WAIT`, but
-none for a :data:`CALL` that returns ``None``; and one per fault-hook
-wait.  None to start the route or to finish it.  Each entry holds a
-bound method made as it is pushed, since the route keeps no callable of
-itself: the heap entries are unchanged, and a finished route is freed
-by reference count instead of waiting in a cycle for the garbage
-collector.  Legs follow the same rule: a leg holds the parts it uses (a
-server, an energy account, a counters record), never a bound method of
-the owner that caches it.
+Ties between different tiles, tenants or routes are incidental.
+
+Heap entries: one per leg, but none for a :data:`CALL` that returns
+``None``; and one per fault-hook wait.  None to start the route or to
+finish it.  Each entry holds a bound method made as it is pushed, since
+the route keeps no callable of itself: the heap entries are unchanged,
+and a finished route is freed by reference count instead of waiting in a
+cycle for the garbage collector.  Legs follow the same rule: a leg holds
+the parts it uses (a server, an energy account, a counters record),
+never a bound method of the owner that caches it.
 """
 
 from __future__ import annotations

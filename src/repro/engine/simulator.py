@@ -108,6 +108,10 @@ class Simulator:
             entry[2]()
         return self.now
 
+    def stop(self) -> None:
+        """Drop every pending entry: :meth:`run` returns at now."""
+        self._heap.clear()
+
     def peek(self) -> typing.Optional[float]:
         """Time of the next pending entry, or None if the queue is empty."""
         return self._heap[0][0] if self._heap else None

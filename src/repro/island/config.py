@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, check_bound
 
 
 class NetworkKind(enum.Enum):
@@ -63,6 +63,15 @@ class SpmDmaNetworkConfig:
         return "Chaining-Crossbar"
 
 
+#: Numeric fields: ``(name, whether an int, least value, whether the
+#: least is excluded)`` (see :func:`~repro.errors.check_bound`).
+_BOUNDS = (
+    ("noc_link_bytes_per_cycle", False, 0.0, True),
+    ("dma_bytes_per_cycle", False, 0.0, True),
+    ("abb_spm_width_bytes", True, 1, False),
+)
+
+
 @dataclass(frozen=True)
 class IslandConfig:
     """Full configuration of one ABB island.
@@ -89,19 +98,12 @@ class IslandConfig:
     abb_spm_width_bytes: int = 16
 
     def __post_init__(self) -> None:
-        if not self.abb_mix:
-            raise ConfigError("island must have at least one ABB")
         for name, count in self.abb_mix.items():
-            if count < 0:
-                raise ConfigError(f"negative ABB count for {name!r}")
+            check_bound(f"ABB count {name!r}", count, True, 0)
         if self.total_abbs() < 1:
             raise ConfigError("island must have at least one ABB")
-        if self.noc_link_bytes_per_cycle <= 0:
-            raise ConfigError("NoC interface bandwidth must be positive")
-        if self.dma_bytes_per_cycle <= 0:
-            raise ConfigError("DMA bandwidth must be positive")
-        if self.abb_spm_width_bytes < 1:
-            raise ConfigError("ABB<->SPM width must be >= 1 byte")
+        for name, *bound in _BOUNDS:
+            check_bound(name, getattr(self, name), *bound)
 
     def total_abbs(self) -> int:
         """Number of ABBs on the island."""

@@ -125,7 +125,8 @@ class SpmDmaNetwork:
     store-and-forward through the island's ``dma`` engine, so chaining
     competes with memory ingress and egress.  ``span`` — ``(tracer,
     actor, kind, label)`` or ``None`` — is the owner's trace of the
-    network: each movement records it once.
+    network: each movement records it once (a zero-hop ring move, which
+    has no legs, records nothing).
     """
 
     __slots__ = (
@@ -178,7 +179,7 @@ class SpmDmaNetwork:
         :data:`~repro.engine.route.END`, since the owner splices the
         legs into its own route.  Movements of one shape (a crossbar's
         DMA or chaining traversal, a ring's hop count) share one tuple,
-        built once.
+        built once; a zero-hop ring move has none.
         """
         if src is None and dst is None:
             raise ConfigError("a network movement needs an SPM endpoint")
@@ -190,23 +191,20 @@ class SpmDmaNetwork:
         if by_hops is None:
             return self._dma_legs if src is None or dst is None else self._chain_legs
         # A ring traversal: fluid capacity occupancy scaled by
-        # ``hops / N``, then the hop latency.  A zero-hop move is done
-        # now, one zero-cycle wait.
+        # ``hops / N``, then the hop latency.  A zero-hop move has no legs.
         shape = self.shape
         hops = shape.hops(0 if src is None else src + 1, 0 if dst is None else dst + 1)
+        if not hops:
+            return ()
         legs = by_hops[hops]
         if legs is None:
-            if hops == 0:
-                legs = self._spanned((leg(WAIT, 0.0),))
-            else:
-                occupy = partial(
-                    _occupy, self.port, self._energy, shape.router, shape.link,
-                    shape.n_nodes, hops,
-                )
-                legs = self._spanned(
-                    (leg(CALL, occupy), leg(WAIT, RING_HOP_LATENCY * hops))
-                )
-            by_hops[hops] = legs
+            occupy = partial(
+                _occupy, self.port, self._energy, shape.router, shape.link,
+                shape.n_nodes, hops,
+            )
+            legs = by_hops[hops] = self._spanned(
+                (leg(CALL, occupy), leg(WAIT, RING_HOP_LATENCY * hops))
+            )
         return legs
 
     def _spanned(self, legs: tuple[Leg, ...]) -> tuple[Leg, ...]:

@@ -25,7 +25,6 @@ from functools import partial
 
 from repro.abb.flowgraph import TilePlan
 from repro.abb.library import ABBLibrary
-from repro.engine.simulator import Simulator
 from repro.engine.trace import Tracer
 from repro.errors import ConfigError
 from repro.serve.arrivals import MEGACYCLE, ArrivalConfig, arrival_times
@@ -38,7 +37,7 @@ from repro.serve.slo import (
 )
 from repro.sim.run import TILE_ID_STRIDE, RequestDriver, run_workload
 from repro.sim.system import SystemConfig, SystemModel
-from repro.workloads.base import Workload
+from repro.workloads.base import Workload, software_cycles_estimate
 
 
 @dataclass(frozen=True)
@@ -160,22 +159,26 @@ def estimate_saturation(
 
 
 def _arrive(
-    sim: Simulator,
+    driver: RequestDriver,
     admit: typing.Callable[[int], None],
     times: list[float],
     request_index: int,
 ) -> None:
     """One arrival of a tenant's stream: ``admit`` decides it, then the
-    next is scheduled (from here, so no closure schedules itself)."""
+    next is scheduled (from here, so no closure schedules itself).  The
+    stream is open, like a request, until its last arrival."""
     admit(request_index)
     request_index += 1
-    if request_index < len(times):
-        # The wake-up is ``now + gap``, which need not round to the
-        # arrival time itself.
-        sim.schedule(
-            sim.now + (times[request_index] - sim.now),
-            partial(_arrive, sim, admit, times, request_index),
-        )
+    if request_index == len(times):
+        driver.close()
+        return
+    # The wake-up is ``now + gap``, which need not round to the arrival
+    # time itself.
+    sim = driver.system.sim
+    sim.schedule(
+        sim.now + (times[request_index] - sim.now),
+        partial(_arrive, driver, admit, times, request_index),
+    )
 
 
 def run_serve(
@@ -212,7 +215,7 @@ def run_serve(
             _TenantState(
                 spec,
                 TilePlan(graph, system.library),
-                system.fallback_model.graph_cycles(graph),
+                software_cycles_estimate(graph),
             )
         )
 
@@ -252,8 +255,8 @@ def run_serve(
                     {"deps": [], "tenant": state.spec.name},
                 )
             state.sw_fallbacks += 1
-            driver.finished += 1
             complete(state, arrived)
+            driver.close()
 
         system.fallback_cores.request(core_granted)
 
@@ -283,8 +286,9 @@ def run_serve(
             stream=f"{serve.seed}:{index}:{state.spec.name}",
         )
         if times:
+            driver.started += 1
             admit_one = partial(admit, index, state)
-            sim.schedule(times[0], partial(_arrive, sim, admit_one, times, 0))
+            sim.schedule(times[0], partial(_arrive, driver, admit_one, times, 0))
     report = driver.run("serving session")
 
     drained = sim.now

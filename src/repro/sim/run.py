@@ -39,8 +39,9 @@ class RequestDriver:
     A hardware request starts a :class:`TileScheduler` the moment it is
     issued; the tile's end callback does its bookkeeping.
     ``started``/``finished`` feed the one deadlock check in :meth:`run`;
-    serve's host-core software requests bump them too.  :meth:`run` then
-    checks that the run left nothing held.
+    serve's host-core software requests and arrival streams count too.
+    The run ends when its last request closes (:meth:`close`); :meth:`run`
+    then checks that it left nothing held.
     """
 
     def __init__(self, system: SystemModel) -> None:
@@ -63,10 +64,17 @@ class RequestDriver:
         scheduler = TileScheduler(self.system, plan, tile_id, tenant, after)
 
         def finish() -> None:
-            self.finished += 1
             on_done(scheduler.last_ref)
+            self.close()
 
         scheduler.run(finish)
+
+    def close(self) -> None:
+        """One request closed; the last open one ends the run now: what is
+        left on the heap (planned ABB failures) is no request's work."""
+        self.finished += 1
+        if self.finished == self.started:
+            self.system.sim.stop()
 
     def window(
         self, plan: TilePlan, first_id: int, tiles: int, size: int
@@ -90,6 +98,8 @@ class RequestDriver:
         """Run to the end; returns a traced run's critical-path report
         (``None`` when the system has no tracer)."""
         sim = self.system.sim
+        if not self.started:  # nothing to wait for, not even planned failures
+            sim.stop()
         sim.run()
         if self.finished != self.started:
             raise SimulationError(

@@ -24,7 +24,7 @@ from repro.core.composer import AcceleratorBlockComposer
 from repro.engine import Resource, Route, Simulator
 from repro.engine.route import CALL, DONE, MARK, leg
 from repro.engine.trace import Tracer
-from repro.errors import ConfigError
+from repro.errors import ConfigError, check_bound
 from repro.faults import FaultInjector, FaultSpec, FaultStats
 from repro.island import Island, SpmDmaNetworkConfig, SpmPorting
 from repro.mem import MemorySystem
@@ -35,8 +35,7 @@ from repro.sim.platform import platform_for
 _INF = float("inf")
 
 #: Numeric config fields: ``(name, whether an int, least value, whether
-#: the least is excluded)``.  Counts are ints, never bools; rates,
-#: latencies and powers are finite ints or floats.
+#: the least is excluded)`` (see :func:`~repro.errors.check_bound`).
 _BOUNDS = (
     ("n_islands", True, 1, False),
     ("n_memory_controllers", True, 1, False),
@@ -96,20 +95,10 @@ class SystemConfig:
     fault_seed: int = 0
 
     def __post_init__(self) -> None:
-        for name, count, least, strict in _BOUNDS:
-            value = getattr(self, name)
-            if (
-                value.__class__ is bool
-                or not isinstance(value, int if count else (int, float))
-                or not least <= value < _INF
-                or (strict and value == least)
-            ):
-                kind = "an int" if count else "finite"
-                bound = "" if least == -_INF else f" {'>' if strict else '>='} {least}"
-                raise ConfigError(f"{name} must be {kind}{bound}, got {value!r}")
+        for name, *bound in _BOUNDS:
+            check_bound(name, getattr(self, name), *bound)
         for type_name, count in self.abb_mix.items():
-            if count.__class__ is bool or not isinstance(count, int) or count < 0:
-                raise ConfigError(f"ABB count {type_name!r} must be an int >= 0")
+            check_bound(f"ABB count {type_name!r}", count, True, 0)
         if sum(self.abb_mix.values()) < self.n_islands:
             raise ConfigError("fewer ABBs than islands")
 

@@ -21,6 +21,7 @@ __all__ = [
     "Workload",
     "scale_workload",
     "software_cycles_estimate",
+    "software_task_cycles",
 ]
 
 #: Approximate single-core software cycles per ABB invocation, by type.
@@ -36,13 +37,24 @@ SOFTWARE_CYCLES_PER_INVOCATION: dict[str, float] = {
 }
 
 
+#: Per-invocation cost of an ABB type with no entry in the table above.
+DEFAULT_SOFTWARE_CYCLES_PER_INVOCATION = 100.0
+
+
+def software_task_cycles(abb_type: str, invocations: int) -> float:
+    """Single-core cycles to run ``invocations`` of one ABB type in
+    software: the one lookup of :data:`SOFTWARE_CYCLES_PER_INVOCATION`."""
+    return invocations * SOFTWARE_CYCLES_PER_INVOCATION.get(
+        abb_type, DEFAULT_SOFTWARE_CYCLES_PER_INVOCATION
+    )
+
+
 def software_cycles_estimate(graph: ABBFlowGraph) -> float:
-    """First-principles single-core cycle estimate for one graph tile."""
-    total = 0.0
-    for task in graph.tasks:
-        per_inv = SOFTWARE_CYCLES_PER_INVOCATION.get(task.abb_type, 100.0)
-        total += task.invocations * per_inv
-    return total
+    """Single-core cycle estimate for one graph tile: its tasks run one
+    after another (no chaining, no parallel slots)."""
+    return sum(
+        software_task_cycles(task.abb_type, task.invocations) for task in graph.tasks
+    )
 
 
 @dataclass(frozen=True)

@@ -137,6 +137,22 @@ class TestWaiterDrain:
         sim.run()
         assert order == list("abcd")
 
+    def test_release_grants_waiter_from_one_heap_entry(self):
+        """An immediate grant runs inside the request; a queued one
+        from one heap entry at the release, never inside it."""
+        sim, islands, abc = make_abc(n_islands=1, mix={"poly": 1})
+        grants = []
+        abc.request("poly", None, grants.append)
+        abc.request("poly", None, grants.append)
+        assert len(grants) == 1
+        islands[0].compute(grants[0].slot, 1)
+        entries = sim._seq
+        abc.release(grants[0])
+        assert len(grants) == 1
+        assert sim._seq == entries + 1
+        sim.run()
+        assert len(grants) == 2
+
     def test_waiter_of_other_type_not_starved(self):
         sim, islands, abc = make_abc(n_islands=1, mix={"poly": 1, "div": 1})
         got = []

@@ -18,9 +18,17 @@ import dataclasses
 import pytest
 
 from repro.errors import SimulationError
-from repro.faults import FaultSpec
+from repro.engine.trace import Tracer
+from repro.faults import FaultSpec, parse_fault_spec
 from repro.island import NetworkKind, SpmDmaNetworkConfig
-from repro.sim import SystemConfig, run_workload
+from repro.serve import (
+    AdmissionConfig,
+    ArrivalConfig,
+    ServeConfig,
+    make_tenants,
+    run_serve,
+)
+from repro.sim import SystemConfig, SystemModel, run_workload
 from repro.sim.run import run_consolidated
 from repro.workloads import get_workload, paper_suite
 from repro.workloads.suite import PAPER_BENCHMARKS
@@ -145,6 +153,39 @@ class TestForwardProgress:
         workloads = [w for w in paper_suite(tiles=1) if w.name in ("Denoise", "EKF-SLAM")]
         result = run_consolidated(config, workloads)
         assert result.tiles == len(workloads)
+
+
+class TestRunEnd:
+    """A run ends when its last request closes: planned ABB failures
+    still to come neither extend it nor count as failed."""
+
+    def test_closed_loop_ends_at_its_last_span(self):
+        config = SystemConfig(
+            n_islands=6, faults=parse_fault_spec("abb:0.25"), fault_seed=1
+        )
+        tracer = Tracer()
+        result = run_workload(config, get_workload("EKF-SLAM", tiles=16), tracer=tracer)
+        assert result.total_cycles == tracer.end_time()
+        planned = len(SystemModel(config).platform.abb_failures)
+        assert 0 < result.failed_abbs < planned
+
+    def test_serve_drains_at_its_last_span(self):
+        # Failures spread over 10x the session, so most come after it.
+        spec = FaultSpec(abb_failure_fraction=0.5, abb_failure_window=500_000.0)
+        config = SystemConfig(n_islands=2, faults=spec, fault_seed=1)
+        serve = ServeConfig(
+            tenants=make_tenants(
+                2, [get_workload("Denoise", tiles=2)], ArrivalConfig(rate_per_mcycle=100.0)
+            ),
+            admission=AdmissionConfig("always_hw"),
+            duration_cycles=50_000.0,
+        )
+        tracer = Tracer()
+        result = run_serve(config, serve, tracer=tracer)
+        assert result.drained_cycles == tracer.end_time() < 500_000.0
+        # A session with no arrival has nothing to wait for.
+        quiet = dataclasses.replace(serve, duration_cycles=1.0)
+        assert run_serve(config, quiet).drained_cycles == 0.0
 
 
 class TestDegradationMetricsRoundTrip:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.engine import BandwidthServer, Event, Route, Simulator
-from repro.engine.route import DONE, SERVE, leg
+from repro.engine.route import DONE, SERVE, WAIT, leg
 from repro.errors import SimulationError
 
 
@@ -100,6 +100,31 @@ def test_same_instant_routes_served_in_issue_order():
     sim.timeout(5.0).add_callback(issue)
     sim.run()
     assert done == {"first": 15.0, "second": 19.0}
+
+
+def test_route_end_runs_inside_its_last_leg():
+    """A route adds no heap entry to start or to end: one of only an
+    END finishes inside its constructor, and a one-leg route finishes
+    inside that leg's entry."""
+    sim = Simulator()
+    done = []
+    Route(sim, (DONE,), lambda: done.append(sim.now), 1.0)
+    assert done == [0.0]
+    assert sim._seq == 0
+    Route(sim, (leg(WAIT, 3.0), DONE), lambda: done.append(sim.now), 1.0)
+    sim.run()
+    assert done == [0.0, 3.0]
+    assert sim._seq == 1
+
+
+def test_stop_drops_pending_entries():
+    sim = Simulator()
+    fired = []
+    sim.timeout(2.0).add_callback(lambda e: sim.stop())
+    sim.timeout(9.0).add_callback(lambda e: fired.append(sim.now))
+    assert sim.run() == 2.0
+    assert fired == []
+    assert sim.peek() is None
 
 
 def test_event_succeed_carries_value():

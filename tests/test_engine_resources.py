@@ -57,6 +57,26 @@ class TestResource:
         sim.run()
         assert order == ["a", "b", "c", "d"]
 
+    def test_release_hands_off_from_one_heap_entry(self):
+        """A release grants the oldest waiter from one heap entry at
+        now, never inside the release call."""
+        sim = Simulator()
+        res = Resource(sim, capacity=1)
+        got = []
+        for tag in "ab":
+            res.request(lambda unit, tag=tag: got.append((tag, unit, sim.now)))
+        inside = []
+
+        def release():
+            entries = sim._seq
+            res.release(0)
+            inside.append((len(got), sim._seq - entries))
+
+        sim.schedule(4.0, release)
+        sim.run()
+        assert inside == [(1, 1)]  # not granted yet; one entry pushed
+        assert got == [("a", 0, 0.0), ("b", 0, 4.0)]
+
     def test_release_without_request_raises(self):
         sim = Simulator()
         res = Resource(sim)

@@ -1,5 +1,7 @@
 """Tests for island configuration validation."""
 
+import re
+
 import pytest
 
 from repro.errors import ConfigError
@@ -68,6 +70,27 @@ class TestIslandConfig:
             IslandConfig(abb_mix={"poly": 1}, noc_link_bytes_per_cycle=0)
         with pytest.raises(ConfigError):
             IslandConfig(abb_mix={"poly": 1}, dma_bytes_per_cycle=-1)
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            (field, value)
+            for field, values in (
+                ("dma_bytes_per_cycle", (float("inf"), float("nan"), 0.0, "32")),
+                ("noc_link_bytes_per_cycle", (float("inf"), float("nan"), -1.0, None)),
+                ("abb_spm_width_bytes", (2.5, True, 0, float("inf"))),
+                ("ABB count 'poly'", (2.5, True, float("nan"), -1)),
+            )
+            for value in values
+        ],
+    )
+    def test_bad_field_rejected_by_name(self, field, value):
+        if field.startswith("ABB count"):
+            kwargs = {"abb_mix": {"poly": value, "div": 1}}
+        else:
+            kwargs = {"abb_mix": {"poly": 1}, field: value}
+        with pytest.raises(ConfigError, match=re.escape(field)):
+            IslandConfig(**kwargs)
 
     def test_porting_enum_values(self):
         assert SpmPorting.EXACT.value == 1

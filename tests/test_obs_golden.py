@@ -108,13 +108,13 @@ def test_traced_serve_equals_untraced(work_counts):
 #: software.  ``(drained_cycles, latency_p99, energy_nj, sw_fallbacks,
 #: heap_entries, processes)``.
 SERVE_GOLDEN = {
-    "": (630719.5137336281, 66332.02148924318, 32201798.706907853, 112, 20652, 0),
+    "": (630719.5137336281, 66332.02148924318, 32201798.706907853, 112, 16724, 0),
     "abb:0.25": (
         972949.1661749809,
         394713.210520207,
         56507484.00763458,
         330,
-        12841,
+        10657,
         0,
     ),
 }

@@ -24,7 +24,7 @@ from repro.workloads import denoise, get_workload
 #: SHA-256 of the document ``repro trace EKF-SLAM --tiles 8`` writes: an
 #: export change that moves one byte of a real trace shows here.
 EKF_SLAM_TRACE_SHA256 = (
-    "baa778d0ca10d1ab24919589a2474c059c944eaae28d9c3d816e2a8da0a9746c"
+    "8ca485c8b56df73102a0047c7310440c3867ecf8e20869e49b1d0c145f9e48ac"
 )
 
 #: A valid complete event to mutate.

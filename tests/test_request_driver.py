@@ -1,10 +1,11 @@
 """Tests for the one request driver (:class:`repro.sim.run.RequestDriver`).
 
-* The closed-loop window is checked against a plain reference: the
-  window driver the callback-started one replaced, one generator process
-  per tile gated on a :class:`~repro.engine.Resource` of the window's
-  capacity.  Hypothesis draws consolidated configurations, clean and
-  faulted; both drivers must produce the same result.
+* The closed-loop window is checked against a plain reference: one
+  generator process per tile gated on a window of slots, whose release
+  resumes the oldest waiter inline (the same-time rule of
+  :mod:`repro.core.scheduler`).  Hypothesis draws consolidated
+  configurations, clean and faulted; both drivers must produce the same
+  result, and both end the run when its last tile ends.
 * A finished tile hands its last-completed task ref to the tile it
   starts, so the window handoff is a recorded ``deps`` edge.
 * A request that never finishes is reported as a deadlock, closed and
@@ -13,6 +14,7 @@
   core in use or a request queued is reported, naming what was left.
 """
 
+import collections
 import dataclasses
 
 import pytest
@@ -22,7 +24,7 @@ from hypothesis import strategies as st
 from repro.abb import TilePlan
 from repro.core.composer import AcceleratorBlockComposer
 from repro.core.scheduler import TileScheduler
-from repro.engine import Resource
+from repro.engine import Event, Resource
 from repro.engine.trace import Tracer
 from repro.errors import SimulationError
 from repro.faults import parse_fault_spec
@@ -47,22 +49,51 @@ from repro.workloads import synthetic_workload
 FAULT_SPECS = ("", "abb:0.25", "dma:0.15,dmadrop:0.05", "abb:0.25,dma:0.1,noc:0.2")
 
 
+class InlineWindow:
+    """``size`` slots; a release hands its slot to the oldest waiter,
+    whose process resumes inline."""
+
+    def __init__(self, sim, size):
+        self.sim = sim
+        self.free = size
+        self.waiters = collections.deque()
+
+    def acquire(self):
+        granted = Event(self.sim)
+        if self.free:
+            self.free -= 1
+            granted.trigger()
+        else:
+            self.waiters.append(granted)
+        return granted
+
+    def release(self):
+        if self.waiters:
+            self.waiters.popleft().trigger()
+        else:
+            self.free += 1
+
+
 def reference_run(config, workloads, tile_window):
-    """The window driver as a process per tile holding a window slot."""
+    """The window driver as a process per tile holding a window slot.
+    The run ends when its last tile does."""
     system = SystemModel(config)
     sim = system.sim
+    open_tiles = [sum(workload.tiles for workload in workloads)]
     for app, workload in enumerate(workloads):
         plan = TilePlan(workload.build_graph(system.library), system.library)
-        window = Resource(sim, capacity=tile_window)
+        window = InlineWindow(sim, tile_window)
 
         def tile_process(tile_id, plan=plan, window=window, app=app):
-            granted, ended = sim.event(), sim.event()
-            window.request(granted.trigger)
-            slot = yield granted
+            ended = sim.event()
+            yield window.acquire()
             scheduler = TileScheduler(system, plan, tile_id + app * TILE_ID_STRIDE)
             scheduler.run(ended.trigger)
             yield ended
-            window.release(slot)
+            window.release()
+            open_tiles[0] -= 1
+            if not open_tiles[0]:
+                sim.stop()
 
         for tile_id in range(workload.tiles):
             sim.process(tile_process(tile_id))

@@ -7,18 +7,15 @@ transfers, a compute timeout and its writeback, then fires its done
 event; a tile's end is an ``AllOf`` over the done events.  Software
 fallback is the same process running the generator host-core job.
 
-It runs under two same-time rules (see :mod:`repro.core.scheduler`):
-
-* the parent's: every process is kicked from a heap entry, every grant
-  and the tile's end fire from one.  On every fig. 6 point the records
-  must equal it;
-* the current one: a process starts inside its last producer's done
-  event, an immediate grant resumes it inline and the tile ends inline.
-  Hypothesis draws platforms, applications, fault specs (ABB failures
-  among them, so tasks fall back to the host cores) and tile windows,
-  and the records must equal it on every draw.  Under the parent's rule
-  some drawn runs with same-instant work differ, so that rule is not
-  the one checked there.
+It runs under the scheduler's same-time rule (see
+:mod:`repro.core.scheduler`): work at one instant runs in issue order,
+and only a modelled delay or a deferred grant adds a heap entry.  So a
+process starts inside its last producer's done event, an immediate
+grant resumes it inline, it resumes inline when its input (or spill)
+``AllOf`` completes, its done event fires inline and the tile ends
+inline.  The records must equal it on every fig. 6 point and on every
+hypothesis draw of platforms, applications, fault specs (ABB failures
+among them, so tasks fall back to the host cores) and tile windows.
 
 Each comparison runs traced, on twin systems, and covers the result's
 ``repr``, every energy charge in charge order within its category (the
@@ -42,6 +39,7 @@ from repro.island import NetworkKind, SpmDmaNetworkConfig
 from repro.power.aggregate import EnergyAccount
 from repro.sim import SystemConfig, SystemModel, run_consolidated
 from repro.workloads import get_workload, synthetic_workload
+from repro.workloads.base import software_task_cycles
 
 
 # ----------------------------------------------------------- reference
@@ -90,42 +88,23 @@ class InlineAllOf(AllOf):
 
 
 class ReferenceTileScheduler(TileScheduler):
-    """A process per task, joined by events.
-
-    Under the parent's rule (``PARENT_RULE``) every process is kicked
-    from a heap entry, every grant fires from one, and the tile ends one
-    entry after its last task's done event.  Under the current rule a
-    task's process starts inside its last producer's done event, an
-    immediate grant resumes it inline and the tile ends inline; the done
-    events, the input and spill joins and queued answers keep their
-    entries under both rules.
-    """
-
-    PARENT_RULE = False
+    """A process per task, joined by events that fire inline."""
 
     def run(self, then):
         sim = self.system.sim
         tasks = self.plan.tasks
         done = self._done_events = [Event(sim) for _task in tasks]
-        if self.PARENT_RULE:
-            tile_done = AllOf(sim, done)
-            spawn = sim.process
-        else:
-            tile_done = InlineAllOf(sim, done)
-
-            def spawn(body):
-                start(sim, body)
-
+        tile_done = InlineAllOf(sim, done)
         for position, task in enumerate(tasks):
             if not task.inputs:
-                spawn(self._run_task(position))
+                start(sim, self._run_task(position))
                 continue
             remaining = [len(task.inputs)]
 
             def on_producer_done(_event, position=position, remaining=remaining):
                 remaining[0] -= 1
                 if remaining[0] == 0:
-                    spawn(self._run_task(position))
+                    start(sim, self._run_task(position))
 
             for producer, _nbytes in task.inputs:
                 done[producer].add_callback(on_producer_done)
@@ -145,20 +124,11 @@ class ReferenceTileScheduler(TileScheduler):
         return granted
 
     def _request(self, task):
-        """The ABC's answer as an event.  Under the parent's rule an
-        immediate grant fires it from one heap entry; every other answer
-        already comes from one and fires it inline."""
+        """The ABC's answer as an event, fired inline by the answer."""
         granted = Event(self.system.sim)
-        inside = [True]
-
-        def answer(value):
-            if inside[0] and self.PARENT_RULE:
-                granted.succeed(value)
-            else:
-                granted.trigger(value)
-
-        self.system.abc.request(task.abb_type, self._preferred_island(task), answer)
-        inside[0] = False
+        self.system.abc.request(
+            task.abb_type, self._preferred_island(task), granted.trigger
+        )
         return granted
 
     def _run_task(self, position):
@@ -222,7 +192,7 @@ class ReferenceTileScheduler(TileScheduler):
             )
         if input_events:
             gather_start = system.sim.now
-            yield AllOf(system.sim, input_events)
+            yield InlineAllOf(system.sim, input_events)
             self._trace(gather_start, "gather", actor, tag, tag)
         compute_start = system.sim.now
         yield system.sim.at(island.compute(grant.slot, task.invocations))
@@ -252,7 +222,7 @@ class ReferenceTileScheduler(TileScheduler):
         system.abc.release(grant)
         self._trace_task(requested_at, actor, position)
         self.last_ref = tag
-        self._done_events[position].succeed(task.task_id)
+        self._done_events[position].trigger(task.task_id)
 
     def _run_task_software(self, position, tag, task_start):
         system = self.system
@@ -288,11 +258,11 @@ class ReferenceTileScheduler(TileScheduler):
                     )
                 )
         if spill_events:
-            yield AllOf(system.sim, spill_events)
+            yield InlineAllOf(system.sim, spill_events)
         yield from reference_software_execute(
             system,
             read_bytes,
-            system.fallback_model.task_cycles(task.abb_type, task.invocations),
+            software_task_cycles(task.abb_type, task.invocations),
             task.output_bytes,
             streams + task.index,
             tag,
@@ -301,13 +271,7 @@ class ReferenceTileScheduler(TileScheduler):
         system.fallback_cores.release(core)
         self._trace_task(task_start, "core.sw", position)
         self.last_ref = tag
-        self._done_events[position].succeed(task.task_id)
-
-
-class ParentTileScheduler(ReferenceTileScheduler):
-    """The parent's scheduler, entry for entry."""
-
-    PARENT_RULE = True
+        self._done_events[position].trigger(task.task_id)
 
 
 # ---------------------------------------------------------- harness
@@ -370,10 +334,10 @@ FIG6_POINTS = [
 
 @pytest.mark.parametrize("name,network,n_islands", FIG6_POINTS)
 def test_fig6_point_matches_parent(name, network, n_islands):
-    """On every fig. 6 point the dropped entries reorder nothing: the
-    run equals the parent's, charge for charge and span for span."""
+    """On every fig. 6 point the run equals its parent design's, the
+    process-per-task reference, charge for charge and span for span."""
     config = SystemConfig(n_islands=n_islands, network=PAPER_NETWORKS[network])
-    assert_matches(ParentTileScheduler, config, [get_workload(name, tiles=16)], 8)
+    assert_matches(ReferenceTileScheduler, config, [get_workload(name, tiles=16)], 8)
 
 
 networks = st.sampled_from(
